@@ -1,31 +1,25 @@
-"""Vectorized kernel + VP-tree index: wall-time, storage, prune rate.
+"""Vectorized kernel: block-fill wall time, storage and query rate.
 
 Builds SkyServer-shaped populations of **real** access areas (windows
 over a five-table schema, quantized so the packed clause vocabulary
-stays realistic) and compares three ways of serving intra-partition
-distances at n ∈ {5 000, 20 000, 100 000}:
+stays realistic) and compares two ways of filling the block-sparse
+layout's intra-partition blocks at n ∈ {5 000, 20 000}:
 
-- ``python``: the pure-Python oracle filling block-sparse condensed
-  blocks (the exact semantics baseline),
-- ``kernel``: the same blocks filled by the vectorized struct-of-arrays
-  kernel (bitwise-equal values),
-- ``vptree``: the lazy neighbour index — no blocks materialized at
-  all; queries answered through certified-bound pruning.
+- ``python``: per-pair calls of the pure-Python metric (the exact
+  semantics baseline),
+- ``kernel``: the vectorized struct-of-arrays kernel (bitwise-equal
+  values), as ``BlockSparseDistanceMatrix.compute`` runs it.
 
 The pure-Python fill is measured up to ``PYTHON_CAP`` items and
 extrapolated linearly in intra-partition pair count beyond that (the
-fill is exactly pair-proportional).  Kernel blocks are materialized up
-to ``KERNEL_CAP``: at n = 100 000 the condensed blocks alone would
-need ~7 GB, which is precisely the regime the lazy index exists for,
-so only the vptree runs there.  Writes
+fill is exactly pair-proportional).  Writes
 ``benchmarks/out/BENCH_kernel.json``.
 
 Acceptance (asserted): kernel block fill ≥ 5× faster than pure Python
-at the middle size, vptree storage a small fraction of the kernel's
-at every size, prune rate > 0, and DBSCAN label parity across all
-three at the smallest size.
+at the larger size, and DBSCAN label parity between the two at the
+smaller size.
 
-Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the sizes ~20×.
+Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the sizes ~10×.
 """
 
 import json
@@ -33,9 +27,7 @@ import os
 import random
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.algebra.cnf import CNF, Clause
 from repro.algebra.intervals import Interval
@@ -44,16 +36,13 @@ from repro.clustering import partitioned_dbscan
 from repro.core.area import AccessArea
 from repro.distance import QueryDistance
 from repro.distance.block_sparse import BlockSparseDistanceMatrix
-from repro.distance.metric_index import VPTreeIndex
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-SIZES = (300, 800, 2000) if SMOKE else (5000, 20000, 100000)
+SIZES = (300, 800) if SMOKE else (5000, 20000)
 #: pure-Python fill measured up to here, extrapolated beyond
 PYTHON_CAP = SIZES[0]
-#: kernel blocks materialized up to here (memory-bound above)
-KERNEL_CAP = SIZES[1]
 EPS = 0.12
 MIN_PTS = 4
 N_QUERY_SAMPLE = 200
@@ -61,8 +50,8 @@ N_QUERY_SAMPLE = 200
 TABLES = ("photoobj", "photoz", "specobj", "galaxy", "star")
 
 #: SkyServer-like skew: single-table point lookups dominate, a tail of
-#: joins.  All cross-partition d_tables values are ≥ 0.5, so EPS sits
-#: safely below the exactness bound and the vptree preconditions hold.
+#: joins.  All cross-partition d_tables values are ≥ 1/3, so EPS sits
+#: safely below the exactness bound.
 TABLE_SET_MIX = (
     (frozenset({"photoobj"}), 0.30),
     (frozenset({"photoz"}), 0.18),
@@ -107,11 +96,28 @@ def make_population(n, seed=29):
     return items
 
 
+def _partitions(items):
+    groups = {}
+    for index, item in enumerate(items):
+        groups.setdefault(item.table_set, []).append(index)
+    return list(groups.items())
+
+
 def _intra_pairs(items):
-    sizes = {}
-    for item in items:
-        sizes[item.table_set] = sizes.get(item.table_set, 0) + 1
-    return sum(m * (m - 1) // 2 for m in sizes.values())
+    return sum(len(m) * (len(m) - 1) // 2 for _, m in _partitions(items))
+
+
+def _python_matrix(items, metric):
+    """The block-sparse layout with every block filled by per-pair
+    metric calls: the pure-Python baseline the kernel replaces."""
+    keys, members = zip(*_partitions(items))
+    blocks = [[metric(items[a], items[b])
+               for x, a in enumerate(m) for b in m[x + 1:]]
+              for m in members]
+    bounds = np.array([[metric.d_tables(items[a[0]], items[b[0]])
+                        for b in members] for a in members])
+    return BlockSparseDistanceMatrix(len(items), keys, members, blocks,
+                                     bounds)
 
 
 def _timed(build):
@@ -132,11 +138,10 @@ def test_kernel_artifact(out_dir):
         row = {"n": n, "intra_pairs": pairs,
                "dense_condensed_bytes": n * (n - 1) // 2 * 8}
 
+        python = None
         if n <= PYTHON_CAP:
-            _, python_seconds = _timed(
-                lambda: BlockSparseDistanceMatrix.compute(
-                    items, QueryDistance(catalog), cutoff=EPS,
-                    engine="python"))
+            python, python_seconds = _timed(
+                lambda: _python_matrix(items, QueryDistance(catalog)))
             python_rate = python_seconds / pairs
             row.update(python_measured=True,
                        python_seconds=round(python_seconds, 4))
@@ -144,69 +149,37 @@ def test_kernel_artifact(out_dir):
             row.update(python_measured=False,
                        python_seconds=round(python_rate * pairs, 4))
 
-        if n <= KERNEL_CAP:
-            kernel, kernel_seconds = _timed(
-                lambda: BlockSparseDistanceMatrix.compute(
-                    items, QueryDistance(catalog), cutoff=EPS,
-                    engine="kernel"))
-            row.update(
-                kernel_seconds=round(kernel_seconds, 4),
-                kernel_stored_floats=kernel.stats.stored_floats,
-                kernel_speedup=round(
-                    row["python_seconds"] / kernel_seconds, 2))
-            # Query throughput against the materialized blocks.
-            sample = random.Random(7).sample(
-                range(n), min(n, N_QUERY_SAMPLE))
-            _, scan_seconds = _timed(
-                lambda: [kernel.neighbors(i, EPS) for i in sample])
-            row["matrix_queries_per_second"] = round(
-                len(sample) / scan_seconds)
-            del kernel
-
-        index, vptree_seconds = _timed(
-            lambda: VPTreeIndex.compute(items, QueryDistance(catalog),
-                                        cutoff=EPS))
+        kernel, kernel_seconds = _timed(
+            lambda: BlockSparseDistanceMatrix.compute(
+                items, QueryDistance(catalog), cutoff=EPS))
+        row.update(
+            kernel_seconds=round(kernel_seconds, 4),
+            kernel_stored_floats=kernel.stats.stored_floats,
+            kernel_speedup=round(
+                row["python_seconds"] / kernel_seconds, 2))
+        # Query throughput against the materialized blocks.
         sample = random.Random(7).sample(
             range(n), min(n, N_QUERY_SAMPLE))
-        _, query_seconds = _timed(
-            lambda: [index.neighbors(i, EPS) for i in sample])
-        row.update(
-            vptree_build_seconds=round(vptree_seconds, 4),
-            vptree_build_evals=index.vpstats.build_evals,
-            vptree_stored_floats=index.stats.stored_floats,
-            vptree_queries_per_second=round(
-                len(sample) / query_seconds),
-            vptree_prune_rate=round(index.vpstats.prune_rate, 4))
-        if "kernel_stored_floats" in row:
-            row["storage_ratio_vptree_vs_kernel"] = round(
-                row["vptree_stored_floats"]
-                / row["kernel_stored_floats"], 4)
+        _, scan_seconds = _timed(
+            lambda: [kernel.neighbors(i, EPS) for i in sample])
+        row["matrix_queries_per_second"] = round(
+            len(sample) / scan_seconds)
 
-        if n == SIZES[0]:
-            # All three engines must produce identical cluster labels.
-            sparse = BlockSparseDistanceMatrix.compute(
-                items, QueryDistance(catalog), cutoff=EPS,
-                engine="python")
-            kern = BlockSparseDistanceMatrix.compute(
-                items, QueryDistance(catalog), cutoff=EPS,
-                engine="kernel")
+        if python is not None:
+            # Both fills must produce identical cluster labels.
             want = partitioned_dbscan(items, metric, EPS, MIN_PTS,
-                                      matrix=sparse).labels
-            parity = (
-                partitioned_dbscan(items, metric, EPS, MIN_PTS,
-                                   matrix=kern).labels == want
-                and partitioned_dbscan(items, metric, EPS, MIN_PTS,
-                                       matrix=index).labels == want)
+                                      matrix=python).labels
+            parity = partitioned_dbscan(items, metric, EPS, MIN_PTS,
+                                        matrix=kernel).labels == want
             row["dbscan_label_parity"] = parity
             assert parity
-        del index
+        del kernel, python
         rows.append(row)
 
     artifact = {
         "eps": EPS,
         "smoke": SMOKE,
         "python_cap": PYTHON_CAP,
-        "kernel_cap": KERNEL_CAP,
         "table_set_mix": sorted(
             ("+".join(sorted(ts)), w) for ts, w in TABLE_SET_MIX),
         "sizes": rows,
@@ -215,16 +188,5 @@ def test_kernel_artifact(out_dir):
         json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
 
     # Acceptance: ≥5× kernel speedup over the pure-Python fill at the
-    # middle size, real pruning, and lazy storage far below the blocks.
-    middle = rows[1]
-    assert middle["kernel_speedup"] >= 5.0, middle
-    for row in rows:
-        assert row["vptree_prune_rate"] > 0.0, row
-    if not SMOKE:
-        # The lazy index's storage is linear in n (clause vocabulary ×
-        # members) against the blocks' quadratic growth; at smoke
-        # sizes the vocabulary tables dominate, so only assert at
-        # benchmark scale.
-        assert middle["storage_ratio_vptree_vs_kernel"] < 0.5, middle
-    # The largest size runs without materializing any block.
-    assert "kernel_seconds" not in rows[-1]
+    # larger size.
+    assert rows[-1]["kernel_speedup"] >= 5.0, rows[-1]

@@ -82,7 +82,7 @@ def test_sustained_ingest(benchmark, out_dir):
 
     registry = MetricsRegistry()
     clusterer = IncrementalDBSCAN(metric, eps=EPS, min_pts=MIN_PTS,
-                                  backend="sparse", registry=registry)
+                                  registry=registry)
     segment_size = len(stream) // N_SEGMENTS
     segments = []
 
@@ -128,7 +128,7 @@ def test_sustained_ingest(benchmark, out_dir):
         "dedup_ratio": len(stream) / clusterer.n_unique,
         "eps": EPS,
         "min_pts": MIN_PTS,
-        "backend": "sparse",
+        "backend": clusterer.backend_name,
         "ingest_seconds_total": total_seconds,
         "arrivals_per_second": len(stream) / total_seconds,
         "update_seconds_p50": hist.p50,

@@ -29,8 +29,7 @@ from ..core.area import AccessArea
 from ..core.extractor import AccessAreaExtractor
 from ..core.pipeline import (LogProcessingReport, dedupe_areas,
                              expand_labels, process_log)
-from ..distance.block_sparse import (MATRIX_MODES, NEIGHBOR_BACKENDS,
-                                     compute_matrix)
+from ..distance.block_sparse import compute_matrix
 from ..distance.query_distance import QueryDistance
 from ..obs import get_logger, trace
 from ..engine.database import Database
@@ -61,16 +60,9 @@ class CaseStudyConfig:
     predicate_cap: Optional[int] = 35
     consolidate: bool = True
     seed: int = 99
-    #: worker processes for the clustering distance matrices (1 = serial)
+    #: worker processes for a dense clustering distance matrix
+    #: (1 = serial); ``eps`` picks dense or block-sparse
     n_jobs: int = 1
-    #: distance-matrix layout: "dense", "sparse" (block-sparse
-    #: partitioned), or "auto" (sparse whenever eps lies below the
-    #: population's partition exactness bound)
-    matrix_mode: str = "auto"
-    #: neighbour-query backend: "matrix" (materialized storage) or
-    #: "vptree" (per-partition vantage-point trees; falls back to the
-    #: matrix backend with a warning when its preconditions fail)
-    neighbor_backend: str = "matrix"
     #: True → intern areas by canonical fingerprint and cluster the
     #: unique areas with multiplicity weights (distance stage computes
     #: u(u−1)/2 pairs instead of n(n−1)/2), expanding labels back
@@ -82,16 +74,6 @@ class CaseStudyConfig:
     #: same directory replays them — zero SQL re-extraction, reloaded
     #: blocks, bitwise-identical labels.  ``None`` = in-memory only.
     store_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.matrix_mode not in MATRIX_MODES:
-            raise ValueError(
-                f"matrix_mode must be one of {MATRIX_MODES}, "
-                f"got {self.matrix_mode!r}")
-        if self.neighbor_backend not in NEIGHBOR_BACKENDS:
-            raise ValueError(
-                f"neighbor_backend must be one of {NEIGHBOR_BACKENDS}, "
-                f"got {self.neighbor_backend!r}")
 
 
 @dataclass
@@ -217,7 +199,6 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
 
         distance = QueryDistance(stats, resolution=config.resolution)
         with trace.span("cluster", sample=len(sample),
-                        matrix_mode=config.matrix_mode,
                         intern=config.intern) as cluster_span:
             sample_areas = [s.area for s in sample]
             if config.intern:
@@ -226,10 +207,9 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
                 # distance stage pays u(u−1)/2 instead of n(n−1)/2.
                 unique, area_weights, inverse = dedupe_areas(sample_areas)
                 matrix = compute_matrix(
-                    unique, distance, mode=config.matrix_mode,
-                    eps=config.eps, n_jobs=config.n_jobs,
-                    neighbor_backend=config.neighbor_backend,
-                    store=store, store_token=store_token)
+                    unique, distance, eps=config.eps,
+                    n_jobs=config.n_jobs, store=store,
+                    store_token=store_token)
                 matrix.stats.n_source_items = len(sample_areas)
                 deduped = partitioned_dbscan(
                     unique, distance, config.eps, config.min_pts,
@@ -240,13 +220,12 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
                 cluster_span.set(unique=len(unique))
             else:
                 matrix = compute_matrix(
-                    sample_areas, distance, mode=config.matrix_mode,
-                    eps=config.eps, n_jobs=config.n_jobs,
-                    neighbor_backend=config.neighbor_backend,
-                    store=store, store_token=store_token)
-                # auto mode already hands us a dense matrix when eps is
-                # too large for exact partitioning; fall back to plain
-                # DBSCAN on it instead of failing the whole study.
+                    sample_areas, distance, eps=config.eps,
+                    n_jobs=config.n_jobs, store=store,
+                    store_token=store_token)
+                # compute_matrix already hands us a dense matrix when
+                # eps is too large for exact partitioning; fall back to
+                # plain DBSCAN on it instead of failing the whole study.
                 clustering = partitioned_dbscan(
                     sample_areas, distance, config.eps,
                     config.min_pts, matrix=matrix, on_inexact="fallback")

@@ -63,8 +63,7 @@ from .analysis import format_summary, format_table1
 from .analysis.experiments import CaseStudyConfig, run_case_study
 from .core import AccessAreaExtractor, process_log
 from .core.stream import StreamMonitor
-from .distance.block_sparse import (MATRIX_MODES, NEIGHBOR_BACKENDS,
-                                    compute_matrix)
+from .distance.block_sparse import compute_matrix
 from .distance.query_distance import QueryDistance
 from .obs import (Profiler, Tracer, configure_logging, export,
                   get_logger, get_registry, profile_section, runrec,
@@ -142,21 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_process.add_argument("--cluster-seed", type=int, default=99,
                            help="sampling seed for the clustering stage")
     p_process.add_argument("--n-jobs", type=int, default=1,
-                           help="worker processes for the distance "
+                           help="worker processes for a dense distance "
                                 "matrix (1 = serial, 0 = all cores)")
-    p_process.add_argument("--matrix-mode", default="auto",
-                           choices=list(MATRIX_MODES),
-                           help="distance-matrix layout (auto: block-"
-                                "sparse when eps is below the partition "
-                                "exactness bound; kernel: block-sparse "
-                                "with vectorized struct-of-arrays "
-                                "blocks)")
-    p_process.add_argument("--neighbor-backend", default="matrix",
-                           choices=list(NEIGHBOR_BACKENDS),
-                           help="range-query backend (vptree: per-"
-                                "partition vantage-point trees; falls "
-                                "back to matrix when preconditions "
-                                "fail)")
     p_process.add_argument("--intern", default=True,
                            action=argparse.BooleanOptionalAction,
                            help="pool areas by canonical fingerprint and "
@@ -185,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "streaming (incremental clustering)")
     p_stream.add_argument("--eps", type=float, default=0.12)
     p_stream.add_argument("--min-pts", type=int, default=5)
-    p_stream.add_argument("--cluster-backend", default="sparse",
-                          choices=("sparse", "vptree", "dense"),
-                          help="neighbourhood index for --cluster")
 
     p_serve = sub.add_parser(
         "serve", parents=[obs_parent],
@@ -196,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080,
                          help="TCP port (0 = ephemeral)")
-    p_serve.add_argument("--backend", default="auto",
-                         choices=("auto", "sparse", "vptree", "dense"),
-                         help="incremental-clustering neighbourhood "
-                              "backend (auto: sparse when eps is below "
-                              "the conservative partition exactness "
-                              "bound, dense otherwise)")
     p_serve.add_argument("--eps", type=float, default=0.12)
     p_serve.add_argument("--min-pts", type=int, default=5)
     p_serve.add_argument("--warmup", type=int, default=100,
@@ -237,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="max areas to cluster")
     p_recommend.add_argument("--cluster-seed", type=int, default=99,
                              help="sampling seed above --sample areas")
-    p_recommend.add_argument("--matrix-mode", default="auto",
-                             choices=list(MATRIX_MODES))
-    p_recommend.add_argument("--neighbor-backend", default="matrix",
-                             choices=list(NEIGHBOR_BACKENDS))
 
     p_case = sub.add_parser(
         "casestudy", parents=[obs_parent],
@@ -253,20 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--rows", type=int, default=24,
                         help="table rows to print")
     p_case.add_argument("--n-jobs", type=int, default=1,
-                        help="worker processes for the clustering "
+                        help="worker processes for a dense clustering "
                              "distance matrix (1 = serial, 0 = all "
                              "CPU cores)")
-    p_case.add_argument("--matrix-mode", default="auto",
-                        choices=list(MATRIX_MODES),
-                        help="distance-matrix layout (auto: block-"
-                             "sparse when eps is below the partition "
-                             "exactness bound; kernel: block-sparse "
-                             "with vectorized struct-of-arrays blocks)")
-    p_case.add_argument("--neighbor-backend", default="matrix",
-                        choices=list(NEIGHBOR_BACKENDS),
-                        help="range-query backend (vptree: per-"
-                             "partition vantage-point trees; falls "
-                             "back to matrix when preconditions fail)")
     p_case.add_argument("--intern", default=True,
                         action=argparse.BooleanOptionalAction,
                         help="pool areas by canonical fingerprint and "
@@ -591,17 +553,15 @@ def _cluster_report(report, schema, args: argparse.Namespace):
     distance = QueryDistance(stats)
     if args.intern:
         unique, weights, inverse = dedupe_areas(areas)
-        matrix = compute_matrix(unique, distance, mode=args.matrix_mode,
-                                eps=args.eps, n_jobs=args.n_jobs,
-                                neighbor_backend=args.neighbor_backend)
+        matrix = compute_matrix(unique, distance, eps=args.eps,
+                                n_jobs=args.n_jobs)
         matrix.stats.n_source_items = len(areas)
         deduped = partitioned_dbscan(
             unique, distance, args.eps, args.min_pts, matrix=matrix,
             weights=weights, on_inexact="fallback")
         return DBSCANResult(expand_labels(deduped.labels, inverse))
-    matrix = compute_matrix(areas, distance, mode=args.matrix_mode,
-                            eps=args.eps, n_jobs=args.n_jobs,
-                            neighbor_backend=args.neighbor_backend)
+    matrix = compute_matrix(areas, distance, eps=args.eps,
+                            n_jobs=args.n_jobs)
     return partitioned_dbscan(areas, distance, args.eps, args.min_pts,
                               matrix=matrix, on_inexact="fallback")
 
@@ -622,8 +582,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         AccessAreaExtractor(schema), stats=stats, on_event=emit,
         warmup=args.warmup,
         cluster_incrementally=args.cluster,
-        cluster_eps=args.eps, cluster_min_pts=args.min_pts,
-        cluster_backend=args.cluster_backend)
+        cluster_eps=args.eps, cluster_min_pts=args.min_pts)
     with trace.span("stream", warmup=args.warmup,
                     cluster=args.cluster), \
             profile_section("stream"):
@@ -648,13 +607,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceConfig, create_app, run_server
 
     config = ServiceConfig(
-        eps=args.eps, min_pts=args.min_pts, backend=args.backend,
+        eps=args.eps, min_pts=args.min_pts,
         warmup=args.warmup, min_cluster_size=args.min_cluster_size,
         store_dir=args.store_dir, max_resident=args.max_resident)
     app = create_app(config)
     print(f"interest service on http://{args.host}:{args.port} "
-          f"(backend={config.resolved_backend()}, eps={config.eps}, "
-          f"min_pts={config.min_pts}) — Ctrl-C to stop")
+          f"(backend={app.state.clusterer.backend_name}, "
+          f"eps={config.eps}, min_pts={config.min_pts}) — Ctrl-C to stop")
     if config.store_dir:
         print(f"area store {config.store_dir}: replayed "
               f"{app.state.replayed:,} journalled arrivals "
@@ -699,9 +658,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     with profile_section("fit"):
         recommender = fit_from_areas(
             areas, stats, extractor, eps=args.eps,
-            min_pts=args.min_pts, matrix_mode=args.matrix_mode,
-            neighbor_backend=args.neighbor_backend,
-            min_cluster_size=args.min_cluster_size)
+            min_pts=args.min_pts, min_cluster_size=args.min_cluster_size)
     if args.sql is not None:
         try:
             recommendations = recommender.recommend_for_sql(args.sql,
@@ -729,8 +686,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         eps=args.eps,
         min_pts=args.min_pts,
         n_jobs=args.n_jobs,
-        matrix_mode=args.matrix_mode,
-        neighbor_backend=args.neighbor_backend,
         intern=args.intern,
         store_dir=args.store_dir,
     )

@@ -14,11 +14,11 @@ pipeline does:
   representative's weight; the sole possible structural consequence is
   a *core promotion* inside its eps-neighbourhood, repaired locally.
 * **New areas touch one partition.**  A genuinely new area inserts one
-  row into the affected partition of the distance backend
-  (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.insert_row`
-  or :meth:`~repro.distance.metric_index.VPTreeIndex.insert`) — no
-  cross-partition distance is ever computed — and label repair is
-  confined to the new point's eps-neighbourhood.
+  row into the affected partition of the block-sparse distance layout
+  (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.insert_row`)
+  — no cross-partition distance is ever computed — and label repair is
+  confined to the new point's eps-neighbourhood.  Radii too large for
+  partitioning (``eps >= 1/2``) use a dense growable matrix instead.
 
 **Exact parity, not approximation.**  Weighted DBSCAN's labelling is a
 pure function of (core set, eps-adjacency), both of which this class
@@ -59,7 +59,13 @@ from .dbscan import NOISE
 
 logger = get_logger(__name__)
 
-BACKENDS = ("dense", "sparse", "vptree")
+#: ``eps`` below this radius clusters on the block-sparse layout, at or
+#: above it on the dense one.  ``1/2`` is the partition exactness bound
+#: of one- and two-table FROM sets (see
+#: :func:`~repro.distance.query_distance.partition_exactness_bound`);
+#: below it, an arrival whose table set would lower the live bound to
+#: ``eps`` is refused before any mutation.
+SPARSE_BELOW = 0.5
 
 
 @dataclass
@@ -92,11 +98,15 @@ class IncrementalUpdate:
 class _DenseBackend:
     """Growable symmetric distance matrix via per-pair metric calls.
 
-    O(n) metric evaluations per insert — the reference backend, valid
-    at any radius (no partition exactness precondition)."""
+    O(n) metric evaluations per insert, valid at any ``eps`` (no
+    partition exactness precondition).  Like the dense matrix's
+    ``cutoff`` skip, a pair whose ``d_tables`` lower bound already
+    exceeds ``eps`` stores that bound instead of the full distance, so
+    :meth:`neighbors` is exact at radii up to ``eps``."""
 
     def __init__(self, metric, eps: float):
         self._metric = metric
+        self._eps = eps
         self._items: list = []
         self._buf = np.zeros((4, 4), dtype=float)
         self.n = 0
@@ -108,7 +118,7 @@ class _DenseBackend:
             buf = np.zeros((cap, cap), dtype=float)
             buf[:i, :i] = self._buf[:i, :i]
             self._buf = buf
-        row = np.array([self._metric(old, area) for old in self._items],
+        row = np.array([self._distance(old, area) for old in self._items],
                        dtype=float)
         self._buf[i, :i] = row
         self._buf[:i, i] = row
@@ -116,6 +126,10 @@ class _DenseBackend:
         self._items.append(area)
         self.n = i + 1
         return i
+
+    def _distance(self, old, area) -> float:
+        bound = self._metric.d_tables(old, area)
+        return bound if bound > self._eps else self._metric(old, area)
 
     def neighbors(self, i: int, eps: float) -> list[int]:
         return [int(j) for j in
@@ -130,42 +144,18 @@ class _SparseBackend:
     partition exactness bound — ``insert`` refuses (pre-mutation) any
     area whose new partition would drop the bound to ``eps``."""
 
-    def __init__(self, metric, eps: float, *, engine: str = "kernel"):
+    def __init__(self, metric, eps: float):
         from ..distance.block_sparse import BlockSparseDistanceMatrix
         self._matrix = BlockSparseDistanceMatrix.compute([], metric)
         self._metric = metric
         self._eps = eps
-        self._engine = engine
 
     def insert(self, area) -> int:
-        return self._matrix.insert_row(
-            area, self._metric, engine=self._engine,
-            max_radius=self._eps)
+        return self._matrix.insert_row(area, self._metric,
+                                       max_radius=self._eps)
 
     def neighbors(self, i: int, eps: float) -> list[int]:
         return self._matrix.neighbors(i, eps)
-
-
-class _VPTreeBackend:
-    """Certified-bound vantage-point tree backend (``VPTreeIndex``)."""
-
-    def __init__(self, metric, eps: float):
-        from ..distance.metric_index import VPTreeIndex
-        self._index = VPTreeIndex.compute([], metric)
-        self._metric = metric
-        self._eps = eps
-
-    def insert(self, area) -> int:
-        return self._index.insert(area, self._metric,
-                                  max_radius=self._eps)
-
-    def neighbors(self, i: int, eps: float) -> list[int]:
-        return self._index.neighbors(i, eps)
-
-
-_BACKEND_TYPES = {"dense": _DenseBackend,
-                  "sparse": _SparseBackend,
-                  "vptree": _VPTreeBackend}
 
 
 class IncrementalDBSCAN:
@@ -175,11 +165,10 @@ class IncrementalDBSCAN:
     (``eps``, ``min_pts``); ``metric`` is the decomposed query metric.
     With ``intern=True`` (default) arrivals are pooled by canonical
     fingerprint, so repeats of an already-seen area never touch the
-    distance backend.  ``backend`` selects the neighbourhood index:
-    ``"sparse"`` (block-sparse partition matrix, the default),
-    ``"vptree"`` (certified VP-tree), or ``"dense"`` (per-pair metric
-    calls; the only backend valid at radii ≥ the partition exactness
-    bound).
+    distance backend.  ``eps`` picks the neighbourhood layout, named by
+    :attr:`backend_name`: ``"sparse"`` (the block-sparse partition
+    matrix) below :data:`SPARSE_BELOW`, ``"dense"`` (per-pair metric
+    calls, valid at any radius) at or above it.
 
     After any sequence of :meth:`add` calls, :meth:`labels` equals the
     output of a from-scratch ``DBSCAN(eps, min_pts).fit(unique_areas,
@@ -187,12 +176,8 @@ class IncrementalDBSCAN:
     """
 
     def __init__(self, metric, *, eps: float, min_pts: int = 5,
-                 intern: bool = True, backend: str = "sparse",
-                 engine: str = "kernel",
+                 intern: bool = True,
                  registry: Optional[metrics.MetricsRegistry] = None):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {backend!r}")
         if eps < 0:
             raise ValueError(f"eps must be non-negative, got {eps}")
         if min_pts < 1:
@@ -200,13 +185,11 @@ class IncrementalDBSCAN:
         self.eps = float(eps)
         self.min_pts = float(min_pts)
         self.intern = bool(intern)
-        self.backend_name = backend
+        sparse = self.eps < SPARSE_BELOW
+        self.backend_name = "sparse" if sparse else "dense"
         self._registry = registry or metrics.get_registry()
-        if backend == "sparse":
-            self._backend = _SparseBackend(metric, self.eps,
-                                           engine=engine)
-        else:
-            self._backend = _BACKEND_TYPES[backend](metric, self.eps)
+        self._backend = (_SparseBackend if sparse
+                         else _DenseBackend)(metric, self.eps)
         # Population state (indexed by unique-area index).
         self._index_of: dict = {}
         self._areas: list = []

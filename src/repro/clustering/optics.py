@@ -91,21 +91,7 @@ class OPTICS:
                 memo[key] = value
             return value
 
-        # A metric-tree backend (VPTreeIndex) answers the eps-ball
-        # directly, skipping the O(n) scan — but only below its
-        # exactness bound, where range queries are exact; otherwise the
-        # scan path keeps the documented lower-bound semantics.
-        range_query = getattr(matrix, "range_query", None)
-        if range_query is not None and not (
-                self.max_eps
-                < getattr(matrix, "exactness_bound", -math.inf)):
-            range_query = None
-
         def neighbors(point: int) -> list[tuple[int, float]]:
-            if range_query is not None:
-                return [(other, d)
-                        for other, d in range_query(point, self.max_eps)
-                        if other != point]
             out = []
             for other in range(n):
                 if other == point:

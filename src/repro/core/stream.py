@@ -113,7 +113,6 @@ class StreamMonitor:
     cluster_incrementally: bool = False
     cluster_eps: float = 0.15
     cluster_min_pts: int = 5
-    cluster_backend: str = "sparse"
 
     def __post_init__(self) -> None:
         self.state = StreamState()
@@ -140,7 +139,6 @@ class StreamMonitor:
             self.clusterer = IncrementalDBSCAN(
                 QueryDistance(frozen), eps=self.cluster_eps,
                 min_pts=self.cluster_min_pts,
-                backend=self.cluster_backend,
                 registry=self.registry or metrics.get_registry())
         self._recent_failures: deque[bool] = deque(maxlen=self.failure_window)
         self._burst_active = False

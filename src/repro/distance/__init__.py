@@ -4,18 +4,17 @@ Besides the pairwise metric, the package hosts the shared
 :class:`DistanceMatrix` engine every clustering algorithm consumes: the
 condensed pairwise matrix with multiprocessing fan-out, relation-set
 memoization, bound-skipping, and :class:`MatrixStats` instrumentation —
-plus the vectorized struct-of-arrays kernel (:mod:`.kernel`) and the
-vantage-point-tree neighbour index (:mod:`.metric_index`), both
-differentially validated against the pure-Python oracle.
+plus the block-sparse layout whose partition blocks come from the
+vectorized struct-of-arrays kernel (:mod:`.kernel`), differentially
+validated against the pure-Python oracle.
 """
 
 from .alternatives import FootprintDistance, WeightedQueryDistance
 from .block_sparse import (BlockSparseDistanceMatrix, MATRIX_MODES,
-                           NEIGHBOR_BACKENDS, compute_matrix)
+                           compute_matrix)
 from .kernel import (KernelStats, KernelUnsupported, PackedPartition,
-                     compute_kernel_blocks, kernel_available)
+                     compute_kernel_blocks)
 from .matrix import DistanceMatrix, MatrixStats, condensed_index
-from .metric_index import VPTree, VPTreeIndex, VPTreeStats
 from .parallel import resolve_n_jobs
 from .predicate_distance import (CacheInfo, DEFAULT_CACHE_SIZE,
                                  DEFAULT_RESOLUTION, PredicateDistance)
@@ -28,10 +27,8 @@ __all__ = [
     "QueryDistance", "jaccard_distance", "partition_exactness_bound",
     "FootprintDistance", "WeightedQueryDistance",
     "DistanceMatrix", "MatrixStats", "condensed_index",
-    "BlockSparseDistanceMatrix", "MATRIX_MODES", "NEIGHBOR_BACKENDS",
-    "compute_matrix",
+    "BlockSparseDistanceMatrix", "MATRIX_MODES", "compute_matrix",
     "KernelStats", "KernelUnsupported", "PackedPartition",
-    "compute_kernel_blocks", "kernel_available",
-    "VPTree", "VPTreeIndex", "VPTreeStats",
+    "compute_kernel_blocks",
     "resolve_n_jobs",
 ]

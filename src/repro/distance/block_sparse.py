@@ -31,10 +31,10 @@ thresholds — therefore gets exactly the answers the dense matrix gives;
 
 The lookup API (``value``/``row``/``neighbors``/``submatrix``/``stats``/
 ``__len__``) matches the dense matrix, so dbscan, optics, single-linkage
-and partitioned DBSCAN accept either implementation unchanged.  Parallel
-construction fans out partition-granular work units
-(:func:`repro.distance.parallel.compute_blocks`) instead of flat pair
-chunks: one predicate-cache warmup per partition.
+and partitioned DBSCAN accept either implementation unchanged.  Every
+block is filled by the vectorized kernel (:mod:`repro.distance.kernel`),
+bitwise equal to per-pair evaluation; a partition the kernel cannot
+replay falls back to per-pair metric calls.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..obs import get_logger, metrics, trace
-from .kernel import KernelUnsupported, PackedPartition
+from .kernel import KernelUnsupported, PackedPartition, compute_kernel_blocks
 from .matrix import DistanceMatrix, MatrixStats, Metric
-from .parallel import compute_blocks, resolve_n_jobs
 from .query_distance import partition_exactness_bound
 
 logger = get_logger(__name__)
@@ -113,19 +112,10 @@ class _GrowableBlock:
         idx = np.asarray(indices, dtype=np.intp)
         return DistanceMatrix.from_square(self._buf[np.ix_(idx, idx)])
 
-#: Modes accepted by :func:`compute_matrix`.  ``kernel`` is the
-#: block-sparse layout with partition blocks produced by the vectorized
-#: struct-of-arrays kernel (:mod:`repro.distance.kernel`) instead of
-#: per-pair Python evaluation — bitwise-identical values, an order of
-#: magnitude less interpreter time.
-MATRIX_MODES = ("auto", "dense", "sparse", "kernel")
-
-#: Neighbour-query backends accepted by :func:`compute_matrix`:
-#: ``matrix`` materializes distance storage (dense or block-sparse),
-#: ``vptree`` answers range queries through per-partition vantage-point
-#: trees (:mod:`repro.distance.metric_index`) without materializing
-#: blocks.
-NEIGHBOR_BACKENDS = ("matrix", "vptree")
+#: Modes accepted by :func:`compute_matrix`: ``kernel`` is the
+#: block-sparse layout, ``dense`` the full :class:`DistanceMatrix`, and
+#: ``auto`` lets ``eps`` pick between them.
+MATRIX_MODES = ("auto", "dense", "kernel")
 
 
 def is_decomposed(metric, items: Sequence) -> bool:
@@ -215,9 +205,8 @@ class BlockSparseDistanceMatrix:
 
     @classmethod
     def compute(cls, items: Sequence, metric: Metric, *,
-                n_jobs: int = 1, cutoff: Optional[float] = None,
+                cutoff: Optional[float] = None,
                 registry: Optional[metrics.MetricsRegistry] = None,
-                engine: str = "python",
                 store=None, store_token: Optional[str] = None,
                 ) -> "BlockSparseDistanceMatrix":
         """Evaluate ``metric`` block-sparsely over ``items``.
@@ -228,14 +217,11 @@ class BlockSparseDistanceMatrix:
         lie strictly below the population's partition exactness bound or
         the sparse layout cannot answer threshold queries exactly
         (:meth:`compute` raises — use the dense matrix instead).
-        ``n_jobs`` — worker processes for the partition-granular fan-out
-        (1 = serial); ``registry`` — metrics sink (defaults to the
-        process-wide registry).  ``engine`` — ``"python"`` (per-pair
-        oracle evaluation, optionally parallel) or ``"kernel"`` (serial
-        vectorized struct-of-arrays blocks, bitwise-identical values;
-        partitions the kernel cannot replay fall back to the oracle,
-        and the engine itself degrades to ``"python"`` when numpy is
-        unavailable).
+        ``registry`` — metrics sink (defaults to the process-wide
+        registry).  Blocks come from the vectorized kernel
+        (:func:`~.kernel.compute_kernel_blocks`); partitions it cannot
+        replay fall back to per-pair metric calls, so every value is
+        bitwise the per-pair one.
 
         ``store`` (an :class:`~repro.store.AreaStore`) spills every
         computed in-partition condensed block to an mmap-able file
@@ -253,25 +239,14 @@ class BlockSparseDistanceMatrix:
                 "block-sparse matrix requires a decomposed metric "
                 "(d_tables/d_conj) over items with table_set/cnf; "
                 "use DistanceMatrix for arbitrary metrics")
-        if engine not in ("python", "kernel"):
-            raise ValueError(f"engine must be 'python' or 'kernel', "
-                             f"got {engine!r}")
-        if engine == "kernel":
-            from .kernel import kernel_available
-            if not kernel_available():  # pragma: no cover - env-specific
-                logger.warning("kernel engine requires numpy; falling "
-                               "back to the python engine")
-                engine = "python"
         n = len(items)
-        n_jobs = resolve_n_jobs(n_jobs)
         if registry is None:
             registry = metrics.get_registry()
         started = time.perf_counter()
         pred_info = getattr(metric, "pred_cache_info", None)
         before = pred_info() if pred_info is not None else None
 
-        with trace.span("block_sparse_matrix", n_items=n,
-                        n_jobs=n_jobs) as span:
+        with trace.span("block_sparse_matrix", n_items=n) as span:
             with trace.span("plan"):
                 groups: dict[frozenset, list[int]] = {}
                 for index, item in enumerate(items):
@@ -302,13 +277,9 @@ class BlockSparseDistanceMatrix:
                         f"DistanceMatrix")
 
             stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2,
-                                n_jobs=n_jobs, cutoff=cutoff)
-            mode = "serial" if n_jobs == 1 else "parallel"
-            if engine == "kernel":
-                mode = "kernel"
+                                cutoff=cutoff)
             chunk_seconds = registry.histogram(
-                "repro_distance_chunk_seconds", mode=mode)
-            worker_hits = worker_misses = 0
+                "repro_distance_chunk_seconds", mode="kernel")
 
             # Store-backed reuse: a partition whose content key matches
             # a persisted block skips computation entirely.
@@ -339,30 +310,14 @@ class BlockSparseDistanceMatrix:
 
             pending = [bi for bi in range(p) if bi not in cached]
             pending_members = [members[bi] for bi in pending]
-            with trace.span("fill", partitions=p, mode=mode,
-                            reloaded=len(cached)):
-                if not pending:
-                    raw_blocks = []
-                elif engine == "kernel":
-                    from .kernel import compute_kernel_blocks
+            with trace.span("fill", partitions=p, reloaded=len(cached)):
+                raw_blocks = []
+                if pending:
                     raw_blocks, kernel_stats = compute_kernel_blocks(
                         items, metric, pending_members)
                     kernel_stats.record(registry)
                     chunk_seconds.observe(kernel_stats.pack_seconds
                                           + kernel_stats.block_seconds)
-                else:
-                    raw_blocks, infos = compute_blocks(
-                        items, metric, pending_members, n_jobs)
-                    for info in infos:
-                        trace.attach(info.span)
-                        chunk_seconds.observe(
-                            info.seconds,
-                            exemplar=info.span.get("span_id")
-                            if info.span else None)
-                        worker_hits += info.cache_hits
-                        worker_misses += info.cache_misses
-                    registry.merge_all(
-                        info.metrics for info in infos)
                 computed = {bi: np.asarray(raw, dtype=float)
                             for bi, raw in zip(pending, raw_blocks)}
                 blocks = [cached[bi] if bi in cached else computed[bi]
@@ -385,10 +340,8 @@ class BlockSparseDistanceMatrix:
             stats.stored_floats = stats.pairs_computed + p * p
             if before is not None:
                 after = pred_info()
-                stats.predicate_cache_hits = (after.hits - before.hits
-                                              + worker_hits)
-                stats.predicate_cache_misses = (
-                    after.misses - before.misses + worker_misses)
+                stats.predicate_cache_hits = after.hits - before.hits
+                stats.predicate_cache_misses = after.misses - before.misses
             stats.elapsed_seconds = time.perf_counter() - started
             span.set(partitions=p,
                      pairs_computed=stats.pairs_computed,
@@ -404,18 +357,17 @@ class BlockSparseDistanceMatrix:
     # -- incremental growth -------------------------------------------------
 
     def insert_row(self, item, metric: Metric, *,
-                   engine: str = "kernel",
                    max_radius: Optional[float] = None) -> int:
         """Append one item, computing only intra-partition distances.
 
         The affected partition's block gains a row of exact ``d_conj``
-        values (via the vectorized kernel when ``engine="kernel"`` —
-        :meth:`~.kernel.PackedPartition.extend` plus one
-        ``pair_rows`` gather, bitwise-equal to the per-pair oracle — or
-        the per-pair metric otherwise); a previously unseen table set
-        opens a fresh singleton partition, extending the ``d_tables``
-        bound table by one representative evaluation per existing
-        partition.  No cross-partition distance is ever computed, so the
+        values (via the vectorized kernel —
+        :meth:`~.kernel.PackedPartition.extend` plus one ``pair_rows``
+        gather, bitwise-equal to the per-pair oracle — or the per-pair
+        metric for a partition the kernel cannot replay); a previously
+        unseen table set opens a fresh singleton partition, extending
+        the ``d_tables`` bound table by one representative evaluation
+        per existing partition.  No cross-partition distance is ever computed, so the
         cost is ``O(c + m_p)`` in the affected partition, independent of
         the total population.
 
@@ -435,9 +387,6 @@ class BlockSparseDistanceMatrix:
             raise ValueError(
                 "insert_row requires a matrix built by compute(); "
                 "constructor-adopted matrices do not retain their items")
-        if engine not in ("python", "kernel"):
-            raise ValueError(f"engine must be 'python' or 'kernel', "
-                             f"got {engine!r}")
         index = self.n
         key = frozenset(item.table_set)
         pid = self._key_to_pid.get(key)
@@ -447,7 +396,7 @@ class BlockSparseDistanceMatrix:
                 self._check_radius(key, item, metric, max_radius)
             pid = self._open_partition(key, item, metric)
         else:
-            row = self._partition_row(pid, item, metric, engine)
+            row = self._partition_row(pid, item, metric)
             block = self._blocks[pid]
             if not isinstance(block, _GrowableBlock):
                 block = _GrowableBlock(block)
@@ -514,39 +463,35 @@ class BlockSparseDistanceMatrix:
         self.stats.stored_floats += 2 * p + 1
         return p
 
-    def _partition_row(self, pid: int, item, metric: Metric,
-                       engine: str) -> np.ndarray:
+    def _partition_row(self, pid: int, item, metric: Metric) -> np.ndarray:
         """Distances from ``item`` to every current member of partition
         ``pid`` (equal table sets, so the metric collapses to
         ``d_conj``)."""
         members = self._members[pid]
-        if engine == "kernel":
-            pack = self._packs.get(pid, _UNSET)
-            if pack is _UNSET or (pack is not None
-                                  and pack.n_areas != len(members)):
-                # First insert into this partition (or the pack went
-                # stale through a python-engine insert): pack it once,
-                # amortized over every later insert.
-                try:
-                    pack = PackedPartition(
-                        [self._items[int(g)] for g in members], metric)
-                except KernelUnsupported as exc:
-                    logger.debug("insert_row pack fallback for "
-                                 "partition %d: %s", pid, exc)
-                    pack = None
-                self._packs[pid] = pack
-            if pack is not None:
-                try:
-                    pack.extend([item])
-                    return pack.pair_rows(
-                        pack.n_areas - 1,
-                        np.arange(pack.n_areas - 1, dtype=np.intp))
-                except KernelUnsupported as exc:
-                    # The pack no longer covers the partition; retire it
-                    # so later inserts go straight to the oracle.
-                    logger.debug("insert_row extend fallback for "
-                                 "partition %d: %s", pid, exc)
-                    self._packs[pid] = None
+        pack = self._packs.get(pid, _UNSET)
+        if pack is _UNSET:
+            # First insert into this partition: pack it once, amortized
+            # over every later insert.
+            try:
+                pack = PackedPartition(
+                    [self._items[int(g)] for g in members], metric)
+            except KernelUnsupported as exc:
+                logger.debug("insert_row pack fallback for "
+                             "partition %d: %s", pid, exc)
+                pack = None
+            self._packs[pid] = pack
+        if pack is not None:
+            try:
+                pack.extend([item])
+                return pack.pair_rows(
+                    pack.n_areas - 1,
+                    np.arange(pack.n_areas - 1, dtype=np.intp))
+            except KernelUnsupported as exc:
+                # The pack no longer covers the partition; retire it
+                # so later inserts go straight to the oracle.
+                logger.debug("insert_row extend fallback for "
+                             "partition %d: %s", pid, exc)
+                self._packs[pid] = None
         return np.array([metric(self._items[int(g)], item)
                          for g in members], dtype=float)
 
@@ -643,72 +588,35 @@ def compute_matrix(items: Sequence, metric: Metric, *,
                    mode: str = "auto", eps: Optional[float] = None,
                    n_jobs: int = 1,
                    registry: Optional[metrics.MetricsRegistry] = None,
-                   neighbor_backend: str = "matrix",
                    store=None, store_token: Optional[str] = None):
     """Build a distance matrix in the requested ``mode``.
 
-    ``mode`` — ``"dense"``, ``"sparse"``, ``"kernel"``, or ``"auto"``
-    (default): block-sparse whenever the metric decomposes and the
-    query radius ``eps`` lies strictly below the population's partition
-    exactness bound (conservatively ``1/(max |table-set union|)``, i.e.
-    ``1/(k+1)`` for ``k``-table joins — see
+    ``mode`` — ``"dense"``, ``"kernel"``, or ``"auto"`` (default).  In
+    ``auto`` the query radius ``eps`` picks the layout: block-sparse
+    whenever the metric decomposes and ``eps`` lies strictly below the
+    population's partition exactness bound (``1/2`` for single-table
+    FROM sets, ``1/(k+1)`` once ``k``-table joins are present — see
     :func:`~repro.distance.query_distance.partition_exactness_bound`),
-    dense otherwise.  ``"kernel"`` is the block-sparse layout with
-    blocks produced by the vectorized kernel (bitwise-identical
-    values).  ``eps`` doubles as the dense matrix's ``cutoff``.
-
-    ``neighbor_backend`` — ``"matrix"`` (default; materialized storage)
-    or ``"vptree"``: a :class:`~.metric_index.VPTreeIndex` whose range
-    queries run through per-partition vantage-point trees.  The vptree
-    backend has the same preconditions as the sparse layout (decomposed
-    metric, ``eps`` strictly below the partition exactness bound plus
-    numpy); when any fails it logs a warning and serves the requested
-    matrix ``mode`` instead, so threshold queries keep their exact
-    semantics — in particular ``partitioned_dbscan``'s
-    ``on_inexact="fallback"`` whole-population rerun always lands on a
-    matrix backend that can answer it.
+    dense otherwise.  ``"kernel"`` forces the block-sparse layout and
+    raises when ``eps`` is not below the bound.  ``eps`` doubles as
+    the dense matrix's ``cutoff``; ``n_jobs`` fans the dense fill out
+    over worker processes.  ``store``/``store_token`` persist and
+    reload block-sparse blocks (see
+    :meth:`BlockSparseDistanceMatrix.compute`).
     """
     if mode not in MATRIX_MODES:
         raise ValueError(f"mode must be one of {MATRIX_MODES}, "
                          f"got {mode!r}")
-    if neighbor_backend not in NEIGHBOR_BACKENDS:
-        raise ValueError(f"neighbor_backend must be one of "
-                         f"{NEIGHBOR_BACKENDS}, got {neighbor_backend!r}")
-    if neighbor_backend == "vptree":
-        from .kernel import kernel_available
-        from .metric_index import VPTreeIndex
-        if (kernel_available() and eps is not None
-                and is_decomposed(metric, items)
-                and eps < partition_exactness_bound(
-                    item.table_set for item in items)):
-            return VPTreeIndex.compute(items, metric, cutoff=eps,
-                                       registry=registry, store=store,
-                                       store_token=store_token)
-        logger.warning(
-            "vptree backend requires numpy, a decomposed metric and a "
-            "radius below the partition exactness bound; falling back "
-            "to the %s matrix backend", mode)
-    if mode == "kernel":
-        return BlockSparseDistanceMatrix.compute(
-            items, metric, n_jobs=n_jobs, cutoff=eps, registry=registry,
-            engine="kernel", store=store, store_token=store_token)
-    if mode == "sparse":
-        return BlockSparseDistanceMatrix.compute(
-            items, metric, n_jobs=n_jobs, cutoff=eps, registry=registry,
-            store=store, store_token=store_token)
     if mode == "auto" and eps is not None and is_decomposed(metric, items):
         bound = partition_exactness_bound(
             item.table_set for item in items)
+        logger.debug("auto matrix mode: eps %g vs partition bound %.4g",
+                     eps, bound)
         if eps < bound:
-            logger.debug(
-                "auto matrix mode: eps %g < partition bound %.4g, "
-                "using block-sparse", eps, bound)
-            return BlockSparseDistanceMatrix.compute(
-                items, metric, n_jobs=n_jobs, cutoff=eps,
-                registry=registry, store=store,
-                store_token=store_token)
-        logger.debug(
-            "auto matrix mode: eps %g >= partition bound %.4g, "
-            "using dense", eps, bound)
+            mode = "kernel"
+    if mode == "kernel":
+        return BlockSparseDistanceMatrix.compute(
+            items, metric, cutoff=eps, registry=registry, store=store,
+            store_token=store_token)
     return DistanceMatrix.compute(items, metric, n_jobs=n_jobs,
                                   cutoff=eps, registry=registry)

@@ -41,8 +41,8 @@ hypothesis-generated predicate populations.
 Anything the pack cannot replay exactly — non-finite or non-float-exact
 numeric constants, boolean constants (whose ``True == 1`` predicate
 equality makes even the oracle's memo order-dependent), subclassed
-metrics, missing numpy — raises :class:`KernelUnsupported` and the
-caller falls back to the per-pair pure-Python path for that partition.
+metrics — raises :class:`KernelUnsupported` and the caller falls back
+to the per-pair pure-Python path for that partition.
 """
 
 from __future__ import annotations
@@ -52,10 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-try:  # pragma: no cover - numpy is present in the supported toolchain
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..algebra.cnf import Clause
 from ..algebra.predicates import (ColumnColumnPredicate,
@@ -76,11 +73,6 @@ _MAX_SLOTS = 2
 class KernelUnsupported(Exception):
     """A partition (or metric) the vectorized kernel cannot replay
     bitwise; callers fall back to the pure-Python oracle path."""
-
-
-def kernel_available() -> bool:
-    """True when numpy is importable (the kernel's only requirement)."""
-    return np is not None
 
 
 @dataclass
@@ -192,8 +184,6 @@ class PackedPartition:
     """
 
     def __init__(self, areas: Sequence, metric) -> None:
-        if np is None:
-            raise KernelUnsupported("numpy is not available")
         self._oracle = oracle_of(metric)
         self._stats_catalog = metric.stats
 
@@ -848,20 +838,17 @@ def compute_kernel_blocks(items: Sequence, metric,
                           ) -> tuple[list, KernelStats]:
     """Condensed blocks for each partition, vectorized where possible.
 
-    Mirrors :func:`~.parallel.compute_blocks`'s output shape: one
-    row-major condensed upper triangle per member list.  Partitions the
-    pack cannot replay bitwise fall back to the per-pair pure-Python
-    oracle, so the result is always exactly the python-path blocks.
+    One row-major condensed upper triangle per member list.  Partitions
+    the pack cannot replay bitwise fall back to per-pair evaluation of
+    ``metric``, so every block equals the per-pair oracle's exactly.
     """
-    from .parallel import _evaluate_partition
-
     stats = KernelStats()
     blocks: list = []
     with trace.span("kernel_blocks", partitions=len(members)):
         for member_list in members:
+            subset = [items[k] for k in member_list]
             started = time.perf_counter()
             try:
-                subset = [items[k] for k in member_list]
                 pack = PackedPartition(subset, metric)
                 stats.pack_seconds += time.perf_counter() - started
                 block_started = time.perf_counter()
@@ -876,8 +863,9 @@ def compute_kernel_blocks(items: Sequence, metric,
             except KernelUnsupported as exc:
                 logger.debug("kernel fallback for %d-area partition: %s",
                              len(member_list), exc)
-                values, _ = _evaluate_partition(metric, items,
-                                                member_list)
+                m = len(subset)
+                values = [metric(subset[a], subset[b])
+                          for a in range(m) for b in range(a + 1, m)]
                 stats.partitions_fallback += 1
                 stats.pairs_fallback += len(values)
                 blocks.append(values)

@@ -4,11 +4,8 @@
 distance matrix need a full metric evaluation; this module executes that
 plan, either serially or over a worker pool.  The metric and the item
 sequence are shipped to each worker exactly once (via the pool
-initializer).  Two granularities of work unit exist: the dense matrix
-ships flat chunks of ``(k, i, j)`` triples (:func:`compute_pairs`,
-``k`` being the condensed destination index), while the block-sparse
-matrix ships whole *partitions* (:func:`compute_blocks`) — better
-locality, one predicate-cache warmup per table-set group.
+initializer).  The work unit is a flat chunk of ``(k, i, j)`` triples
+(:func:`compute_pairs`, ``k`` being the condensed destination index).
 
 Workers recompute distances with their own copy of the metric; because
 the metric is a pure function of its arguments (the predicate memo only
@@ -148,102 +145,6 @@ def _compute_block(block: list[Pair]
     if snapshot is not None:
         info = replace(info, metrics=snapshot)
     return entries, info
-
-
-def _evaluate_partition(metric, items, members: Sequence[int],
-                        trace_ctx: Optional[TraceContext] = None,
-                        ) -> tuple[list[float], BlockInfo]:
-    """The full condensed block of one partition, row-major upper triangle."""
-    started = time.perf_counter()
-    pred_info = getattr(metric, "pred_cache_info", None)
-    before = pred_info() if pred_info is not None else None
-    subset = [items[index] for index in members]
-    m = len(subset)
-    values = [metric(subset[a], subset[b])
-              for a in range(m) for b in range(a + 1, m)]
-    elapsed = time.perf_counter() - started
-    hits = misses = 0
-    if before is not None:
-        after = pred_info()
-        hits = after.hits - before.hits
-        misses = after.misses - before.misses
-    span = _block_span("distance_partition", trace_ctx, started, elapsed,
-                       {"members": m, "pairs": len(values),
-                        "cache_hits": hits, "cache_misses": misses})
-    return values, BlockInfo(pairs=len(values), seconds=elapsed,
-                             pid=os.getpid(), cache_hits=hits,
-                             cache_misses=misses, span=span)
-
-
-def _compute_partition(members: Sequence[int]
-                       ) -> tuple[list[float], BlockInfo]:
-    (values, info), snapshot = _with_worker_registry(
-        lambda: _evaluate_partition(_WORKER_STATE["metric"],
-                                    _WORKER_STATE["items"], members,
-                                    _WORKER_STATE.get("trace_ctx")))
-    if snapshot is not None:
-        info = replace(info, metrics=snapshot)
-    return values, info
-
-
-def _serial_blocks(items: Sequence, metric: Callable,
-                   partitions: Sequence[Sequence[int]],
-                   ) -> tuple[list[list[float]], list[BlockInfo]]:
-    # The serial path mints the same per-partition span dicts as the
-    # workers do, so serial and parallel runs stitch into trees of
-    # identical shape.
-    ctx = obs_trace.current_context()
-    blocks: list[list[float]] = []
-    infos: list[BlockInfo] = []
-    for members in partitions:
-        values, info = _evaluate_partition(metric, items, members, ctx)
-        blocks.append(values)
-        infos.append(info)
-    return blocks, infos
-
-
-def compute_blocks(items: Sequence,
-                   metric: Callable[[object, object], float],
-                   partitions: Sequence[Sequence[int]], n_jobs: int = 1,
-                   ) -> tuple[list[list[float]], list[BlockInfo]]:
-    """Evaluate the full condensed block of each partition.
-
-    The block-sparse matrix's work unit is one *partition*, not a flat
-    chunk of pairs: every pair inside a partition shares the same table
-    set, so one worker evaluating a whole block touches one family of
-    predicates — the predicate-pair LRU warms once per partition instead
-    of once per arbitrary chunk, and no pair of workers duplicates a
-    cache.  Returns ``(blocks, infos)`` aligned with ``partitions``:
-    each block is the row-major condensed upper triangle of its
-    partition (``m·(m−1)/2`` floats) plus one :class:`BlockInfo`.
-
-    ``n_jobs == 1`` (or any pool failure — same degradation contract as
-    :func:`compute_pairs`) runs the plain serial loop, which is bitwise
-    identical to the parallel result because the metric is a pure
-    function of its arguments.
-    """
-    n_jobs = resolve_n_jobs(n_jobs)
-    if n_jobs == 1 or len(partitions) <= 1:
-        return _serial_blocks(items, metric, partitions)
-    workers = min(n_jobs, len(partitions))
-    try:
-        context = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else None)
-        with context.Pool(workers, initializer=_init_worker,
-                          initargs=(metric, items,
-                                    obs_trace.current_context(),
-                                    True)) as pool:
-            # chunksize=1: partitions are heavily skewed (one hot table
-            # set dominates a real log); let the pool load-balance them.
-            results = pool.map(_compute_partition,
-                               [list(p) for p in partitions],
-                               chunksize=1)
-    except (OSError, ValueError, RuntimeError, AttributeError,
-            pickle.PicklingError):
-        return _serial_blocks(items, metric, partitions)
-    blocks = [values for values, _ in results]
-    infos = [info for _, info in results]
-    return blocks, infos
 
 
 def _serial(items: Sequence, metric: Callable, pairs: Sequence[Pair],

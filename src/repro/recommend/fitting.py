@@ -9,8 +9,8 @@ would drift apart; this module is that one way:
 * :func:`fit_recommender` — the core: unique areas + multiplicities +
   cluster labels → a fitted :class:`InterestRecommender`;
 * :func:`fit_from_areas` — the batch wrapper: dedupe a raw area
-  population, cluster it weighted (``compute_matrix`` auto-selection),
-  then delegate to :func:`fit_recommender`.
+  population, cluster it weighted (``compute_matrix``, whose layout
+  ``eps`` picks), then delegate to :func:`fit_recommender`.
 """
 
 from __future__ import annotations
@@ -56,24 +56,19 @@ def fit_from_areas(areas: Sequence[AccessArea],
                    extractor: Optional[AccessAreaExtractor] = None, *,
                    eps: float = 0.12,
                    min_pts: int = 5,
-                   matrix_mode: str = "auto",
-                   neighbor_backend: str = "matrix",
-                   n_jobs: int = 1,
                    resolution: float = 0.05,
                    min_cluster_size: int = 5,
                    sigma: float = 3.0):
     """Cluster a raw (possibly repeat-heavy) area population and fit.
 
     The population is interned to unique representatives, clustered
-    with multiplicity weights over a ``compute_matrix``-selected
-    backend, and handed to :func:`fit_recommender` — the exact batch
-    mirror of the service's incremental path.
+    with multiplicity weights over a ``compute_matrix`` layout, and
+    handed to :func:`fit_recommender` — the exact batch mirror of the
+    service's incremental path.
     """
     unique, weights, _ = dedupe_areas(areas)
     metric = QueryDistance(stats)
-    matrix = compute_matrix(unique, metric, mode=matrix_mode, eps=eps,
-                            n_jobs=n_jobs,
-                            neighbor_backend=neighbor_backend)
+    matrix = compute_matrix(unique, metric, eps=eps)
     clustering = partitioned_dbscan(unique, metric, eps, min_pts,
                                     matrix=matrix, weights=weights,
                                     on_inexact="fallback")

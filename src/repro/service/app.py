@@ -201,7 +201,7 @@ def create_app(config: Optional[ServiceConfig] = None,
             # healthy process report negative (or absurd) uptime.
             "uptime_seconds": round(state.uptime, 3),
             "started_at": state.started,
-            "backend": state.config.resolved_backend(),
+            "backend": state.clusterer.backend_name,
             "eps": state.config.eps,
             "min_pts": state.config.min_pts,
             "ingested": monitor.state.processed,

@@ -8,8 +8,7 @@ the endpoints read or write:
 * a :class:`~repro.core.stream.StreamMonitor` with
   ``cluster_incrementally=True`` — which itself owns the
   :class:`~repro.clustering.incremental.IncrementalDBSCAN` and its
-  distance backend (block-sparse / VP-tree / dense, chosen like
-  ``compute_matrix``'s auto mode);
+  distance layout (block-sparse or dense, picked by ``eps``);
 * a fitted :class:`~repro.recommend.InterestRecommender`, refreshed
   lazily after ``CLUSTER_CHANGED`` events;
 * the per-user ledger behind ``GET /users/{id}/interests``.
@@ -46,23 +45,19 @@ from ..store.codec import fingerprint_digest
 
 logger = get_logger(__name__)
 
-BACKENDS = ("auto", "sparse", "vptree", "dense")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Knobs of one service process (CLI: ``repro serve``)."""
 
+    #: clustering radius; it also picks the clusterer's layout (see
+    #: :class:`~repro.clustering.incremental.IncrementalDBSCAN`).  On
+    #: the block-sparse layout an arrival whose table set would drop
+    #: the live exactness bound to ``eps`` is refused pre-mutation —
+    #: ingest degrades to an ``unclustered`` statement instead of
+    #: serving under-reported neighbourhoods.
     eps: float = 0.12
     min_pts: int = 5
-    #: neighbourhood backend for the incremental clusterer; ``auto``
-    #: mirrors ``compute_matrix``: block-sparse when ``eps`` lies below
-    #: the conservative single-table partition exactness bound (1/2),
-    #: dense otherwise.  The sparse/vptree backends additionally refuse
-    #: (pre-mutation) any arrival whose table set would drop the live
-    #: bound to ``eps`` — ingest degrades to ``unclustered`` statements
-    #: instead of serving under-reported neighbourhoods.
-    backend: str = "auto"
     warmup: int = 100
     resolution: float = 0.05
     min_cluster_size: int = 5
@@ -80,14 +75,6 @@ class ServiceConfig:
     #: evicted to the store; uniqueness accounting is unaffected because
     #: it is judged against the persistent fingerprint index.
     max_resident: Optional[int] = None
-
-    def resolved_backend(self) -> str:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {self.backend!r}")
-        if self.backend == "auto":
-            return "sparse" if self.eps < 0.5 else "dense"
-        return self.backend
 
     def __post_init__(self) -> None:
         if self.max_resident is not None and not self.store_dir:
@@ -137,8 +124,8 @@ class IngestOutcome:
 
     ``status`` mirrors the stream path's graceful degradation:
     ``"clustered"`` (extracted, live label assigned),
-    ``"unclustered"`` (extracted, but the backend's max-radius
-    reservation refused the insert pre-mutation), or ``"failed"``
+    ``"unclustered"`` (extracted, but the block-sparse layout's
+    max-radius reservation refused the insert pre-mutation), or ``"failed"``
     (the statement did not extract — tallied, never an HTTP error).
     """
 
@@ -189,7 +176,6 @@ class AppState:
             cluster_incrementally=True,
             cluster_eps=self.config.eps,
             cluster_min_pts=self.config.min_pts,
-            cluster_backend=self.config.resolved_backend(),
             registry=self.registry)
         self.clusterer = self.monitor.clusterer
         self.users: dict[str, dict[AccessArea, int]] = {}

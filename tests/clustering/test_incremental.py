@@ -6,22 +6,16 @@ stream, :meth:`IncrementalDBSCAN.labels` equals a from-scratch
 including cluster numbering, because both derive labels from the same
 canonical form (core-graph components ranked by minimal core index;
 borders take the minimal neighbouring cluster id).  Checked by
-hypothesis with interning on and off and across the dense and
-block-sparse neighbourhood backends; the vptree backend (same
-neighbour contract, certified-bound tree) is pinned deterministically
-to keep the property-test budget sane.
+hypothesis with interning on and off and on both layouts ``eps`` picks:
+block-sparse below 1/2, dense at or above it.
 
 Structural repair is pinned separately: core promotion by weight bump,
 cluster merge through a bridging arrival, and — on the :meth:`remove`
 path — demotion with a component split re-check.
 """
 
-import math
-
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,8 +89,8 @@ def _batch_labels(metric, population, weights, eps, min_pts):
 def _assert_prefix_parity(stream, *, eps, min_pts, intern, backend):
     metric = QueryDistance(_stats())
     inc = IncrementalDBSCAN(metric, eps=eps, min_pts=min_pts,
-                            intern=intern, backend=backend,
-                            registry=MetricsRegistry())
+                            intern=intern, registry=MetricsRegistry())
+    assert inc.backend_name == backend
     seen = []
     for arrival in stream:
         inc.add(arrival)
@@ -117,7 +111,7 @@ def _assert_prefix_parity(stream, *, eps, min_pts, intern, backend):
 class TestPrefixParity:
     @settings(max_examples=40, deadline=None)
     @given(stream=streams,
-           eps=st.sampled_from([0.05, 0.15, 0.3]),
+           eps=st.sampled_from([0.5, 0.6, 0.9]),
            min_pts=st.integers(min_value=1, max_value=4),
            intern=st.booleans())
     def test_dense_backend(self, stream, eps, min_pts, intern):
@@ -132,15 +126,6 @@ class TestPrefixParity:
     def test_sparse_backend(self, stream, eps, min_pts, intern):
         _assert_prefix_parity(stream, eps=eps, min_pts=min_pts,
                               intern=intern, backend="sparse")
-
-    def test_vptree_backend(self):
-        base = ([_window("T", lo, lo + 4.0) for lo in
-                 (0.0, 1.0, 2.0, 40.0, 41.0, 80.0)]
-                + [_half("T", Op.LE, 30.0), _half("S", Op.GE, 10.0)])
-        stream = [base[(7 * k) % len(base)] for k in range(40)]
-        for intern in (True, False):
-            _assert_prefix_parity(stream, eps=0.15, min_pts=3,
-                                  intern=intern, backend="vptree")
 
 
 class TestStructuralRepair:
@@ -217,7 +202,6 @@ class TestStructuralRepair:
         base = [_window("T", float(lo), float(lo) + 6.0)
                 for lo in (0, 2, 4, 30, 32, 70)]
         inc = IncrementalDBSCAN(metric, eps=0.12, min_pts=3,
-                                backend="dense",
                                 registry=MetricsRegistry())
         counts: dict = {}
         for pick in rng.integers(0, len(base), size=40):
@@ -236,33 +220,34 @@ class TestStructuralRepair:
             assert inc.labels() == want
 
 
+def _joined(*relations):
+    return AccessArea(relations, CNF.of([Clause.of([
+        ColumnConstantPredicate(ColumnRef("T", "x"), Op.GE, 1.0)])]))
+
+
 class TestExactnessRefusal:
     def test_new_partition_below_eps_is_refused_pre_mutation(self):
-        # d_tables({T}, {T,S}) = 0.5, so eps=0.6 cannot admit the
-        # two-table area without breaking partition-local neighbours.
-        both = AccessArea(("T", "S"), CNF.of([Clause.of([
-            ColumnConstantPredicate(ColumnRef("T", "x"), Op.GE, 1.0)])]))
-        for backend in ("sparse", "vptree"):
-            inc = IncrementalDBSCAN(QueryDistance(_stats()), eps=0.6,
-                                    min_pts=2, backend=backend,
-                                    registry=MetricsRegistry())
-            inc.add(_window("T", 0, 10))
-            with pytest.raises(ValueError, match="bound"):
-                inc.add(both)
-            # The refusal must leave the clusterer fully usable.
-            assert inc.n_unique == 1
-            update = inc.add(_window("T", 0, 10))
-            assert update.promotions == 1
-            assert inc.labels() == [0]
+        # d_tables({T,S}, {T,S,U}) = 1/3, so eps=0.4 (block-sparse)
+        # cannot admit the three-table area without breaking
+        # partition-local neighbours.
+        inc = IncrementalDBSCAN(QueryDistance(_stats()), eps=0.4,
+                                min_pts=2, registry=MetricsRegistry())
+        assert inc.backend_name == "sparse"
+        inc.add(_joined("T", "S"))
+        with pytest.raises(ValueError, match="bound"):
+            inc.add(_joined("T", "S", "U"))
+        # The refusal must leave the clusterer fully usable.
+        assert inc.n_unique == 1
+        update = inc.add(_joined("T", "S"))
+        assert update.promotions == 1
+        assert inc.labels() == [0]
 
     def test_dense_backend_has_no_exactness_precondition(self):
-        both = AccessArea(("T", "S"), CNF.of([Clause.of([
-            ColumnConstantPredicate(ColumnRef("T", "x"), Op.GE, 1.0)])]))
         inc = IncrementalDBSCAN(QueryDistance(_stats()), eps=0.6,
-                                min_pts=1, backend="dense",
-                                registry=MetricsRegistry())
+                                min_pts=1, registry=MetricsRegistry())
+        assert inc.backend_name == "dense"
         inc.add(_window("T", 0, 10))
-        update = inc.add(both)
+        update = inc.add(_joined("T", "S"))
         assert update.new_point
 
 
@@ -287,8 +272,6 @@ class TestTelemetryAndValidation:
 
     def test_parameter_validation(self):
         metric = QueryDistance(_stats())
-        with pytest.raises(ValueError, match="backend"):
-            IncrementalDBSCAN(metric, eps=0.1, backend="ball-tree")
         with pytest.raises(ValueError, match="eps"):
             IncrementalDBSCAN(metric, eps=-0.1)
         with pytest.raises(ValueError, match="min_pts"):

@@ -343,6 +343,39 @@ class TestIncrementalClustering:
         assert clusterer.labels() == list(want.labels)
         assert monitor.clusterer.n_clusters >= 2
 
+    def test_large_eps_labels_every_statement(self):
+        # eps=0.6 is at or above the single-table bound 1/2, so the
+        # clusterer runs dense and refuses no table set; the block-sparse
+        # layout would refuse 22 of these 489 statements at this radius.
+        import copy
+
+        from repro.clustering import DBSCAN
+        from repro.core.pipeline import expand_labels
+        from repro.distance import DistanceMatrix, QueryDistance
+        from repro.workload import WorkloadConfig, generate_workload
+
+        schema = skyserver_schema()
+        stats = StatisticsCatalog.from_exact_content(schema,
+                                                     CONTENT_BOUNDS)
+        frozen = copy.deepcopy(stats)
+        monitor = StreamMonitor(AccessAreaExtractor(schema), stats=stats,
+                                warmup=0, cluster_incrementally=True,
+                                cluster_eps=0.6, cluster_min_pts=5)
+        workload = generate_workload(WorkloadConfig(n_queries=400, seed=7))
+        monitor.process_many(workload.log.statements())
+        clusterer = monitor.clusterer
+        assert clusterer.backend_name == "dense"
+        assert len(monitor.areas) == 489
+        assert None not in monitor.statement_labels
+        areas = clusterer.areas()
+        matrix = DistanceMatrix.compute(areas, QueryDistance(frozen),
+                                        cutoff=0.6)
+        want = DBSCAN(eps=0.6, min_pts=5).fit(
+            areas, matrix=matrix, weights=clusterer.weights())
+        assert clusterer.expanded_labels() == expand_labels(
+            want.labels, clusterer.inverse())
+        assert len(clusterer.inverse()) == 489
+
     def test_summary_mentions_clustering(self):
         monitor = self._monitor()
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")

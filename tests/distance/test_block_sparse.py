@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.algebra.cnf import CNF, Clause
+from repro.algebra.predicates import (ColumnConstantPredicate, ColumnRef,
+                                      Op)
 from repro.clustering import DBSCAN, OPTICS, SingleLinkage, partitioned_dbscan
+from repro.core.area import AccessArea
 from repro.core.extractor import AccessAreaExtractor
 from repro.distance import (BlockSparseDistanceMatrix, DistanceMatrix,
                             QueryDistance, compute_matrix,
@@ -188,15 +192,6 @@ class TestConstruction:
         assert matrix.exactness_bound == math.inf
         assert matrix.n_partitions == 1
 
-    def test_serial_parallel_identical(self, population):
-        areas, metric = population
-        serial = BlockSparseDistanceMatrix.compute(areas, metric,
-                                                   n_jobs=1)
-        parallel = BlockSparseDistanceMatrix.compute(areas, metric,
-                                                     n_jobs=2)
-        for i in range(0, len(areas), 7):
-            assert list(serial.row(i)) == list(parallel.row(i))
-
 
 class TestStats:
     def test_block_accounting(self, population, sparse):
@@ -246,7 +241,7 @@ class TestComputeMatrixFactory:
         areas, metric = population
         assert isinstance(compute_matrix(areas, metric, mode="dense"),
                           DistanceMatrix)
-        assert isinstance(compute_matrix(areas, metric, mode="sparse",
+        assert isinstance(compute_matrix(areas, metric, mode="kernel",
                                          eps=EPS),
                           BlockSparseDistanceMatrix)
 
@@ -277,19 +272,26 @@ class TestInsertRow:
     """Incremental growth parity: a matrix grown row by row must be
     indistinguishable — bitwise — from one computed from scratch."""
 
-    @pytest.mark.parametrize("engine", ["kernel", "python"])
-    def test_grown_matrix_matches_recompute(self, population, engine):
+    def test_grown_matrix_matches_recompute(self, population):
         areas, metric = population
         prefix, suffix = areas[:40], areas[40:60]
         grown = BlockSparseDistanceMatrix.compute(prefix, metric)
         for area in suffix:
-            grown.insert_row(area, metric, engine=engine)
+            grown.insert_row(area, metric)
         ref = BlockSparseDistanceMatrix.compute(prefix + suffix, metric)
         assert grown.n == ref.n
         assert grown.exactness_bound == ref.exactness_bound
         assert np.array_equal(grown.to_square(), ref.to_square())
         for i in range(0, ref.n, 7):
             assert grown.neighbors(i, EPS) == ref.neighbors(i, EPS)
+        # Both sides come from the kernel, so pin every intra-partition
+        # entry against the per-pair metric as well.
+        population = prefix + suffix
+        for _, members in grown.partitions():
+            for a, i in enumerate(members):
+                for j in members[a + 1:]:
+                    assert grown.value(i, j) == metric(population[i],
+                                                       population[j])
 
     def test_bootstrap_from_empty(self, population):
         areas, metric = population
@@ -299,14 +301,31 @@ class TestInsertRow:
         ref = BlockSparseDistanceMatrix.compute(areas[:30], metric)
         assert np.array_equal(grown.to_square(), ref.to_square())
 
-    def test_mixed_engines_stay_consistent(self, population):
-        areas, metric = population
-        grown = BlockSparseDistanceMatrix.compute(areas[:10], metric)
-        for k, area in enumerate(areas[10:40]):
-            grown.insert_row(area, metric,
-                             engine="kernel" if k % 3 else "python")
-        ref = BlockSparseDistanceMatrix.compute(areas[:40], metric)
-        assert np.array_equal(grown.to_square(), ref.to_square())
+    def test_kernel_unsupported_insert_falls_back_per_pair(self, stats):
+        # The kernel refuses a bool constant (its ``True == 1`` identity
+        # makes even the oracle's memo order-dependent): the partition
+        # retires its pack and every later insert goes per pair.  LE so
+        # the bool collapses into no existing ``T.a <= hi`` predicate.
+        metric = QueryDistance(stats)
+        ref = ColumnRef("T", "a")
+
+        def area(*bounds):
+            return AccessArea(("T",), CNF.of([
+                Clause.of([ColumnConstantPredicate(ref, op, value)])
+                for op, value in bounds]))
+
+        population = [area((Op.GE, lo), (Op.LE, lo + 2.5))
+                      for lo in (0.0, 0.5, 1.0, 1.5)]
+        grown = BlockSparseDistanceMatrix.compute(population, metric)
+        population += [area((Op.LE, True)),
+                       area((Op.GE, 0.25), (Op.LE, 2.75))]
+        for item in population[4:]:
+            grown.insert_row(item, metric)
+        assert grown._packs == {0: None}
+        for i in range(len(population)):
+            for j in range(i + 1, len(population)):
+                assert grown.value(i, j) == metric(population[i],
+                                                   population[j])
 
     def test_stats_pair_accounting(self, population):
         areas, metric = population

@@ -32,16 +32,11 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
                                       ColumnConstantPredicate, ColumnRef,
                                       Op)
 from repro.core.area import AccessArea
-from repro.distance import QueryDistance, condensed_index
+from repro.distance import DistanceMatrix, QueryDistance, condensed_index
 from repro.distance.kernel import (KernelUnsupported, PackedPartition,
-                                   compute_kernel_blocks,
-                                   kernel_available)
-from repro.distance.parallel import _evaluate_partition
+                                   compute_kernel_blocks)
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
-
-pytestmark = pytest.mark.skipif(not kernel_available(),
-                                reason="kernel requires numpy")
 
 def _dist_stats():
     """The conftest ``stats`` catalog, rebuilt per hypothesis example
@@ -78,8 +73,9 @@ def _oracle_block(stats, areas, resolution):
     """Per-pair pure-Python condensed block with a fresh metric (no
     cache cross-talk with the kernel's pack-time oracle calls)."""
     metric = QueryDistance(stats, resolution=resolution)
-    values, _ = _evaluate_partition(metric, areas, range(len(areas)))
-    return values
+    m = len(areas)
+    return [metric(areas[a], areas[b])
+            for a in range(m) for b in range(a + 1, m)]
 
 
 def _assert_block_matches(stats, areas, resolution, *,
@@ -289,7 +285,7 @@ class TestDegenerateAccessWidths:
 
 
 class TestKernelMatrixMode:
-    def test_kernel_mode_equals_sparse_mode(self, stats):
+    def test_kernel_mode_equals_dense_matrix(self, stats):
         from repro.distance.block_sparse import compute_matrix
         population = [
             _area([ColumnConstantPredicate(T_A, Op.LE, float(i))])
@@ -300,11 +296,13 @@ class TestKernelMatrixMode:
                                          float(i))])]))
             for i in range(4)
         ]
-        sparse = compute_matrix(population, QueryDistance(stats),
-                                mode="sparse", eps=0.12)
+        dense = DistanceMatrix.compute(population, QueryDistance(stats))
         kernel = compute_matrix(population, QueryDistance(stats),
                                 mode="kernel", eps=0.12)
-        assert type(sparse) is type(kernel)
         for i in range(len(population)):
-            assert list(sparse.row(i)) == list(kernel.row(i))
-            assert sparse.neighbors(i, 0.12) == kernel.neighbors(i, 0.12)
+            kernel_row = kernel.row(i)
+            dense_row = dense.row(i)
+            for j in range(len(population)):
+                if population[i].table_set == population[j].table_set:
+                    assert kernel_row[j] == dense_row[j]
+            assert kernel.neighbors(i, 0.12) == dense.neighbors(i, 0.12)

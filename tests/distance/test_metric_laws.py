@@ -148,3 +148,25 @@ def test_predicate_distance_laws(p1, p2):
     assert 0.0 <= value <= 1.0
     assert DISTANCE.d_pred(p2, p1) == value
     assert DISTANCE.d_pred(p1, p1) == 0.0
+
+
+def test_triangle_inequality_fails():
+    """The distance is only a semi-metric: symmetric with identity, but
+    not triangle-inequal, so neighbour search must never prune with
+    triangle arithmetic.  A = one clause near the left edge, C = one
+    clause near the right edge, B = one clause near each: d(A,C) = 1
+    while d(A,B) ≈ d(B,C) ≈ 0.38."""
+    ref = ColumnRef("T", "a")
+
+    def area(*bounds):
+        return AccessArea(("T",), CNF.of([
+            Clause.of([ColumnConstantPredicate(ref, op, value)])
+            for op, value in bounds]))
+
+    a = area((Op.LE, 0.25))
+    c = area((Op.GE, 4.75))
+    b = area((Op.LE, 0.275), (Op.GE, 4.725))
+    direct = DISTANCE.distance(a, c)
+    two_hop = DISTANCE.distance(a, b) + DISTANCE.distance(b, c)
+    assert direct > two_hop, \
+        "expected a triangle violation; the distance became a metric"

@@ -1,6 +1,6 @@
 """Regression: ``.record`` must be idempotent, not cumulative-additive.
 
-``MatrixStats``/``KernelStats``/``VPTreeStats`` carry *cumulative*
+``MatrixStats``/``KernelStats`` carry *cumulative*
 totals, and their ``record`` used to ``inc`` those totals into the
 registry wholesale — so recording twice (one resident process, one
 scrape per request) doubled every counter.  Recording is now
@@ -10,10 +10,7 @@ the true totals.
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.distance.block_sparse import BlockSparseDistanceMatrix
-from repro.distance.metric_index import VPTreeIndex
 from repro.distance.query_distance import QueryDistance
 from repro.obs.metrics import MetricsRegistry
 
@@ -52,20 +49,6 @@ def test_matrix_stats_record_twice_equals_true_totals(population,
     assert _counters(registry, "repro_distance_") == once
     seconds = registry.histogram("repro_distance_matrix_seconds")
     assert seconds.stats.count == 1
-
-
-def test_vptree_stats_record_twice_equals_true_totals(population,
-                                                      stats):
-    distance = QueryDistance(stats, resolution=0.05)
-    index = VPTreeIndex.compute(population, distance, cutoff=0.2)
-    registry = MetricsRegistry()
-    index.vpstats.record(registry)
-    once = _counters(registry, "repro_vptree_")
-    assert once
-    index.vpstats.record(registry)
-    assert _counters(registry, "repro_vptree_") == once
-    build = registry.histogram("repro_vptree_build_seconds")
-    assert build.stats.count == 1
 
 
 def test_kernel_stats_record_twice_equals_true_totals():

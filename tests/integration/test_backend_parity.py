@@ -1,22 +1,20 @@
 """End-to-end cross-backend label parity.
 
-The kernel and vptree backends claim *bitwise* agreement with the
-dense oracle path, so every clustering algorithm must produce
+The kernel-filled block-sparse layout claims *bitwise* agreement with
+the dense per-pair path, so every clustering algorithm must produce
 **identical labels** — not merely similar clusterings — whichever
-backend computed its distances.  Checked for all four algorithms
+layout computed its distances.  Checked for all four algorithms
 (DBSCAN, partitioned DBSCAN, OPTICS, single linkage) across the
-dense / sparse / kernel matrix modes and the vptree neighbour backend,
-with interning on and off, on two very different populations: the
+dense / kernel / auto matrix modes, with interning on and off, on two
+very different populations: the
 SkyServer workload generator (the paper's case-study shape) and a
 QA-harness random profile (adversarially unstructured schemas and
 predicates, the ``repro qa`` generator).
 """
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
 import random
+
+import pytest
 
 from repro.clustering import (DBSCAN, OPTICS, SingleLinkage,
                               partitioned_dbscan)
@@ -24,7 +22,6 @@ from repro.core.extractor import AccessAreaExtractor
 from repro.core.pipeline import dedupe_areas, expand_labels, process_log
 from repro.distance import QueryDistance
 from repro.distance.block_sparse import compute_matrix
-from repro.distance.metric_index import VPTreeIndex
 from repro.qa import qa_families, random_schema
 from repro.schema import StatisticsCatalog, skyserver_schema
 from repro.schema.skyserver import CONTENT_BOUNDS
@@ -33,10 +30,8 @@ from repro.workload import WorkloadConfig, generate_workload
 EPS = 0.12
 MIN_PTS = 3
 
-#: (matrix_mode, neighbor_backend) triples under test; dense/matrix is
-#: the reference.
-BACKENDS = [("dense", "matrix"), ("sparse", "matrix"),
-            ("kernel", "matrix"), ("auto", "vptree")]
+#: Matrix modes under test; dense is the reference.
+MODES = ["dense", "kernel", "auto"]
 
 
 def _skyserver_population():
@@ -79,15 +74,11 @@ def population(request):
     return _qa_population()
 
 
-def _labels_all_algorithms(areas, stats, mode, backend):
+def _labels_all_algorithms(areas, stats, mode):
     """Labels (and the full OPTICS result) from every algorithm, with
-    distances served by the requested backend."""
+    distances served in the requested matrix mode."""
     metric = QueryDistance(stats)
-    matrix = compute_matrix(areas, metric, mode=mode, eps=EPS,
-                            neighbor_backend=backend)
-    if backend == "vptree":
-        assert isinstance(matrix, VPTreeIndex), \
-            "vptree preconditions unexpectedly failed for this population"
+    matrix = compute_matrix(areas, metric, mode=mode, eps=EPS)
     optics = OPTICS(max_eps=EPS, min_pts=MIN_PTS).fit(areas,
                                                       matrix=matrix)
     return {
@@ -107,26 +98,23 @@ class TestCrossBackendParity:
     def test_all_algorithms_all_backends(self, population):
         areas, stats = population
         reference = None
-        for mode, backend in BACKENDS:
-            got = _labels_all_algorithms(areas, stats, mode, backend)
+        for mode in MODES:
+            got = _labels_all_algorithms(areas, stats, mode)
             if reference is None:
                 reference = got
                 continue
             for algorithm, labels in got.items():
                 assert labels == reference[algorithm], (
-                    f"{algorithm} labels diverge on "
-                    f"mode={mode} backend={backend}")
+                    f"{algorithm} labels diverge on mode={mode}")
 
     def test_interned_runs_expand_identically(self, population):
         areas, stats = population
         unique, weights, inverse = dedupe_areas(areas)
         metric = QueryDistance(stats)
         want = partitioned_dbscan(areas, metric, EPS, MIN_PTS).labels
-        for mode, backend in BACKENDS:
-            matrix = compute_matrix(unique, metric, mode=mode, eps=EPS,
-                                    neighbor_backend=backend)
+        for mode in MODES:
+            matrix = compute_matrix(unique, metric, mode=mode, eps=EPS)
             deduped = partitioned_dbscan(unique, metric, EPS, MIN_PTS,
                                          matrix=matrix, weights=weights)
             assert expand_labels(deduped.labels, inverse) == want, (
-                f"interned labels diverge on mode={mode} "
-                f"backend={backend}")
+                f"interned labels diverge on mode={mode}")

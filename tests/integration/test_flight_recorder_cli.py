@@ -42,12 +42,15 @@ class TestRunRecords:
         counters = {c["name"] for c in record["metrics"]["counters"]}
         assert "repro_pipeline_statements_total" in counters
 
+    @pytest.mark.filterwarnings("ignore:partitioned DBSCAN")
     def test_parallel_run_stitches_worker_spans(self, small_log,
                                                 tmp_path, capsys):
         runs = tmp_path / "runs"
         trace_path = tmp_path / "trace.jsonl"
+        # --n-jobs fans out only the dense fill, which eps >= 1/2 picks.
         assert main(["process", str(small_log), "--sample", "120",
-                     "--n-jobs", "2", "--runs-dir", str(runs),
+                     "--eps", "0.6", "--n-jobs", "2",
+                     "--runs-dir", str(runs),
                      "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         roots = [json.loads(line) for line

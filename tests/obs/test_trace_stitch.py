@@ -132,20 +132,21 @@ class TestParallelStitching:
             assert chunk.duration <= fill.duration + 0.05
 
     def test_serial_and_parallel_block_trees_have_same_shape(self):
-        # The partitioned evaluator mints the same span protocol on
-        # both paths: serial and parallel runs must yield identical
-        # stitched tree shapes (chunk order aside).
-        from repro.distance.parallel import compute_blocks
+        # The chunk evaluator mints the same span protocol on both
+        # paths: serial and parallel runs must yield identical stitched
+        # tree shapes (chunk order aside).
+        from repro.distance.parallel import compute_pairs
         from repro.obs import trace as trace_mod
 
-        members = [[0, 1, 2, 3], [4, 5, 6], [7, 8]]
         items = [float(v) for v in range(9)]
+        pairs = [(k, i, j) for k, (i, j) in enumerate(
+            (i, j) for i in range(9) for j in range(i + 1, 9))]
 
         def tree(n_jobs):
             tracer = Tracer()
             with use_tracer(tracer), tracer.span("fill"):
-                _, infos = compute_blocks(items, _metric, members,
-                                          n_jobs)
+                _, infos = compute_pairs(items, _metric, pairs, n_jobs,
+                                         chunk_pairs=10)
                 for info in infos:
                     trace_mod.attach(info.span)
             return tracer.roots[0]

@@ -19,8 +19,6 @@ import asyncio
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.algebra.intervals import Interval
 from repro.clustering import DBSCAN
 from repro.distance import QueryDistance
@@ -195,7 +193,8 @@ class TestReads:
 class TestRefusalDegradation:
     """eps=0.3 over a 3-relation join world: adding a 4th relation to
     the join drops the table-partition bound to 1 - 3/4 = 0.25 <= eps,
-    so the backend refuses pre-mutation and ingest degrades."""
+    so the block-sparse layout refuses pre-mutation and ingest
+    degrades."""
 
     @pytest.fixture()
     def join_world(self):
@@ -205,7 +204,7 @@ class TestRefusalDegradation:
                 Column("x", ColumnType.FLOAT, Interval(0.0, 100.0)),
                 Column("k", ColumnType.INT, Interval(0.0, 1000.0)),)))
         app, state = _service(
-            ServiceConfig(eps=0.3, min_pts=2, warmup=0, backend="sparse",
+            ServiceConfig(eps=0.3, min_pts=2, warmup=0,
                           min_cluster_size=1),
             schema=schema)
         return app, state, TestClient(app)

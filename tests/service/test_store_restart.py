@@ -9,8 +9,6 @@ intern pool without changing any answer.
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.obs.metrics import MetricsRegistry
 from repro.service import AppState, ServiceConfig, TestClient, create_app
 from repro.workload import WorkloadConfig, generate_workload

@@ -2,8 +2,6 @@
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.distance.block_sparse import compute_matrix
 from repro.distance.query_distance import QueryDistance
 from repro.store import AreaStore
@@ -24,7 +22,7 @@ def population(extractor):
 
 def _compute(population, stats, store, token="res=0.05"):
     distance = QueryDistance(stats, resolution=0.05)
-    return compute_matrix(population, distance, mode="sparse",
+    return compute_matrix(population, distance, mode="kernel",
                           eps=0.2, store=store, store_token=token)
 
 
@@ -58,49 +56,3 @@ def test_metric_drift_misses_block_cache(tmp_path, population, stats):
         assert store.blocks.loads == 0
         assert store.blocks.saves == saved
 
-
-def test_vptree_backend_matches_cold_and_warm(tmp_path, population,
-                                              stats):
-    """The vptree path accepts the store without changing answers
-    (tree partitions hold lazy packs — nothing to spill)."""
-    path = str(tmp_path / "s")
-    distance = QueryDistance(stats, resolution=0.05)
-    with AreaStore(path) as store:
-        cold = compute_matrix(population, distance, mode="sparse",
-                              eps=0.2, neighbor_backend="vptree",
-                              store=store, store_token="res=0.05")
-    with AreaStore(path) as store:
-        warm = compute_matrix(population, distance, mode="sparse",
-                              eps=0.2, neighbor_backend="vptree",
-                              store=store, store_token="res=0.05")
-    for i in range(len(population)):
-        assert cold.neighbors(i, 0.2) == warm.neighbors(i, 0.2)
-
-
-def test_vptree_fallback_partitions_spill_and_reload(tmp_path,
-                                                     population, stats):
-    """Kernel-refused partitions materialize condensed blocks — those
-    are spilled cold and reloaded warm."""
-    from repro.distance.metric_index import VPTreeIndex
-
-    class OracleOnlyDistance(QueryDistance):
-        # overriding any metric entry point voids the kernel's
-        # oracle-parity guarantee → every partition falls back
-        def distance(self, a, b):
-            return super().distance(a, b)
-
-    path = str(tmp_path / "s")
-    distance = OracleOnlyDistance(stats, resolution=0.05)
-    with AreaStore(path) as store:
-        cold = VPTreeIndex.compute(population, distance, cutoff=0.2,
-                                   store=store, store_token="res=0.05")
-        assert cold.vpstats.fallback_partitions >= 2
-        saved = store.blocks.saves
-        assert saved >= 2
-    with AreaStore(path) as store:
-        warm = VPTreeIndex.compute(population, distance, cutoff=0.2,
-                                   store=store, store_token="res=0.05")
-        assert store.blocks.saves == 0
-        assert store.blocks.loads >= saved
-    for i in range(len(population)):
-        assert cold.neighbors(i, 0.2) == warm.neighbors(i, 0.2)

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -108,7 +109,6 @@ def test_meta_documents_round_trip(tmp_path):
 
 
 def test_block_store_round_trip(tmp_path):
-    np = pytest.importorskip("numpy")
     with AreaStore(str(tmp_path / "s")) as store:
         condensed = np.arange(10, dtype=np.float64) / 3.0
         store.blocks.save("ab" * 32, condensed)
