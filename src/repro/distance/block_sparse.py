@@ -367,9 +367,14 @@ class BlockSparseDistanceMatrix:
         metric for a partition the kernel cannot replay); a previously
         unseen table set opens a fresh singleton partition, extending
         the ``d_tables`` bound table by one representative evaluation
-        per existing partition.  No cross-partition distance is ever computed, so the
-        cost is ``O(c + m_p)`` in the affected partition, independent of
-        the total population.
+        per existing partition.  No cross-partition distance is ever
+        computed, so the cost depends on the affected partition alone:
+        the pack appends only the new predicates', clauses' and area's
+        rows and columns, in one vectorized pass over the partition's
+        ``P`` predicates, ``C`` clauses and ``m_p`` members —
+        ``O(P + C + L·m_p)`` array work for areas of up to ``L``
+        clauses, amortized over capacity doubling — and runs the
+        oracle's per-predicate helpers for new predicates only.
 
         Note a new partition can *lower* :attr:`exactness_bound`;
         :meth:`neighbors` keeps refusing radii at or beyond the current

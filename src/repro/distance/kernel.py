@@ -5,18 +5,19 @@ interning (PR 4) and the block-sparse layout (PR 5): within one
 table-set partition every entry is ``d_conj`` over the same small family
 of predicates, evaluated ``m·(m−1)/2`` times through dataclass
 dispatch, interval objects and dict-backed memos.  This module packs a
-partition **once** into flat numpy arrays and produces whole condensed
-blocks as array operations:
+partition into flat numpy arrays, grows them as areas arrive, and
+produces whole condensed blocks as array operations:
 
 * **predicate layer** — distinct predicates are deduplicated by value
-  (the same equivalence the oracle's pair LRU uses) and their pairwise
-  ``d_pred`` matrix is built per category: numeric interval footprints
-  as float64 endpoint slots, categorical footprints as uint64 bitset
-  rows over the ordered vocabulary, coverage products for cross-column
-  pairs, structural keys for column-column predicates;
+  (the same equivalence the oracle's pair LRU uses); each one's
+  features are computed once, when it enters the pack (coverage
+  fraction, widened footprint as float64 endpoint slots with its total
+  width and identity, categorical footprint as a uint64 bitset row,
+  join key), and its row and column of the pairwise ``d_pred`` matrix
+  are filled per category against everything already packed;
 * **clause layer** — distinct clauses map to rows of a ``d_disj``
   matrix: unit×unit pairs are a gather of the predicate matrix, the
-  rare non-unit pairs run the symmetric best-match average over
+  rare multi-predicate clauses run the best-match average over
   predicate-matrix slices;
 * **area layer** — the per-clause best match against every area is one
   ``min``-gather table, and the condensed block accumulates forward and
@@ -26,17 +27,19 @@ The pure-Python :class:`~.predicate_distance.PredicateDistance` remains
 the semantic oracle.  **Every fast-path value is bitwise-equal to the
 oracle**, not merely close: per-predicate quantities (widened
 footprints, total widths, coverage fractions, categorical footprints)
-are computed *by the oracle's own helpers* at pack time, and the
+are computed *by the oracle's own helpers* as predicates enter, and the
 vectorized combination replays the oracle's floating-point operation
 order — sequential axis-0 reductions for the direction sums (numpy
-reduces the outer axis of a C-contiguous array strictly left-to-right,
-matching Python's ``+=`` loop), Python-loop sums for clause-level
-best-match totals (1-D ``ndarray.sum`` is *not* sequential beyond 8
-elements), and identical guard expressions (``max(0.0, 1 − i/u)``,
-``union <= 0`` structural fallbacks, empty-CNF fixups).  The
-conformance battery in ``tests/distance/test_kernel_conformance.py``
-asserts this equality within 1e-12 (and exactly, in practice) across
-hypothesis-generated predicate populations.
+reduces the outer axis of a C-contiguous array with two or more columns
+strictly left-to-right, matching Python's ``+=`` loop; a single column
+is added row by row, see :func:`_sum_rows`), Python-loop sums for
+clause-level best-match totals (1-D ``ndarray.sum`` is *not* sequential
+beyond 8 elements), and identical guard expressions
+(``max(0.0, 1 − i/u)``, ``union <= 0`` structural fallbacks, empty-CNF
+fixups).  The conformance battery in
+``tests/distance/test_kernel_conformance.py`` asserts this equality
+with ``==`` across hypothesis-generated predicate populations, for
+packs built at once and packs grown area by area.
 
 Anything the pack cannot replay exactly — non-finite or non-float-exact
 numeric constants, boolean constants (whose ``True == 1`` predicate
@@ -174,6 +177,35 @@ def _exact(value) -> float:
     return result
 
 
+#: Same-group pair formulas of the predicate layer.  A group holds one
+#: column's numeric or categorical predicates, or every column-column
+#: predicate; a pair across groups keeps the structural default 1.0,
+#: except numeric pairs across columns, which take the coverage product.
+_JACCARD = "jaccard"          # numeric: Jaccard of widened footprints
+_EQUAL = "equal"              # numeric over a degenerate access range
+_JOIN = "join"                # column-column: 0.5 on one column pair
+_CATEGORICAL = "categorical"  # categorical: Jaccard of footprints
+
+#: One row of the predicate table: what the pair formulas read about a
+#: predicate, computed once, when the predicate enters the pack.
+_PREDICATE_ROW = np.dtype([
+    ("numeric", np.bool_),
+    ("cov", np.float64),        # coverage fraction of access(a)
+    ("group", np.intp),
+    ("key", np.intp),           # interned footprint, equality key or
+                                # column pair
+    ("lo", np.float64, (_MAX_SLOTS,)),  # widened footprint slots; empty
+    ("hi", np.float64, (_MAX_SLOTS,)),  # ones are reversed infinities
+    ("width", np.float64),      # widened footprint total width
+    ("empty", np.bool_),
+])
+
+
+#: The footprint slots of a predicate without one.
+_NO_LO = (math.inf,) * _MAX_SLOTS
+_NO_HI = (-math.inf,) * _MAX_SLOTS
+
+
 class PackedPartition:
     """Struct-of-arrays pack of one partition's access areas.
 
@@ -181,44 +213,74 @@ class PackedPartition:
     to ``d_conj``; the pack therefore produces ``d_conj`` values, which
     equal the metric's bitwise.  Raises :class:`KernelUnsupported` when
     any predicate kind cannot be replayed exactly.
+
+    The constructor is :meth:`extend` on an empty pack, so a pack built
+    from scratch and one grown area by area run the same code.
     """
 
     def __init__(self, areas: Sequence, metric) -> None:
         self._oracle = oracle_of(metric)
         self._stats_catalog = metric.stats
 
-        # Dedup state is retained so :meth:`extend` can append areas
-        # with stable predicate/clause/area ids: clauses and predicates
-        # are deduplicated by *value* — the same dataclass equality the
-        # oracle's memo keys use, so spelling variants (``x = 5`` vs
-        # ``x = 5.0``) share one packed row exactly like they share one
-        # memo entry.  Per-position id lists keep duplicates: direction
-        # sums count positions, not values.
+        # Clauses and predicates are deduplicated by *value* — the same
+        # dataclass equality the oracle's memo keys use, so spelling
+        # variants (``x = 5`` vs ``x = 5.0``) share one packed row
+        # exactly like they share one memo entry.  Per-area id arrays
+        # keep duplicates: direction sums count positions, not values.
         self._clause_ids: dict[Clause, int] = {}
-        self._clauses: list[Clause] = []
         self._pred_ids: dict = {}
-        self._preds: list = []
-        self._clause_pred_ids: list[list[int]] = []
-        self._area_clause_ids: list[list[int]] = []
+        self._clause_pids: list[list[int]] = []
+        self._ids: list[np.ndarray] = []
+        # Per-group formulas (group 0 holds every join) and interned
+        # footprint/equality/column-pair keys.
+        self._formulas: list[str] = [_JOIN]
+        self._key_ids: dict = {}
+        # Per-column lookups of the frozen catalog, memoized when a
+        # column is first seen (even by an extend that is then refused:
+        # a group without members is never read): numeric columns map to
+        # (group, access interval, its width), categorical ones to
+        # (group, vocabulary); categorical groups also number their
+        # footprint values.
+        self._numeric: dict = {}
+        self._categorical: dict = {}
+        self._positions: dict[int, dict] = {}
+        self._slots = 1
+        self._l_max = 0
 
         self.n_areas = 0
         self.n_predicates = 0
         self.n_clauses = 0
-        self._dp = np.zeros((0, 0), dtype=float)
-        self._finish_area_layer([], np.zeros((0, 0), dtype=float))
+        self._table = np.zeros(0, dtype=_PREDICATE_ROW)
+        self._bits = np.zeros((0, 1), dtype=np.uint64)
+        self._dp_buf = np.ones((0, 0))
+        self._clause_len = np.zeros(0, dtype=np.intp)
+        self._unit_pid = np.zeros(0, dtype=np.intp)
+        self._dc_buf = np.full((0, 1), np.inf)
+        self._best_buf = np.full((0, 0), np.inf)
+        self._counts_buf = np.zeros(0, dtype=np.intp)
+        self._id_pad_buf = np.full((0, 0), -1, dtype=np.intp)
+        self._row_cache: Optional[tuple[int, np.ndarray]] = None
         self.extend(areas)
 
     def extend(self, areas: Sequence) -> None:
         """Append ``areas`` to the pack, keeping every existing
         predicate/clause/area id stable.
 
+        Only what is new is computed: each layer appends the rows and
+        columns of its new predicates, clauses and areas, vectorized
+        over everything already packed, and leaves every old entry in
+        place.  An insert therefore costs one vectorized pass over the
+        partition's predicates, clauses and areas plus the oracle's
+        per-predicate helpers for its new predicates only.
+
         The grown pack is **bitwise-identical** to a from-scratch pack
         over the concatenated area list: appending preserves the
-        first-seen enumeration order of the dedup pass, predicate and
-        clause entries are independent per pair, and the best-match
+        first-seen enumeration order of the dedup pass, every entry is
+        a function of its own pair, computed in the row/column
+        orientation a from-scratch pack uses, and the best-match
         table's exact ``min`` is order-insensitive.  Raises
-        :class:`KernelUnsupported` — *before* mutating any state — when
-        a new area's predicates cannot be replayed exactly; callers can
+        :class:`KernelUnsupported` — *before* any id or table changes —
+        when a new predicate cannot be replayed exactly; callers can
         keep using the unmodified pack after catching it.
 
         Requires the statistics catalog used at construction to be
@@ -226,94 +288,47 @@ class PackedPartition:
         invalidate the old predicate rows (the incremental clustering
         layer freezes a private snapshot for exactly this reason).
         """
-        areas = list(areas)
-        if not areas:
+        area_ids, new_clauses = _number(
+            [area.cnf.clauses for area in areas], self._clause_ids,
+            self.n_clauses)
+        if not area_ids:
             return
-        # -- tentative dedup (no mutation until every check passes) ----
-        clause_ids = dict(self._clause_ids)
-        clauses = list(self._clauses)
-        area_clause_ids = []
-        for area in areas:
-            ids = []
-            for clause in area.cnf.clauses:
-                cid = clause_ids.get(clause)
-                if cid is None:
-                    cid = len(clauses)
-                    clause_ids[clause] = cid
-                    clauses.append(clause)
-                ids.append(cid)
-            area_clause_ids.append(ids)
-        c_old = self.n_clauses
-        new_clauses = clauses[c_old:]
+        clause_pids, new_preds = _number(
+            [clause.predicates for clause in new_clauses], self._pred_ids,
+            self.n_predicates)
+        # Every refusal happens here, before any id or table changes.
+        features = [self._features(pred) for pred in new_preds]
 
-        pred_ids = dict(self._pred_ids)
-        preds = list(self._preds)
-        clause_pred_ids = list(self._clause_pred_ids)
-        for clause in new_clauses:
-            ids = []
-            for pred in clause.predicates:
-                pid = pred_ids.get(pred)
-                if pid is None:
-                    pid = len(preds)
-                    pred_ids[pred] = pid
-                    preds.append(pred)
-                ids.append(pid)
-            clause_pred_ids.append(ids)
-        p_old = self.n_predicates
-        _check_supported(preds[p_old:])
-
-        # -- rebuild/extend the vectorized tables ----------------------
-        # The predicate block raises KernelUnsupported for constants it
-        # cannot replay bitwise, so it runs before any commit; nothing
-        # below this point can fail.
-        dp = self._dp
-        if len(preds) > p_old:
-            # Full vectorized rebuild: entries between old predicates
-            # are elementwise formulas over unchanged inputs, so they
-            # stay bitwise-identical and every old clause entry built
-            # from them remains valid.
-            dp = _predicate_block(preds, self._oracle,
-                                  self._stats_catalog)
-
-        # -- commit ----------------------------------------------------
-        self._clause_ids = clause_ids
-        self._clauses = clauses
-        self._pred_ids = pred_ids
-        self._preds = preds
-        self._clause_pred_ids = clause_pred_ids
-        self.n_predicates = len(preds)
-        self._dp = dp
-        self._area_clause_ids.extend(area_clause_ids)
-        if self.n_areas == 0:
-            # First fill: build every layer from scratch.
-            self.n_clauses = len(clauses)
-            self.n_areas = len(self._area_clause_ids)
-            self._finish_area_layer(
-                self._area_clause_ids,
-                _clause_block(clauses, clause_pred_ids, dp))
-        else:
-            if new_clauses:
-                self._append_clause_rows(
-                    _clause_rows(clauses, clause_pred_ids, dp, c_old))
-            self._append_area_columns(area_clause_ids)
+        self._reserve(self.n_predicates + len(new_preds),
+                      self.n_clauses + len(new_clauses),
+                      self.n_areas + len(area_ids),
+                      max(len(ids) for ids in area_ids))
+        self._clause_ids.update(new_clauses)
+        self._pred_ids.update(new_preds)
+        self._append_predicates(features)
+        self._append_clauses(clause_pids)
+        self._append_areas(area_ids)
+        self._row_cache = None
 
     # -- growable views -----------------------------------------------------
     #
-    # The clause and area layers live in capacity-doubled buffers so a
-    # streaming insert appends rows/columns instead of reallocating
-    # O(c·m) state; the public ``_dc``/``_best``/``_counts``/``_id_pad``
-    # names are views of the live region.  Downstream consumers only
-    # ever *gather* from these (fancy indexing copies into fresh
-    # C-contiguous arrays), so the strided views preserve the bitwise
-    # summation-order guarantees documented on each method.
+    # Every table lives in a capacity-doubled buffer, so an insert
+    # appends rows and columns instead of reallocating; the private
+    # ``_dp``/``_dc``/``_best``/``_counts``/``_id_pad`` names are views of
+    # the live region.  Outside it a buffer still holds its fill value
+    # (1.0, +inf, 0 or the -1 pad), which each append relies on.
+    # Downstream consumers only ever *gather* from these (fancy indexing
+    # copies into fresh C-contiguous arrays), so the strided views
+    # preserve the bitwise summation-order guarantees documented on
+    # each method.
+
+    @property
+    def _dp(self) -> "np.ndarray":
+        return self._dp_buf[:self.n_predicates, :self.n_predicates]
 
     @property
     def _dc(self) -> "np.ndarray":
-        return self._dc_ext_buf[:self.n_clauses, :self.n_clauses]
-
-    @property
-    def _dc_ext(self) -> "np.ndarray":
-        return self._dc_ext_buf[:self.n_clauses, :self.n_clauses + 1]
+        return self._dc_buf[:self.n_clauses, :self.n_clauses]
 
     @property
     def _counts(self) -> "np.ndarray":
@@ -327,124 +342,283 @@ class PackedPartition:
     def _best(self) -> "np.ndarray":
         return self._best_buf[:self.n_clauses, :self.n_areas]
 
+    def _reserve(self, p: int, c: int, m: int, width: int) -> None:
+        """Grow the buffers, by capacity doubling, to hold ``p``
+        predicates, ``c`` clauses and ``m`` areas of up to ``width``
+        clauses."""
+        p_cap = _capacity(len(self._table), p)
+        if p_cap != len(self._table):
+            self._table = _resized(self._table, (p_cap,), 0)
+            self._bits = _resized(self._bits,
+                                  (p_cap, self._bits.shape[1]), 0)
+            self._dp_buf = _resized(self._dp_buf, (p_cap, p_cap), 1.0)
+        c_cap = _capacity(len(self._clause_len), c)
+        if c_cap != len(self._clause_len):
+            self._clause_len = _resized(self._clause_len, (c_cap,), 0)
+            self._unit_pid = _resized(self._unit_pid, (c_cap,), -1)
+            # One column more than clauses: the last one stays +inf, the
+            # sentinel that padded (-1) area slots address.
+            self._dc_buf = _resized(self._dc_buf, (c_cap, c_cap + 1),
+                                    np.inf)
+        m_cap, l_cap = self._id_pad_buf.shape
+        if m > m_cap or width > l_cap:
+            m_cap = _capacity(m_cap, m)
+            self._id_pad_buf = _resized(
+                self._id_pad_buf, (m_cap, _capacity(l_cap, width)), -1)
+            self._counts_buf = _resized(self._counts_buf, (m_cap,), 0)
+        if self._best_buf.shape != (c_cap, m_cap):
+            self._best_buf = _resized(self._best_buf, (c_cap, m_cap),
+                                      np.inf)
+
+    # -- predicate layer ----------------------------------------------------
+
+    def _features(self, pred) -> tuple:
+        """What the pair formulas read about ``pred``, from the oracle's
+        own helpers: ``(group, key, cov, lo, hi, width, empty,
+        footprint)``, the fields of its table row plus its categorical
+        footprint.  Raises :class:`KernelUnsupported` for anything the
+        pack cannot replay bitwise."""
+        _check_supported(pred)
+        if isinstance(pred, ColumnColumnPredicate):
+            # Operand order is canonical, so the ordered qualified-name
+            # pair is exactly the unordered column-pair key the oracle
+            # compares.
+            return (0, (pred.left.qualified, pred.right.qualified), 0.0,
+                    _NO_LO, _NO_HI, 0.0, False, None)
+        ref = pred.ref
+        if isinstance(pred.value, str):
+            column = self._categorical.get(ref)
+            if column is None:
+                column = self._categorical[ref] = (
+                    self._new_group(_CATEGORICAL),
+                    self._stats_catalog.access_values(ref))
+            return (column[0], None, 0.0, _NO_LO, _NO_HI, 0.0, False,
+                    _categorical_footprint(pred, column[1]))
+        cov = self._oracle._coverage_fraction(pred)
+        column = self._numeric.get(ref)
+        if column is None:
+            interval = self._stats_catalog.access_interval(ref)
+            width = interval.width
+            column = self._numeric[ref] = (self._new_group(
+                _JACCARD if math.isfinite(width) and width > 0
+                else _EQUAL), interval, width)
+        group, interval, width = column
+        if not math.isfinite(width):
+            key = (pred.op, normalize_constant(pred.value))
+            return (group, key, cov, _NO_LO, _NO_HI, 0.0, False, None)
+        if width <= 0:
+            key = normalize_constant(pred.value)
+            return (group, key, cov, _NO_LO, _NO_HI, 0.0, False, None)
+        footprint = self._oracle._widened(pred, interval)
+        if len(footprint) > _MAX_SLOTS:
+            raise KernelUnsupported(
+                f"footprint with {len(footprint)} intervals exceeds the "
+                f"packed slot budget")
+        lo, hi = list(_NO_LO), list(_NO_HI)
+        for slot, part in enumerate(footprint):
+            lo[slot], hi[slot] = _exact(part.lo), _exact(part.hi)
+        total = _exact(footprint.total_width)
+        if not math.isfinite(2.0 * total):
+            # w1 + w2 could overflow to inf and drag the union through
+            # inf − inf = NaN, where numpy's maximum() and Python's max()
+            # disagree; leave such pathologies to the oracle.
+            raise KernelUnsupported("footprint widths overflow float64")
+        return (group, footprint, cov, lo, hi, total, footprint.is_empty,
+                None)
+
+    def _new_group(self, formula: str) -> int:
+        self._formulas.append(formula)
+        return len(self._formulas) - 1
+
+    def _append_predicates(self, features: list[tuple]) -> None:
+        """Commit new predicates: their table rows, then their rows and
+        columns of the pairwise ``d_pred`` table.
+
+        The default 1.0 covers every structurally-unrelated pair (mixed
+        type on one column, categorical across columns, column-column vs
+        column-constant); the fills below overwrite exactly the pairs
+        the oracle treats specially.
+        """
+        p_old = self.n_predicates
+        p = p_old + len(features)
+        if p == p_old:
+            return
+        groups, keys, cov, lo, hi, width, empty, footprints = zip(*features)
+        table = self._table
+        rows = slice(p_old, p)
+        formulas = self._formulas
+        table["numeric"][rows] = [formulas[gid] in (_JACCARD, _EQUAL)
+                                  for gid in groups]
+        table["cov"][rows] = cov
+        table["group"][rows] = groups
+        table["key"][rows] = [
+            -1 if key is None else
+            self._key_ids.setdefault(key, len(self._key_ids))
+            for key in keys]
+        table["lo"][rows] = lo
+        table["hi"][rows] = hi
+        table["width"][rows] = width
+        table["empty"][rows] = empty
+        # Slots fill from the first, so the slot columns holding any
+        # endpoint count the widest footprint's slots.
+        self._slots = max(self._slots, int(
+            np.isfinite(table["lo"][rows]).any(axis=0).sum()))
+        for pid, gid, footprint in zip(range(p_old, p), groups,
+                                       footprints):
+            if footprint is not None:
+                self._set_bits(pid, gid, footprint)
+        self.n_predicates = p
+
+        # New rows and columns still hold the buffer's fill, 1.0.
+        dp = self._dp_buf
+        numeric = np.flatnonzero(table["numeric"][:p])
+        split = int(np.searchsorted(numeric, p_old))
+        old, fresh = numeric[:split], numeric[split:]
+        if len(fresh):
+            # Cross-column numeric pairs: 1 − cov·cov, a commutative
+            # product; the same-column groups are overwritten below.
+            coverage = table["cov"]
+            dp[fresh[:, None], numeric] = \
+                1.0 - coverage[fresh, None] * coverage[None, numeric]
+            dp[old[:, None], fresh] = \
+                1.0 - coverage[old, None] * coverage[None, fresh]
+        packed = table["group"][:p]
+        for gid in sorted(set(groups)):
+            members = np.flatnonzero(packed == gid)
+            split = int(np.searchsorted(members, p_old))
+            old, fresh = members[:split], members[split:]
+            # Rows then columns, each in the orientation a from-scratch
+            # fill uses: the other orientation adds the slot pairs of
+            # two-slot footprints in another order.
+            dp[fresh[:, None], members] = self._group_block(gid, fresh,
+                                                            members)
+            if len(old):
+                dp[old[:, None], fresh] = self._group_block(gid, old, fresh)
+        fresh = np.arange(p_old, p)
+        dp[fresh, fresh] = 0.0
+
+    def _group_block(self, gid: int, rows: "np.ndarray",
+                     cols: "np.ndarray") -> "np.ndarray":
+        """``d_pred`` of predicates ``rows`` (first argument) against
+        ``cols``, both of group ``gid``."""
+        formula = self._formulas[gid]
+        if formula == _CATEGORICAL:
+            return _categorical_block(self._bits[rows], self._bits[cols])
+        first, second = self._table[rows], self._table[cols]
+        if formula == _JACCARD:
+            return _numeric_block(first, second, self._slots)
+        same = first["key"][:, None] == second["key"][None, :]
+        return np.where(same, 0.0 if formula == _EQUAL else 0.5, 1.0)
+
+    def _set_bits(self, pid: int, gid: int, footprint: frozenset) -> None:
+        """Write ``footprint`` as categorical predicate ``pid``'s bitset
+        row.
+
+        Bit positions are per group (one column) and assigned on first
+        sight, so they stay put while later footprints widen the
+        column's universe; the pair formula only counts shared and
+        total bits.
+        """
+        position = self._positions.setdefault(gid, {})
+        bits = 0
+        for value in footprint:
+            bits |= 1 << position.setdefault(value, len(position))
+        n_words = max((len(position) + 63) // 64, 1)
+        if n_words > self._bits.shape[1]:
+            self._bits = _resized(
+                self._bits, (len(self._bits),
+                             _capacity(self._bits.shape[1], n_words)), 0)
+        row = self._bits[pid]
+        for word in range(n_words):
+            row[word] = (bits >> (64 * word)) & 0xFFFF_FFFF_FFFF_FFFF
+
+    # -- clause layer -------------------------------------------------------
+
+    def _append_clauses(self, clause_pids: list[list[int]]) -> None:
+        """Commit new clauses: their rows and columns of the pairwise
+        ``d_disj`` table, then their best-match rows against every
+        packed area."""
+        c_old = self.n_clauses
+        c = c_old + len(clause_pids)
+        if c == c_old:
+            return
+        self._clause_pids.extend(clause_pids)
+        self._clause_len[c_old:c] = [len(pids) for pids in clause_pids]
+        self._unit_pid[c_old:c] = [pids[0] if len(pids) == 1 else -1
+                                   for pids in clause_pids]
+        self.n_clauses = c
+
+        dp = self._dp
+        dc = self._dc_buf
+        dc[c_old:c, :c] = 1.0
+        dc[:c_old, c_old:c] = 1.0
+        lengths = self._clause_len[:c]
+        pid = self._unit_pid
+        unit = np.flatnonzero(lengths == 1)
+        split = int(np.searchsorted(unit, c_old))
+        old_unit, fresh_unit = unit[:split], unit[split:]
+        dc[fresh_unit[:, None], unit] = dp[pid[fresh_unit, None], pid[unit]]
+        dc[old_unit[:, None], fresh_unit] = \
+            dp[pid[old_unit, None], pid[fresh_unit]]
+        empty = np.flatnonzero(lengths == 0)
+        fresh_empty = empty[empty >= c_old]
+        dc[fresh_empty[:, None], empty] = 0.0
+        dc[empty[:, None], fresh_empty] = 0.0
+
+        # Best-match averages: a multi-predicate clause is the first
+        # argument against a unit clause, the older of two
+        # multi-predicate clauses against the newer.
+        multi = np.flatnonzero(lengths >= 2)
+        for ci in multi.tolist():
+            ids1 = np.asarray(self._clause_pids[ci], dtype=np.intp)
+            fresh = ci >= c_old
+            units = unit if fresh else fresh_unit
+            if len(units):
+                sub = dp[ids1[:, None], pid[units]]
+                values = (_sum_rows(sub) + sub.min(axis=0)) \
+                    / (len(ids1) + 1)
+                dc[ci, units] = values
+                dc[units, ci] = values
+            later = multi[(multi > ci) if fresh else (multi >= c_old)]
+            for cj in later.tolist():
+                dc[ci, cj] = dc[cj, ci] = _disjunction(
+                    dp, ids1, np.asarray(self._clause_pids[cj],
+                                         dtype=np.intp))
+        fresh = np.arange(c_old, c)
+        dc[fresh, fresh] = 0.0
+
+        # Best-match rows of the new clauses against every packed area,
+        # by the same exact min-gather new areas get.
+        m = self.n_areas
+        best = self._best_buf[c_old:c, :m]
+        rows = dc[c_old:c]
+        for level in range(self._l_max):
+            np.minimum(best, rows[:, self._id_pad_buf[:m, level]], out=best)
+
     # -- area layer ---------------------------------------------------------
 
-    def _finish_area_layer(self, area_clause_ids: list[list[int]],
-                           dc: "np.ndarray") -> None:
-        m = self.n_areas
-        c = self.n_clauses
-        counts = np.array([len(ids) for ids in area_clause_ids],
-                          dtype=np.intp)
-        self._ids = [np.asarray(ids, dtype=np.intp)
-                     for ids in area_clause_ids]
-        lmax = int(counts.max()) if m else 0
-        self._l_cap = max(lmax, 1)
-        self._m_cap = max(m, 4)
-        self._c_cap = max(c, 4)
-        self._counts_buf = np.zeros(self._m_cap, dtype=np.intp)
-        self._counts_buf[:m] = counts
-        # Padded clause-id matrix: pad index ``c`` addresses a sentinel
-        # column/value in the extended tables below; the sentinel index
-        # is remapped whenever the clause layer grows.
-        self._id_pad_buf = np.full((self._m_cap, self._l_cap), c,
-                                   dtype=np.intp)
-        for row, ids in enumerate(area_clause_ids):
-            self._id_pad_buf[row, :len(ids)] = ids
-        self._dc_ext_buf = np.full(
-            (self._c_cap, self._c_cap + 1), np.inf)
-        self._dc_ext_buf[:c, :c] = dc
-        # best_match[k, j] = min over area j's clauses of d_disj(k, ·):
-        # the shared inner term of both direction sums.
-        best = self._best_buf = np.full((self._c_cap, self._m_cap),
-                                        np.inf)
-        dc_ext = self._dc_ext
-        for level in range(lmax):
-            np.minimum(best[:c, :m], dc_ext[:, self._id_pad[:, level]],
-                       out=best[:c, :m])
-        self._row_cache: Optional[tuple[int, np.ndarray]] = None
-
-    def _append_clause_rows(self, rows: "np.ndarray") -> None:
-        """Commit ``_clause_rows`` output: grow the clause dimension of
-        the ``d_disj`` and best-match tables and remap the pad
-        sentinel."""
-        c_old = self.n_clauses
-        c = c_old + rows.shape[0]
-        if c > self._c_cap:
-            cap = max(self._c_cap * 2, c)
-            dc_buf = np.full((cap, cap + 1), np.inf)
-            dc_buf[:c_old, :c_old] = self._dc_ext_buf[:c_old, :c_old]
-            self._dc_ext_buf = dc_buf
-            best_buf = np.full((cap, self._m_cap), np.inf)
-            best_buf[:c_old] = self._best_buf[:c_old]
-            self._best_buf = best_buf
-            self._c_cap = cap
-        buf = self._dc_ext_buf
-        buf[c_old:c, :c] = rows
-        buf[:c_old, c_old:c] = rows[:, :c_old].T
-        buf[:c, c] = np.inf
-        # Old pad rows address the former sentinel column: remap.
-        self._id_pad_buf[self._id_pad_buf == c_old] = c
-        self.n_clauses = c
-        # Best-match rows of the new clauses against every existing
-        # area, by the same exact min-gather the full build performs.
-        m = self.n_areas
-        if m:
-            new = self._best_buf[c_old:c, :m]
-            new[:] = np.inf
-            for level in range(self._l_cap):
-                np.minimum(
-                    new,
-                    buf[c_old:c, :][:, self._id_pad_buf[:m, level]],
-                    out=new)
-        self._row_cache = None
-
-    def _append_area_columns(
-            self, area_clause_ids: list[list[int]]) -> None:
-        """Append per-area columns for new members (clause layer must
-        already cover their clause ids)."""
-        c = self.n_clauses
+    def _append_areas(self, area_ids: list[list[int]]) -> None:
+        """Commit new areas: their clause-id rows and their best-match
+        columns, ``best[k, j] = min`` over area j's clauses of
+        ``d_disj(k, ·)`` — the shared inner term of both direction
+        sums."""
         m_old = self.n_areas
-        m = m_old + len(area_clause_ids)
-        need_l = max((len(ids) for ids in area_clause_ids), default=0)
-        if need_l > self._l_cap:
-            pad = np.full((self._m_cap, max(need_l, 2 * self._l_cap)),
-                          c, dtype=np.intp)
-            pad[:, :self._l_cap] = self._id_pad_buf
-            self._id_pad_buf = pad
-            self._l_cap = pad.shape[1]
-        if m > self._m_cap:
-            cap = max(self._m_cap * 2, m)
-            counts = np.zeros(cap, dtype=np.intp)
-            counts[:m_old] = self._counts_buf[:m_old]
-            self._counts_buf = counts
-            pad = np.full((cap, self._l_cap), c, dtype=np.intp)
-            pad[:m_old] = self._id_pad_buf[:m_old]
-            self._id_pad_buf = pad
-            best = np.full((self._c_cap, cap), np.inf)
-            best[:, :m_old] = self._best_buf[:, :m_old]
-            self._best_buf = best
-            self._m_cap = cap
-        for offset, ids in enumerate(area_clause_ids):
-            row = m_old + offset
+        m = m_old + len(area_ids)
+        width = max(len(ids) for ids in area_ids)
+        pad = self._id_pad_buf
+        self._counts_buf[m_old:m] = [len(ids) for ids in area_ids]
+        for row, ids in enumerate(area_ids, m_old):
             arr = np.asarray(ids, dtype=np.intp)
             self._ids.append(arr)
-            self._counts_buf[row] = len(arr)
-            self._id_pad_buf[row, :] = c
-            self._id_pad_buf[row, :len(arr)] = arr
-            if len(arr):
-                self._best_buf[:c, row] = \
-                    self._dc_ext_buf[:c, arr].min(axis=1)
-            else:
-                self._best_buf[:c, row] = np.inf
+            pad[row, :len(arr)] = arr
         self.n_areas = m
-        self._row_cache = None
+        self._l_max = max(self._l_max, width)
+        best = self._best_buf[:self.n_clauses, m_old:m]
+        dc = self._dc_buf[:self.n_clauses]
+        for level in range(width):
+            np.minimum(best, dc[:, pad[m_old:m, level]], out=best)
 
-    @property
-    def storage_floats(self) -> int:
-        """Floats held by the pack's tables (predicate + clause +
-        best-match layers) — the sub-quadratic footprint that replaces
-        the partition's ``m·(m−1)/2`` condensed block."""
-        return int(self._dp.size + self._dc_ext.size + self._best.size)
+    # -- blocks and rows ----------------------------------------------------
 
     def _forward_row(self, i: int) -> Optional[np.ndarray]:
         """``Σ_{o ∈ cnf_i} min_{o' ∈ cnf_j} d_disj(o, o')`` for every j.
@@ -500,9 +674,9 @@ class PackedPartition:
 
     def clause_best(self, i: int) -> "np.ndarray":
         """``v[c] = min over area i's clauses of d_disj(c, ·)`` for every
-        distinct clause ``c``, padded with a trailing 0.0 sentinel —
-        the shared backward-direction ingredient of :meth:`pair_rows`
-        and of the metric index's certified pruning bounds."""
+        distinct clause ``c``, padded with a trailing 0.0 sentinel that
+        padded (-1) area slots address — the backward-direction
+        ingredient of :meth:`pair_rows`."""
         cached = self._row_cache
         if cached is not None and cached[0] == i:
             return cached[1]
@@ -515,19 +689,18 @@ class PackedPartition:
 
     def pair_rows(self, i: int, js: Sequence[int]) -> "np.ndarray":
         """``d_conj`` from area ``i`` to each area in ``js``, bitwise-
-        equal to the condensed block entries (one-vs-many form for the
-        metric-tree index)."""
+        equal to the condensed block entries (the one-vs-many form an
+        insert needs)."""
         js = np.asarray(js, dtype=np.intp)
         counts = self._counts
         n_i = int(counts[i])
         if n_i == 0:
             return np.where(counts[js] == 0, 0.0, 1.0)
-        forward = self._best[self._ids[i]][:, js].sum(axis=0)
+        forward = _sum_rows(self._best[self._ids[i]][:, js])
         v_ext = self.clause_best(i)
-        # C-contiguous transposed gather: each backward sum runs down a
-        # column left-to-right, trailing pad zeros are order-neutral.
-        back_ids = np.ascontiguousarray(self._id_pad[js].T)
-        backward = v_ext[back_ids].sum(axis=0)
+        # Each backward sum runs down one area's clause slots in order;
+        # the trailing pad zeros are order-neutral.
+        backward = _sum_rows(v_ext[self._id_pad[js].T])
         with np.errstate(divide="ignore", invalid="ignore"):
             values = (forward + backward) / (n_i + counts[js])
         other_zero = counts[js] == 0
@@ -536,298 +709,138 @@ class PackedPartition:
         return values
 
 
-def _check_supported(preds: Sequence) -> None:
-    for pred in preds:
-        if isinstance(pred, ColumnColumnPredicate):
-            continue
-        if not isinstance(pred, ColumnConstantPredicate):
-            raise KernelUnsupported(
-                f"unsupported predicate kind {type(pred).__name__}")
-        value = pred.value
-        if isinstance(value, bool):
-            # ``True == 1`` makes bool/int predicate identity — and
-            # therefore the oracle's own memo — evaluation-order
-            # dependent; only the true per-pair path reproduces it.
-            raise KernelUnsupported(
-                "boolean constants are not replayable bitwise")
-        if isinstance(value, str):
-            continue
-        if isinstance(value, (int, float)):
-            try:
-                numeric = float(value)
-            except OverflowError as exc:
-                raise KernelUnsupported(
-                    f"constant {value!r} overflows float64") from exc
-            if not math.isfinite(numeric):
-                raise KernelUnsupported(
-                    f"non-finite constant {value!r}")
-            continue
-        raise KernelUnsupported(
-            f"unsupported constant type {type(value).__name__}")
+def _number(groups: list, known: dict, start: int) -> tuple[list, dict]:
+    """Ids for the items of each group: an item's id in ``known`` if it
+    has one, else a new id from ``start`` on, in first-seen order.
+    Returns the id lists and the new items with their ids, leaving
+    ``known`` as it was."""
+    new: dict = {}
+    rows = []
+    # An empty ``known`` (a pack being built) is not probed: hashing a
+    # clause costs as much as a probe.
+    lookup = known.get if known else (lambda item: None)
+    for group in groups:
+        row = []
+        for item in group:
+            number = lookup(item)
+            if number is None:
+                number = new.setdefault(item, start + len(new))
+            row.append(number)
+        rows.append(row)
+    return rows, new
 
 
-# -- predicate layer ---------------------------------------------------------
+def _capacity(have: int, need: int) -> int:
+    """Buffer length for ``need`` items: ``have`` while it suffices,
+    else doubled (at least to ``need``)."""
+    return have if need <= have else max(2 * have, need)
 
 
-def _predicate_block(preds: Sequence, oracle: PredicateDistance,
-                     stats) -> "np.ndarray":
-    """Pairwise ``d_pred`` over the deduplicated predicates.
-
-    The default 1.0 covers every structurally-unrelated pair (mixed
-    type on one column, categorical across columns, column-column vs
-    column-constant); the category fills below overwrite exactly the
-    pairs the oracle treats specially.
-    """
-    p = len(preds)
-    dp = np.ones((p, p), dtype=float)
-
-    numeric = [(pid, pred) for pid, pred in enumerate(preds)
-               if isinstance(pred, ColumnConstantPredicate)
-               and pred.is_numeric]
-    if numeric:
-        # Cross-column numeric pairs: 1 − cov·cov everywhere; the
-        # same-column groups are overwritten right after.
-        idx = np.array([pid for pid, _ in numeric], dtype=np.intp)
-        cov = np.array([oracle._coverage_fraction(pred)
-                        for _, pred in numeric])
-        dp[np.ix_(idx, idx)] = 1.0 - cov[:, None] * cov[None, :]
-        by_ref: dict = {}
-        for pid, pred in numeric:
-            by_ref.setdefault(pred.ref, []).append((pid, pred))
-        for ref, members in by_ref.items():
-            gidx = np.array([pid for pid, _ in members], dtype=np.intp)
-            group = [pred for _, pred in members]
-            access = stats.access_interval(ref)
-            width = access.width
-            if not math.isfinite(width):
-                block = _equality_block(
-                    [(pred.op, normalize_constant(pred.value))
-                     for pred in group])
-            elif width <= 0:
-                block = _equality_block(
-                    [normalize_constant(pred.value) for pred in group])
-            else:
-                block = _numeric_block(group, oracle, access)
-            dp[np.ix_(gidx, gidx)] = block
-
-    by_ref = {}
-    for pid, pred in enumerate(preds):
-        if isinstance(pred, ColumnConstantPredicate) \
-                and isinstance(pred.value, str):
-            by_ref.setdefault(pred.ref, []).append((pid, pred))
-    for ref, members in by_ref.items():
-        gidx = np.array([pid for pid, _ in members], dtype=np.intp)
-        vocabulary = stats.access_values(ref)
-        footprints = [_categorical_footprint(pred, vocabulary)
-                      for _, pred in members]
-        dp[np.ix_(gidx, gidx)] = _categorical_block(footprints)
-
-    joins = [(pid, pred) for pid, pred in enumerate(preds)
-             if isinstance(pred, ColumnColumnPredicate)]
-    if joins:
-        idx = np.array([pid for pid, _ in joins], dtype=np.intp)
-        # Operand order is canonical, so the ordered qualified-name pair
-        # is exactly the unordered column-pair key the oracle compares.
-        keys = [(pred.left.qualified, pred.right.qualified)
-                for _, pred in joins]
-        key_ids = _intern(keys)
-        same = key_ids[:, None] == key_ids[None, :]
-        dp[np.ix_(idx, idx)] = np.where(same, 0.5, 1.0)
-
-    np.fill_diagonal(dp, 0.0)
-    return dp
-
-
-def _intern(keys: Sequence) -> "np.ndarray":
-    table: dict = {}
-    out = np.empty(len(keys), dtype=np.intp)
-    for position, key in enumerate(keys):
-        out[position] = table.setdefault(key, len(table))
+def _resized(buf: "np.ndarray", shape: tuple, fill) -> "np.ndarray":
+    """A ``shape`` array holding ``buf`` in its leading corner and
+    ``fill`` everywhere else."""
+    out = np.full(shape, fill, dtype=buf.dtype) if fill else \
+        np.zeros(shape, dtype=buf.dtype)
+    if buf.size:
+        out[tuple(map(slice, buf.shape))] = buf
     return out
 
 
-def _equality_block(keys: Sequence) -> "np.ndarray":
-    """0.0 on equal keys, 1.0 elsewhere (degenerate-access semantics)."""
-    ids = _intern(keys)
-    return np.where(ids[:, None] == ids[None, :], 0.0, 1.0)
+def _sum_rows(rows: "np.ndarray") -> "np.ndarray":
+    """Column sums of ``rows``, added strictly top to bottom from 0.0:
+    the oracle's ``+=`` order.  numpy keeps that order in an axis-0
+    reduction only while there are two or more columns; a single column
+    is summed pairwise, which rounds differently past eight terms."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
 
 
-def _numeric_block(group: Sequence, oracle: PredicateDistance,
-                   access) -> "np.ndarray":
+def _check_supported(pred) -> None:
+    if isinstance(pred, ColumnColumnPredicate):
+        return
+    if not isinstance(pred, ColumnConstantPredicate):
+        raise KernelUnsupported(
+            f"unsupported predicate kind {type(pred).__name__}")
+    value = pred.value
+    if isinstance(value, bool):
+        # ``True == 1`` makes bool/int predicate identity — and
+        # therefore the oracle's own memo — evaluation-order
+        # dependent; only the true per-pair path reproduces it.
+        raise KernelUnsupported(
+            "boolean constants are not replayable bitwise")
+    if isinstance(value, str):
+        return
+    if isinstance(value, (int, float)):
+        try:
+            numeric = float(value)
+        except OverflowError as exc:
+            raise KernelUnsupported(
+                f"constant {value!r} overflows float64") from exc
+        if not math.isfinite(numeric):
+            raise KernelUnsupported(
+                f"non-finite constant {value!r}")
+        return
+    raise KernelUnsupported(
+        f"unsupported constant type {type(value).__name__}")
+
+
+def _numeric_block(first: "np.ndarray", second: "np.ndarray",
+                   slots: int) -> "np.ndarray":
     """Same-column numeric ``d_pred``: Jaccard of widened footprints.
 
     Footprints, their total widths and their structural identities come
     from the oracle itself; only the pairwise intersection widths are
     vectorized — slot by slot in the oracle's sorted accumulation order,
     with empty slots as reversed-infinity sentinels whose clipped
-    contribution is exactly 0.0.
+    contribution is exactly 0.0, so any ``slots`` at or above the
+    widest footprint's gives the same sums.
     """
-    g = len(group)
-    footprints = [oracle._widened(pred, access) for pred in group]
-    slots = max((len(fp) for fp in footprints), default=0)
-    if slots > _MAX_SLOTS:
-        raise KernelUnsupported(
-            f"footprint with {slots} intervals exceeds the packed "
-            f"slot budget")
-    slots = max(slots, 1)
-    lo = np.full((g, slots), np.inf)
-    hi = np.full((g, slots), -np.inf)
-    widths = np.empty(g)
-    empty = np.zeros(g, dtype=bool)
-    structure = _intern(footprints)
-    for row, fp in enumerate(footprints):
-        for slot, interval in enumerate(fp):
-            lo[row, slot] = _exact(interval.lo)
-            hi[row, slot] = _exact(interval.hi)
-        widths[row] = _exact(fp.total_width)
-        empty[row] = fp.is_empty
-    if g and not math.isfinite(2.0 * float(widths.max())):
-        # w1 + w2 could overflow to inf and drag the union through
-        # inf − inf = NaN, where numpy's maximum() and Python's max()
-        # disagree; leave such pathologies to the oracle.
-        raise KernelUnsupported("footprint widths overflow float64")
-
-    inter = np.zeros((g, g))
+    lo1, hi1 = first["lo"], first["hi"]
+    lo2, hi2 = second["lo"], second["hi"]
+    inter = np.zeros((len(first), len(second)))
     for s in range(slots):
         for t in range(slots):
-            segment = (np.minimum(hi[:, s, None], hi[None, :, t])
-                       - np.maximum(lo[:, s, None], lo[None, :, t]))
+            segment = (np.minimum(hi1[:, s, None], hi2[None, :, t])
+                       - np.maximum(lo1[:, s, None], lo2[None, :, t]))
             inter = inter + np.maximum(segment, 0.0)
-    union = (widths[:, None] + widths[None, :]) - inter
+    union = (first["width"][:, None] + second["width"][None, :]) - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         block = np.maximum(0.0, 1.0 - inter / union)
     degenerate = union <= 0.0
     if degenerate.any():
-        same = (structure[:, None] == structure[None, :]) \
-            & ~empty[:, None]
+        same = (first["key"][:, None] == second["key"][None, :]) \
+            & ~first["empty"][:, None]
         block = np.where(degenerate, np.where(same, 0.0, 1.0), block)
     return block
 
 
-def _categorical_block(footprints: Sequence) -> "np.ndarray":
+def _categorical_block(first: "np.ndarray",
+                       second: "np.ndarray") -> "np.ndarray":
     """Same-column categorical ``d_pred`` over bitset footprint rows."""
-    g = len(footprints)
-    universe: list[str] = sorted(set().union(*footprints)) \
-        if footprints else []
-    position = {value: k for k, value in enumerate(universe)}
-    n_words = max((len(universe) + 63) // 64, 1)
-    bits = np.zeros((g, n_words), dtype=np.uint64)
-    for row, fp in enumerate(footprints):
-        for value in fp:
-            k = position[value]
-            bits[row, k >> 6] |= np.uint64(1 << (k & 63))
-    inter = np.bitwise_count(bits[:, None, :] & bits[None, :, :]) \
+    inter = np.bitwise_count(first[:, None, :] & second[None, :, :]) \
         .sum(axis=2, dtype=np.int64)
-    union = np.bitwise_count(bits[:, None, :] | bits[None, :, :]) \
+    union = np.bitwise_count(first[:, None, :] | second[None, :, :]) \
         .sum(axis=2, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         block = 1.0 - inter / union
     return np.where(union == 0, 0.0, block)
 
 
-# -- clause layer ------------------------------------------------------------
-
-
-def _clause_block(clauses: Sequence, clause_pred_ids: Sequence,
-                  dp: "np.ndarray") -> "np.ndarray":
-    """Pairwise ``d_disj`` over the deduplicated clauses."""
-    c = len(clauses)
-    dc = np.ones((c, c), dtype=float)
-    lengths = np.array([len(ids) for ids in clause_pred_ids],
-                       dtype=np.intp)
-
-    unit = np.flatnonzero(lengths == 1)
-    if len(unit):
-        unit_pids = np.array([clause_pred_ids[k][0] for k in unit],
-                             dtype=np.intp)
-        dc[np.ix_(unit, unit)] = dp[np.ix_(unit_pids, unit_pids)]
-    empty = np.flatnonzero(lengths == 0)
-    if len(empty):
-        dc[np.ix_(empty, empty)] = 0.0
-
-    multi = [int(k) for k in np.flatnonzero(lengths >= 2)]
-    multi_set = set(multi)
-    for ci in multi:
-        ids1 = np.asarray(clause_pred_ids[ci], dtype=np.intp)
-        n1 = len(ids1)
-        for cj in range(c):
-            n2 = int(lengths[cj])
-            if n2 == 0 or cj == ci:
-                continue
-            if cj in multi_set and cj < ci:
-                continue  # symmetric, already filled
-            sub = dp[np.ix_(ids1, np.asarray(clause_pred_ids[cj],
-                                             dtype=np.intp))]
-            # Python-loop totals: 1-D ndarray.sum is not left-to-right
-            # beyond 8 elements, the oracle's ``+=`` loop is.
-            forward = 0.0
-            for value in sub.min(axis=1).tolist():
-                forward += value
-            backward = 0.0
-            for value in sub.min(axis=0).tolist():
-                backward += value
-            dc[ci, cj] = dc[cj, ci] = (forward + backward) / (n1 + n2)
-    np.fill_diagonal(dc, 0.0)
-    return dc
-
-
-def _clause_rows(clauses: Sequence, clause_pred_ids: Sequence,
-                 dp: "np.ndarray", c_old: int) -> "np.ndarray":
-    """``d_disj`` rows of the clauses at ids ``c_old..len(clauses)``
-    against *every* clause (old and new).
-
-    Each pair runs the exact :func:`_clause_block` formula for its
-    category, so stacking these rows under (and their transpose beside)
-    an existing block reproduces the from-scratch matrix bitwise.
-    """
-    c = len(clauses)
-    rows = np.ones((c - c_old, c), dtype=float)
-    lengths = np.array([len(ids) for ids in clause_pred_ids],
-                       dtype=np.intp)
-
-    unit = np.flatnonzero(lengths == 1)
-    new_unit = unit[unit >= c_old]
-    if len(new_unit):
-        pids_all = np.array([clause_pred_ids[int(k)][0] for k in unit],
-                            dtype=np.intp)
-        pids_new = np.array(
-            [clause_pred_ids[int(k)][0] for k in new_unit],
-            dtype=np.intp)
-        rows[np.ix_(new_unit - c_old, unit)] = \
-            dp[np.ix_(pids_new, pids_all)]
-    empty = np.flatnonzero(lengths == 0)
-    new_empty = empty[empty >= c_old]
-    if len(new_empty):
-        rows[np.ix_(new_empty - c_old, empty)] = 0.0
-
-    multi_set = {int(k) for k in np.flatnonzero(lengths >= 2)}
-    for ci in sorted(multi_set):
-        ids1 = np.asarray(clause_pred_ids[ci], dtype=np.intp)
-        n1 = len(ids1)
-        # Old-old pairs are retained from the existing block; an old
-        # multi clause only pairs against the new id range.
-        for cj in range(c_old if ci < c_old else 0, c):
-            n2 = int(lengths[cj])
-            if n2 == 0 or cj == ci:
-                continue
-            if cj in multi_set and cj < ci:
-                continue  # symmetric, already filled
-            sub = dp[np.ix_(ids1, np.asarray(clause_pred_ids[cj],
-                                             dtype=np.intp))]
-            forward = 0.0
-            for value in sub.min(axis=1).tolist():
-                forward += value
-            backward = 0.0
-            for value in sub.min(axis=0).tolist():
-                backward += value
-            value = (forward + backward) / (n1 + n2)
-            if ci >= c_old:
-                rows[ci - c_old, cj] = value
-            if cj >= c_old:
-                rows[cj - c_old, ci] = value
-    for k in range(c_old, c):
-        rows[k - c_old, k] = 0.0
-    return rows
+def _disjunction(dp: "np.ndarray", ids1: "np.ndarray",
+                 ids2: "np.ndarray") -> float:
+    """``d_disj`` of two multi-predicate clauses, ``ids1`` first."""
+    sub = dp[ids1[:, None], ids2]
+    # Python-loop totals: 1-D ndarray.sum is not left-to-right beyond 8
+    # elements, the oracle's ``+=`` loop is.
+    forward = 0.0
+    for value in sub.min(axis=1).tolist():
+        forward += value
+    backward = 0.0
+    for value in sub.min(axis=0).tolist():
+        backward += value
+    return (forward + backward) / (len(ids1) + len(ids2))
 
 
 # -- partition fan-out -------------------------------------------------------

@@ -10,6 +10,8 @@ such queries error on the actual MSSQL server (Section 6.6).
 
 Non-SELECT statements raise :class:`UnsupportedStatementError`; malformed
 input raises :class:`ParseError` — the two unparsed classes of Section 6.1.
+So does a statement nested deeper than :data:`MAX_NESTING`, before the
+recursive descent can exhaust Python's stack.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ from .errors import ParseError, UnsupportedStatementError
 from .lexer import Token, TokenType, tokenize
 
 _COMPARISON_OPS = {"<", "<=", "=", ">", ">=", "<>"}
+
+#: Deepest nesting the parser follows.  Each SELECT, opening
+#: parenthesis, NOT and unary sign opens one level, and the statement's
+#: own SELECT is the first.  One level costs the recursive descent about
+#: six stack frames, so a statement at the limit (about 600 frames)
+#: stays well below Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 _STATEMENT_KEYWORDS = {
     "CREATE", "INSERT", "UPDATE", "DELETE", "DROP", "DECLARE", "ALTER",
@@ -43,6 +52,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -85,6 +95,22 @@ class _Parser:
                 f"expected {value!r}, found {self.current}",
                 self.current.position)
 
+    def _open(self) -> None:
+        """Enter one nesting level; :meth:`_close` leaves it.
+
+        An exception in between leaves the count raised; the one place
+        that recovers from a ``ParseError``, the grouped-condition
+        backtracking, restores it.
+        """
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"statement nests deeper than {MAX_NESTING} levels",
+                self.current.position)
+
+    def _close(self) -> None:
+        self._depth -= 1
+
     def expect_end(self) -> None:
         self._accept_punct(";")
         if self.current.type is not TokenType.EOF:
@@ -105,6 +131,7 @@ class _Parser:
 
     def parse_select(self) -> ast.SelectStatement:
         self._expect_keyword("SELECT")
+        self._open()
         distinct = self._accept_keyword("DISTINCT")
         self._accept_keyword("ALL")  # SELECT ALL is a no-op
         top = self._parse_top()
@@ -126,6 +153,7 @@ class _Parser:
         limit = self._parse_limit()
         if self.current.is_keyword("UNION"):
             raise UnsupportedStatementError("UNION")
+        self._close()
         return ast.SelectStatement(
             select_items=select_items,
             from_items=from_items,
@@ -309,17 +337,17 @@ class _Parser:
 
     def _parse_not(self) -> ast.Condition:
         if self._accept_keyword("NOT"):
-            return ast.NotCondition(self._parse_not())
+            self._open()
+            child = self._parse_not()
+            self._close()
+            return ast.NotCondition(child)
         return self._parse_primary_condition()
 
     def _parse_primary_condition(self) -> ast.Condition:
         token = self.current
         if token.is_keyword("EXISTS"):
             self._advance()
-            self._expect_punct("(")
-            query = self.parse_select()
-            self._expect_punct(")")
-            return ast.Exists(query)
+            return ast.Exists(self._parse_subquery())
         if token.type is TokenType.PUNCT and token.value == "(":
             grouped = self._try_parse_grouped_condition()
             if grouped is not None:
@@ -333,14 +361,21 @@ class _Parser:
         ``(a > 1 OR b < 2)`` must parse as a grouped condition.  We try the
         condition interpretation and roll back the cursor when it either
         fails or is followed by something that only an expression permits.
+        Nesting past the limit is not rolled back: the expression reading
+        opens the same parentheses, so retrying it would only fail again,
+        after work that grows with the square of the depth.
         """
-        saved = self._pos
+        saved = self._pos, self._depth
         self._expect_punct("(")
         try:
+            self._open()
             condition = self._parse_condition()
             self._expect_punct(")")
+            self._close()
         except (ParseError, UnsupportedStatementError):
-            self._pos = saved
+            if self._depth > MAX_NESTING:
+                raise
+            self._pos, self._depth = saved
             return None
         follow = self.current
         expression_follow = (
@@ -350,7 +385,7 @@ class _Parser:
             or follow.is_keyword("BETWEEN", "IN", "LIKE", "IS")
         )
         if expression_follow:
-            self._pos = saved
+            self._pos, self._depth = saved
             return None
         return condition
 
@@ -394,26 +429,33 @@ class _Parser:
                 quantifier = "ANY" if self.current.value in ("ANY", "SOME") \
                     else "ALL"
                 self._advance()
-                self._expect_punct("(")
-                query = self.parse_select()
-                self._expect_punct(")")
-                return ast.QuantifiedComparison(expr, op, quantifier, query)
+                return ast.QuantifiedComparison(expr, op, quantifier,
+                                                self._parse_subquery())
             right = self._parse_expr()
             return ast.Comparison(expr, op, right)
         raise ParseError(f"expected predicate, found {token}", token.position)
 
     def _parse_in_tail(self, expr: ast.Expr,
                        negated: bool) -> ast.Condition:
+        if self._peek().is_keyword("SELECT"):
+            return ast.InSubquery(expr, self._parse_subquery(), negated)
         self._expect_punct("(")
-        if self.current.is_keyword("SELECT"):
-            query = self.parse_select()
-            self._expect_punct(")")
-            return ast.InSubquery(expr, query, negated)
+        self._open()
         values = [self._parse_expr()]
         while self._accept_punct(","):
             values.append(self._parse_expr())
         self._expect_punct(")")
+        self._close()
         return ast.InList(expr, tuple(values), negated)
+
+    def _parse_subquery(self) -> ast.SelectStatement:
+        """``( SELECT ... )``: two nesting levels."""
+        self._expect_punct("(")
+        self._open()
+        query = self.parse_select()
+        self._expect_punct(")")
+        self._close()
+        return query
 
     # -- scalar expressions -------------------------------------------------------
 
@@ -458,16 +500,17 @@ class _Parser:
 
     def _parse_factor(self) -> ast.Expr:
         token = self.current
-        if token.type is TokenType.PUNCT and token.value == "-":
+        if token.type is TokenType.PUNCT and token.value in ("-", "+"):
             self._advance()
+            self._open()
             operand = self._parse_factor()
+            self._close()
+            if token.value == "+":
+                return operand
             if isinstance(operand, ast.Literal) and isinstance(
                     operand.value, (int, float)):
                 return ast.Literal(-operand.value)
             return ast.UnaryMinus(operand)
-        if token.type is TokenType.PUNCT and token.value == "+":
-            self._advance()
-            return self._parse_factor()
         if token.type is TokenType.NUMBER:
             self._advance()
             return ast.Literal(_parse_number(token.value))
@@ -478,13 +521,13 @@ class _Parser:
             self._advance()
             return ast.Literal(None)
         if token.type is TokenType.PUNCT and token.value == "(":
+            if self._peek().is_keyword("SELECT"):
+                return ast.ScalarSubquery(self._parse_subquery())
             self._advance()
-            if self.current.is_keyword("SELECT"):
-                query = self.parse_select()
-                self._expect_punct(")")
-                return ast.ScalarSubquery(query)
+            self._open()
             expr = self._parse_expr()
             self._expect_punct(")")
+            self._close()
             return expr
         if token.type is TokenType.IDENT:
             return self._parse_identifier_expr()
@@ -509,11 +552,13 @@ class _Parser:
 
     def _parse_function_tail(self, name: str) -> ast.FunctionCall:
         args: list[ast.Expr] = []
+        self._open()
         if not self._accept_punct(")"):
             args.append(self._parse_function_arg())
             while self._accept_punct(","):
                 args.append(self._parse_function_arg())
             self._expect_punct(")")
+        self._close()
         return ast.FunctionCall(name, tuple(args))
 
     def _parse_function_arg(self) -> ast.Expr:

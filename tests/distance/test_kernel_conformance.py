@@ -17,9 +17,15 @@ oracle order-dependent, > 2^53 integers at resolution 0, footprint
 widths that overflow float64 — are pinned separately: the partition
 falls back to the oracle path and the produced block still matches by
 construction.
+
+A pack grown area by area (or chunk by chunk) must hold the same tables
+as one packed from scratch, refuse before changing anything, and call
+the oracle's per-predicate helpers only for predicates it has not
+packed yet.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,9 +38,11 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
                                       ColumnConstantPredicate, ColumnRef,
                                       Op)
 from repro.core.area import AccessArea
+import repro.distance.kernel as kernel_module
 from repro.distance import DistanceMatrix, QueryDistance, condensed_index
 from repro.distance.kernel import (KernelUnsupported, PackedPartition,
                                    compute_kernel_blocks)
+from repro.distance.predicate_distance import PredicateDistance
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
 
@@ -306,3 +314,219 @@ class TestKernelMatrixMode:
                 if population[i].table_set == population[j].table_set:
                     assert kernel_row[j] == dense_row[j]
             assert kernel.neighbors(i, 0.12) == dense.neighbors(i, 0.12)
+
+
+# -- growing a pack ----------------------------------------------------------
+
+
+def _tables(pack):
+    return {name: getattr(pack, name).copy()
+            for name in ("_dp", "_dc", "_best")}
+
+
+def _assert_same_tables(grown, scratch):
+    for name in ("n_predicates", "n_clauses", "n_areas"):
+        assert getattr(grown, name) == getattr(scratch, name), name
+    for name, table in _tables(scratch).items():
+        other = getattr(grown, name)
+        assert other.shape == table.shape, name
+        assert (other == table).all(), name
+
+
+def _assert_rows_match(pack, scratch, want):
+    """Every ``pair_rows`` of ``pack`` equals ``scratch``'s and the
+    oracle's condensed ``want`` — against all other areas at once and
+    against each one alone."""
+    m = pack.n_areas
+    for i in range(m):
+        others = [j for j in range(m) if j != i]
+        row = pack.pair_rows(i, others)
+        assert (row == scratch.pair_rows(i, others)).all()
+        for j, value in zip(others, row):
+            assert value == want[condensed_index(i, j, m)]
+            assert pack.pair_rows(i, [j])[0] == value
+
+
+def _grow(population, metric, chunks):
+    """A pack extended chunk by chunk, sizes cycling through ``chunks``."""
+    pack = PackedPartition([], metric)
+    start = step = 0
+    while start < len(population):
+        size = chunks[step % len(chunks)]
+        pack.extend(population[start:start + size])
+        start += size
+        step += 1
+    return pack
+
+
+class TestGrownPackMatchesScratch:
+    """Growing appends rows and columns; the tables must come out
+    exactly as a from-scratch pack (and the oracle) has them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(population=populations, resolution=resolutions,
+           chunks=st.lists(st.integers(min_value=1, max_value=4),
+                           min_size=1, max_size=6))
+    def test_grown_equals_scratch_and_oracle(self, population, resolution,
+                                             chunks):
+        stats = _dist_stats()
+        metric = QueryDistance(stats, resolution=resolution)
+        scratch = PackedPartition(population, metric)
+        want = _oracle_block(stats, population, resolution)
+        block = list(scratch.condensed_block())
+        assert block == want
+        for grown in (_grow(population, metric, [1]),
+                      _grow(population, metric, chunks)):
+            _assert_same_tables(grown, scratch)
+            assert list(grown.condensed_block()) == block
+            _assert_rows_match(grown, scratch, want)
+
+
+class TestPairRowsSummationOrder:
+    def test_single_target_with_many_clauses(self):
+        # One target makes the gathered sums a single column, which
+        # numpy would add pairwise past eight terms; the oracle adds in
+        # order.  Twelve unit clauses per area.
+        names = [f"c{k}" for k in range(12)]
+        schema = Schema("wide")
+        schema.add(Relation("T", tuple(
+            Column(name, ColumnType.FLOAT, Interval(0.0, 7.0))
+            for name in names)))
+        stats = StatisticsCatalog.from_exact_content(
+            schema, {("T", name): Interval(0.0, 7.0) for name in names})
+        rng = random.Random(3)
+
+        def wide_area():
+            return AccessArea(("T",), CNF.of([Clause.of([
+                ColumnConstantPredicate(
+                    ColumnRef("T", name), rng.choice([Op.LE, Op.GE]),
+                    round(rng.uniform(0.0, 7.0), 3))]) for name in names]))
+
+        for _ in range(40):
+            pair = [wide_area(), wide_area()]
+            pack = PackedPartition(pair, QueryDistance(stats))
+            oracle = QueryDistance(stats)
+            assert pack.pair_rows(1, [0])[0] == oracle(pair[1], pair[0])
+            assert pack.pair_rows(0, [1])[0] == oracle(pair[0], pair[1])
+
+
+def _overflow_stats():
+    schema = Schema("edge")
+    schema.add(Relation("T", (
+        Column("a", ColumnType.FLOAT, Interval(0.0, 5.0)),)))
+    return StatisticsCatalog.from_exact_content(
+        schema, {("T", "a"): Interval(-8.0e307, 8.0e307)})
+
+
+class TestRefusedExtendLeavesPackUnchanged:
+    """A refused extend writes nothing: the pack keeps its tables and
+    grows correctly afterwards."""
+
+    @pytest.mark.parametrize("catalog, bad", [
+        # GT: no packed ``T.a > 1`` that ``True == 1`` would collapse into.
+        (_dist_stats, ColumnConstantPredicate(T_A, Op.GT, True)),
+        (_dist_stats, ColumnConstantPredicate(T_A, Op.EQ, math.nan)),
+        (_dist_stats, ColumnConstantPredicate(T_A, Op.LT, math.inf)),
+        (_overflow_stats, ColumnConstantPredicate(T_A, Op.NE, 0.0)),
+    ], ids=["bool", "nan", "inf", "overflowing-width"])
+    def test_refusal(self, catalog, bad):
+        stats = catalog()
+        metric = QueryDistance(stats, resolution=0.01)
+        population = [
+            _area([ColumnConstantPredicate(T_A, Op.LE, 1.0 + k)],
+                  [ColumnConstantPredicate(T_A, Op.GE, 0.5 * k),
+                   ColumnConstantPredicate(T_A, Op.EQ, 4.0)])
+            for k in range(3)]
+        pack = _grow(population, metric, [1])
+        before = _tables(pack)
+        counts = (pack.n_predicates, pack.n_clauses, pack.n_areas)
+        # New good predicates and clauses ride along with the bad one,
+        # so a partial commit would show.
+        hostile = _area([ColumnConstantPredicate(T_A, Op.GE, 2.25)],
+                        [ColumnConstantPredicate(T_A, Op.LE, 3.75), bad])
+        with pytest.raises(KernelUnsupported):
+            pack.extend([population[0], hostile])
+        assert (pack.n_predicates, pack.n_clauses, pack.n_areas) == counts
+        for name, table in before.items():
+            after = getattr(pack, name)
+            assert after.shape == table.shape
+            assert after.tobytes() == table.tobytes(), name
+
+        good = _area([ColumnConstantPredicate(T_A, Op.GE, 2.25)],
+                     [ColumnConstantPredicate(T_A, Op.LE, 3.75),
+                      ColumnConstantPredicate(T_A, Op.EQ, 0.5)])
+        pack.extend([good])
+        grown = population + [good]
+        scratch = PackedPartition(grown, metric)
+        _assert_same_tables(pack, scratch)
+        want = _oracle_block(stats, grown, 0.01)
+        assert list(pack.condensed_block()) == want
+        _assert_rows_match(pack, scratch, want)
+
+
+class TestInsertIsIncremental:
+    """An extend runs the oracle's per-predicate helpers for new
+    predicates only — counted, not timed."""
+
+    HELPERS = ("_coverage_fraction", "_widened", "_categorical_footprint")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = {name: [] for name in self.HELPERS}
+
+        def counting(name, helper, position):
+            def wrapper(*args):
+                seen[name].append(args[position])
+                return helper(*args)
+            return wrapper
+
+        for name in ("_coverage_fraction", "_widened"):
+            monkeypatch.setattr(PredicateDistance, name, counting(
+                name, getattr(PredicateDistance, name), 1))
+        monkeypatch.setattr(kernel_module, "_categorical_footprint",
+                            counting("_categorical_footprint",
+                                     kernel_module._categorical_footprint,
+                                     0))
+        return seen
+
+    @staticmethod
+    def _base(size):
+        refs = (T_A, T_A1, T_A2)
+        areas_ = []
+        for k in range(size):
+            ref = refs[k % 3]
+            areas_.append(_area(
+                [ColumnConstantPredicate(ref, Op.GE, 0.125 * k)],
+                [ColumnConstantPredicate(ref, Op.LE, 0.125 * k + 1.0),
+                 ColumnConstantPredicate(T_S, Op.NE, "xyz"[k % 3])],
+                [ColumnColumnPredicate(T_A, (Op.EQ, Op.LT)[k % 2],
+                                       T_A1)]))
+        return areas_
+
+    @pytest.mark.parametrize("size", [4, 40])
+    def test_helpers_run_once_per_new_predicate(self, calls, size):
+        metric = QueryDistance(_dist_stats(), resolution=0.01)
+        pack = PackedPartition(self._base(size), metric)
+        packed = set(pack._pred_ids)
+        for seen in calls.values():
+            seen.clear()
+        fresh = [ColumnConstantPredicate(T_A, Op.LE, 4.8125),
+                 ColumnConstantPredicate(T_A2, Op.GT, 0.0625),
+                 ColumnConstantPredicate(T_S, Op.LT, "y"),
+                 ColumnColumnPredicate(T_A1, Op.GE, T_A2)]
+        assert not packed.intersection(fresh)
+        pack.extend([_area([fresh[0], fresh[2]], [fresh[1]], [fresh[3]],
+                           [ColumnConstantPredicate(T_A, Op.GE, 0.0)])])
+        assert pack.n_predicates == len(packed) + len(fresh)
+        assert sorted(map(str, calls["_coverage_fraction"])) \
+            == sorted(map(str, fresh[:2]))
+        assert sorted(map(str, calls["_widened"])) \
+            == sorted(map(str, fresh[:2]))
+        assert calls["_categorical_footprint"] == [fresh[2]]
+
+        # Areas built only from packed predicates call no helper.
+        for seen in calls.values():
+            seen.clear()
+        pack.extend(self._base(size)[::-1]
+                    + [_area([fresh[3]], [fresh[0], fresh[1]])])
+        assert all(not seen for seen in calls.values())

@@ -89,6 +89,20 @@ class TestIngest:
         assert body["status"] == "failed"
         assert "error" in body
 
+    def test_deeply_nested_statement_degrades(self, ingested):
+        # 400 levels is past the parser's nesting limit: an ordinary
+        # failed statement, not a 5xx from exhausted recursion.
+        _, state, client, _ = ingested
+        processed = state.monitor.state.processed
+        sql = ("SELECT * FROM PhotoObj WHERE " + "(" * 400 + "ra > 1"
+               + ")" * 400)
+        response = client.post("/queries", json={"sql": sql})
+        assert response.status == 200
+        body = response.json()
+        assert body["status"] == "failed"
+        assert "nests deeper than" in body["error"]
+        assert state.monitor.state.processed == processed + 1
+
 
 class TestReads:
     def test_clusters_listing(self, ingested):

@@ -76,6 +76,31 @@ def test_restart_does_not_reextract_sql(store_config, monkeypatch):
     second.close()
 
 
+def test_hostile_statement_replays_after_restart(store_config):
+    # A statement nested past the parser's limit is journalled as a
+    # failure, so a reopened store numbers later arrivals the same way.
+    valid = ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20",
+             "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 11 AND 21")
+    hostile = ("SELECT * FROM PhotoObj WHERE " + "(" * 400 + "ra > 1"
+               + ")" * 400)
+    first = _fresh(store_config)
+    _ingest_workload(first, n=40)
+    outcomes = [first.ingest(sql, user="eve")
+                for sql in (valid[0], hostile, valid[1])]
+    assert [o.status for o in outcomes][1] == "failed"
+    assert [o.index for o in outcomes] == \
+        [outcomes[0].index + k for k in range(3)]
+    processed = first.monitor.state.processed
+    labels = list(first.monitor.statement_labels)
+    first.close()
+
+    second = _fresh(store_config)
+    assert second.replayed == processed
+    assert second.monitor.state.processed == processed
+    assert list(second.monitor.statement_labels) == labels
+    second.close()
+
+
 def test_ingest_continues_after_restart(store_config):
     first = _fresh(store_config)
     _ingest_workload(first, n=60)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.sqlparser import parse
+from repro.sqlparser import ast, parse
 from repro.sqlparser.errors import (LexError, ParseError, SqlError,
                                     UnsupportedStatementError)
+from repro.sqlparser.parser import MAX_NESTING, _Parser
 
 
 class TestUnsupportedStatements:
@@ -91,3 +92,65 @@ class TestRobustness:
                + ")" * depth)
         stmt = parse(sql)
         assert stmt.where is not None
+
+
+def _grouped(levels):
+    """A statement ``levels`` deep: its own SELECT is the first level,
+    each grouping parenthesis one more."""
+    inner = levels - 1
+    return ("SELECT ra FROM PhotoObj WHERE " + "(" * inner + "ra > 1"
+            + ")" * inner)
+
+
+class TestNestingLimit:
+    """Past ``MAX_NESTING`` levels the parser raises ``ParseError``
+    instead of exhausting Python's stack with ``RecursionError``."""
+
+    def test_statement_at_limit_parses(self):
+        stmt = parse(_grouped(MAX_NESTING))
+        assert isinstance(stmt.where, ast.Comparison)
+
+    def test_one_level_past_limit_is_parse_error(self):
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse(_grouped(MAX_NESTING + 1))
+
+    def test_refusal_is_not_retried(self, monkeypatch):
+        # Each grouping parenthesis may also be read as an expression;
+        # retrying that reading at every level after the limit is hit
+        # would cost work quadratic in the limit.
+        calls = []
+        original = _Parser._parse_factor
+
+        def counting(self):
+            calls.append(self._pos)
+            return original(self)
+
+        monkeypatch.setattr(_Parser, "_parse_factor", counting)
+        with pytest.raises(ParseError):
+            parse(_grouped(1000))
+        assert len(calls) <= MAX_NESTING
+
+    @pytest.mark.parametrize("sql", [
+        _grouped(1000),
+        "SELECT ra FROM P WHERE " + "NOT " * 1000 + "ra > 1",
+        "SELECT ra FROM P WHERE ra > " + "- " * 1000 + "1",
+        "SELECT ra FROM P WHERE ra > " + "+" * 1000 + "1",
+        "SELECT ra FROM P WHERE ra > " + "(" * 1000 + "1" + ")" * 1000,
+        "SELECT ra FROM P WHERE ra > " + "f(" * 1000 + "1" + ")" * 1000,
+        "SELECT ra FROM P WHERE ra IN " + "(" * 1000 + "1" + ")" * 1000,
+        "SELECT ra FROM P WHERE ra > "
+        + "(SELECT ra FROM P WHERE ra > " * 500 + "1" + ")" * 500,
+        "SELECT ra FROM P WHERE ra IN "
+        + "(SELECT ra FROM P WHERE ra IN " * 500 + "(1)" + ")" * 500,
+        "SELECT ra FROM P WHERE "
+        + "EXISTS (SELECT ra FROM P WHERE " * 500 + "ra > 1" + ")" * 500,
+        "SELECT ra FROM P WHERE ra > ANY "
+        + "(SELECT ra FROM P WHERE ra > ANY " * 500 + "(SELECT 1)"
+        + ")" * 500,
+        "SELECT ra FROM P WHERE " + "(NOT " * 500 + "ra > 1" + ")" * 500,
+    ], ids=["grouped", "not", "minus", "plus", "parenthesised", "function",
+            "in-list", "scalar-subquery", "in-subquery", "exists", "any",
+            "grouped-not"])
+    def test_every_nesting_kind_is_bounded(self, sql):
+        with pytest.raises(ParseError):
+            parse(sql)
