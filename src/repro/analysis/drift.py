@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..clustering.aggregation import AggregatedArea, aggregate_cluster
 from ..clustering.partitioned import partitioned_dbscan
 from ..core.area import AccessArea
 from ..distance.query_distance import QueryDistance
+from ..recommend.recommender import medoid
 from ..schema.statistics import StatisticsCatalog
+
+#: Medoid candidates per window cluster: its first members, unweighted.
+_MEDOID_CANDIDATES = 20
 
 
 class TrendKind(enum.Enum):
@@ -123,10 +127,12 @@ def mine_drift(
             members = [areas[i] for i in indices]
             aggregated = aggregate_cluster(cluster_id, members, stats,
                                            sigma=sigma)
-            medoid = _medoid(members, distance)
+            candidates = members[:_MEDOID_CANDIDATES]
+            medoid_area, _ = medoid(candidates, [1] * len(candidates),
+                                    distance)
             interests.append(WindowInterest(
                 window=window_index, aggregated=aggregated,
-                medoid=medoid, cardinality=len(members)))
+                medoid=medoid_area, cardinality=len(members)))
         interests.sort(key=lambda i: i.cardinality, reverse=True)
         report.windows.append(interests)
 
@@ -155,18 +161,6 @@ def mine_drift(
                 report.trends.append(Trend(TrendKind.VANISHED,
                                            window_index, None, candidate))
     return report
-
-
-def _medoid(members: list[AccessArea],
-            distance: Callable[[AccessArea, AccessArea], float],
-            sample_cap: int = 20) -> AccessArea:
-    candidates = members[:sample_cap]
-    best, best_cost = candidates[0], float("inf")
-    for candidate in candidates:
-        cost = sum(distance(candidate, other) for other in candidates)
-        if cost < best_cost:
-            best, best_cost = candidate, cost
-    return best
 
 
 def split_by_time(areas_with_time: Sequence[tuple[AccessArea, float]],

@@ -50,6 +50,7 @@ to the per-pair pure-Python path for that partition.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -309,6 +310,50 @@ class PackedPartition:
         self._append_clauses(clause_pids)
         self._append_areas(area_ids)
         self._row_cache = None
+
+    def probe(self, area) -> "np.ndarray":
+        """``d_conj`` from ``area`` to every packed area, in order,
+        leaving this pack bitwise unchanged.
+
+        ``area`` is appended by :meth:`extend` to a copy whose tables
+        hold the live region plus exactly the room ``area`` can need:
+        one row and column per clause and per predicate it spells.  The
+        copy's last row is read back with one :meth:`pair_rows`.  Every
+        container an extend writes is copied; the oracle, the catalog
+        and the per-area id arrays, which no extend writes, are shared.
+        Raises :class:`KernelUnsupported` when ``area`` cannot be
+        replayed exactly.
+        """
+        clauses = area.cnf.clauses
+        clone = copy.copy(self)
+        for name in ("_clause_ids", "_pred_ids", "_key_ids", "_numeric",
+                     "_categorical"):
+            setattr(clone, name, dict(getattr(self, name)))
+        clone._positions = {gid: dict(positions)
+                            for gid, positions in self._positions.items()}
+        clone._clause_pids = list(self._clause_pids)
+        clone._ids = list(self._ids)
+        clone._formulas = list(self._formulas)
+        p = self.n_predicates + sum(len(clause.predicates)
+                                    for clause in clauses)
+        c = self.n_clauses + len(clauses)
+        m = self.n_areas
+        width = max(self._id_pad_buf.shape[1], len(clauses))
+        clone._table = _resized(self._table[:self.n_predicates], (p,), 0)
+        clone._bits = _resized(self._bits[:self.n_predicates],
+                               (p, self._bits.shape[1]), 0)
+        clone._dp_buf = _resized(self._dp, (p, p), 1.0)
+        clone._clause_len = _resized(self._clause_len[:self.n_clauses],
+                                     (c,), 0)
+        clone._unit_pid = _resized(self._unit_pid[:self.n_clauses], (c,),
+                                   -1)
+        # The last column stays the +inf sentinel of padded area slots.
+        clone._dc_buf = _resized(self._dc, (c, c + 1), np.inf)
+        clone._best_buf = _resized(self._best, (c, m + 1), np.inf)
+        clone._counts_buf = _resized(self._counts, (m + 1,), 0)
+        clone._id_pad_buf = _resized(self._id_pad, (m + 1, width), -1)
+        clone.extend([area])
+        return clone.pair_rows(m, range(m))
 
     # -- growable views -----------------------------------------------------
     #

@@ -25,6 +25,7 @@ from ..core.pipeline import dedupe_areas
 from ..distance.block_sparse import compute_matrix
 from ..distance.query_distance import QueryDistance
 from ..schema.statistics import StatisticsCatalog
+from .recommender import InterestRecommender
 
 
 def fit_recommender(areas: Sequence[AccessArea],
@@ -34,20 +35,25 @@ def fit_recommender(areas: Sequence[AccessArea],
                     extractor: Optional[AccessAreaExtractor] = None, *,
                     resolution: float = 0.05,
                     min_cluster_size: int = 5,
-                    sigma: float = 3.0):
+                    sigma: float = 3.0,
+                    previous: Optional[InterestRecommender] = None
+                    ) -> InterestRecommender:
     """Fit a recommender on an already-clustered unique population.
 
     ``areas``/``weights``/``labels`` are aligned per unique area — the
     shape both :meth:`~repro.clustering.incremental.IncrementalDBSCAN`
-    state and a weighted batch run produce.
+    state and a weighted batch run produce.  ``previous`` is the
+    recommender this fit replaces: its medoid blocks are taken over
+    where the candidates are unchanged (see
+    :meth:`~repro.recommend.InterestRecommender.fit`), with a bitwise
+    identical result.
     """
-    from .recommender import InterestRecommender
-
     recommender = InterestRecommender(
         stats, extractor=extractor, resolution=resolution,
         min_cluster_size=min_cluster_size)
     recommender.fit(list(areas), DBSCANResult(list(labels)),
-                    sigma=sigma, weights=[int(w) for w in weights])
+                    sigma=sigma, weights=[int(w) for w in weights],
+                    previous=previous)
     return recommender
 
 

@@ -282,7 +282,9 @@ class AppState:
                 or "statement did not extract")
         else:
             pooled = self.interner.intern(area)
-            digest = fingerprint_digest(pooled)
+            if self.store is not None:
+                # Only the journal reads the digest.
+                digest = fingerprint_digest(pooled)
             label = self.monitor.statement_labels[-1]
             if label is None:
                 outcome = IngestOutcome(status="unclustered",
@@ -339,7 +341,8 @@ class AppState:
                 snapshot.areas, [int(w) for w in snapshot.weights],
                 snapshot.labels, self.frozen_stats, self.extractor,
                 resolution=self.config.resolution,
-                min_cluster_size=self.config.min_cluster_size)
+                min_cluster_size=self.config.min_cluster_size,
+                previous=self._recommender)
             self._recommender_version = self.structure_version
             self.registry.counter(
                 "repro_service_recommender_refreshes_total").inc()

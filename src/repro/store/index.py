@@ -77,13 +77,9 @@ class FingerprintIndex:
     # -- lookups ------------------------------------------------------
 
     def __len__(self) -> int:
-        # Delta may shadow snapshot entries (re-append after reopen);
-        # subtract the overlap so len() is the unique-digest count.
-        if not self._delta or not self._snapshot_count:
-            return self._snapshot_count + len(self._delta)
-        shadowed = sum(1 for digest in self._delta
-                       if self._search_snapshot(digest) is not None)
-        return self._snapshot_count + len(self._delta) - shadowed
+        # put() only receives unindexed digests, so the delta and the
+        # snapshot are disjoint.
+        return self._snapshot_count + len(self._delta)
 
     def __contains__(self, digest: bytes) -> bool:
         return self.get(digest) is not None
@@ -119,6 +115,8 @@ class FingerprintIndex:
         return None
 
     def put(self, digest: bytes, location: RecordLocation) -> None:
+        """Index ``digest``, which must not be indexed yet: callers
+        check membership first, which keeps :meth:`__len__` a sum."""
         self._delta[digest] = location
 
     @property

@@ -1,5 +1,7 @@
 """Temporal interest drift ("trending research directions")."""
 
+import math
+
 import pytest
 
 from repro.algebra.cnf import CNF, Clause
@@ -7,7 +9,9 @@ from repro.algebra.intervals import Interval
 from repro.algebra.predicates import (ColumnConstantPredicate, ColumnRef,
                                       Op)
 from repro.analysis import TrendKind, mine_drift, split_by_time
+from repro.clustering import partitioned_dbscan
 from repro.core.area import AccessArea
+from repro.distance import QueryDistance
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
 
@@ -73,6 +77,47 @@ class TestMineDrift:
         text = report.describe()
         assert "windows analysed : 2" in text
         assert "persisted" in text
+
+
+def _per_pair_medoid(members, distance, sample_cap=20):
+    """The per-pair reference: unweighted cost over the first
+    ``sample_cap`` members, first minimum wins."""
+    candidates = members[:sample_cap]
+    best, best_cost = candidates[0], float("inf")
+    for candidate in candidates:
+        cost = sum(distance(candidate, other) for other in candidates)
+        if cost < best_cost:
+            best, best_cost = candidate, cost
+    return best
+
+
+class TestMedoids:
+    def test_medoids_equal_per_pair_loop(self):
+        """Counts of 1 through the kernel-backed medoid: the same
+        members as the per-pair loop, past the 20-candidate cap, on
+        ties, and where a NaN constant sends a cluster to the metric."""
+        nan_clause = Clause.of([ColumnConstantPredicate(REF, Op.EQ,
+                                                        math.nan)])
+        odd = [AccessArea(area.relations,
+                          CNF.of(list(area.cnf.clauses) + [nan_clause]))
+               for area in family(40, 50, 6)]
+        windows = [family(10, 20, 25) + family(70, 80, 8) + odd,
+                   family(10, 20, 6) + family(70, 80, 30, jitter=0.0)]
+        stats = _stats()
+        report = mine_drift(windows, stats, eps=0.15, min_pts=4)
+        distance = QueryDistance(stats, resolution=0.05)
+        for interests, areas in zip(report.windows, windows):
+            clustering = partitioned_dbscan(areas, distance, 0.15, 4)
+            want = sorted(
+                ((len(indices),
+                  _per_pair_medoid([areas[i] for i in indices], distance))
+                 for indices in clustering.clusters().values()),
+                key=lambda pair: pair[0], reverse=True)
+            assert len(want) == len(interests) >= 2
+            assert [id(interest.medoid) for interest in interests] == \
+                [id(medoid) for _, medoid in want]
+        assert any(interest.medoid in odd
+                   for interest in report.windows[0])
 
 
 class TestSplitByTime:

@@ -1,13 +1,27 @@
 """Interest-area recommendation (QueRIE-style)."""
 
+import gc
+import math
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.recommend.recommender as recommender_module
+from repro.algebra.cnf import CNF, Clause
 from repro.algebra.intervals import Interval
+from repro.algebra.predicates import (ColumnColumnPredicate,
+                                      ColumnConstantPredicate, ColumnRef,
+                                      Op)
 from repro.clustering import partitioned_dbscan
+from repro.clustering.dbscan import DBSCANResult
 from repro.core import AccessAreaExtractor
-from repro.recommend import InterestRecommender
+from repro.core.area import AccessArea
+from repro.distance import QueryDistance
+from repro.distance.kernel import PackedPartition
+from repro.recommend import (InterestRecommender, Recommendation,
+                             fit_recommender)
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
 
@@ -260,3 +274,338 @@ class TestInternedExpandedParity:
             [r.distance for r in e_recs]  # bitwise, not approx
         assert [r.suggested_sql for r in w_recs] == \
             [r.suggested_sql for r in e_recs]
+
+
+# -- the kernel path against the per-pair oracle -----------------------------
+
+
+class _PerPairReference(InterestRecommender):
+    """The per-pair reference: one metric call per candidate pair in
+    ``_medoid`` and one per cluster in ``recommend``, all through one
+    shared metric, with a stable sort by distance, then popularity."""
+
+    def _medoid(self, members, weights, block=None):
+        candidates = members[:25]
+        counts = list(weights[:25])
+        best, best_cost = candidates[0], float("inf")
+        for candidate in candidates:
+            cost = sum(count * self._distance(candidate, other)
+                       for other, count in zip(candidates, counts))
+            if cost < best_cost:
+                best, best_cost = candidate, cost
+        return best, None
+
+    def recommend(self, area, k=5, max_distance=2.0, exclude_exact=True):
+        scored = []
+        for cluster in self._clusters:
+            distance = self._distance(area, cluster.medoid)
+            if distance > max_distance:
+                continue
+            if exclude_exact and distance < 1e-9:
+                continue
+            scored.append(Recommendation(
+                aggregated=cluster.aggregated,
+                distance=distance,
+                popularity=cluster.aggregated.cardinality,
+                suggested_sql=cluster.aggregated.to_sql(),
+                medoid=cluster.medoid,
+            ))
+        scored.sort(key=lambda r: (r.distance, -r.popularity))
+        return scored[:k]
+
+
+def _parity_stats():
+    schema = Schema("kernelrec")
+    schema.add(Relation("T", (
+        Column("x", ColumnType.FLOAT, Interval(0.0, 100.0)),
+        Column("c", ColumnType.VARCHAR, categories=("a", "b", "c")),
+        Column("flag", ColumnType.INT, Interval(0.0, 1.0)),
+    )))
+    schema.add(Relation("S", (
+        Column("y", ColumnType.FLOAT, Interval(0.0, 100.0)),)))
+    return StatisticsCatalog.from_exact_content(schema, {
+        ("T", "x"): Interval(0.0, 100.0),
+        ("S", "y"): Interval(0.0, 100.0),
+    })
+
+
+T_X = ColumnRef("T", "x")
+T_C = ColumnRef("T", "c")
+T_FLAG = ColumnRef("T", "flag")
+S_Y = ColumnRef("S", "y")
+
+_numeric = st.builds(
+    ColumnConstantPredicate, st.sampled_from([T_X, S_Y]),
+    st.sampled_from(list(Op)),
+    st.one_of(st.integers(min_value=-5, max_value=105),
+              st.floats(min_value=-5.0, max_value=105.0),
+              st.sampled_from([10, 10.0, 2 ** 60 + 1])))
+_categorical = st.builds(
+    ColumnConstantPredicate, st.just(T_C),
+    st.sampled_from([Op.EQ, Op.NE, Op.LT]), st.sampled_from("abcd"))
+_join = st.builds(ColumnColumnPredicate, st.just(T_X),
+                  st.sampled_from([Op.EQ, Op.LT]), st.just(S_Y))
+# Constants the kernel refuses (KernelUnsupported) that the metric and
+# the aggregation still evaluate (an infinite point or an empty ray
+# raises in both, kernel or not).  Booleans live on their own column:
+# ``True == 1`` makes the metric's predicate-pair memo answer by
+# evaluation order there, which no reference that skips calls can
+# replay (see TestBoolAndIntOnOneColumn).
+_unsupported = st.sampled_from([
+    ColumnConstantPredicate(T_X, Op.EQ, math.nan),
+    ColumnConstantPredicate(S_Y, Op.GE, math.nan),
+    ColumnConstantPredicate(T_X, Op.LT, math.inf),
+    ColumnConstantPredicate(S_Y, Op.LE, math.inf),
+    ColumnConstantPredicate(T_X, Op.GT, -math.inf),
+    ColumnConstantPredicate(T_FLAG, Op.EQ, True),
+    ColumnConstantPredicate(T_FLAG, Op.NE, False),
+])
+_predicates = st.one_of(_numeric, _numeric, _numeric, _categorical, _join,
+                        _unsupported)
+# Up to three clauses, so empty CNFs (TRUE) and empty clauses (FALSE)
+# occur; table sets mix within clusters and across them.
+_areas = st.builds(
+    lambda tables, clauses: AccessArea(tables, CNF.of(clauses)),
+    st.sampled_from([("T",), ("S",), ("S", "T")]),
+    st.lists(st.lists(_predicates, max_size=2).map(Clause.of),
+             max_size=3))
+
+
+@st.composite
+def _fits(draw):
+    """A clustered population drawn from a small pool, so equal areas,
+    equal distances and equal popularities (ties) are common."""
+    pool = draw(st.lists(_areas, min_size=1, max_size=6))
+    size = draw(st.integers(min_value=1, max_value=30))
+    areas = [draw(st.sampled_from(pool)) for _ in range(size)]
+    labels = [draw(st.integers(min_value=-1, max_value=3))
+              for _ in range(size)]
+    weights = [draw(st.integers(min_value=1, max_value=3))
+               for _ in range(size)]
+    return areas, labels, weights
+
+
+def _recommendation_rows(recommendations):
+    # repr: a NaN distance equals itself only as text.
+    return [(repr(r.distance), r.popularity, r.suggested_sql,
+             r.aggregated.describe(), id(r.medoid))
+            for r in recommendations]
+
+
+def _assert_same_recommender(got, want, probes):
+    assert [id(c.medoid) for c in got._clusters] == \
+        [id(c.medoid) for c in want._clusters]
+    assert _recommendation_rows(got.popular(k=100)) == \
+        _recommendation_rows(want.popular(k=100))
+    for probe in probes:
+        for k, exclude_exact in ((3, True), (100, False)):
+            assert _recommendation_rows(
+                got.recommend(probe, k=k, exclude_exact=exclude_exact)) \
+                == _recommendation_rows(
+                    want.recommend(probe, k=k, exclude_exact=exclude_exact))
+
+
+class TestKernelMatchesPerPairOracle:
+    """Medoids, distances, ranking order and SQL of the kernel-backed
+    recommender equal the per-pair loops', bitwise — across mixed table
+    sets, empty CNFs, ties and constants the kernel refuses."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fit=_fits(), refit=_fits(),
+           probes=st.lists(_areas, min_size=1, max_size=4),
+           resolution=st.sampled_from([0.0, 0.02, 0.05]))
+    def test_fit_and_ranking_equal_oracle(self, fit, refit, probes,
+                                          resolution):
+        stats = _parity_stats()
+
+        def fitted(cls, population, previous=None):
+            areas, labels, weights = population
+            recommender = cls(stats, resolution=resolution,
+                              min_cluster_size=2)
+            return recommender.fit(areas, DBSCANResult(labels),
+                                   weights=weights, previous=previous)
+
+        first = fitted(InterestRecommender, fit)
+        _assert_same_recommender(
+            first, fitted(_PerPairReference, fit), probes)
+        # A refit over another clustering of (partly) the same areas,
+        # taking over the first fit's blocks, is the same fit.
+        areas, labels, weights = refit
+        again = fitted(InterestRecommender,
+                       (fit[0] + areas, fit[1] + labels, fit[2] + weights),
+                       previous=first)
+        _assert_same_recommender(
+            again, fitted(_PerPairReference,
+                          (fit[0] + areas, fit[1] + labels,
+                           fit[2] + weights)), probes)
+
+    def test_ranking_probe_leaves_medoid_pack_unchanged(self):
+        stats = _parity_stats()
+        areas = [AccessArea(("T",), CNF.of([Clause.of([
+            ColumnConstantPredicate(T_X, Op.GE, 10.0 * k)])]))
+            for k in range(6)]
+        recommender = InterestRecommender(
+            stats, min_cluster_size=1).fit(
+            areas, DBSCANResult([0, 0, 1, 1, 2, 2]))
+        recommender.recommend(areas[0])
+        pack = recommender._medoid_pack()[0]
+        tables = {name: getattr(pack, name).copy()
+                  for name in ("_counts", "_dp", "_dc", "_best")}
+        query = AccessArea(("S", "T"), CNF.of([
+            Clause.of([ColumnConstantPredicate(S_Y, Op.LT, 5.0)]),
+            Clause.of([ColumnConstantPredicate(T_C, Op.EQ, "b")])]))
+        recommender.recommend(query)
+        assert recommender._medoid_pack()[0] is pack
+        for name, table in tables.items():
+            after = getattr(pack, name)
+            assert after.shape == table.shape
+            assert after.tobytes() == table.tobytes(), name
+
+
+
+class TestBoolAndIntOnOneColumn:
+    """The known divergence from the per-pair loops.
+
+    ``T.flag = True`` equals ``T.flag = 1`` as a predicate, so the
+    metric's pair memo keys the two as one, though it prices them apart
+    (a bool is a category, an int a point).  The per-pair loops answer
+    by evaluation order: whichever spelling meets ``T.flag >= 1`` first
+    sets the other's distance.  The kernel refuses bools and its
+    clusters do not warm that memo, so each cluster gets the medoid the
+    per-pair loops pick for it fitted alone, in either cluster order.
+    """
+
+    @staticmethod
+    def _cluster(value):
+        ray = ColumnConstantPredicate(T_FLAG, Op.GE, 1)
+        return [AccessArea(("T",), CNF.of([Clause.of([predicate])]))
+                for predicate in (ColumnConstantPredicate(T_FLAG, Op.EQ,
+                                                          value),
+                                  ray, ray)]
+
+    @pytest.mark.parametrize("values", [(1, True), (True, 1)],
+                             ids=["int-first", "bool-first"])
+    def test_each_cluster_gets_its_medoid_fitted_alone(self, values):
+        stats = _parity_stats()
+        population = [self._cluster(value) for value in values]
+
+        def medoids(cls, clusters):
+            areas = [area for cluster in clusters for area in cluster]
+            labels = [label for label, cluster in enumerate(clusters)
+                      for _ in cluster]
+            fitted = cls(stats, min_cluster_size=2).fit(
+                areas, DBSCANResult(labels))
+            return [str(cluster.medoid.cnf)
+                    for cluster in fitted._clusters]
+
+        alone = [medoids(_PerPairReference, [cluster])[0]
+                 for cluster in population]
+        assert medoids(InterestRecommender, population) == alone
+        # The per-pair fit of both gives the second cluster the memo
+        # entry the first one left.
+        assert medoids(_PerPairReference, population) != alone
+
+class TestRefitReusesBlocks:
+    """A refit takes over the previous fit's block of every cluster
+    whose medoid candidates are unchanged."""
+
+    @staticmethod
+    def _population():
+        areas = []
+        for k in range(8):
+            areas.append(AccessArea(("T",), CNF.of([
+                Clause.of([ColumnConstantPredicate(T_X, Op.GE, 2.0 * k)]),
+                Clause.of([ColumnConstantPredicate(T_X, Op.LE,
+                                                   2.0 * k + 9.5)])])))
+        for k in range(5):
+            areas.append(AccessArea(("S",), CNF.of([Clause.of([
+                ColumnConstantPredicate(S_Y, Op.EQ, 50.0 + k)])])))
+        labels = [0] * 8 + [1] * 5
+        return areas, labels
+
+    def test_weight_only_refit_computes_no_distance(self, monkeypatch):
+        stats = _parity_stats()
+        areas, labels = self._population()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        calls = {"oracle": 0, "extend": 0}
+        oracle, extend = QueryDistance.distance, PackedPartition.extend
+
+        def counting_oracle(self, *args):
+            calls["oracle"] += 1
+            return oracle(self, *args)
+
+        def counting_extend(self, *args):
+            calls["extend"] += 1
+            return extend(self, *args)
+
+        monkeypatch.setattr(QueryDistance, "distance", counting_oracle)
+        monkeypatch.setattr(PackedPartition, "extend", counting_extend)
+        weights = [1 + k % 4 for k in range(len(areas))]
+        second = fit_recommender(areas, weights, labels, stats,
+                                 min_cluster_size=2, previous=first)
+        assert calls == {"oracle": 0, "extend": 0}
+        assert second._clusters and all(
+            any(c.block is p.block for p in first._clusters)
+            for c in second._clusters)
+        monkeypatch.undo()
+        fresh = fit_recommender(areas, weights, labels, stats,
+                                min_cluster_size=2)
+        _assert_same_recommender(second, fresh, areas[::4])
+
+    def test_changed_cluster_alone_is_repacked(self, monkeypatch):
+        stats = _parity_stats()
+        areas, labels = self._population()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        packed = []
+        block = recommender_module.kernel_block
+        monkeypatch.setattr(
+            recommender_module, "kernel_block",
+            lambda candidates, metric: packed.append(len(candidates))
+            or block(candidates, metric))
+        # One more member joins the second cluster.
+        grown = areas + [AccessArea(("S",), CNF.of([Clause.of([
+            ColumnConstantPredicate(S_Y, Op.EQ, 56.0)])]))]
+        second = fit_recommender(grown, [1] * len(grown), labels + [1],
+                                 stats, min_cluster_size=2,
+                                 previous=first)
+        assert packed == [6]
+        monkeypatch.undo()
+        _assert_same_recommender(
+            second, fit_recommender(grown, [1] * len(grown), labels + [1],
+                                    stats, min_cluster_size=2),
+            grown[::3])
+
+    @pytest.mark.parametrize("other", ["resolution", "catalog"])
+    def test_blocks_of_another_metric_are_not_taken_over(self, other):
+        stats = _parity_stats()
+        areas, labels = self._population()
+        first = fit_recommender(
+            areas, [1] * len(areas), labels,
+            _parity_stats() if other == "catalog" else stats,
+            resolution=0.02 if other == "resolution" else 0.05,
+            min_cluster_size=2)
+        second = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                 min_cluster_size=2, previous=first)
+        assert not any(c.block is p.block for c in second._clusters
+                       for p in first._clusters)
+        _assert_same_recommender(
+            second, fit_recommender(areas, [1] * len(areas), labels,
+                                    stats, min_cluster_size=2),
+            areas[::4])
+
+    def test_new_fit_keeps_only_its_own_blocks(self):
+        stats = _parity_stats()
+        areas, labels = self._population()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        gone = weakref.ref(first)
+        second = fit_recommender(areas, [1] * len(areas),
+                                 [0] * 8 + [-1] * 5, stats,
+                                 min_cluster_size=2, previous=first)
+        kept = first._clusters[0].block
+        del first
+        gc.collect()
+        assert gone() is None
+        assert [id(c.block) for c in second._clusters] == [id(kept)]

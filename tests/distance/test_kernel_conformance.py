@@ -22,6 +22,11 @@ A pack grown area by area (or chunk by chunk) must hold the same tables
 as one packed from scratch, refuse before changing anything, and call
 the oracle's per-predicate helpers only for predicates it has not
 packed yet.
+
+A pack reads no table sets: over areas of several table sets, the
+Jaccard ``d_tables`` plus the pack's ``d_conj`` is the full metric.  A
+probe of a shared pack scores the query as a pack holding it would and
+leaves the shared pack bitwise unchanged.
 """
 
 import math
@@ -43,6 +48,7 @@ from repro.distance import DistanceMatrix, QueryDistance, condensed_index
 from repro.distance.kernel import (KernelUnsupported, PackedPartition,
                                    compute_kernel_blocks)
 from repro.distance.predicate_distance import PredicateDistance
+from repro.distance.query_distance import jaccard_distance
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
 
@@ -530,3 +536,112 @@ class TestInsertIsIncremental:
         pack.extend(self._base(size)[::-1]
                     + [_area([fresh[3]], [fresh[0], fresh[1]])])
         assert all(not seen for seen in calls.values())
+
+
+# -- table sets and probes ---------------------------------------------------
+
+mixed_areas = st.builds(
+    lambda tables, clauses_: AccessArea(tables, CNF.of(clauses_)),
+    st.sampled_from([("T",), ("S",), ("S", "T")]),
+    st.lists(clauses, min_size=0, max_size=4))
+
+
+class TestMixedTableSets:
+    @settings(max_examples=40, deadline=None)
+    @given(population=st.lists(mixed_areas, min_size=2, max_size=8),
+           resolution=resolutions)
+    def test_jaccard_plus_pack_equals_metric(self, population,
+                                             resolution):
+        stats = _dist_stats()
+        pack = PackedPartition(population,
+                               QueryDistance(stats, resolution=resolution))
+        block = pack.condensed_block()
+        oracle = QueryDistance(stats, resolution=resolution)
+        m = len(population)
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                value = jaccard_distance(population[i].table_set,
+                                         population[j].table_set) \
+                    + block[condensed_index(i, j, m)]
+                assert value == oracle(population[i], population[j])
+
+
+_PROBED = ("_counts", "_dp", "_dc", "_best", "_table", "_bits",
+           "_dp_buf", "_dc_buf", "_best_buf", "_counts_buf", "_id_pad_buf")
+
+
+class TestProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(population=st.lists(mixed_areas, min_size=1, max_size=8),
+           query=mixed_areas, resolution=resolutions, grown=st.booleans())
+    def test_probe_scores_query_and_leaves_pack_unchanged(
+            self, population, query, resolution, grown):
+        metric = QueryDistance(_dist_stats(), resolution=resolution)
+        # A pack grown area by area keeps spare capacity, which a probe
+        # must not write either; one packed at once has none.
+        pack = PackedPartition(population[:1] if grown else population,
+                               metric)
+        for area in population[1:] if grown else ():
+            pack.extend([area])
+        before = {name: getattr(pack, name).copy() for name in _PROBED}
+        counts = (pack.n_predicates, pack.n_clauses, pack.n_areas)
+        m = len(population)
+
+        row = pack.probe(query)
+
+        held = PackedPartition(population + [query], metric)
+        assert row.tobytes() == held.pair_rows(m, range(m)).tobytes()
+        oracle = QueryDistance(_dist_stats(), resolution=resolution)
+        assert list(row) == [oracle.d_conj(query.cnf, area.cnf)
+                             for area in population]
+        assert (pack.n_predicates, pack.n_clauses, pack.n_areas) == counts
+        for name, table in before.items():
+            after = getattr(pack, name)
+            assert after.shape == table.shape, name
+            assert after.tobytes() == table.tobytes(), name
+        # The probed pack still grows exactly as an unprobed one.
+        pack.extend([query])
+        _assert_same_tables(pack, held)
+
+    def test_probe_wider_than_spare_capacity(self, monkeypatch):
+        """A query bringing more new predicates and clauses than the
+        shared pack has spare room for leaves the pack's buffers as they
+        were; the probe's copy is sized to the query, not doubled."""
+        metric = QueryDistance(_dist_stats(), resolution=0.01)
+        population = [
+            _area([ColumnConstantPredicate(T_A, Op.GE, 0.25 * k)],
+                  [ColumnConstantPredicate(T_S, Op.NE, "xyz"[k % 3])])
+            for k in range(6)]
+        pack = PackedPartition(population[:1], metric)
+        for area in population[1:]:
+            pack.extend([area])
+        spare = max(len(pack._table) - pack.n_predicates,
+                    len(pack._clause_len) - pack.n_clauses)
+        assert spare > 0
+        wide = spare + 3
+        query = _area(*([ColumnConstantPredicate(T_A1, Op.LE, 0.125 * k)]
+                        for k in range(wide)))
+        before = {name: getattr(pack, name).copy() for name in _PROBED}
+        read = []
+        pair_rows = PackedPartition.pair_rows
+
+        def reading(self, i, js):
+            read.append(self)
+            return pair_rows(self, i, js)
+
+        monkeypatch.setattr(PackedPartition, "pair_rows", reading)
+        row = pack.probe(query)
+        (probed,) = read
+        assert len(probed._table) == probed.n_predicates \
+            == pack.n_predicates + wide
+        assert len(probed._clause_len) == probed.n_clauses \
+            == pack.n_clauses + wide
+        m = len(population)
+        held = PackedPartition(population + [query], metric)
+        assert row.tobytes() == held.pair_rows(m, range(m)).tobytes()
+        for name, table in before.items():
+            after = getattr(pack, name)
+            assert after.shape == table.shape, name
+            assert after.tobytes() == table.tobytes(), name

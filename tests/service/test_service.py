@@ -23,6 +23,7 @@ from repro.algebra.intervals import Interval
 from repro.clustering import DBSCAN
 from repro.distance import QueryDistance
 from repro.obs.metrics import MetricsRegistry
+from repro.recommend import fit_recommender
 from repro.schema import Column, ColumnType, Relation, Schema
 from repro.service import (AppState, ServiceConfig, TestClient,
                            create_app)
@@ -320,3 +321,53 @@ class TestConcurrency:
                 "sql": f"SELECT * FROM SpecObjAll WHERE z BETWEEN "
                        f"0.{i} AND 0.{i + 2}"})
         assert state.recommender() is not first  # CLUSTER_CHANGED
+
+
+class TestRecommenderRefit:
+    def test_reusing_refit_equals_fresh_fit(self):
+        """After every CLUSTER_CHANGED of a replayed stream, the refit
+        that takes over the previous fit's blocks equals a fit from
+        scratch: medoids, popular rows and rankings."""
+        _, state = _service(ServiceConfig(eps=0.12, min_pts=3, warmup=10,
+                                          min_cluster_size=2))
+        statements = generate_workload(WorkloadConfig(
+            n_queries=160, seed=5)).log.statements_with_users()
+        # A second pass repeats the first: weight-only arrivals between
+        # the structure changes.
+        stream = statements + statements[:80]
+        probes = []
+        refits = taken_over = 0
+        for sql, user in stream:
+            structure = state.structure_version
+            outcome = state.ingest(sql, user)
+            if outcome.status != "failed" and len(probes) < 6:
+                probes.append(state.extractor.extract(sql).area)
+            if state.structure_version == structure:
+                continue
+            previous = state._recommender
+            live = state.recommender()
+            snapshot = state.snapshot()
+            fresh = fit_recommender(
+                snapshot.areas, [int(w) for w in snapshot.weights],
+                snapshot.labels, state.frozen_stats, state.extractor,
+                resolution=state.config.resolution,
+                min_cluster_size=state.config.min_cluster_size,
+                previous=None)
+            refits += 1
+            if previous is not None:
+                old = {id(c.block) for c in previous._clusters}
+                taken_over += sum(id(c.block) in old
+                                  for c in live._clusters
+                                  if c.block is not None)
+            assert [c.medoid for c in live._clusters] == \
+                [c.medoid for c in fresh._clusters]
+            assert [(r.popularity, r.suggested_sql, r.medoid)
+                    for r in live.popular(k=100)] == \
+                [(r.popularity, r.suggested_sql, r.medoid)
+                 for r in fresh.popular(k=100)]
+            for probe in probes:
+                assert [(r.distance, r.popularity, r.suggested_sql)
+                        for r in live.recommend(probe, k=100)] == \
+                    [(r.distance, r.popularity, r.suggested_sql)
+                     for r in fresh.recommend(probe, k=100)]
+        assert refits > 5 and taken_over > 0

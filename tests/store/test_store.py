@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.pipeline import AccessAreaInterner
 from repro.obs.metrics import MetricsRegistry
 from repro.store import AreaStore, fingerprint_digest, open_store
+from repro.store.index import FingerprintIndex
 
 
 def test_open_store_is_optional(tmp_path):
@@ -148,3 +150,44 @@ def test_digest_key_matches_module_function(tmp_path, areas):
     with AreaStore(str(tmp_path / "s")) as store:
         for area in areas:
             assert store.append_area(area) == fingerprint_digest(area)
+
+
+class TestLenIsConstantTime:
+    """``len()`` reads no snapshot entry, so an ingest after a
+    checkpoint reads O(log n) of them, not O(entries since the
+    checkpoint) — counted, not timed."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        seen = []
+        entry_at = FingerprintIndex._entry_at
+
+        def counting(index, position):
+            seen.append(position)
+            return entry_at(index, position)
+
+        monkeypatch.setattr(FingerprintIndex, "_entry_at", counting)
+        return seen
+
+    def test_ingest_after_checkpoint(self, tmp_path, extractor, reads):
+        areas = [extractor.extract(f"SELECT a FROM T WHERE a > {k / 128}")
+                 .area for k in range(330)]
+        registry = MetricsRegistry()
+        with AreaStore(str(tmp_path / "s")) as store:
+            interner = AccessAreaInterner(store=store)
+            for area in areas[:256]:
+                interner.intern(area)
+            store.checkpoint()
+            for area in areas[256:320]:
+                interner.intern(area)
+            # Two snapshot searches per new area: the store's
+            # membership probe and the interner's hit probe.
+            bound = 2 * (256).bit_length()
+            for area in areas[320:]:
+                reads.clear()
+                interner.intern(area)
+                interner.record(registry)
+                assert len(reads) <= bound
+            reads.clear()
+            assert len(store) == len(interner) == len(areas)
+            assert reads == []
