@@ -83,6 +83,16 @@ def normalize_constant(value: Constant) -> tuple:
     return ("n", value)
 
 
+def setstate_without_hash(obj, state: dict) -> None:
+    """``__setstate__`` of the classes that cache ``hash()`` in
+    ``_hash``.  String hashes differ between interpreters, so a hash
+    cached by the process that pickled the object (an area read back
+    from the store after a restart) would split equal objects in every
+    dict; the next ``hash()`` recomputes it."""
+    obj.__dict__.update(state)
+    obj.__dict__.pop("_hash", None)
+
+
 @dataclass(frozen=True, eq=True)
 class ColumnRef:
     """A fully qualified column reference ``relation.column``.
@@ -94,6 +104,8 @@ class ColumnRef:
 
     relation: str
     column: str
+
+    __setstate__ = setstate_without_hash
 
     def __hash__(self) -> int:
         # Cached: refs are hashed millions of times by the distance memo.
@@ -114,6 +126,8 @@ class ColumnRef:
 @dataclass(frozen=True)
 class Predicate:
     """Base class for atomic predicates."""
+
+    __setstate__ = setstate_without_hash
 
     def negate(self) -> "Predicate":
         raise NotImplementedError

@@ -187,13 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--store-dir", default=None, metavar="DIR",
                          help="persistent area store backing the "
                               "resident state: ingests are journaled "
-                              "and replayed on restart, and the "
-                              "intern pool evicts to disk")
-    p_serve.add_argument("--max-resident", type=int, default=None,
-                         metavar="N",
-                         help="cap on in-memory interned areas "
-                              "(requires --store-dir; older areas "
-                              "evict to the store)")
+                              "and replayed on restart")
     p_serve.add_argument("--min-cluster-size", type=int, default=5,
                          help="smallest weighted cluster the "
                               "recommender indexes")
@@ -609,7 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         eps=args.eps, min_pts=args.min_pts,
         warmup=args.warmup, min_cluster_size=args.min_cluster_size,
-        store_dir=args.store_dir, max_resident=args.max_resident)
+        store_dir=args.store_dir)
     app = create_app(config)
     print(f"interest service on http://{args.host}:{args.port} "
           f"(backend={app.state.clusterer.backend_name}, "
@@ -629,7 +623,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     state = app.state.monitor.state
     print(f"\nstopped after {state.processed:,} statements "
           f"({app.state.clusterer.n_clusters} clusters, "
-          f"{len(app.state.interner)} pooled areas)")
+          f"{app.state.clusterer.n_unique} unique areas)")
     return 0
 
 

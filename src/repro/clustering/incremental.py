@@ -163,12 +163,12 @@ class IncrementalDBSCAN:
 
     Parameters mirror :class:`~repro.clustering.dbscan.DBSCAN`
     (``eps``, ``min_pts``); ``metric`` is the decomposed query metric.
-    With ``intern=True`` (default) arrivals are pooled by canonical
-    fingerprint, so repeats of an already-seen area never touch the
-    distance backend.  ``eps`` picks the neighbourhood layout, named by
-    :attr:`backend_name`: ``"sparse"`` (the block-sparse partition
-    matrix) below :data:`SPARSE_BELOW`, ``"dense"`` (per-pair metric
-    calls, valid at any radius) at or above it.
+    Arrivals are pooled by canonical fingerprint, so repeats of an
+    already-seen area never touch the distance backend.  ``eps`` picks
+    the neighbourhood layout, named by :attr:`backend_name`:
+    ``"sparse"`` (the block-sparse partition matrix) below
+    :data:`SPARSE_BELOW`, ``"dense"`` (per-pair metric calls, valid at
+    any radius) at or above it.
 
     After any sequence of :meth:`add` calls, :meth:`labels` equals the
     output of a from-scratch ``DBSCAN(eps, min_pts).fit(unique_areas,
@@ -176,7 +176,6 @@ class IncrementalDBSCAN:
     """
 
     def __init__(self, metric, *, eps: float, min_pts: int = 5,
-                 intern: bool = True,
                  registry: Optional[metrics.MetricsRegistry] = None):
         if eps < 0:
             raise ValueError(f"eps must be non-negative, got {eps}")
@@ -184,13 +183,13 @@ class IncrementalDBSCAN:
             raise ValueError(f"min_pts must be >= 1, got {min_pts}")
         self.eps = float(eps)
         self.min_pts = float(min_pts)
-        self.intern = bool(intern)
         sparse = self.eps < SPARSE_BELOW
         self.backend_name = "sparse" if sparse else "dense"
         self._registry = registry or metrics.get_registry()
         self._backend = (_SparseBackend if sparse
                          else _DenseBackend)(metric, self.eps)
-        # Population state (indexed by unique-area index).
+        # Population state (indexed by unique-area index); _index_of is
+        # the fingerprint index that pools arrivals.
         self._index_of: dict = {}
         self._areas: list = []
         self._weights: list[float] = []
@@ -231,11 +230,7 @@ class IncrementalDBSCAN:
 
     def index_of(self, area) -> Optional[int]:
         """Unique-area index of ``area`` by canonical fingerprint, or
-        ``None`` when it was never (successfully) added.  Requires
-        ``intern=True`` — without interning, equal areas are distinct
-        points and the lookup is ambiguous."""
-        if not self.intern:
-            raise ValueError("index_of() requires intern=True")
+        ``None`` when it was never (successfully) added."""
         return self._index_of.get(area)
 
     # -- union-find ---------------------------------------------------
@@ -275,7 +270,7 @@ class IncrementalDBSCAN:
         started = time.perf_counter()
         with trace.span("incremental_add", backend=self.backend_name):
             self.arrivals += count
-            idx = self._index_of.get(area) if self.intern else None
+            idx = self._index_of.get(area)
             if idx is not None:
                 self.interned_hits += count
                 update = self._bump(idx, float(count))
@@ -288,17 +283,13 @@ class IncrementalDBSCAN:
     def remove(self, area, count: int = 1) -> IncrementalUpdate:
         """Retract ``count`` earlier arrivals of ``area``.
 
-        Requires ``intern=True`` (the representative is looked up by
-        fingerprint) and must leave at least one arrival in place: the
-        growable distance backends only ever append, so full point
-        deletion is out of scope — decrementing to zero would desync
-        the adjacency index.  Demotions trigger a split re-check
-        bounded by the demoted core's component.
+        The representative is looked up by fingerprint, and at least
+        one arrival must stay in place: the growable distance backends
+        only ever append, so full point deletion is out of scope —
+        decrementing to zero would desync the adjacency index.
+        Demotions trigger a split re-check bounded by the demoted
+        core's component.
         """
-        if not self.intern:
-            raise ValueError("remove() requires intern=True; without "
-                             "interning duplicate arrivals are distinct "
-                             "points and retraction is ambiguous")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         idx = self._index_of.get(area)
@@ -355,8 +346,7 @@ class IncrementalDBSCAN:
         idx = self._backend.insert(area)
         assert idx == len(self._areas)
         self._areas.append(area)
-        if self.intern:
-            self._index_of[area] = idx
+        self._index_of[area] = idx
         self._weights.append(weight)
         neighbors = self._backend.neighbors(idx, self.eps)
         self._adj.append([int(j) for j in neighbors])
@@ -468,7 +458,7 @@ class IncrementalDBSCAN:
         return sum(1 for v in self._comp_min.values() if v < key)
 
     def expanded_labels(self) -> list[int]:
-        """Per-arrival labels in arrival order (interned mode)."""
+        """Per-arrival labels in arrival order."""
         labels = self.labels()
         return [labels[i] for i in self._inverse]
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from ..algebra.cnf import CNF, Clause
 from ..algebra.intervals import Interval, IntervalSet
-from ..algebra.predicates import ColumnConstantPredicate, ColumnRef
+from ..algebra.predicates import (ColumnConstantPredicate, ColumnRef,
+                                  setstate_without_hash)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +43,8 @@ class AccessArea:
     cnf: CNF
     notes: tuple[str, ...] = field(default=())
     exact: bool = field(default=True)
+
+    __setstate__ = setstate_without_hash
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(dict.fromkeys(self.relations)))

@@ -16,9 +16,10 @@ is alias-resolved and alphabetically ordered.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..algebra.boolexpr import TRUE, BoolExpr, make_and, make_not, make_or
 from ..algebra.cnf import CNF, DEFAULT_PREDICATE_CAP, to_cnf
@@ -29,7 +30,7 @@ from ..algebra.nnf import to_nnf
 from ..algebra.boolexpr import And, Atom
 from ..algebra.predicates import ColumnConstantPredicate, ColumnRef, Op
 from ..schema.database import Schema
-from ..sqlparser import ast, parse
+from ..sqlparser import UnsupportedStatementError, ast, parse
 from .aggregates import (SUPPORTED_AGGREGATES, aggregate_constraint,
                          effective_domain)
 from .area import AccessArea
@@ -95,7 +96,8 @@ class AccessAreaExtractor:
         """Full pipeline on one SQL string.
 
         Raises the :mod:`repro.sqlparser.errors` exceptions on statements
-        outside the grammar, and
+        outside the grammar (among them a numeric constant the interval
+        algebra cannot place, see :func:`_refuse_unplaceable`), and
         :class:`~repro.algebra.cnf.CNFConversionError` when the CNF blows
         past resource limits — the paper's unparseable/pathological
         classes.
@@ -131,6 +133,7 @@ class AccessAreaExtractor:
             cnf = to_cnf(expr, max_predicates=self.predicate_cap)
             cnf_span.set(clauses=len(cnf))
         cnf_time = time.perf_counter() - start
+        _refuse_unplaceable(cnf.predicates())
 
         start = time.perf_counter()
         with trace.span("consolidate"):
@@ -328,6 +331,7 @@ def _conjunctive_footprints(
         pred = leaf.predicate
         if isinstance(pred, ColumnConstantPredicate) and pred.is_numeric:
             atoms.append(pred)
+    _refuse_unplaceable(atoms)
 
     footprints: dict[ColumnRef, Interval] = {}
     for pred in atoms:
@@ -341,3 +345,35 @@ def _conjunctive_footprints(
         else:
             footprints[pred.ref] = hull
     return footprints
+
+
+#: per infinity, the ops whose interval is a ray that starts there: an
+#: empty set, which :class:`~repro.algebra.intervals.Interval` cannot
+#: hold.
+_EMPTY_RAYS = {math.inf: (Op.GT, Op.GE, Op.NE),
+               -math.inf: (Op.LT, Op.LE, Op.NE)}
+
+
+def _refuse_unplaceable(predicates: Iterable) -> None:
+    """Refuse a numeric constant the interval algebra cannot place on
+    the number line: an integer beyond the float range, or an infinity
+    that starts a ray (``ra > 1e400``).  A point at an infinity
+    (``ra = 1e400``) and a ray towards one (``ra < 1e400``) place."""
+    for pred in predicates:
+        if not (isinstance(pred, ColumnConstantPredicate)
+                and pred.is_numeric):
+            continue
+        value = pred.value
+        if isinstance(value, float):
+            if pred.op not in _EMPTY_RAYS.get(value, ()):
+                continue
+            constant = str(value)
+        else:
+            try:
+                float(value)
+                continue
+            except OverflowError:
+                constant = f"an integer of {value.bit_length()} bits"
+        raise UnsupportedStatementError(
+            f"constant off the number line ({pred.ref} {pred.op} "
+            f"{constant})")

@@ -7,7 +7,6 @@ blow-ups) and per-stage timing distributions.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Callable, Iterable, Optional, Sequence
@@ -65,38 +64,16 @@ class AccessAreaInterner:
     collapse to one shared, immutable object whose footprint caches are
     computed once.
 
-    Two backings:
-
-    * **memory** (default): a plain dict, unbounded — the batch path.
-    * **disk**: pass ``store`` (an :class:`~repro.store.AreaStore`) and
-      every new fingerprint is also appended to the store's crash-safe
-      segment log.  With ``max_resident`` the in-memory side becomes an
-      LRU of at most that many representatives; evicted areas remain
-      reachable through the store (a later probe for an evicted
-      fingerprint is still a *hit* — uniqueness is judged against the
-      persistent index, not resident memory).  This is what bounds the
-      resident footprint of ``repro serve``.
+    This is the batch path's pool (:func:`process_log`,
+    :func:`dedupe_areas`): a plain first-seen ``dict``.  The service
+    pools through its clusterer's fingerprint index instead (see
+    :class:`~repro.service.state.AppState`).
     """
 
-    def __init__(self, store=None,
-                 max_resident: Optional[int] = None) -> None:
-        if max_resident is not None and store is None:
-            raise ValueError(
-                "max_resident requires a backing store: evicting from "
-                "a memory-only pool would forget seen fingerprints")
-        if max_resident is not None and max_resident < 1:
-            raise ValueError(
-                f"max_resident must be >= 1, got {max_resident}")
-        self._pool: OrderedDict[AccessArea, AccessArea] = OrderedDict()
+    def __init__(self) -> None:
+        self._pool: dict[AccessArea, AccessArea] = {}
         self.hits = 0
-        self.store = store
-        self.max_resident = max_resident
-        self.evictions = 0
         self._recorded: dict[str, float] = {}
-
-    @property
-    def backing(self) -> str:
-        return "disk" if self.store is not None else "memory"
 
     def intern(self, area: AccessArea) -> AccessArea:
         """The pooled representative of ``area`` (``area`` itself when
@@ -104,55 +81,19 @@ class AccessAreaInterner:
         found = self._pool.get(area)
         if found is not None:
             self.hits += 1
-            if self.max_resident is not None:
-                self._pool.move_to_end(area)
             return found
-        if self.store is not None:
-            known = len(self.store)
-            digest = self.store.append_area(area)
-            if len(self.store) == known and digest in self.store:
-                # Fingerprint already persisted (evicted from memory,
-                # or written by an earlier run) — a hit, re-admitted
-                # to the resident pool under the caller's equal object.
-                self.hits += 1
         self._pool[area] = area
-        self._evict()
         return area
 
-    def _evict(self) -> None:
-        if self.max_resident is None:
-            return
-        while len(self._pool) > self.max_resident:
-            self._pool.popitem(last=False)
-            self.evictions += 1
-
     def __len__(self) -> int:
-        """Unique fingerprints seen (resident + store-persisted)."""
-        if self.store is not None:
-            return len(self.store)
-        return len(self._pool)
-
-    @property
-    def resident(self) -> int:
-        """Representatives currently held in memory."""
+        """Unique fingerprints seen."""
         return len(self._pool)
 
     def __contains__(self, area: AccessArea) -> bool:
-        if area in self._pool:
-            return True
-        if self.store is not None:
-            from ..store.codec import fingerprint_digest
-            return fingerprint_digest(area) in self.store
-        return False
+        return area in self._pool
 
     def areas(self) -> list[AccessArea]:
-        """The unique representatives in first-seen order.
-
-        Disk-backed pools read from the segment log (append order is
-        first-seen order), so the answer survives eviction and even a
-        process restart."""
-        if self.store is not None:
-            return [area for _digest, area in self.store.iter_areas()]
+        """The unique representatives in first-seen order."""
         return list(self._pool.values())
 
     def stats(self) -> InternStats:
@@ -162,21 +103,17 @@ class AccessAreaInterner:
         """Fold pool state into a metrics registry (``repro_intern_*``).
 
         Counter recording is **delta-based**: only movement since the
-        previous call is added, so a resident process (the ``repro
-        serve`` lifecycle) can re-record on every scrape without
-        double-counting.  Gauges are plain sets and were never at risk.
+        previous call is added, so recording the same pool again (one
+        pool shared across several logs) never double-counts.  Gauges
+        are plain sets and were never at risk.
         """
         registry.gauge("repro_intern_pool_size").set(len(self))
-        registry.gauge("repro_intern_pool_resident").set(self.resident)
         metrics.record_counter_deltas(registry, self._recorded, (
             ("repro_intern_hits_total", self.hits),
-            ("repro_intern_misses_total", len(self)),
-            ("repro_intern_evictions_total", self.evictions)))
+            ("repro_intern_misses_total", len(self))))
         if len(self):
             registry.gauge("repro_intern_dedup_ratio").set(
                 self.stats().dedup_ratio)
-        if self.store is not None:
-            self.store.record(registry)
 
 
 def dedupe_areas(areas: Sequence[AccessArea],

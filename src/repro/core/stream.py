@@ -117,11 +117,12 @@ class StreamMonitor:
     def __post_init__(self) -> None:
         self.state = StreamState()
         self.events: list[StreamEvent] = []
-        self.areas: list[AccessArea] = []
-        #: per extracted statement (aligned with :attr:`areas`): its
-        #: live cluster label, or ``None`` when the area was refused by
-        #: the clusterer's exactness precondition.
+        #: per extracted statement, in arrival order: its live cluster
+        #: label, or ``None`` when the area was refused by the
+        #: clusterer's exactness precondition.
         self.statement_labels: list[Optional[int]] = []
+        #: what the latest failed statement raised.
+        self.last_error: Optional[Exception] = None
         self.clusterer = None
         if self.cluster_incrementally:
             if self.stats is None:
@@ -165,6 +166,7 @@ class StreamMonitor:
         try:
             result = self.extractor.extract(sql)
         except (SqlError, CNFConversionError) as exc:
+            self.last_error = exc
             self.state.failures += 1
             self._failures_total.inc()
             self._recent_failures.append(True)
@@ -181,7 +183,6 @@ class StreamMonitor:
         self._extracted_total.inc()
 
         area = result.area
-        self.areas.append(area)
         if warmed_up:
             self._notify_novelties(index, sql, area, result.statement)
         self._learn(area, result.statement)
@@ -245,7 +246,6 @@ class StreamMonitor:
         self._recent_failures.append(False)
         self.state.extracted += 1
         self._extracted_total.inc()
-        self.areas.append(area)
         self._learn(area, None)
         if self.clusterer is None:
             return None

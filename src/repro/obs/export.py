@@ -78,9 +78,7 @@ HELP_TEXTS = {
     "repro_service_ingested_total":
         "POST /queries outcomes (clustered/unclustered/failed).",
     "repro_service_ingest_seconds":
-        "End-to-end ingest latency (extract + intern + cluster).",
-    "repro_service_intern_pool":
-        "Unique access areas resident in the service intern pool.",
+        "End-to-end ingest latency (extract + cluster + journal).",
     "repro_service_recommender_refreshes_total":
         "Recommender refits triggered by cluster-structure changes.",
 }

@@ -4,9 +4,10 @@ The paper frames mined interest areas as something that "help[s] to
 explore the database" and "offer[s] orientation" to users; QueRIE (its
 related work) shows the natural delivery vehicle is a recommendation
 service over the live query log.  This package is that service: one
-long-lived :class:`~repro.service.state.AppState` keeps the intern
-pool, distance backend, incremental clusterer, stream monitor, and a
-fitted recommender resident, and a small ASGI application
+long-lived :class:`~repro.service.state.AppState` keeps the stream
+monitor, the incremental clusterer (whose fingerprint index is the one
+resident area pool) with its distance backend, and a fitted
+recommender resident, and a small ASGI application
 (:func:`~repro.service.app.create_app`) faces the traffic.
 
 The application is a plain ASGI 3 callable built on the in-repo

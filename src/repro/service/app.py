@@ -188,6 +188,10 @@ def create_app(config: Optional[ServiceConfig] = None,
 
     @app.get("/metrics")
     async def prometheus(request: Request):
+        # Counters increment at the event; the store's stats are
+        # folded in here, once per scrape rather than once per ingest.
+        if state.store is not None:
+            state.store.record(reg)
         return Response(export.to_prometheus(reg.snapshot()),
                         content_type="text/plain; version=0.0.4; "
                                      "charset=utf-8")
@@ -207,8 +211,6 @@ def create_app(config: Optional[ServiceConfig] = None,
             "ingested": monitor.state.processed,
             "extracted": monitor.state.extracted,
             "failures": monitor.state.failures,
-            "intern_pool": len(state.interner),
-            "intern_resident": state.interner.resident,
             "unique_areas": state.clusterer.n_unique,
             "n_clusters": state.clusterer.n_clusters,
             "structure_version": state.structure_version,
@@ -217,10 +219,7 @@ def create_app(config: Optional[ServiceConfig] = None,
             pool = state.store.pool.stats
             body["store"] = {
                 "dir": state.config.store_dir,
-                "backing": state.interner.backing,
-                "max_resident": state.config.max_resident,
                 "replayed": state.replayed,
-                "journal_length": state.store.journal_length,
                 "segment_bytes": state.store.segments.total_bytes(),
                 "buffer_pool": {
                     "hit_rate": round(pool.hit_rate, 4),

@@ -3,15 +3,19 @@
 One :class:`AppState` lives for the whole process and owns everything
 the endpoints read or write:
 
-* the :class:`~repro.core.pipeline.AccessAreaInterner` pool (shared,
-  immutable area objects with warmed footprint caches);
 * a :class:`~repro.core.stream.StreamMonitor` with
   ``cluster_incrementally=True`` — which itself owns the
   :class:`~repro.clustering.incremental.IncrementalDBSCAN` and its
-  distance layout (block-sparse or dense, picked by ``eps``);
+  distance layout (block-sparse or dense, picked by ``eps``).  The
+  clusterer's fingerprint index is the one resident area pool: each
+  unique area is held once, by its first arrival, and everything else
+  refers to it by unique index;
+* with ``store_dir``, the :class:`~repro.store.AreaStore` that areas
+  and the ingest journal are written through to;
 * a fitted :class:`~repro.recommend.InterestRecommender`, refreshed
   lazily after ``CLUSTER_CHANGED`` events;
-* the per-user ledger behind ``GET /users/{id}/interests``.
+* the per-user ledger behind ``GET /users/{id}/interests``, keyed by
+  unique index.
 
 **Writer serialization.**  All mutation goes through :meth:`ingest`,
 and the application calls it under a single ``asyncio.Lock`` — the
@@ -34,7 +38,6 @@ from ..clustering.aggregation import AggregatedArea, aggregate_cluster
 from ..clustering.coverage import area_coverage
 from ..core.area import AccessArea
 from ..core.extractor import AccessAreaExtractor
-from ..core.pipeline import AccessAreaInterner
 from ..core.stream import EventKind, StreamEvent, StreamMonitor
 from ..obs import get_logger, metrics
 from ..recommend import InterestRecommender, fit_recommender
@@ -70,16 +73,6 @@ class ServiceConfig:
     #: re-extraction, reproducing the pre-restart labels bitwise.
     #: ``None`` = in-memory only; state dies with the process.
     store_dir: Optional[str] = None
-    #: cap on areas held resident by the intern pool (``--max-resident``,
-    #: requires ``store_dir``).  Least-recently-interned areas are
-    #: evicted to the store; uniqueness accounting is unaffected because
-    #: it is judged against the persistent fingerprint index.
-    max_resident: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_resident is not None and not self.store_dir:
-            raise ValueError("max_resident requires store_dir: evicted "
-                             "areas must have a store to come back from")
 
 
 @dataclass(frozen=True)
@@ -162,12 +155,6 @@ class AppState:
         self.frozen_stats = copy.deepcopy(stats)
         self.extractor = AccessAreaExtractor(self.schema)
         self.store = open_store(self.config.store_dir)
-        if self.store is not None:
-            self.interner = AccessAreaInterner(
-                store=self.store,
-                max_resident=self.config.max_resident)
-        else:
-            self.interner = AccessAreaInterner()
         self._pending_events: list[StreamEvent] = []
         self.monitor = StreamMonitor(
             self.extractor, stats=stats,
@@ -178,7 +165,8 @@ class AppState:
             cluster_min_pts=self.config.min_pts,
             registry=self.registry)
         self.clusterer = self.monitor.clusterer
-        self.users: dict[str, dict[AccessArea, int]] = {}
+        #: user → {unique index: clustered arrivals}.
+        self.users: dict[str, dict[int, int]] = {}
         self.user_unclustered: dict[str, int] = {}
         #: bumped on every mutation; read paths rebuild their snapshot
         #: lazily when it moved.
@@ -227,17 +215,8 @@ class AppState:
             label = self.monitor.replay(area)
             self.version += 1
             self.replayed += 1
-            if area is None:
-                continue
-            pooled = self.interner.intern(area)
-            user = entry.get("user")
-            if user:
-                if label is None:
-                    self.user_unclustered[user] = \
-                        self.user_unclustered.get(user, 0) + 1
-                else:
-                    ledger = self.users.setdefault(user, {})
-                    ledger[pooled] = ledger.get(pooled, 0) + 1
+            if area is not None:
+                self._book(entry.get("user"), area, label)
         if self.replayed:
             self.structure_version += 1
             logger.info("replayed %d journalled arrivals from %s "
@@ -259,7 +238,7 @@ class AppState:
 
     def ingest(self, sql: str, user: Optional[str] = None
                ) -> IngestOutcome:
-        """Extract → intern → incremental cluster one statement.
+        """Extract → incremental cluster one statement.
 
         Must run serialized (the app holds its writer lock around this
         call): the clusterer's local-repair invariants assume arrivals
@@ -268,6 +247,7 @@ class AppState:
         started = time.perf_counter()
         index = self.monitor.state.processed
         self._pending_events.clear()
+        held = self.clusterer.n_unique
         area = self.monitor.process(sql)
         events = tuple(str(event) for event in self._pending_events)
         if any(event.kind is EventKind.CLUSTER_CHANGED
@@ -276,31 +256,26 @@ class AppState:
         self.version += 1
         digest: Optional[bytes] = None
         if area is None:
+            exc = self.monitor.last_error
             outcome = IngestOutcome(
                 status="failed", index=index, events=events,
-                error=_last_failure_detail(self.monitor, sql)
-                or "statement did not extract")
+                error=f"{type(exc).__name__}: {exc}")
         else:
-            pooled = self.interner.intern(area)
-            if self.store is not None:
-                # Only the journal reads the digest.
-                digest = fingerprint_digest(pooled)
             label = self.monitor.statement_labels[-1]
+            unique_index = self._book(user, area, label)
+            if self.store is not None:
+                if unique_index is not None and unique_index < held:
+                    # A repeat: the store already holds this area.
+                    digest = fingerprint_digest(area)
+                else:
+                    digest = self.store.append_area(area)
             if label is None:
                 outcome = IngestOutcome(status="unclustered",
                                         index=index, events=events)
             else:
                 outcome = IngestOutcome(
                     status="clustered", index=index, label=label,
-                    unique_index=self.clusterer.index_of(pooled),
-                    events=events)
-            if user:
-                ledger = self.users.setdefault(user, {})
-                if label is None:
-                    self.user_unclustered[user] = \
-                        self.user_unclustered.get(user, 0) + 1
-                else:
-                    ledger[pooled] = ledger.get(pooled, 0) + 1
+                    unique_index=unique_index, events=events)
         if self.store is not None:
             # The journal is the restart contract: one entry per
             # arrival, in order.  Failed statements are journalled too
@@ -310,13 +285,24 @@ class AppState:
                 "digest": digest.hex() if digest else None,
                 "user": user,
             })
-            self.store.record(self.registry)
         self._ingest_total[outcome.status].inc()
         self._ingest_seconds.observe(time.perf_counter() - started)
-        self.registry.gauge("repro_service_intern_pool").set(
-            len(self.interner))
-        self.interner.record(self.registry)
         return outcome
+
+    def _book(self, user: Optional[str], area: AccessArea,
+              label: Optional[int]) -> Optional[int]:
+        """Book one extracted arrival under ``user``; returns its unique
+        index (``None`` when the clusterer refused it)."""
+        unique_index = None if label is None \
+            else self.clusterer.index_of(area)
+        if user:
+            if unique_index is None:
+                self.user_unclustered[user] = \
+                    self.user_unclustered.get(user, 0) + 1
+            else:
+                ledger = self.users.setdefault(user, {})
+                ledger[unique_index] = ledger.get(unique_index, 0) + 1
+        return unique_index
 
     # -- lock-free reads ----------------------------------------------
 
@@ -363,13 +349,11 @@ class AppState:
         """Per-user aggregated areas, grouped by current live label."""
         ledger = self.users.get(user, {})
         by_label: dict[int, tuple[list[AccessArea], list[int]]] = {}
-        labels = self.snapshot().labels
-        for area, count in ledger.items():
-            unique_index = self.clusterer.index_of(area)
-            label = (labels[unique_index]
-                     if unique_index is not None else -1)
-            members, weights = by_label.setdefault(label, ([], []))
-            members.append(area)
+        snapshot = self.snapshot()
+        for unique_index, count in ledger.items():
+            members, weights = by_label.setdefault(
+                snapshot.labels[unique_index], ([], []))
+            members.append(snapshot.areas[unique_index])
             weights.append(count)
         out = []
         for label in sorted(by_label):
@@ -386,15 +370,3 @@ class AppState:
         out.sort(key=lambda row: row["queries"], reverse=True)
         return out
 
-
-def _last_failure_detail(monitor: StreamMonitor,
-                         sql: str) -> Optional[str]:
-    """The monitor logs failure kinds through counters, not a list;
-    re-extract cheaply to report the exception text to the caller."""
-    from ..algebra.cnf import CNFConversionError
-    from ..sqlparser import SqlError
-    try:
-        monitor.extractor.extract(sql)
-    except (SqlError, CNFConversionError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return None

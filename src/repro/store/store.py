@@ -160,10 +160,6 @@ class AreaStore:
             except ValueError:  # pragma: no cover - CRC already passed
                 continue
 
-    @property
-    def journal_length(self) -> int:
-        return sum(1 for _ in self.iter_journal())
-
     # -- meta documents -----------------------------------------------
 
     def save_meta(self, name: str, document: dict) -> None:

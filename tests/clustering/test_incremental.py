@@ -6,8 +6,8 @@ stream, :meth:`IncrementalDBSCAN.labels` equals a from-scratch
 including cluster numbering, because both derive labels from the same
 canonical form (core-graph components ranked by minimal core index;
 borders take the minimal neighbouring cluster id).  Checked by
-hypothesis with interning on and off and on both layouts ``eps`` picks:
-block-sparse below 1/2, dense at or above it.
+hypothesis on both layouts ``eps`` picks: block-sparse below 1/2,
+dense at or above it.
 
 Structural repair is pinned separately: core promotion by weight bump,
 cluster merge through a bridging arrival, and — on the :meth:`remove`
@@ -86,19 +86,16 @@ def _batch_labels(metric, population, weights, eps, min_pts):
     return list(result.labels)
 
 
-def _assert_prefix_parity(stream, *, eps, min_pts, intern, backend):
+def _assert_prefix_parity(stream, *, eps, min_pts, backend):
     metric = QueryDistance(_stats())
     inc = IncrementalDBSCAN(metric, eps=eps, min_pts=min_pts,
-                            intern=intern, registry=MetricsRegistry())
+                            registry=MetricsRegistry())
     assert inc.backend_name == backend
     seen = []
     for arrival in stream:
         inc.add(arrival)
         seen.append(arrival)
-        if intern:
-            population, weights = inc.areas(), inc.weights()
-        else:
-            population, weights = list(seen), [1.0] * len(seen)
+        population, weights = inc.areas(), inc.weights()
         want = _batch_labels(metric, population, weights, eps, min_pts)
         assert inc.labels() == want
         for i in range(len(population)):
@@ -112,20 +109,18 @@ class TestPrefixParity:
     @settings(max_examples=40, deadline=None)
     @given(stream=streams,
            eps=st.sampled_from([0.5, 0.6, 0.9]),
-           min_pts=st.integers(min_value=1, max_value=4),
-           intern=st.booleans())
-    def test_dense_backend(self, stream, eps, min_pts, intern):
+           min_pts=st.integers(min_value=1, max_value=4))
+    def test_dense_backend(self, stream, eps, min_pts):
         _assert_prefix_parity(stream, eps=eps, min_pts=min_pts,
-                              intern=intern, backend="dense")
+                              backend="dense")
 
     @settings(max_examples=40, deadline=None)
     @given(stream=streams,
            eps=st.sampled_from([0.05, 0.15, 0.3]),
-           min_pts=st.integers(min_value=1, max_value=4),
-           intern=st.booleans())
-    def test_sparse_backend(self, stream, eps, min_pts, intern):
+           min_pts=st.integers(min_value=1, max_value=4))
+    def test_sparse_backend(self, stream, eps, min_pts):
         _assert_prefix_parity(stream, eps=eps, min_pts=min_pts,
-                              intern=intern, backend="sparse")
+                              backend="sparse")
 
 
 class TestStructuralRepair:
@@ -185,10 +180,6 @@ class TestStructuralRepair:
 
     def test_remove_requires_intern_and_surplus_weight(self):
         area = _window("T", 10, 20)
-        inc = self._clusterer(intern=False)
-        inc.add(area)
-        with pytest.raises(ValueError, match="intern"):
-            inc.remove(area)
         inc = self._clusterer()
         inc.add(area)
         with pytest.raises(KeyError):

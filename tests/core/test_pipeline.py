@@ -56,6 +56,29 @@ class TestProcessLog:
                              AccessAreaExtractor(schema))
         assert len(report.areas()) == 1
 
+    def test_constants_off_the_number_line_are_tallied(self, schema):
+        # An infinity that starts a ray and an integer beyond the float
+        # range cannot become intervals: a typed refusal, tallied with
+        # the unsupported statements, never raised.
+        statements = [
+            "SELECT * FROM T WHERE u > 1e400",
+            "SELECT * FROM T WHERE u < -1e400",
+            "SELECT * FROM T WHERE u = " + "9" * 400,
+            "SELECT u, COUNT(*) FROM T WHERE u >= 1e400 GROUP BY u "
+            "HAVING MAX(v) > 3",
+            "SELECT * FROM T WHERE u = 1e400",
+            "SELECT * FROM T WHERE u < 1e400 AND v > -1e400",
+        ]
+        report = process_log(statements, AccessAreaExtractor(schema))
+        assert report.total == 6
+        assert report.unsupported_statements == 4
+        assert [kind for _index, kind, _message in report.failures] \
+            == ["unsupported"] * 4
+        assert all("number line" in message
+                   for _index, _kind, message in report.failures)
+        # A point at an infinity, and rays towards one, still place.
+        assert [item.index for item in report.extracted] == [4, 5]
+
 
 class TestTimings:
     def test_stage_timings_collected(self, schema):

@@ -295,7 +295,7 @@ class TestIncrementalClustering:
             monitor.process(f"SELECT * FROM Photoz WHERE z < 0.1")
             monitor.process("SELCT broken !!!")
         assert len(monitor.statement_labels) == 4
-        assert len(monitor.statement_labels) == len(monitor.areas)
+        assert len(monitor.statement_labels) == monitor.state.extracted
         # The repeated statement interns to one area, which promotes to
         # a core singleton cluster at min_pts=2.
         assert monitor.statement_labels[-1] == 0
@@ -365,7 +365,7 @@ class TestIncrementalClustering:
         monitor.process_many(workload.log.statements())
         clusterer = monitor.clusterer
         assert clusterer.backend_name == "dense"
-        assert len(monitor.areas) == 489
+        assert monitor.state.extracted == 489
         assert None not in monitor.statement_labels
         areas = clusterer.areas()
         matrix = DistanceMatrix.compute(areas, QueryDistance(frozen),

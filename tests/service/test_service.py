@@ -90,6 +90,22 @@ class TestIngest:
         assert body["status"] == "failed"
         assert "error" in body
 
+    def test_failed_statement_is_extracted_once(self, monkeypatch):
+        from repro.core.extractor import AccessAreaExtractor
+        calls = []
+        extract = AccessAreaExtractor.extract
+
+        def counting(extractor, sql):
+            calls.append(sql)
+            return extract(extractor, sql)
+
+        monkeypatch.setattr(AccessAreaExtractor, "extract", counting)
+        _, state = _service(ServiceConfig(warmup=5))
+        outcome = state.ingest("CLEARLY NOT SQL")
+        assert outcome.status == "failed"
+        assert outcome.error.startswith("ParseError: ")
+        assert calls == ["CLEARLY NOT SQL"]
+
     def test_deeply_nested_statement_degrades(self, ingested):
         # 400 levels is past the parser's nesting limit: an ordinary
         # failed statement, not a 5xx from exhausted recursion.
@@ -185,6 +201,16 @@ class TestReads:
                               params={"sql": "NOT SQL"})
         assert response.status == 422
 
+    def test_recommend_unplaceable_constant_is_422(self, ingested):
+        _, _, client, _ = ingested
+        for sql in ("SELECT ra FROM PhotoObj WHERE ra > 1e400",
+                    "SELECT ra FROM PhotoObj WHERE ra < -1e400",
+                    "SELECT objid FROM PhotoObj WHERE objid = "
+                    + "9" * 400):
+            response = client.get("/recommend", params={"sql": sql})
+            assert response.status == 422
+            assert "number line" in response.json()["error"]
+
     def test_healthz(self, ingested):
         _, state, client, _ = ingested
         body = client.get("/healthz").json()
@@ -203,6 +229,40 @@ class TestReads:
         assert "repro_service_request_seconds" in text
         assert "repro_service_ingested_total" in text
         assert "repro_incremental_arrivals_total" in text
+
+
+class TestOnePool:
+    """The clusterer's fingerprint index is the only resident area
+    pool: a repeated arrival leaves no area object behind."""
+
+    def test_repeat_stream_holds_one_area_per_unique(self):
+        import gc
+        import random
+
+        from repro.core.area import AccessArea
+
+        workload = generate_workload(WorkloadConfig(n_queries=150, seed=3))
+        pool = list(dict.fromkeys(workload.log.statements_with_users()))
+        rng = random.Random(0)
+        weights = [1.0 / (rank + 1) for rank in range(len(pool))]
+        stream = rng.choices(pool, weights=weights, k=800)
+
+        def live_areas() -> int:
+            gc.collect()
+            return sum(isinstance(obj, AccessArea)
+                       for obj in gc.get_objects())
+
+        before = live_areas()
+        _, state = _service(ServiceConfig(eps=0.12, min_pts=3,
+                                          warmup=10))
+        refused = 0
+        for sql, user in stream:
+            refused += state.ingest(sql, user=user).status \
+                == "unclustered"
+        assert state.clusterer.arrivals + refused \
+            == state.monitor.state.extracted
+        assert state.clusterer.interned_hits > 600
+        assert live_areas() - before <= state.clusterer.n_unique + refused
 
 
 class TestRefusalDegradation:

@@ -3,14 +3,20 @@
 The contract: every ingest is journalled; a new ``AppState`` over the
 same ``store_dir`` replays the journal — areas fetched by fingerprint
 digest, re-clustered in arrival order, **zero** SQL re-extraction —
-and serves bitwise-identical labels.  ``max_resident`` bounds the
-intern pool without changing any answer.
+and serves bitwise-identical labels.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs.metrics import MetricsRegistry
 from repro.service import AppState, ServiceConfig, TestClient, create_app
+from repro.store import AreaStore
+from repro.store.segments import SegmentLog
 from repro.workload import WorkloadConfig, generate_workload
 
 
@@ -40,8 +46,8 @@ def test_restart_replays_bitwise_identical_state(store_config):
                 first.monitor.state.extracted,
                 first.monitor.state.failures)
     sizes = first.snapshot().sizes()
-    users = {user: {a.fingerprint: n for a, n in ledger.items()}
-             for user, ledger in first.users.items()}
+    users = {user: dict(ledger) for user, ledger in first.users.items()}
+    unclustered = dict(first.user_unclustered)
     first.close()
 
     second = _fresh(store_config)
@@ -51,8 +57,10 @@ def test_restart_replays_bitwise_identical_state(store_config):
             second.monitor.state.extracted,
             second.monitor.state.failures) == counters
     assert second.snapshot().sizes() == sizes
-    assert {user: {a.fingerprint: n for a, n in ledger.items()}
-            for user, ledger in second.users.items()} == users
+    # Ledgers are keyed by unique index: equal keys mean the same
+    # areas in the same first-arrival positions.
+    assert second.users == users
+    assert second.user_unclustered == unclustered
     second.close()
 
 
@@ -117,29 +125,69 @@ def test_ingest_continues_after_restart(store_config):
     second.close()
 
 
-def test_max_resident_bounds_pool_not_answers(tmp_path):
-    base = ServiceConfig(eps=0.12, min_pts=3, warmup=10,
-                         min_cluster_size=2,
-                         store_dir=str(tmp_path / "a"))
-    bounded = ServiceConfig(eps=0.12, min_pts=3, warmup=10,
-                            min_cluster_size=2,
-                            store_dir=str(tmp_path / "b"),
-                            max_resident=8)
-    s1, s2 = _fresh(base), _fresh(bounded)
-    _ingest_workload(s1, n=100)
-    _ingest_workload(s2, n=100)
-    assert s2.interner.resident <= 8
-    assert s2.interner.evictions > 0
-    assert len(s2.interner) == len(s1.interner)
-    assert list(s2.monitor.statement_labels) == \
-        list(s1.monitor.statement_labels)
-    s1.close()
-    s2.close()
+def test_restart_in_a_new_interpreter_keeps_area_identity(tmp_path):
+    # String hashes differ between interpreters.  An area read back from
+    # the store must not keep the writer's cached hash, or a repeat
+    # after a restart would become a second unique area.
+    script = (
+        "import sys\n"
+        "from repro.obs.metrics import MetricsRegistry\n"
+        "from repro.service import AppState, ServiceConfig\n"
+        "state = AppState(ServiceConfig(store_dir=sys.argv[1]),\n"
+        "                 registry=MetricsRegistry())\n"
+        "outcome = state.ingest(sys.argv[2])\n"
+        "print(state.replayed, outcome.unique_index,\n"
+        "      state.clusterer.n_unique)\n"
+        "state.close()\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    sql = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20"
+    printed = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "s"), sql],
+            env=env, capture_output=True, text=True, check=True)
+        printed.append(run.stdout.split())
+    assert printed == [["0", "0", "1"], ["1", "0", "1"], ["2", "0", "1"]]
 
 
-def test_max_resident_requires_store_dir():
-    with pytest.raises(ValueError):
-        ServiceConfig(max_resident=4)
+#: statements whose constants the interval algebra cannot place: an
+#: infinity that starts a ray, and an integer beyond the float range.
+OFF_THE_LINE = ("SELECT ra FROM PhotoObj WHERE ra > 1e400",
+                "SELECT ra FROM PhotoObj WHERE ra < -1e400",
+                "SELECT objid FROM PhotoObj WHERE objid = " + "9" * 400)
+
+
+def test_unplaceable_constants_fail_and_replay(store_config):
+    # Each one is an ordinary failed statement: answered 200, journalled,
+    # and numbered the same before and after a restart.
+    valid = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20"
+    state = _fresh(store_config)
+    client = TestClient(create_app(state=state))
+    answers = []
+    for sql in OFF_THE_LINE:
+        for arrival in (valid, sql):
+            response = client.post("/queries",
+                                   json={"sql": arrival, "user": "eve"})
+            assert response.status == 200
+            answers.append(response.json())
+    assert [a["index"] for a in answers] == list(range(6))
+    assert [a["status"] for a in answers[1::2]] == ["failed"] * 3
+    assert all(a["error"].startswith("UnsupportedStatementError: ")
+               for a in answers[1::2])
+    assert state.version == state.monitor.state.processed == 6
+    assert len(list(state.store.iter_journal())) == 6
+    before = client.post("/queries", json={"sql": valid}).json()
+    labels = list(state.monitor.statement_labels)
+    state.close()
+
+    second = _fresh(store_config)
+    assert second.replayed == 7
+    assert second.monitor.state.failures == 3
+    assert list(second.monitor.statement_labels) == labels
+    after = second.ingest(valid)
+    assert before["index"] == 6 and after.index == 7
+    second.close()
 
 
 def test_healthz_reports_store_and_monotonic_uptime(store_config):
@@ -149,11 +197,10 @@ def test_healthz_reports_store_and_monotonic_uptime(store_config):
     body = client.get("/healthz").json()
     assert body["status"] == "ok"
     assert body["uptime_seconds"] >= 0
-    assert body["intern_resident"] == state.interner.resident
+    assert body["ingested"] == state.monitor.state.processed
+    assert body["unique_areas"] == state.clusterer.n_unique
     store = body["store"]
     assert store["dir"] == store_config.store_dir
-    assert store["backing"] == "disk"
-    assert store["journal_length"] == state.monitor.state.processed
     assert store["segment_bytes"] > 0
     assert 0.0 <= store["buffer_pool"]["hit_rate"] <= 1.0
     assert store["buffer_pool"]["resident_bytes"] >= 0
@@ -167,3 +214,42 @@ def test_healthz_without_store_has_no_store_section():
     body = client.get("/healthz").json()
     assert body["uptime_seconds"] >= 0
     assert "store" not in body
+
+
+def test_healthz_reads_no_journal(store_config, monkeypatch):
+    state = _fresh(store_config)
+    _ingest_workload(state, n=40)
+    client = TestClient(create_app(state=state))
+    scans = []
+    scan = SegmentLog.scan
+
+    def counting(log, *args, **kwargs):
+        scans.append(args)
+        return scan(log, *args, **kwargs)
+
+    monkeypatch.setattr(SegmentLog, "scan", counting)
+    assert client.get("/healthz").status == 200
+    assert scans == []
+    state.close()
+
+
+def test_ingest_records_nothing_until_scraped(store_config, monkeypatch):
+    # Counters increment at the event; the store's stats are folded
+    # into the registry when /metrics is scraped, not on every ingest.
+    records = []
+    record = AreaStore.record
+
+    def counting(store, registry):
+        records.append(registry)
+        return record(store, registry)
+
+    monkeypatch.setattr(AreaStore, "record", counting)
+    state = _fresh(store_config)
+    _ingest_workload(state, n=40)
+    assert records == []
+    client = TestClient(create_app(state=state))
+    text = client.get("/metrics").text
+    assert len(records) == 1
+    arrivals = state.monitor.state.processed
+    assert f"repro_store_journal_appends_total {arrivals}\n" in text
+    state.close()

@@ -1,22 +1,18 @@
-"""Store-backed pipeline paths: warm replay, eviction, idempotent stats.
+"""Store-backed pipeline paths: warm replay and idempotent stats.
 
 The load-bearing guarantees:
 
 * a warm ``process_log`` over the same store reproduces the cold
   report — same areas (by fingerprint), same failures, same dedupe
   structure — with **zero** SQL extraction;
-* a disk-backed interner under ``max_resident`` keeps uniqueness
-  accounting exact while bounding resident areas;
 * calling ``.record`` twice leaves every counter equal to the true
   total (the cumulative-counter double-counting regression).
 """
 
-import pytest
-
 from repro.core.pipeline import (AccessAreaInterner, log_manifest_key,
                                  process_log)
 from repro.obs.metrics import MetricsRegistry
-from repro.store import AreaStore, fingerprint_digest
+from repro.store import AreaStore
 
 from .conftest import SQLS
 
@@ -97,42 +93,13 @@ def test_changed_stream_falls_back_to_cold(tmp_path, extractor):
     assert again.warm
 
 
-def test_interner_requires_store_for_eviction():
-    with pytest.raises(ValueError):
-        AccessAreaInterner(max_resident=4)
-    with pytest.raises(ValueError):
-        AccessAreaInterner(store=object(), max_resident=0)
-
-
-def test_disk_backed_interner_evicts_without_losing_identity(
-        tmp_path, areas):
-    with AreaStore(str(tmp_path / "s")) as store:
-        interner = AccessAreaInterner(store=store, max_resident=2)
-        assert interner.backing == "disk"
-        for area in areas:
-            interner.intern(area)
-        assert interner.resident <= 2
-        assert interner.evictions == len(areas) - 2
-        assert len(interner) == len(areas)  # identity is the index
-        # re-interning an evicted area is a hit, not a new unique
-        assert interner.intern(areas[0]) is not None
-        assert interner.hits == 1
-        assert len(interner) == len(areas)
-        # areas() serves the full population from the store
-        digests = {fingerprint_digest(a) for a in areas}
-        assert {fingerprint_digest(a)
-                for a in interner.areas()} == digests
-
-
 def test_memory_interner_unchanged(areas):
     interner = AccessAreaInterner()
-    assert interner.backing == "memory"
     for area in areas:
         interner.intern(area)
         interner.intern(area)
     assert len(interner) == len(areas)
     assert interner.hits == len(areas)
-    assert interner.evictions == 0
 
 
 def test_interner_record_is_idempotent(areas):

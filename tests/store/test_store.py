@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.pipeline import AccessAreaInterner
 from repro.obs.metrics import MetricsRegistry
+from repro.service import AppState, ServiceConfig
 from repro.store import AreaStore, fingerprint_digest, open_store
 from repro.store.index import FingerprintIndex
 
@@ -95,7 +95,6 @@ def test_journal_round_trip_and_survival(tmp_path):
         for entry in entries:
             store.append_journal(entry)
         assert list(store.iter_journal()) == entries
-        assert store.journal_length == 3
     with AreaStore(path) as reopened:
         assert list(reopened.iter_journal()) == entries
 
@@ -153,7 +152,7 @@ def test_digest_key_matches_module_function(tmp_path, areas):
 
 
 class TestLenIsConstantTime:
-    """``len()`` reads no snapshot entry, so an ingest after a
+    """``len()`` reads no snapshot entry, so a service ingest after a
     checkpoint reads O(log n) of them, not O(entries since the
     checkpoint) — counted, not timed."""
 
@@ -169,25 +168,27 @@ class TestLenIsConstantTime:
         monkeypatch.setattr(FingerprintIndex, "_entry_at", counting)
         return seen
 
-    def test_ingest_after_checkpoint(self, tmp_path, extractor, reads):
-        areas = [extractor.extract(f"SELECT a FROM T WHERE a > {k / 128}")
-                 .area for k in range(330)]
-        registry = MetricsRegistry()
-        with AreaStore(str(tmp_path / "s")) as store:
-            interner = AccessAreaInterner(store=store)
-            for area in areas[:256]:
-                interner.intern(area)
-            store.checkpoint()
-            for area in areas[256:320]:
-                interner.intern(area)
-            # Two snapshot searches per new area: the store's
-            # membership probe and the interner's hit probe.
-            bound = 2 * (256).bit_length()
-            for area in areas[320:]:
-                reads.clear()
-                interner.intern(area)
-                interner.record(registry)
-                assert len(reads) <= bound
+    def test_ingest_after_checkpoint(self, tmp_path, reads):
+        sqls = [f"SELECT ra FROM PhotoObj WHERE ra > {k / 128}"
+                for k in range(330)]
+        state = AppState(ServiceConfig(store_dir=str(tmp_path / "s")),
+                         registry=MetricsRegistry())
+        for sql in sqls[:256]:
+            state.ingest(sql)
+        state.store.checkpoint()
+        for sql in sqls[256:320]:
+            state.ingest(sql)
+        # One snapshot search per new area: the store's membership
+        # probe in append_area.
+        bound = (256).bit_length()
+        for sql in sqls[320:]:
             reads.clear()
-            assert len(store) == len(interner) == len(areas)
-            assert reads == []
+            assert state.ingest(sql).unique_index == state.clusterer \
+                .n_unique - 1
+            assert 0 < len(reads) <= bound
+        # A repeat is found in the clusterer's pool: no index read.
+        reads.clear()
+        assert state.ingest(sqls[0]).unique_index == 0
+        assert len(state.store) == state.clusterer.n_unique == len(sqls)
+        assert reads == []
+        state.close()
