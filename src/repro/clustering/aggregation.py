@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from ..algebra.intervals import Interval
@@ -125,6 +126,10 @@ class AggregatedArea:
         return self.describe()
 
 
+#: one bound repeated: ``(value, count)``.
+Run = tuple[float, int]
+
+
 def _sqlnum(value: float) -> str:
     if isinstance(value, int):
         return str(value)
@@ -149,9 +154,9 @@ def aggregate_cluster(cluster_id: int, members: Sequence[AccessArea],
 
     ``weights`` — optional positive integer multiplicities (intern-pool
     duplicate counts): member ``i`` counts as ``weights[i]`` identical
-    queries.  Implemented by repetition — each member contributes
-    ``weights[i]`` copies of its bounds to the trim statistics, support
-    counts, and ``cardinality`` — so a unique-area cluster with weights
+    queries.  Each member contributes its bounds ``weights[i]`` times to
+    the trim statistics (as one run, see :func:`_trim`), support
+    counts, and ``cardinality``, so a unique-area cluster with weights
     aggregates exactly like the duplicated population it stands for.
     """
     if weights is None:
@@ -167,8 +172,9 @@ def aggregate_cluster(cluster_id: int, members: Sequence[AccessArea],
     relations = _majority_relations(members, wlist)
     min_support = max(1, math.ceil(column_support * total))
 
-    lower: dict[ColumnRef, list[float]] = {}
-    upper: dict[ColumnRef, list[float]] = {}
+    # Per column, the bounds as ``(value, count)`` runs in member order.
+    lower: dict[ColumnRef, list[Run]] = {}
+    upper: dict[ColumnRef, list[Run]] = {}
     support: dict[ColumnRef, int] = {}
     cat_values: dict[ColumnRef, set[str]] = {}
     cat_support: dict[ColumnRef, int] = {}
@@ -181,9 +187,9 @@ def aggregate_cluster(cluster_id: int, members: Sequence[AccessArea],
                 continue
             support[ref] = support.get(ref, 0) + weight
             if not math.isinf(hull.lo):
-                lower.setdefault(ref, []).extend([hull.lo] * weight)
+                lower.setdefault(ref, []).append((hull.lo, weight))
             if not math.isinf(hull.hi):
-                upper.setdefault(ref, []).extend([hull.hi] * weight)
+                upper.setdefault(ref, []).append((hull.hi, weight))
         for ref, values in _categorical_constraints(area).items():
             cat_support[ref] = cat_support.get(ref, 0) + weight
             cat_values.setdefault(ref, set()).update(values)
@@ -196,8 +202,8 @@ def aggregate_cluster(cluster_id: int, members: Sequence[AccessArea],
             continue
         los = _trim(lower.get(ref, []), sigma)
         his = _trim(upper.get(ref, []), sigma)
-        lo = min(los) if los else None
-        hi = max(his) if his else None
+        lo = min(value for value, _count in los) if los else None
+        hi = max(value for value, _count in his) if his else None
         interval = _bounded_interval(ref, lo, hi, stats)
         if interval is None:
             continue
@@ -294,29 +300,45 @@ def _join_predicates(area: AccessArea) -> list[ColumnColumnPredicate]:
     return out
 
 
-def _trim(values: list[float], sigma: float) -> list[float]:
+def _trim(runs: list[Run], sigma: float) -> list[Run]:
     """Drop values beyond ``sigma`` standard deviations from the mean.
+
+    ``runs`` stands for the values ``value`` repeated ``count`` times,
+    run by run; so does the answer, which keeps or drops whole runs.
+    Each deviation is computed once per run, and every sum reads the
+    repeated values in order, so the answer is bitwise that of the
+    repeated list (Python 3.12 sums floats with compensation, where
+    ``count * value`` would not be).
 
     Degenerate inputs pass through untouched rather than erasing the
     bound: fewer than 3 values (no meaningful spread estimate), a
     disabled rule (``sigma = inf``), zero or non-finite spread (all
     values equal, or a NaN/overflowed accumulation), and the
     everything-is-an-outlier case (``sigma`` so tight nothing survives)
-    all return the original list."""
-    if len(values) < 3 or math.isinf(sigma):
-        return values
-    mean = sum(values) / len(values)
+    all return the original runs."""
+    if not runs or math.isinf(sigma):
+        return runs
+    values, counts = zip(*runs)
+    n = sum(counts)
+    if n < 3:
+        return runs
+    mean = sum(_repeated(values, counts)) / n
     if not math.isfinite(mean):
-        return values
+        return runs
     try:
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
+        squares = [(value - mean) ** 2 for value in values]
     except OverflowError:  # e.g. (1e200)**2 — Python raises, not inf
-        return values
-    std = math.sqrt(variance)
+        return runs
+    std = math.sqrt(sum(_repeated(squares, counts)) / n)
     if std == 0 or not math.isfinite(std):
-        return values
-    kept = [v for v in values if abs(v - mean) <= sigma * std]
-    return kept or values
+        return runs
+    kept = [run for run in runs if abs(run[0] - mean) <= sigma * std]
+    return kept or runs
+
+
+def _repeated(values: Sequence, counts: Sequence[int]):
+    """``values[i]`` ``counts[i]`` times over, in order."""
+    return chain.from_iterable(map(repeat, values, counts))
 
 
 def _bounded_interval(ref: ColumnRef, lo: Optional[float],

@@ -97,7 +97,7 @@ class AccessAreaExtractor:
 
         Raises the :mod:`repro.sqlparser.errors` exceptions on statements
         outside the grammar (among them a numeric constant the interval
-        algebra cannot place, see :func:`_refuse_unplaceable`), and
+        algebra cannot place, see :func:`refuse_unplaceable`), and
         :class:`~repro.algebra.cnf.CNFConversionError` when the CNF blows
         past resource limits — the paper's unparseable/pathological
         classes.
@@ -133,7 +133,7 @@ class AccessAreaExtractor:
             cnf = to_cnf(expr, max_predicates=self.predicate_cap)
             cnf_span.set(clauses=len(cnf))
         cnf_time = time.perf_counter() - start
-        _refuse_unplaceable(cnf.predicates())
+        refuse_unplaceable(cnf.predicates())
 
         start = time.perf_counter()
         with trace.span("consolidate"):
@@ -331,7 +331,7 @@ def _conjunctive_footprints(
         pred = leaf.predicate
         if isinstance(pred, ColumnConstantPredicate) and pred.is_numeric:
             atoms.append(pred)
-    _refuse_unplaceable(atoms)
+    refuse_unplaceable(atoms)
 
     footprints: dict[ColumnRef, Interval] = {}
     for pred in atoms:
@@ -347,25 +347,27 @@ def _conjunctive_footprints(
     return footprints
 
 
-#: per infinity, the ops whose interval is a ray that starts there: an
-#: empty set, which :class:`~repro.algebra.intervals.Interval` cannot
-#: hold.
-_EMPTY_RAYS = {math.inf: (Op.GT, Op.GE, Op.NE),
-               -math.inf: (Op.LT, Op.LE, Op.NE)}
+#: per infinity, the ops that cannot place a constant there: a ray that
+#: starts there (an empty set, which
+#: :class:`~repro.algebra.intervals.Interval` cannot hold) and a point
+#: at it.
+_UNPLACEABLE = {math.inf: (Op.GT, Op.GE, Op.NE, Op.EQ),
+                -math.inf: (Op.LT, Op.LE, Op.NE, Op.EQ)}
 
 
-def _refuse_unplaceable(predicates: Iterable) -> None:
+def refuse_unplaceable(predicates: Iterable) -> None:
     """Refuse a numeric constant the interval algebra cannot place on
-    the number line: an integer beyond the float range, or an infinity
-    that starts a ray (``ra > 1e400``).  A point at an infinity
-    (``ra = 1e400``) and a ray towards one (``ra < 1e400``) place."""
+    the number line: an integer beyond the float range, an infinity
+    that starts a ray (``ra > 1e400``) or a point at an infinity
+    (``ra = 1e400``).  SQL Server refuses such a literal too.  A ray
+    towards an infinity (``ra < 1e400``) places."""
     for pred in predicates:
         if not (isinstance(pred, ColumnConstantPredicate)
                 and pred.is_numeric):
             continue
         value = pred.value
         if isinstance(value, float):
-            if pred.op not in _EMPTY_RAYS.get(value, ()):
+            if pred.op not in _UNPLACEABLE.get(value, ()):
                 continue
             constant = str(value)
         else:

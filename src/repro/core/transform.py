@@ -32,7 +32,7 @@ from ..algebra.coercion import parse_number
 from ..algebra.predicates import (ColumnColumnPredicate,
                                   ColumnConstantPredicate, ColumnRef,
                                   Constant, Op)
-from ..sqlparser import ast
+from ..sqlparser import UnsupportedStatementError, ast
 from .context import ExtractionContext
 
 _OPS = {"<": Op.LT, "<=": Op.LE, "=": Op.EQ,
@@ -532,14 +532,27 @@ def _is_number(value: Operand) -> bool:
 
 
 def _fold(op: str, left: float, right: float) -> Optional[float]:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/" and right != 0:
-        return left / right
-    if op == "%" and right != 0:
-        return left % right
-    return None
+    """``left op right``, or ``None`` for an operation that does not
+    fold.  A result off the number line — an integer beyond the float
+    range, or arithmetic that overflows it on the way — raises
+    :class:`UnsupportedStatementError`, as a literal of that size does
+    (see :func:`repro.core.extractor.refuse_unplaceable`)."""
+    try:
+        if op == "+":
+            result = left + right
+        elif op == "-":
+            result = left - right
+        elif op == "*":
+            result = left * right
+        elif op == "/" and right != 0:
+            result = left / right
+        elif op == "%" and right != 0:
+            result = left % right
+        else:
+            return None
+        float(result)
+    except OverflowError:
+        raise UnsupportedStatementError(
+            f"constant off the number line (a folded {op} leaves the "
+            f"float range)") from None
+    return result

@@ -43,8 +43,8 @@ def fit_recommender(areas: Sequence[AccessArea],
     ``areas``/``weights``/``labels`` are aligned per unique area — the
     shape both :meth:`~repro.clustering.incremental.IncrementalDBSCAN`
     state and a weighted batch run produce.  ``previous`` is the
-    recommender this fit replaces: its medoid blocks are taken over
-    where the candidates are unchanged (see
+    recommender this fit replaces: the aggregates and blocks of its
+    unchanged clusters and its medoid pack are taken over (see
     :meth:`~repro.recommend.InterestRecommender.fit`), with a bitwise
     identical result.
     """

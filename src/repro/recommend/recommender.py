@@ -22,15 +22,21 @@ before aggregating, so the two fits are bitwise identical and
 Distances come from the vectorized kernel
 (:class:`~repro.distance.kernel.PackedPartition`), bitwise equal to the
 per-pair :class:`QueryDistance`: a medoid reads one kernel block over
-its candidates, a refit takes over the previous fit's block of every
-cluster whose candidates are unchanged, and a ranking scores a query
-against all fitted medoids with one probe of a single medoid pack.
-Where the kernel refuses (:class:`KernelUnsupported`), that cluster or
-that query is measured per pair by the metric.
+its candidates, and a ranking scores a query against all fitted medoids
+with one probe of a single medoid pack.  Where the kernel refuses
+(:class:`KernelUnsupported`), that cluster or that query is measured
+per pair by the metric.
+
+A refit recomputes only what changed.  It takes over the previous fit's
+aggregate of every cluster whose unique members and counts are
+unchanged, the block of every cluster whose medoid candidates are
+unchanged, and the medoid pack, which the first ranking after the fit
+extends by the medoids it does not yet hold.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -80,6 +86,13 @@ MEDOID_CANDIDATES = 25
 #: ``block[i, j] = metric(candidates[i], candidates[j])``.
 Block = np.ndarray
 
+#: A ranking packs the live medoids afresh once the stale medoids of the
+#: carried pack exceed this share of the live ones.  A probe scores
+#: every medoid the pack holds: at 500 and 1,000 live medoids, a quarter
+#: more stale ones cost a probe 36% and 41% more, as many stale as live
+#: ones 190% and 215% more, while a rebuild costs six to eight probes.
+MAX_STALE_SHARE = 0.25
+
 
 @dataclass
 class _FittedCluster:
@@ -107,8 +120,13 @@ class InterestRecommender:
     def __post_init__(self) -> None:
         self._distance: Distance = QueryDistance(self.stats,
                                                  self.resolution)
-        #: the fit's medoid pack, built by the first ranking after a fit
-        #: (see :meth:`_medoid_pack`).
+        #: the trimming rule of the last fit.
+        self._sigma: Optional[float] = None
+        #: the medoid pack, carried from fit to fit (see
+        #: :meth:`_medoid_pack`); ``None`` until a ranking builds it.
+        self._medoids: Optional[_MedoidPack] = None
+        #: this fit's view of the medoid pack, built by its first
+        #: ranking.
         self._ranking: Optional[tuple] = None
 
     # -- fitting ------------------------------------------------------------
@@ -132,18 +150,22 @@ class InterestRecommender:
         unweighted.
 
         ``previous`` — an earlier fit over the same, unchanged catalog
-        and resolution.  Every cluster whose medoid candidates are the
-        very same area objects takes over that fit's kernel block
-        instead of repacking; distances do not depend on weights, so
-        only clusters whose members changed are repacked.  The fit is
-        bitwise identical to one without ``previous``, and keeps only
-        the blocks it uses.
+        and resolution.  A cluster whose unique members are the very
+        same area objects, in the same order and with the same counts,
+        takes over that fit's aggregate (relabelled when its id moved)
+        under an equal ``sigma``.  Every cluster takes over the kernel
+        block of a cluster with the very same medoid candidates
+        (distances do not depend on weights), so its medoid costs one
+        weighted sum per candidate, and the fit takes over the medoid
+        pack.  The fit is bitwise identical to one without
+        ``previous``, and keeps only what it uses.
         """
         if weights is not None and len(weights) != len(areas):
             raise ValueError(f"{len(weights)} weights do not match "
                              f"{len(areas)} areas")
-        kept = self._kept_blocks(previous)
+        aggregates, blocks, self._medoids = self._kept(previous, sigma)
         self._clusters = []
+        self._sigma = sigma
         self._ranking = None
         for cluster_id, indices in clustering.clusters().items():
             members = [areas[i] for i in indices]
@@ -152,33 +174,52 @@ class InterestRecommender:
             unique, counts = _collapse(members, raw)
             if sum(counts) < self.min_cluster_size:
                 continue
-            aggregated = aggregate_cluster(cluster_id, unique,
-                                           self.stats, sigma=sigma,
-                                           weights=counts)
+            aggregated = aggregates.get((_identities(unique),
+                                         tuple(counts)))
+            if aggregated is None:
+                aggregated = aggregate_cluster(cluster_id, unique,
+                                               self.stats, sigma=sigma,
+                                               weights=counts)
+            elif aggregated.cluster_id != cluster_id:
+                aggregated = dataclasses.replace(aggregated,
+                                                 cluster_id=cluster_id)
             medoid_area, block = self._medoid(
                 unique, counts,
-                kept.get(_identities(unique[:MEDOID_CANDIDATES])))
+                blocks.get(_identities(unique[:MEDOID_CANDIDATES])))
             self._clusters.append(_FittedCluster(
                 aggregated, medoid_area, unique, counts, block))
         self._clusters.sort(key=lambda c: c.aggregated.cardinality,
                             reverse=True)
         return self
 
-    def _kept_blocks(self, previous: Optional["InterestRecommender"]
-                     ) -> dict[tuple[int, ...], Block]:
-        """``previous``'s kernel blocks by the identities of their
-        candidates; none unless it measured with an equal metric.
+    def _kept(self, previous: Optional["InterestRecommender"],
+              sigma: float
+              ) -> tuple[dict[tuple, AggregatedArea],
+                         dict[tuple[int, ...], Block],
+                         Optional["_MedoidPack"]]:
+        """What this fit may take over from ``previous``: its aggregates
+        by the identities of their clusters' unique members and their
+        counts (none unless it trimmed with an equal ``sigma``), its
+        kernel blocks by the identities of their candidates, and its
+        medoid pack.  Nothing unless ``previous`` measured with an
+        equal metric.
 
         Identity keys are exact while ``previous`` is alive: it holds
         its members, so no other object can carry their ids.
         """
         if (previous is None or previous.stats is not self.stats
                 or previous.resolution != self.resolution):
-            return {}
-        return {_identities(cluster.members[:MEDOID_CANDIDATES]):
-                cluster.block
-                for cluster in previous._clusters
-                if cluster.block is not None}
+            return {}, {}, None
+        aggregates = {}
+        if previous._sigma == sigma:
+            aggregates = {(_identities(cluster.members),
+                           tuple(cluster.weights)): cluster.aggregated
+                          for cluster in previous._clusters}
+        blocks = {_identities(cluster.members[:MEDOID_CANDIDATES]):
+                  cluster.block
+                  for cluster in previous._clusters
+                  if cluster.block is not None}
+        return aggregates, blocks, previous._medoids
 
     def _medoid(self, members: list[AccessArea],
                 weights: Sequence[int],
@@ -234,17 +275,18 @@ class InterestRecommender:
         """``metric(area, medoid)`` for every fitted cluster, in order.
 
         One :meth:`~repro.distance.kernel.PackedPartition.probe` of
-        the shared medoid pack yields every ``d_conj`` and leaves the
-        pack bitwise unchanged for every other reader.  Each value adds
-        the Jaccard ``d_tables`` to the pack's ``d_conj`` as the metric
-        does.  Medoids the kernel refused — and all of them when it
-        refuses ``area`` — are measured by the metric per pair.
+        the medoid pack yields every ``d_conj`` and leaves the pack
+        bitwise unchanged for every other reader; each cluster reads
+        its medoid's column.  Each value adds the Jaccard ``d_tables``
+        to the pack's ``d_conj`` as the metric does.  Medoids the
+        kernel refused — and all of them when it refuses ``area`` — are
+        measured by the metric per pair.
         """
-        pack, packed, table_sets = self._medoid_pack()
+        pack, packed, columns, table_sets = self._medoid_pack()
         distances: list[Optional[float]] = [None] * len(self._clusters)
         if packed:
             try:
-                conj = pack.probe(area).tolist()
+                conj = pack.probe(area)[columns].tolist()
             except KernelUnsupported:
                 pass
             else:
@@ -258,13 +300,36 @@ class InterestRecommender:
                 for distance, cluster in zip(distances, self._clusters)]
 
     def _medoid_pack(self) -> tuple:
-        """``(pack, positions, table sets)``: one kernel pack of the
-        fitted medoids, built once per fit, with the cluster positions
-        and table sets of the medoids it holds."""
+        """``(pack, positions, columns, table sets)``: the medoid pack,
+        with the positions of the clusters whose medoid it holds, their
+        medoids' columns and table sets — worked out once per fit.
+
+        The first ranking after a fit extends the pack it carried over
+        by the medoids it does not hold yet (see :class:`_MedoidPack`),
+        or packs the live medoids afresh when none was carried or the
+        stale medoids it holds exceed :data:`MAX_STALE_SHARE` of the
+        live ones.
+        """
         if self._ranking is None:
-            self._ranking = _pack_medoids(
-                [cluster.medoid for cluster in self._clusters],
-                self._distance)
+            medoids = [cluster.medoid for cluster in self._clusters]
+            live = {id(area): area for area in medoids}
+            holder = self._medoids
+            if (holder is None
+                    or holder.stale(live) > MAX_STALE_SHARE * len(live)):
+                holder = _MedoidPack.of(self._distance)
+            self._medoids = holder
+            if holder is None:  # a metric the kernel cannot replay
+                self._ranking = None, [], None, []
+                return self._ranking
+            holder.add(live.values())
+            columns = [holder.columns[id(area)] for area in medoids]
+            packed = [position for position, column in enumerate(columns)
+                      if column is not None]
+            self._ranking = (
+                holder.pack, packed,
+                np.array([columns[position] for position in packed],
+                         dtype=np.intp),
+                [medoids[position].table_set for position in packed])
         return self._ranking
 
     def recommend_for_sql(self, sql: str, k: int = 5) -> \
@@ -339,27 +404,58 @@ def kernel_block(candidates: Sequence[AccessArea],
     return block
 
 
-def _pack_medoids(medoids: list[AccessArea], metric: Distance) -> tuple:
-    """One kernel pack of ``medoids`` with the positions and table sets
-    of those it holds: all of them, or — when the kernel refuses some —
-    each one it accepts, appended in order."""
-    try:
-        pack = PackedPartition(medoids, metric)
-        packed = list(range(len(medoids)))
-    except KernelUnsupported:
+class _MedoidPack:
+    """One kernel pack of medoids that successive fits extend.
+
+    A medoid keeps its column for the life of the pack, because
+    :meth:`~repro.distance.kernel.PackedPartition.extend` only appends,
+    so a fit that read its columns stays valid while a later fit
+    extends the pack.  ``columns`` maps each medoid the pack was given,
+    by identity, to its column, or to ``None`` when the kernel refused
+    it; ``held`` keeps a reference to every one of them, so no other
+    object can carry their ids.
+    """
+
+    def __init__(self, pack: PackedPartition) -> None:
+        self.pack = pack
+        self.columns: dict[int, Optional[int]] = {}
+        self.held: list[AccessArea] = []
+
+    @classmethod
+    def of(cls, metric: Distance) -> Optional["_MedoidPack"]:
+        """An empty pack for ``metric``; ``None`` when the kernel
+        cannot replay the metric."""
         try:
-            pack = PackedPartition([], metric)
-        except KernelUnsupported:  # a metric the kernel cannot replay
-            return None, [], []
-        packed = []
-        for position, area in enumerate(medoids):
-            try:
-                pack.extend([area])
-            except KernelUnsupported:
-                continue
-            packed.append(position)
-    return pack, packed, [medoids[position].table_set
-                          for position in packed]
+            return cls(PackedPartition([], metric))
+        except KernelUnsupported:
+            return None
+
+    def stale(self, live: dict[int, AccessArea]) -> int:
+        """How many held medoids are not among ``live`` (by id)."""
+        return len(self.held) - sum(key in self.columns for key in live)
+
+    def add(self, medoids) -> None:
+        """Pack the distinct ``medoids`` not held yet, in order: all
+        in one extend, or — when the kernel refuses some — each one it
+        accepts."""
+        new = [area for area in medoids if id(area) not in self.columns]
+        if not new:
+            return
+        self.held.extend(new)
+        start = self.pack.n_areas
+        try:
+            self.pack.extend(new)
+        except KernelUnsupported:
+            for area in new:
+                try:
+                    self.pack.extend([area])
+                except KernelUnsupported:
+                    self.columns[id(area)] = None
+                else:
+                    self.columns[id(area)] = self.pack.n_areas - 1
+        else:
+            for column, area in enumerate(new, start):
+                self.columns[id(area)] = column
 
 
 def _identities(candidates: Sequence[AccessArea]) -> tuple[int, ...]:

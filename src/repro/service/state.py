@@ -37,12 +37,13 @@ from typing import Optional
 from ..clustering.aggregation import AggregatedArea, aggregate_cluster
 from ..clustering.coverage import area_coverage
 from ..core.area import AccessArea
-from ..core.extractor import AccessAreaExtractor
+from ..core.extractor import AccessAreaExtractor, refuse_unplaceable
 from ..core.stream import EventKind, StreamEvent, StreamMonitor
 from ..obs import get_logger, metrics
 from ..recommend import InterestRecommender, fit_recommender
 from ..schema import StatisticsCatalog, skyserver_schema
 from ..schema.skyserver import CONTENT_BOUNDS
+from ..sqlparser import UnsupportedStatementError
 from ..store import open_store
 from ..store.codec import fingerprint_digest
 
@@ -197,21 +198,18 @@ class AppState:
         fingerprint digest and fed to the incremental clusterer in the
         original arrival order, so the restored labels are bitwise
         identical to the pre-restart state without parsing a single
-        statement.  Failed arrivals replay as counter bumps only.
+        statement.  Failed arrivals replay as counter bumps only.  Each
+        stored area is fetched once, by its first journal entry (see
+        :meth:`_stored_area`).
         """
+        fetched: dict[str, Optional[AccessArea]] = {}
         for entry in self.store.iter_journal():
             digest_hex = entry.get("digest")
             area = None
             if digest_hex:
-                area = self.store.get_area(bytes.fromhex(digest_hex))
-                if area is None:
-                    # Journal entry without its area record: the index
-                    # recovery invariant (index ⊆ segments) means this
-                    # cannot happen for a record that was durably
-                    # published; treat it like a failed arrival rather
-                    # than poisoning the whole replay.
-                    logger.warning("journal references missing area %s; "
-                                   "replaying as failure", digest_hex)
+                if digest_hex not in fetched:
+                    fetched[digest_hex] = self._stored_area(digest_hex)
+                area = fetched[digest_hex]
             label = self.monitor.replay(area)
             self.version += 1
             self.replayed += 1
@@ -223,6 +221,29 @@ class AppState:
                         "(%d live clusters)", self.replayed,
                         self.config.store_dir,
                         self.clusterer.n_clusters)
+
+    def _stored_area(self, digest_hex: str) -> Optional[AccessArea]:
+        """The stored area a journal entry names, or ``None`` when the
+        entry replays as a failed arrival."""
+        area = self.store.get_area(bytes.fromhex(digest_hex))
+        if area is None:
+            # Journal entry without its area record: the index recovery
+            # invariant (index ⊆ segments) means this cannot happen for
+            # a record that was durably published; treat it like a
+            # failed arrival rather than poisoning the whole replay.
+            logger.warning("journal references missing area %s; "
+                           "replaying as failure", digest_hex)
+            return None
+        try:
+            # A store written before extraction refused a constant off
+            # the number line (``ra = 1e400``) may hold one; it replays
+            # as the failure the statement is now.
+            refuse_unplaceable(area.cnf.predicates())
+        except UnsupportedStatementError as exc:
+            logger.warning("journalled area %s is refused now (%s); "
+                           "replaying as failure", digest_hex, exc)
+            return None
+        return area
 
     @property
     def uptime(self) -> float:

@@ -388,7 +388,8 @@ def _fits(draw):
 def _recommendation_rows(recommendations):
     # repr: a NaN distance equals itself only as text.
     return [(repr(r.distance), r.popularity, r.suggested_sql,
-             r.aggregated.describe(), id(r.medoid))
+             r.aggregated.describe(), r.aggregated.cluster_id,
+             id(r.medoid))
             for r in recommendations]
 
 
@@ -413,9 +414,11 @@ class TestKernelMatchesPerPairOracle:
     @settings(max_examples=100, deadline=None)
     @given(fit=_fits(), refit=_fits(),
            probes=st.lists(_areas, min_size=1, max_size=4),
-           resolution=st.sampled_from([0.0, 0.02, 0.05]))
+           resolution=st.sampled_from([0.0, 0.02, 0.05]),
+           chain=st.lists(st.tuples(_fits(), st.permutations(range(-1, 4))),
+                          min_size=2, max_size=3))
     def test_fit_and_ranking_equal_oracle(self, fit, refit, probes,
-                                          resolution):
+                                          resolution, chain):
         stats = _parity_stats()
 
         def fitted(cls, population, previous=None):
@@ -438,6 +441,19 @@ class TestKernelMatchesPerPairOracle:
             again, fitted(_PerPairReference,
                           (fit[0] + areas, fit[1] + labels,
                            fit[2] + weights)), probes)
+        # A chain of refits, each taking over the last one's
+        # aggregates, blocks and medoid pack: every step renames the
+        # labels so far (a cluster may keep its members under another
+        # id) and adds areas.
+        population = (fit[0] + areas, fit[1] + labels, fit[2] + weights)
+        for (areas, labels, weights), renaming in chain:
+            population = (population[0] + areas,
+                          [renaming[label + 1] for label in population[1]]
+                          + labels,
+                          population[2] + weights)
+            again = fitted(InterestRecommender, population, previous=again)
+            _assert_same_recommender(
+                again, fitted(_PerPairReference, population), probes)
 
     def test_ranking_probe_leaves_medoid_pack_unchanged(self):
         stats = _parity_stats()
@@ -505,27 +521,31 @@ class TestBoolAndIntOnOneColumn:
         # entry the first one left.
         assert medoids(_PerPairReference, population) != alone
 
+
+def _two_clusters(offset=0.0):
+    """Eight overlapping ``T.x`` windows (label 0) and five ``S.y``
+    points (label 1), shifted by ``offset``: new area objects per
+    call."""
+    areas = []
+    for k in range(8):
+        areas.append(AccessArea(("T",), CNF.of([
+            Clause.of([ColumnConstantPredicate(
+                T_X, Op.GE, offset + 2.0 * k)]),
+            Clause.of([ColumnConstantPredicate(
+                T_X, Op.LE, offset + 2.0 * k + 9.5)])])))
+    for k in range(5):
+        areas.append(AccessArea(("S",), CNF.of([Clause.of([
+            ColumnConstantPredicate(S_Y, Op.EQ, offset + 50.0 + k)])])))
+    return areas, [0] * 8 + [1] * 5
+
+
 class TestRefitReusesBlocks:
     """A refit takes over the previous fit's block of every cluster
     whose medoid candidates are unchanged."""
 
-    @staticmethod
-    def _population():
-        areas = []
-        for k in range(8):
-            areas.append(AccessArea(("T",), CNF.of([
-                Clause.of([ColumnConstantPredicate(T_X, Op.GE, 2.0 * k)]),
-                Clause.of([ColumnConstantPredicate(T_X, Op.LE,
-                                                   2.0 * k + 9.5)])])))
-        for k in range(5):
-            areas.append(AccessArea(("S",), CNF.of([Clause.of([
-                ColumnConstantPredicate(S_Y, Op.EQ, 50.0 + k)])])))
-        labels = [0] * 8 + [1] * 5
-        return areas, labels
-
     def test_weight_only_refit_computes_no_distance(self, monkeypatch):
         stats = _parity_stats()
-        areas, labels = self._population()
+        areas, labels = _two_clusters()
         first = fit_recommender(areas, [1] * len(areas), labels, stats,
                                 min_cluster_size=2)
         calls = {"oracle": 0, "extend": 0}
@@ -555,7 +575,7 @@ class TestRefitReusesBlocks:
 
     def test_changed_cluster_alone_is_repacked(self, monkeypatch):
         stats = _parity_stats()
-        areas, labels = self._population()
+        areas, labels = _two_clusters()
         first = fit_recommender(areas, [1] * len(areas), labels, stats,
                                 min_cluster_size=2)
         packed = []
@@ -580,7 +600,7 @@ class TestRefitReusesBlocks:
     @pytest.mark.parametrize("other", ["resolution", "catalog"])
     def test_blocks_of_another_metric_are_not_taken_over(self, other):
         stats = _parity_stats()
-        areas, labels = self._population()
+        areas, labels = _two_clusters()
         first = fit_recommender(
             areas, [1] * len(areas), labels,
             _parity_stats() if other == "catalog" else stats,
@@ -597,7 +617,7 @@ class TestRefitReusesBlocks:
 
     def test_new_fit_keeps_only_its_own_blocks(self):
         stats = _parity_stats()
-        areas, labels = self._population()
+        areas, labels = _two_clusters()
         first = fit_recommender(areas, [1] * len(areas), labels, stats,
                                 min_cluster_size=2)
         gone = weakref.ref(first)
@@ -609,3 +629,161 @@ class TestRefitReusesBlocks:
         gc.collect()
         assert gone() is None
         assert [id(c.block) for c in second._clusters] == [id(kept)]
+
+
+class TestRefitRecomputesOnlyWhatChanged:
+    """A refit takes over the aggregate of every unchanged cluster, and
+    the medoid pack, which it extends by new medoids only."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record every aggregation and every extend of a pack that is
+        not a ranking probe's copy."""
+        calls = {"aggregate": [], "extend": []}
+        aggregate = recommender_module.aggregate_cluster
+        extend = PackedPartition.extend
+
+        def counting_aggregate(*args, **kwargs):
+            calls["aggregate"].append(args[0])
+            return aggregate(*args, **kwargs)
+
+        def counting_extend(self, areas):
+            calls["extend"].append(list(areas))
+            return extend(self, areas)
+
+        monkeypatch.setattr(recommender_module, "aggregate_cluster",
+                            counting_aggregate)
+        monkeypatch.setattr(PackedPartition, "extend", counting_extend)
+        return calls
+
+    def test_weight_only_arrivals_reaggregate_one_cluster(self,
+                                                          monkeypatch):
+        stats = _parity_stats()
+        areas, labels = _two_clusters()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        first.recommend(areas[0])
+        pack = first._medoid_pack()[0]
+        # More arrivals of the second cluster's medoid, which stays it.
+        weights = [1] * len(areas)
+        weights[areas.index(first._clusters[1].medoid)] += 3
+        calls = self._counting(monkeypatch)
+        second = fit_recommender(areas, weights, labels, stats,
+                                 min_cluster_size=2, previous=first)
+        assert second._medoid_pack()[0] is pack
+        assert calls == {"aggregate": [1], "extend": []}
+        assert second._clusters[0].aggregated is \
+            first._clusters[0].aggregated
+        monkeypatch.undo()
+        _assert_same_recommender(
+            second, fit_recommender(areas, weights, labels, stats,
+                                    min_cluster_size=2), areas[::4])
+
+    def test_new_cluster_extends_pack_by_its_medoid(self, monkeypatch):
+        stats = _parity_stats()
+        areas, labels = _two_clusters()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        first.recommend(areas[0])
+        pack = first._medoid_pack()[0]
+        extra, _ = _two_clusters(offset=60.0)
+        grown = areas + extra[:3]
+        calls = self._counting(monkeypatch)
+        second = fit_recommender(grown, [1] * len(grown),
+                                 labels + [2] * 3, stats,
+                                 min_cluster_size=2, previous=first)
+        second.recommend(areas[0])
+        new = next(c for c in second._clusters
+                   if c.aggregated.cluster_id == 2)
+        assert calls["aggregate"] == [2]
+        # The new cluster's block, then its medoid into the pack; the
+        # ranking's probe extends only a copy.
+        assert [[id(a) for a in added] for added in calls["extend"][:2]] \
+            == [[id(a) for a in extra[:3]], [id(new.medoid)]]
+        assert second._medoid_pack()[0] is pack
+        assert pack.n_areas == 3
+        monkeypatch.undo()
+        _assert_same_recommender(
+            second, fit_recommender(grown, [1] * len(grown),
+                                    labels + [2] * 3, stats,
+                                    min_cluster_size=2), grown[::3])
+
+    def test_medoid_of_two_clusters_is_packed_once(self):
+        # In an expanded population one area object can be the medoid
+        # of two clusters.
+        stats = _parity_stats()
+        areas, _ = _two_clusters()
+        shared, first, second = areas[0], areas[1], areas[2]
+        recommender = fit_recommender(
+            [shared, shared, first, shared, shared, second], [1] * 6,
+            [0, 0, 0, 1, 1, 1], stats, min_cluster_size=2)
+        assert [c.medoid for c in recommender._clusters] == [shared] * 2
+        recommender.recommend(areas[5])
+        assert recommender._medoid_pack()[0].n_areas == 1
+
+    def test_moved_label_updates_cluster_id(self, monkeypatch):
+        stats = _parity_stats()
+        areas, labels = _two_clusters()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        swapped = [1 - label for label in labels]
+        calls = self._counting(monkeypatch)
+        second = fit_recommender(areas, [1] * len(areas), swapped, stats,
+                                 min_cluster_size=2, previous=first)
+        assert calls["aggregate"] == []
+        fresh = fit_recommender(areas, [1] * len(areas), swapped, stats,
+                                min_cluster_size=2)
+        assert [c.aggregated for c in second._clusters] == \
+            [c.aggregated for c in fresh._clusters]
+        assert [c.aggregated.cluster_id for c in second._clusters] == [1, 0]
+
+    def test_other_sigma_reaggregates(self):
+        stats = _parity_stats()
+        areas, labels = _two_clusters()
+        first = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                min_cluster_size=2)
+        second = fit_recommender(areas, [1] * len(areas), labels, stats,
+                                 min_cluster_size=2, sigma=math.inf,
+                                 previous=first)
+        assert not any(c.aggregated is p.aggregated
+                       for c in second._clusters
+                       for p in first._clusters)
+        assert [c.block for c in second._clusters] == \
+            [c.block for c in first._clusters]
+
+    def test_pack_rebuilt_once_stale_medoids_exceed_a_quarter(self):
+        stats = _parity_stats()
+        groups = {offset: _two_clusters(offset)
+                  for offset in (0.0, 10.0, 20.0, 30.0, 31.0, 21.0)}
+
+        def population(offsets):
+            areas, labels = [], []
+            for group, offset in enumerate(offsets):
+                more, more_labels = groups[offset]
+                areas += more
+                labels += [2 * group + label for label in more_labels]
+            return areas, labels
+
+        populations = [population(offsets) for offsets in (
+            (0.0, 10.0, 20.0, 30.0), (0.0, 10.0, 20.0, 31.0),
+            (0.0, 10.0, 21.0, 31.0))]
+        fits, packs = [], []
+        previous = None
+        for areas, labels in populations:
+            previous = fit_recommender(areas, [1] * len(areas), labels,
+                                       stats, min_cluster_size=2,
+                                       previous=previous)
+            previous.recommend(areas[0])
+            fits.append(previous)
+            packs.append(previous._medoid_pack()[0])
+        # Eight live medoids each time: the second fit holds two stale
+        # ones (a quarter of live), the third four.
+        assert packs[1] is packs[0]
+        assert packs[2] is not packs[0]
+        assert (packs[0].n_areas, packs[2].n_areas) == (10, 8)
+        for recommender, (areas, labels) in zip(fits, populations):
+            _assert_same_recommender(
+                recommender, fit_recommender(areas, [1] * len(areas),
+                                             labels, stats,
+                                             min_cluster_size=2),
+                areas[::4])

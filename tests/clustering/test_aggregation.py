@@ -2,6 +2,9 @@
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.algebra.cnf import CNF, Clause
 from repro.algebra.intervals import Interval
 from repro.algebra.predicates import (ColumnColumnPredicate,
@@ -9,6 +12,7 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
                                       Op)
 from repro.core.area import AccessArea
 from repro.clustering import aggregate_all, aggregate_cluster
+from repro.clustering.aggregation import _trim
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
 
@@ -195,8 +199,7 @@ class TestTrimRobustness:
     input may ever erase a bound or raise."""
 
     def _trim(self, values, sigma=3.0):
-        from repro.clustering.aggregation import _trim
-        return _trim(list(values), sigma)
+        return _expand(_trim([(value, 1) for value in values], sigma))
 
     def test_empty_passthrough(self):
         assert self._trim([]) == []
@@ -244,3 +247,74 @@ class TestTrimRobustness:
         members = [window(10, 20)] * 5
         agg = aggregate_cluster(0, members, sigma=1e-12)
         assert agg.bound_for(T_U).interval == Interval(10, 20)
+
+
+def _expand(runs):
+    return [value for value, count in runs for _ in range(count)]
+
+
+def _trim_repeated(values, sigma):
+    """The repetition code :func:`_trim` replaced, kept as its oracle:
+    every value repeated, summed and filtered one copy at a time."""
+    if len(values) < 3 or math.isinf(sigma):
+        return values
+    mean = sum(values) / len(values)
+    if not math.isfinite(mean):
+        return values
+    try:
+        variance = sum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError:
+        return values
+    std = math.sqrt(variance)
+    if std == 0 or not math.isfinite(std):
+        return values
+    kept = [v for v in values if abs(v - mean) <= sigma * std]
+    return kept or values
+
+
+# Bounds near one another with the odd outlier, spellings that compare
+# equal (5 and 5.0, 0.0 and -0.0), integers past the float mantissa, and
+# values whose spread overflows or poisons the statistics.
+_bound_values = st.one_of(
+    st.floats(min_value=9.0, max_value=11.0),
+    st.floats(min_value=9.0, max_value=11.0),
+    st.integers(min_value=8, max_value=12),
+    st.sampled_from([5, 5.0, 0.0, -0.0, 2 ** 60 + 1, 1000.0, -1e3,
+                     1e200, -1e200, math.nan]))
+
+
+class TestTrimByMultiplicity:
+    """``_trim`` over ``(value, count)`` runs answers bitwise what the
+    repetition code answers over the repeated values, and a weighted
+    aggregate equals the aggregate of its repeated members."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(_bound_values,
+                                   st.integers(min_value=1, max_value=40)),
+                         max_size=8),
+           sigma=st.sampled_from([3.0, 1.0, 0.5, 1e-9, math.inf]))
+    def test_runs_equal_repetition(self, runs, sigma):
+        got = _expand(_trim(runs, sigma))
+        want = _trim_repeated(_expand(runs), sigma)
+        # repr: bitwise, so 5 vs 5.0, -0.0 and NaN all count.
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        if want:
+            assert repr(min(got)) == repr(min(want))
+            assert repr(max(got)) == repr(max(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.lists(
+        st.tuples(_bound_values.filter(lambda v: abs(v) < 1e6),
+                  st.floats(min_value=0.0, max_value=5.0),
+                  st.integers(min_value=1, max_value=30)),
+        min_size=1, max_size=6),
+        sigma=st.sampled_from([3.0, 1.0, math.inf]))
+    def test_weighted_aggregate_equals_repeated(self, spec, sigma):
+        members = [window(lo, lo + width) for lo, width, _count in spec]
+        weights = [count for _lo, _width, count in spec]
+        weighted = aggregate_cluster(0, members, _stats(), sigma=sigma,
+                                     weights=weights)
+        repeated = aggregate_cluster(
+            0, [area for area, count in zip(members, weights)
+                for _ in range(count)], _stats(), sigma=sigma)
+        assert repr(weighted) == repr(repeated)

@@ -57,9 +57,10 @@ class TestProcessLog:
         assert len(report.areas()) == 1
 
     def test_constants_off_the_number_line_are_tallied(self, schema):
-        # An infinity that starts a ray and an integer beyond the float
-        # range cannot become intervals: a typed refusal, tallied with
-        # the unsupported statements, never raised.
+        # An infinity that starts a ray, a point at an infinity and an
+        # integer beyond the float range cannot become intervals: a
+        # typed refusal, tallied with the unsupported statements, never
+        # raised.
         statements = [
             "SELECT * FROM T WHERE u > 1e400",
             "SELECT * FROM T WHERE u < -1e400",
@@ -71,13 +72,13 @@ class TestProcessLog:
         ]
         report = process_log(statements, AccessAreaExtractor(schema))
         assert report.total == 6
-        assert report.unsupported_statements == 4
+        assert report.unsupported_statements == 5
         assert [kind for _index, kind, _message in report.failures] \
-            == ["unsupported"] * 4
+            == ["unsupported"] * 5
         assert all("number line" in message
                    for _index, _kind, message in report.failures)
-        # A point at an infinity, and rays towards one, still place.
-        assert [item.index for item in report.extracted] == [4, 5]
+        # Rays towards an infinity still place.
+        assert [item.index for item in report.extracted] == [5]
 
 
 class TestTimings:

@@ -29,6 +29,8 @@ from repro.service import (AppState, ServiceConfig, TestClient,
                            create_app)
 from repro.workload import WorkloadConfig, generate_workload
 
+from .test_store_restart import OFF_THE_LINE
+
 
 def _service(config: ServiceConfig, schema=None):
     registry = MetricsRegistry()
@@ -203,10 +205,7 @@ class TestReads:
 
     def test_recommend_unplaceable_constant_is_422(self, ingested):
         _, _, client, _ = ingested
-        for sql in ("SELECT ra FROM PhotoObj WHERE ra > 1e400",
-                    "SELECT ra FROM PhotoObj WHERE ra < -1e400",
-                    "SELECT objid FROM PhotoObj WHERE objid = "
-                    + "9" * 400):
+        for sql in OFF_THE_LINE:
             response = client.get("/recommend", params={"sql": sql})
             assert response.status == 422
             assert "number line" in response.json()["error"]
@@ -229,6 +228,36 @@ class TestReads:
         assert "repro_service_request_seconds" in text
         assert "repro_service_ingested_total" in text
         assert "repro_incremental_arrivals_total" in text
+
+
+def test_points_at_infinity_leave_every_read_answering():
+    """``ra = 1e400`` sent five times by one user into a live population
+    is refused at extraction, so no cluster forms around a point at
+    infinity: every cluster, every user's interests and every
+    ``/recommend`` still answer 200."""
+    app, state = _service(ServiceConfig(eps=0.12, min_pts=3))
+    client = TestClient(app)
+    workload = generate_workload(WorkloadConfig(n_queries=60, seed=3))
+    statements = workload.log.statements_with_users()
+    for sql, user in statements + [(statements[0][0], "n")]:
+        assert client.post("/queries", json={"sql": sql, "user": user}
+                           ).status == 200
+    for _ in range(5):
+        answer = client.post("/queries", json={
+            "sql": "SELECT ra FROM PhotoObj WHERE ra = 1e400",
+            "user": "n"}).json()
+        assert answer["status"] == "failed"
+        assert "number line" in answer["error"]
+    clusters = client.get("/clusters").json()["clusters"]
+    assert clusters
+    reads = [f"/clusters/{row['id']}" for row in clusters]
+    reads += [f"/users/{user}/interests" for user in state.users]
+    assert "/users/n/interests" in reads
+    for path in reads + ["/recommend"]:
+        assert client.get(path).status == 200, path
+    for sql, _user in statements[:10]:
+        assert client.get("/recommend", params={"sql": sql}).status \
+            in (200, 422)
 
 
 class TestOnePool:

@@ -125,6 +125,32 @@ def test_ingest_continues_after_restart(store_config):
     second.close()
 
 
+def test_reopen_fetches_each_stored_area_once(store_config, monkeypatch):
+    first = _fresh(store_config)
+    statements = generate_workload(WorkloadConfig(
+        n_queries=60, seed=11)).log.statements_with_users()
+    for sql, user in statements * 3:
+        first.ingest(sql, user=user)
+    digests = [bytes.fromhex(entry["digest"])
+               for entry in first.store.iter_journal() if entry["digest"]]
+    labels = list(first.monitor.statement_labels)
+    first.close()
+
+    fetched = []
+    get_area = AreaStore.get_area
+
+    def counting(store, digest):
+        fetched.append(digest)
+        return get_area(store, digest)
+
+    monkeypatch.setattr(AreaStore, "get_area", counting)
+    second = _fresh(store_config)
+    assert len(set(digests)) < len(digests)
+    assert sorted(fetched) == sorted(set(digests))
+    assert list(second.monitor.statement_labels) == labels
+    second.close()
+
+
 def test_restart_in_a_new_interpreter_keeps_area_identity(tmp_path):
     # String hashes differ between interpreters.  An area read back from
     # the store must not keep the writer's cached hash, or a repeat
@@ -152,10 +178,21 @@ def test_restart_in_a_new_interpreter_keeps_area_identity(tmp_path):
 
 
 #: statements whose constants the interval algebra cannot place: an
-#: infinity that starts a ray, and an integer beyond the float range.
+#: infinity that starts a ray, an integer beyond the float range, a
+#: point at an infinity (also where a literal too long for ``int``
+#: parses as a float), and folding whose result leaves the float range
+#: (an integer product, or arithmetic that overflows on the way).
 OFF_THE_LINE = ("SELECT ra FROM PhotoObj WHERE ra > 1e400",
                 "SELECT ra FROM PhotoObj WHERE ra < -1e400",
-                "SELECT objid FROM PhotoObj WHERE objid = " + "9" * 400)
+                "SELECT objid FROM PhotoObj WHERE objid = " + "9" * 400,
+                "SELECT ra FROM PhotoObj WHERE ra = 1e400",
+                "SELECT objid FROM PhotoObj WHERE objid = " + "9" * 5000,
+                "SELECT objid FROM PhotoObj WHERE objid = "
+                + "9" * 4000 + " * " + "9" * 4000,
+                "SELECT objid FROM PhotoObj WHERE objid = " + "9" * 400
+                + " / 3",
+                "SELECT objid FROM PhotoObj WHERE objid = 1.5 + "
+                + "9" * 400)
 
 
 def test_unplaceable_constants_fail_and_replay(store_config):
@@ -171,22 +208,70 @@ def test_unplaceable_constants_fail_and_replay(store_config):
                                    json={"sql": arrival, "user": "eve"})
             assert response.status == 200
             answers.append(response.json())
-    assert [a["index"] for a in answers] == list(range(6))
-    assert [a["status"] for a in answers[1::2]] == ["failed"] * 3
+    n = 2 * len(OFF_THE_LINE)
+    assert [a["index"] for a in answers] == list(range(n))
+    assert [a["status"] for a in answers[1::2]] == \
+        ["failed"] * len(OFF_THE_LINE)
     assert all(a["error"].startswith("UnsupportedStatementError: ")
                for a in answers[1::2])
-    assert state.version == state.monitor.state.processed == 6
-    assert len(list(state.store.iter_journal())) == 6
+    assert state.version == state.monitor.state.processed == n
+    assert len(list(state.store.iter_journal())) == n
     before = client.post("/queries", json={"sql": valid}).json()
     labels = list(state.monitor.statement_labels)
     state.close()
 
     second = _fresh(store_config)
-    assert second.replayed == 7
-    assert second.monitor.state.failures == 3
+    assert second.replayed == n + 1
+    assert second.monitor.state.failures == len(OFF_THE_LINE)
     assert list(second.monitor.statement_labels) == labels
     after = second.ingest(valid)
-    assert before["index"] == 6 and after.index == 7
+    assert before["index"] == n and after.index == n + 1
+    second.close()
+
+
+def test_journalled_point_at_infinity_replays_as_failure(tmp_path,
+                                                         monkeypatch):
+    """A store written while extraction still placed ``ra = 1e400`` at
+    +inf holds that area.  Reopened, it replays as the failed arrival
+    the statement is now, so no cluster forms around a point at
+    infinity and every read answers 200."""
+    import repro.core.extractor as extractor_module
+    from repro.algebra.predicates import Op
+
+    config = ServiceConfig(eps=0.12, min_pts=3,
+                           store_dir=str(tmp_path / "s"))
+    point = "SELECT ra FROM PhotoObj WHERE ra = 1e400"
+    statements = generate_workload(WorkloadConfig(
+        n_queries=60, seed=3)).log.statements_with_users()
+    arrivals = statements + [(statements[0][0], "n")] + [(point, "n")] * 5
+    monkeypatch.setattr(extractor_module, "_UNPLACEABLE", {
+        value: tuple(op for op in ops if op is not Op.EQ)
+        for value, ops in extractor_module._UNPLACEABLE.items()})
+    first = _fresh(config)
+    for sql, user in arrivals:
+        first.ingest(sql, user=user)
+    placed = first.monitor.state.failures
+    labels = list(first.monitor.statement_labels)
+    first.close()
+    monkeypatch.undo()
+
+    second = _fresh(config)
+    assert second.replayed == len(arrivals)
+    assert second.monitor.state.failures == placed + 5
+    assert list(second.monitor.statement_labels) == labels[:-5]
+    client = TestClient(create_app(state=second))
+    clusters = client.get("/clusters").json()["clusters"]
+    assert clusters
+    reads = [f"/clusters/{row['id']}" for row in clusters]
+    reads += [f"/users/{user}/interests" for user in second.users]
+    assert "/users/n/interests" in reads
+    for path in reads + ["/recommend"]:
+        assert client.get(path).status == 200, path
+    for sql, _user in statements[:10]:
+        assert client.get("/recommend", params={"sql": sql}).status \
+            in (200, 422)
+    assert client.post("/queries", json={"sql": point}).json()[
+        "status"] == "failed"
     second.close()
 
 
