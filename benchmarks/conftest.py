@@ -7,7 +7,6 @@ its reproduced artifact to ``benchmarks/out/`` so EXPERIMENTS.md can
 reference actual runs.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -47,37 +46,3 @@ def bench_result(bench_config):
 def write_artifact(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Flight-recorder hook: one run record per benchmark session.
-
-    After the benchmarks have written their ``BENCH_*.json`` artifacts,
-    leave a run record (flattened benchmark metrics included) under the
-    runs directory, and — when ``REPRO_BENCH_TRAJECTORY_LABEL`` is set
-    (the CI perf-guard job does this) — append the metrics to the
-    trajectory store so ``repro perf check`` can compare labels.
-    Never fails the benchmark run itself.
-    """
-    if not OUT_DIR.is_dir():
-        return
-    try:
-        from repro.obs import runrec
-        from repro.obs.perf import append_entry, collect_bench_metrics
-
-        metrics = collect_bench_metrics(OUT_DIR)
-        if not metrics:
-            return
-        runs_dir = (os.environ.get("REPRO_RUNS_DIR")
-                    or runrec.DEFAULT_RUNS_DIR)
-        with runrec.RunRecorder("benchmarks",
-                                runs_dir=runs_dir) as recorder:
-            recorder.set(bench_metrics=metrics,
-                         exit_code=int(exitstatus),
-                         smoke=os.environ.get("REPRO_BENCH_SMOKE")
-                         == "1")
-        label = os.environ.get("REPRO_BENCH_TRAJECTORY_LABEL")
-        if label:
-            append_entry(OUT_DIR / "BENCH_trajectory.json", metrics,
-                         label=label, git_sha=runrec.git_sha())
-    except Exception as error:  # pragma: no cover - diagnostics only
-        print(f"flight-recorder benchmark hook skipped: {error}")

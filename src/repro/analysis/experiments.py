@@ -63,11 +63,6 @@ class CaseStudyConfig:
     #: worker processes for a dense clustering distance matrix
     #: (1 = serial); ``eps`` picks dense or block-sparse
     n_jobs: int = 1
-    #: True → intern areas by canonical fingerprint and cluster the
-    #: unique areas with multiplicity weights (distance stage computes
-    #: u(u−1)/2 pairs instead of n(n−1)/2), expanding labels back
-    #: afterwards; False → one area object per statement (``--no-intern``)
-    intern: bool = True
     #: directory for the persistent :class:`~repro.store.AreaStore`
     #: (``--store-dir``): a cold run persists extracted areas, the log
     #: manifest, and condensed distance blocks; a warm re-run on the
@@ -175,8 +170,7 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
                            f"|workload={config.workload!r}"
                            f"|content={config.content!r}")
         report = process_log(workload.log.statements_with_users(),
-                             extractor, intern=config.intern,
-                             store=store)
+                             extractor, store=store)
 
         # access(a) = content(a) ∪ MBR(a): widen with the whole log's
         # constants.
@@ -198,37 +192,27 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
         ]
 
         distance = QueryDistance(stats, resolution=config.resolution)
-        with trace.span("cluster", sample=len(sample),
-                        intern=config.intern) as cluster_span:
-            sample_areas = [s.area for s in sample]
-            if config.intern:
-                # Cluster the unique areas with multiplicity weights —
-                # same labels as clustering the full sample, but the
-                # distance stage pays u(u−1)/2 instead of n(n−1)/2.
-                unique, area_weights, inverse = dedupe_areas(sample_areas)
-                matrix = compute_matrix(
-                    unique, distance, eps=config.eps,
-                    n_jobs=config.n_jobs, store=store,
-                    store_token=store_token)
-                matrix.stats.n_source_items = len(sample_areas)
-                deduped = partitioned_dbscan(
-                    unique, distance, config.eps, config.min_pts,
-                    matrix=matrix, weights=area_weights,
-                    on_inexact="fallback")
-                clustering = DBSCANResult(
-                    expand_labels(deduped.labels, inverse))
-                cluster_span.set(unique=len(unique))
-            else:
-                matrix = compute_matrix(
-                    sample_areas, distance, eps=config.eps,
-                    n_jobs=config.n_jobs, store=store,
-                    store_token=store_token)
-                # compute_matrix already hands us a dense matrix when
-                # eps is too large for exact partitioning; fall back to
-                # plain DBSCAN on it instead of failing the whole study.
-                clustering = partitioned_dbscan(
-                    sample_areas, distance, config.eps,
-                    config.min_pts, matrix=matrix, on_inexact="fallback")
+        with trace.span("cluster", sample=len(sample)) as cluster_span:
+            # Cluster the unique areas with multiplicity weights — same
+            # labels as clustering the full sample, but the distance
+            # stage pays u(u−1)/2 instead of n(n−1)/2.
+            unique, area_weights, inverse = dedupe_areas(
+                [s.area for s in sample])
+            matrix = compute_matrix(
+                unique, distance, eps=config.eps,
+                n_jobs=config.n_jobs, store=store,
+                store_token=store_token)
+            matrix.stats.n_source_items = len(sample)
+            # compute_matrix hands back a dense matrix when eps is too
+            # large for exact partitioning; fall back to plain DBSCAN on
+            # it instead of failing the whole study.
+            deduped = partitioned_dbscan(
+                unique, distance, config.eps, config.min_pts,
+                matrix=matrix, weights=area_weights,
+                on_inexact="fallback")
+            clustering = DBSCANResult(
+                expand_labels(deduped.labels, inverse))
+            cluster_span.set(unique=len(unique))
 
         with trace.span("aggregate"):
             rows = _build_rows(sample, clustering, stats, db, config)

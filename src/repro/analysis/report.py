@@ -47,6 +47,7 @@ def _density(value: float) -> str:
 def format_summary(result: CaseStudyResult) -> str:
     """One-paragraph run summary (Section 6.1-style headline numbers)."""
     report = result.report
+    stats = report.intern_stats
     empty_rows = [row for row in result.rows if row.is_empty_area]
     lines = [
         f"log size            : {report.total:,}",
@@ -55,14 +56,9 @@ def format_summary(result: CaseStudyResult) -> str:
         f"  parse errors      : {report.parse_errors}",
         f"  unsupported stmts : {report.unsupported_statements}",
         f"  CNF failures      : {report.cnf_failures}",
-    ]
-    if report.interner is not None:
-        stats = report.intern_stats
-        lines.append(
-            f"unique areas        : {stats.pool_size:,} "
-            f"({stats.dedup_ratio:.1f}x dedup, "
-            f"{stats.hit_rate:.0%} intern hit rate)")
-    lines += [
+        f"unique areas        : {stats.pool_size:,} "
+        f"({stats.dedup_ratio:.1f}x dedup, "
+        f"{stats.hit_rate:.0%} intern hit rate)",
         f"clustered sample    : {len(result.sample):,}",
         f"clusters found      : {result.n_clusters}",
         f"noise points        : {result.clustering.noise_count:,}",

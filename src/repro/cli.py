@@ -17,8 +17,7 @@ Subcommands:
   metamorphic oracles over random schemas/states, shrinking failures
   to a replayable JSON corpus);
 * ``stats`` — render a ``--metrics-out`` dump / ``--trace-out`` trace;
-* ``runs`` — the flight recorder: list/show/diff run records;
-* ``perf`` — benchmark trajectories and the perf-regression guard.
+* ``runs`` — the flight recorder: list/show/diff run records.
 
 Observability: every subcommand takes ``--log-level`` / ``--log-format``
 (stderr diagnostics; also via ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_FORMAT``),
@@ -47,8 +46,6 @@ Examples::
     repro-skyserver stats m.json --trace t.jsonl
     repro-skyserver runs list
     repro-skyserver runs diff prev latest
-    repro-skyserver perf record --label baseline
-    repro-skyserver perf check --budgets perf_budgets.toml
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ from .distance.query_distance import QueryDistance
 from .obs import (Profiler, Tracer, configure_logging, export,
                   get_logger, get_registry, profile_section, runrec,
                   set_profiler, set_tracer, trace)
-from .obs import perf as obs_perf
 from .schema import StatisticsCatalog, skyserver_schema
 from .schema.skyserver import CONTENT_BOUNDS
 from .sqlparser import SqlError
@@ -143,12 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_process.add_argument("--n-jobs", type=int, default=1,
                            help="worker processes for a dense distance "
                                 "matrix (1 = serial, 0 = all cores)")
-    p_process.add_argument("--intern", default=True,
-                           action=argparse.BooleanOptionalAction,
-                           help="pool areas by canonical fingerprint and "
-                                "cluster unique areas with multiplicity "
-                                "weights (--no-intern: one object per "
-                                "statement)")
     p_process.add_argument("--store-dir", default=None, metavar="DIR",
                            help="persistent area store: cold runs "
                                 "persist areas + a log manifest, warm "
@@ -223,12 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for a dense clustering "
                              "distance matrix (1 = serial, 0 = all "
                              "CPU cores)")
-    p_case.add_argument("--intern", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="pool areas by canonical fingerprint and "
-                             "cluster unique areas with multiplicity "
-                             "weights (--no-intern: one object per "
-                             "statement)")
     p_case.add_argument("--store-dir", default=None, metavar="DIR",
                         help="persistent area store: warm re-runs "
                              "replay the log manifest and reload "
@@ -303,35 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_diff.add_argument("--json", action="store_true",
                         help="emit the structured diff as JSON")
 
-    p_perf = sub.add_parser(
-        "perf", parents=[logging_parent],
-        help="benchmark trajectories and the perf-regression guard")
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-    f_record = perf_sub.add_parser(
-        "record", help="flatten BENCH_*.json artifacts into the "
-                       "trajectory store")
-    f_record.add_argument("--bench-dir", default="benchmarks/out",
-                          metavar="DIR",
-                          help="directory holding BENCH_*.json")
-    f_record.add_argument("--trajectory",
-                          default="benchmarks/out/BENCH_trajectory.json",
-                          metavar="FILE")
-    f_record.add_argument("--label", default="baseline",
-                          help="entry label (check compares labels)")
-    f_check = perf_sub.add_parser(
-        "check", help="compare trajectory labels against budgets; "
-                      "exit 1 on regression")
-    f_check.add_argument("--trajectory",
-                         default="benchmarks/out/BENCH_trajectory.json",
-                         metavar="FILE")
-    f_check.add_argument("--budgets", default="perf_budgets.toml",
-                         metavar="FILE")
-    f_check.add_argument("--baseline", default="baseline",
-                         help="baseline entry label")
-    f_check.add_argument("--candidate", default="candidate",
-                         help="candidate entry label")
-    f_check.add_argument("--json", action="store_true",
-                         help="emit the structured result as JSON")
     return parser
 
 
@@ -370,8 +325,6 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
         return _cmd_qa(args)
     if command == "runs":
         return _cmd_runs(args)
-    if command == "perf":
-        return _cmd_perf(args)
     return _cmd_casestudy(args)
 
 
@@ -493,7 +446,7 @@ def _cmd_process(args: argparse.Namespace) -> int:
     store = open_store(args.store_dir)
     with profile_section("extract"):
         report = process_log(log.statements_with_users(), extractor,
-                             intern=args.intern, store=store)
+                             store=store)
     report.continuation_lines = log.continuation_lines
     if store is not None:
         mode = "warm replay" if report.warm else "cold run"
@@ -510,11 +463,10 @@ def _cmd_process(args: argparse.Namespace) -> int:
     if report.continuation_lines:
         print(f"  multi-line SQL : {report.continuation_lines} "
               f"continuation lines folded")
-    if report.interner is not None:
-        intern_stats = report.intern_stats
-        print(f"unique areas     : {intern_stats.pool_size:,} "
-              f"({intern_stats.dedup_ratio:.1f}x dedup, "
-              f"{intern_stats.hit_rate:.0%} hit rate)")
+    intern_stats = report.intern_stats
+    print(f"unique areas     : {intern_stats.pool_size:,} "
+          f"({intern_stats.dedup_ratio:.1f}x dedup, "
+          f"{intern_stats.hit_rate:.0%} hit rate)")
     for index, kind, message in report.failures[:args.failures]:
         logger.warning("failure example [%s] %r: %s", kind,
                        log[index].sql[:60], message[:50])
@@ -545,19 +497,14 @@ def _cluster_report(report, schema, args: argparse.Namespace):
         rng = random.Random(args.cluster_seed)
         areas = rng.sample(areas, args.sample)
     distance = QueryDistance(stats)
-    if args.intern:
-        unique, weights, inverse = dedupe_areas(areas)
-        matrix = compute_matrix(unique, distance, eps=args.eps,
-                                n_jobs=args.n_jobs)
-        matrix.stats.n_source_items = len(areas)
-        deduped = partitioned_dbscan(
-            unique, distance, args.eps, args.min_pts, matrix=matrix,
-            weights=weights, on_inexact="fallback")
-        return DBSCANResult(expand_labels(deduped.labels, inverse))
-    matrix = compute_matrix(areas, distance, eps=args.eps,
+    unique, weights, inverse = dedupe_areas(areas)
+    matrix = compute_matrix(unique, distance, eps=args.eps,
                             n_jobs=args.n_jobs)
-    return partitioned_dbscan(areas, distance, args.eps, args.min_pts,
-                              matrix=matrix, on_inexact="fallback")
+    matrix.stats.n_source_items = len(areas)
+    deduped = partitioned_dbscan(
+        unique, distance, args.eps, args.min_pts, matrix=matrix,
+        weights=weights, on_inexact="fallback")
+    return DBSCANResult(expand_labels(deduped.labels, inverse))
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
@@ -680,7 +627,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         eps=args.eps,
         min_pts=args.min_pts,
         n_jobs=args.n_jobs,
-        intern=args.intern,
         store_dir=args.store_dir,
     )
     with profile_section("casestudy"):
@@ -776,37 +722,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"runs: {exc.args[0]}", file=sys.stderr)
         return 2
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "record":
-        metrics = obs_perf.collect_bench_metrics(args.bench_dir)
-        if not metrics:
-            print(f"perf record: no BENCH_*.json under "
-                  f"{args.bench_dir}", file=sys.stderr)
-            return 2
-        entry = obs_perf.append_entry(
-            args.trajectory, metrics, label=args.label,
-            git_sha=runrec.git_sha())
-        print(f"recorded {len(metrics)} metrics as "
-              f"{entry['label']!r} in {args.trajectory}")
-        return 0
-    # check
-    try:
-        trajectory = obs_perf.load_trajectory(args.trajectory)
-        budgets = obs_perf.load_budgets(args.budgets)
-        result = obs_perf.check_regressions(
-            trajectory, budgets, baseline_label=args.baseline,
-            candidate_label=args.candidate)
-    except (KeyError, ValueError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"perf check: {message}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(obs_perf.format_check(result))
-    return 0 if result["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ pipeline does:
 
 * **Interned arrivals are O(1).**  SkyServer logs are dominated by bot
   and template repeats, so most arrivals hit the fingerprint pool
-  (``BENCH_interning.json``: 33–133× dedup).  A hit only bumps the
-  representative's weight; the sole possible structural consequence is
-  a *core promotion* inside its eps-neighbourhood, repaired locally.
+  (``perfbench``'s ``serve_repeat`` ledger: ``incremental.hit_ratio``
+  0.94).  A hit only bumps the representative's weight; the sole
+  possible structural consequence is a *core promotion* inside its
+  eps-neighbourhood, repaired locally.
 * **New areas touch one partition.**  A genuinely new area inserts one
   row into the affected partition of the block-sparse distance layout
   (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.insert_row`)

@@ -236,8 +236,9 @@ class LogProcessingReport:
     stage_timings: dict[str, StageTimingSummary] = field(
         default_factory=lambda: {stage: StageTimingSummary()
                                  for stage in _STAGES})
-    #: the access-area intern pool (None when interning was disabled)
-    interner: Optional[AccessAreaInterner] = None
+    #: the access-area intern pool
+    interner: AccessAreaInterner = field(
+        default_factory=AccessAreaInterner)
     #: continuation lines folded into multi-line statements upstream
     #: (e.g. by :meth:`repro.workload.QueryLog.load_plain`) — part of
     #: the extraction-rate taxonomy, *not* parse errors
@@ -270,8 +271,6 @@ class LogProcessingReport:
 
     @property
     def intern_stats(self) -> InternStats:
-        if self.interner is None:
-            return InternStats()
         return self.interner.stats()
 
     def areas(self) -> list[AccessArea]:
@@ -279,9 +278,8 @@ class LogProcessingReport:
 
     def unique_areas(self) -> tuple[list[AccessArea], list[int], list[int]]:
         """The extracted areas deduplicated: ``(unique, weights,
-        inverse)`` as per :func:`dedupe_areas`.  When the report was
-        built with interning, duplicates are already shared objects and
-        this only builds the weight/inverse maps."""
+        inverse)`` as per :func:`dedupe_areas`.  Duplicates are already
+        shared objects, so this only builds the weight/inverse maps."""
         return dedupe_areas(self.areas())
 
     def distance_matrix(self, metric: Callable[[AccessArea, AccessArea],
@@ -375,8 +373,7 @@ def _replay_log_manifest(manifest: dict, statements, store,
             if area is None:
                 return None
             cache[digest_hex] = area
-        if interner is not None:
-            area = interner.intern(area)
+        area = interner.intern(area)
         extracted_total.inc()
         report.extracted.append(ExtractedQuery(index, sql, area, user))
     return report
@@ -386,7 +383,6 @@ def process_log(statements: Iterable[str | tuple[str, str]],
                 extractor: AccessAreaExtractor | None = None,
                 keep_failures: bool = True,
                 registry: Optional[metrics.MetricsRegistry] = None,
-                intern: bool = True,
                 interner: Optional[AccessAreaInterner] = None,
                 store=None,
                 ) -> LogProcessingReport:
@@ -398,13 +394,11 @@ def process_log(statements: Iterable[str | tuple[str, str]],
     (defaults to the process-wide registry): per-outcome counters under
     ``repro_pipeline_*`` plus per-stage latency histograms.
 
-    ``intern`` (default on) pools extracted areas by canonical
-    fingerprint: repeats of the same access area share one immutable
-    object, so a repeat-heavy log stores ``u`` unique areas instead of
-    ``n``, footprint caches warm once, and the report's
-    :meth:`~LogProcessingReport.unique_areas` collapse is free.  Pass
-    ``interner`` to share a pool across logs; ``intern=False`` restores
-    the one-object-per-statement behaviour (``--no-intern`` debugging).
+    Extracted areas are pooled by canonical fingerprint: repeats of the
+    same access area share one immutable object, so a repeat-heavy log
+    stores ``u`` unique areas instead of ``n``, footprint caches warm
+    once, and the report's :meth:`~LogProcessingReport.unique_areas`
+    collapse is free.  Pass ``interner`` to share a pool across logs.
 
     ``store`` (an :class:`~repro.store.AreaStore`) persists the run:
     every unique area lands in the crash-safe segment log, and a **log
@@ -421,10 +415,8 @@ def process_log(statements: Iterable[str | tuple[str, str]],
         extractor = AccessAreaExtractor()
     if registry is None:
         registry = metrics.get_registry()
-    if intern and interner is None:
+    if interner is None:
         interner = AccessAreaInterner()
-    elif not intern:
-        interner = None
 
     manifest_key = None
     if store is not None:
@@ -439,8 +431,7 @@ def process_log(statements: Iterable[str | tuple[str, str]],
             if report is not None:
                 registry.counter(
                     "repro_store_log_warm_hits_total").inc()
-                if interner is not None:
-                    interner.record(registry)
+                interner.record(registry)
                 store.record(registry)
                 logger.info(
                     "warm-replayed %d statements from manifest %s: "
@@ -500,9 +491,7 @@ def process_log(statements: Iterable[str | tuple[str, str]],
                 stage_histograms[stage].observe(
                     getattr(result.timings, stage),
                     exemplar=result.span_id)
-            area = result.area
-            if interner is not None:
-                area = interner.intern(area)
+            area = interner.intern(result.area)
             if store is not None:
                 digest = store.append_area(area)
                 outcomes.append(("a", digest.hex()))
@@ -519,10 +508,8 @@ def process_log(statements: Iterable[str | tuple[str, str]],
             })
             store.checkpoint()
             store.record(registry)
-        if interner is not None:
-            interner.record(registry)
-            root.set(intern_pool=len(interner),
-                     intern_hits=interner.hits)
+        interner.record(registry)
+        root.set(intern_pool=len(interner), intern_hits=interner.hits)
     logger.info(
         "processed %d statements: %d extracted (%.2f%%), %d failures",
         report.total, report.extraction_count,

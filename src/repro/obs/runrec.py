@@ -3,13 +3,13 @@
 The SkyServer Traffic Report could mine five years of workload only
 because every request left a durable, analyzable record; this module
 gives the reproduction the same property about *itself*.  Every
-``process``/``qa``/``casestudy``/benchmark run appends one JSON
-document to a ``runs/`` directory — configuration, git SHA, platform,
-the stage waterfall distilled from the span trace, a compact metrics
-snapshot, and optional matrix/intern/profile payloads — under a
-versioned schema, so ``repro runs list/show/diff`` can answer "what
-changed between yesterday's run and this one" long after the processes
-are gone.
+``process``/``qa``/``casestudy``/``stream``/``serve``/``recommend`` run
+appends one JSON document to a ``runs/`` directory — configuration, git
+SHA, platform, the stage waterfall distilled from the span trace, a
+compact metrics snapshot, and optional matrix/intern/profile payloads
+— under a versioned schema, so ``repro runs list/show/diff`` can answer
+"what changed between yesterday's run and this one" long after the
+processes are gone.
 
 The recorder is exception-safe: used as a context manager it writes
 the record even when the run dies, with ``status: "error"`` and the

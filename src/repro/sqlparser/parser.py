@@ -53,6 +53,8 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._depth = 0
+        #: token positions where a grouped condition was rolled back
+        self._ungrouped: set[int] = set()
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -364,7 +366,14 @@ class _Parser:
         Nesting past the limit is not rolled back: the expression reading
         opens the same parentheses, so retrying it would only fail again,
         after work that grows with the square of the depth.
+
+        A rollback is remembered by position.  The attempt depends only
+        on the tokens from there on, so it would fail again; without the
+        memo, an expression reading that re-enters the same parentheses
+        retries every inner group, which doubles the work per level.
         """
+        if self._pos in self._ungrouped:
+            return None
         saved = self._pos, self._depth
         self._expect_punct("(")
         try:
@@ -376,6 +385,7 @@ class _Parser:
             if self._depth > MAX_NESTING:
                 raise
             self._pos, self._depth = saved
+            self._ungrouped.add(self._pos)
             return None
         follow = self.current
         expression_follow = (
@@ -386,6 +396,7 @@ class _Parser:
         )
         if expression_follow:
             self._pos, self._depth = saved
+            self._ungrouped.add(self._pos)
             return None
         return condition
 

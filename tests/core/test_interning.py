@@ -138,14 +138,6 @@ class TestProcessLogInterning:
         assert stats.pool_size == 2
         assert stats.hits == 2
 
-    def test_no_intern_keeps_distinct_objects(self, extractor):
-        report = process_log(self.STATEMENTS, extractor, intern=False)
-        areas = report.areas()
-        assert report.interner is None
-        assert areas[0] is not areas[1]
-        assert areas[0] == areas[1]  # still canonically equal
-        assert report.intern_stats == InternStats()
-
     def test_unique_areas_collapse(self, extractor):
         report = process_log(self.STATEMENTS, extractor)
         unique, weights, inverse = report.unique_areas()
@@ -155,8 +147,10 @@ class TestProcessLogInterning:
 
     def test_unique_areas_without_interning(self, extractor):
         interned = process_log(self.STATEMENTS, extractor)
-        plain = process_log(self.STATEMENTS, extractor, intern=False)
-        assert interned.unique_areas()[1:] == plain.unique_areas()[1:]
+        # One extraction per statement shares no objects between repeats.
+        plain = [extractor.extract(sql).area for sql in self.STATEMENTS]
+        assert plain[0] is not plain[1]
+        assert interned.unique_areas()[1:] == dedupe_areas(plain)[1:]
 
     def test_shared_pool_across_logs(self, extractor):
         pool = AccessAreaInterner()

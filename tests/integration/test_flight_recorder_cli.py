@@ -1,6 +1,6 @@
-"""End-to-end flight recorder: run records, runs CLI, profiling, and
-the perf guard — exercised through ``repro.cli.main`` and real
-subprocesses where process death matters."""
+"""End-to-end flight recorder: run records, runs CLI and profiling —
+exercised through ``repro.cli.main`` and real subprocesses where
+process death matters."""
 
 import json
 import subprocess
@@ -158,63 +158,6 @@ class TestProfiling:
                      "--runs-dir", str(runs)]) == 0
         capsys.readouterr()
         assert "profile" not in _run_record(runs)
-
-
-class TestPerfGuard:
-    def _bench_dir(self, tmp_path, kernel_seconds=0.1):
-        bench = tmp_path / "bench"
-        bench.mkdir(exist_ok=True)
-        (bench / "BENCH_mini.json").write_text(json.dumps({
-            "sizes": [{"n": 100, "kernel_seconds": kernel_seconds,
-                       "queries_per_second": 5000.0}],
-            "total_seconds": kernel_seconds * 12}))
-        return bench
-
-    def test_record_then_clean_check_passes(self, tmp_path, capsys):
-        bench = self._bench_dir(tmp_path)
-        trajectory = tmp_path / "BENCH_trajectory.json"
-        for _ in range(3):
-            assert main(["perf", "record", "--bench-dir", str(bench),
-                         "--trajectory", str(trajectory),
-                         "--label", "baseline"]) == 0
-        assert main(["perf", "record", "--bench-dir", str(bench),
-                     "--trajectory", str(trajectory),
-                     "--label", "candidate"]) == 0
-        capsys.readouterr()
-        assert main(["perf", "check",
-                     "--trajectory", str(trajectory)]) == 0
-        assert "RESULT: ok" in capsys.readouterr().out
-
-    def test_injected_2x_regression_exits_nonzero(self, tmp_path,
-                                                  capsys):
-        bench = self._bench_dir(tmp_path)
-        trajectory = tmp_path / "BENCH_trajectory.json"
-        for _ in range(3):
-            assert main(["perf", "record", "--bench-dir", str(bench),
-                         "--trajectory", str(trajectory),
-                         "--label", "baseline"]) == 0
-        self._bench_dir(tmp_path, kernel_seconds=0.2)  # 2x slower
-        assert main(["perf", "record", "--bench-dir", str(bench),
-                     "--trajectory", str(trajectory),
-                     "--label", "candidate"]) == 0
-        capsys.readouterr()
-        assert main(["perf", "check",
-                     "--trajectory", str(trajectory)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "kernel_seconds" in out
-
-    def test_missing_trajectory_exits_2(self, tmp_path, capsys):
-        assert main(["perf", "check", "--trajectory",
-                     str(tmp_path / "nope.json")]) == 2
-        assert "perf check:" in capsys.readouterr().err
-
-    def test_empty_bench_dir_exits_2(self, tmp_path, capsys):
-        assert main(["perf", "record",
-                     "--bench-dir", str(tmp_path / "void"),
-                     "--trajectory",
-                     str(tmp_path / "t.json")]) == 2
-        assert "no BENCH_" in capsys.readouterr().err
 
 
 class TestSubprocessDeath:

@@ -8,6 +8,10 @@ workload end-to-end and on hypothesis-generated repeat-heavy
 populations.
 """
 
+import random
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +20,12 @@ from repro.algebra.cnf import CNF, Clause
 from repro.algebra.intervals import Interval
 from repro.algebra.predicates import (ColumnConstantPredicate, ColumnRef,
                                       Op)
-from repro.analysis.experiments import CaseStudyConfig, run_case_study
+from repro.analysis.experiments import (CaseStudyConfig, _build_rows,
+                                       run_case_study)
 from repro.clustering import partitioned_dbscan
 from repro.clustering.aggregation import aggregate_cluster
 from repro.core.area import AccessArea
+from repro.core.extractor import AccessAreaExtractor
 from repro.core.pipeline import dedupe_areas, expand_labels
 from repro.distance import QueryDistance
 from repro.distance.block_sparse import compute_matrix
@@ -30,8 +36,10 @@ from repro.workload import ContentConfig, WorkloadConfig
 
 @pytest.fixture(scope="module")
 def paired_runs():
-    """The same scaled-down case study with and without interning."""
-    base = dict(
+    """A scaled-down case study, and a plain reference built here: the
+    study's sampled statements extracted one by one (no shared objects),
+    clustered without dedupe or weights, and aggregated into rows."""
+    config = CaseStudyConfig(
         workload=WorkloadConfig(n_queries=900, seed=13),
         content=ContentConfig(photo_rows=600, spec_rows=500,
                               satellite_rows=400, seed=7),
@@ -40,9 +48,24 @@ def paired_runs():
         min_pts=4,
         seed=99,
     )
-    interned = run_case_study(CaseStudyConfig(**base, intern=True))
-    plain = run_case_study(CaseStudyConfig(**base, intern=False))
-    return interned, plain
+    interned = run_case_study(config)
+    extractor = AccessAreaExtractor(interned.schema,
+                                    predicate_cap=config.predicate_cap,
+                                    consolidate=config.consolidate)
+    drawn = random.Random(config.seed).sample(interned.report.extracted,
+                                              config.sample_size)
+    sample = [replace(query, area=extractor.extract(item.sql).area)
+              for item, query in zip(drawn, interned.sample)]
+    areas = [query.area for query in sample]
+    distance = QueryDistance(interned.stats, resolution=config.resolution)
+    matrix = compute_matrix(areas, distance, eps=config.eps)
+    clustering = partitioned_dbscan(areas, distance, config.eps,
+                                    config.min_pts, matrix=matrix,
+                                    on_inexact="fallback")
+    rows = _build_rows(sample, clustering, interned.stats, interned.db,
+                       config)
+    return interned, SimpleNamespace(sample=sample, clustering=clustering,
+                                     rows=rows)
 
 
 class TestSeedWorkloadParity:
@@ -68,7 +91,6 @@ class TestSeedWorkloadParity:
     def test_intern_stats_populated(self, paired_runs):
         interned, plain = paired_runs
         assert interned.report.interner is not None
-        assert plain.report.interner is None
         stats = interned.report.intern_stats
         assert stats.pool_size > 0
         assert stats.dedup_ratio >= 1.0

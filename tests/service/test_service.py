@@ -290,7 +290,8 @@ class TestOnePool:
                 == "unclustered"
         assert state.clusterer.arrivals + refused \
             == state.monitor.state.extracted
-        assert state.clusterer.interned_hits > 600
+        assert state.clusterer.interned_hits \
+            == state.clusterer.arrivals - state.clusterer.n_unique
         assert live_areas() - before <= state.clusterer.n_unique + refused
 
 

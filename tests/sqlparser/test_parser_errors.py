@@ -130,6 +130,34 @@ class TestNestingLimit:
             parse(_grouped(1000))
         assert len(calls) <= MAX_NESTING
 
+    def test_grouped_backtracking_is_not_exponential(self, monkeypatch):
+        # A scalar subquery inside a grouped expression: each level is
+        # first tried as a grouped condition, which fails, and the
+        # expression reading then enters the same parentheses again.
+        def nested(levels):
+            condition = "ra > 1"
+            for _ in range(levels):
+                condition = (f"((SELECT ra FROM PhotoObj WHERE {condition})"
+                             f" + 1 > 0) + 1 > 0")
+            return "SELECT ra FROM PhotoObj WHERE " + condition
+
+        calls = []
+        original = _Parser._try_parse_grouped_condition
+
+        def counting(self):
+            calls.append(self._pos)
+            return original(self)
+
+        monkeypatch.setattr(_Parser, "_try_parse_grouped_condition",
+                            counting)
+        counts = []
+        for levels in (8, 16):
+            calls.clear()
+            with pytest.raises(ParseError):
+                parse(nested(levels))
+            counts.append(len(calls))
+        assert counts[1] <= 4 * counts[0], counts
+
     @pytest.mark.parametrize("sql", [
         _grouped(1000),
         "SELECT ra FROM P WHERE " + "NOT " * 1000 + "ra > 1",
