@@ -186,7 +186,22 @@ class IncrementalDBSCAN:
         self.min_pts = float(min_pts)
         sparse = self.eps < SPARSE_BELOW
         self.backend_name = "sparse" if sparse else "dense"
-        self._registry = registry or metrics.get_registry()
+        # Instruments are bound once: a registry lookup takes its lock
+        # and builds a label key, which every arrival would pay.
+        registry = registry or metrics.get_registry()
+        self._arrivals_total = registry.counter(
+            "repro_incremental_arrivals_total")
+        self._hits_total = registry.counter("repro_incremental_hits_total")
+        self._inserts_total = registry.counter(
+            "repro_incremental_inserts_total")
+        self._repair_totals = tuple(
+            (name, registry.counter(f"repro_incremental_{name}_total"))
+            for name in ("promotions", "demotions", "merges", "splits",
+                         "new_clusters"))
+        self._update_seconds = registry.histogram(
+            "repro_incremental_update_seconds")
+        self._population = registry.gauge("repro_incremental_population")
+        self._clusters = registry.gauge("repro_incremental_clusters")
         self._backend = (_SparseBackend if sparse
                          else _DenseBackend)(metric, self.eps)
         # Population state (indexed by unique-area index); _index_of is
@@ -220,6 +235,11 @@ class IncrementalDBSCAN:
     def areas(self) -> list:
         """Unique representatives in first-arrival order."""
         return list(self._areas)
+
+    def area(self, i: int):
+        """Unique representative ``i`` — O(1), where :meth:`areas`
+        copies the whole list."""
+        return self._areas[i]
 
     def weights(self) -> list[float]:
         return list(self._weights)
@@ -471,23 +491,18 @@ class IncrementalDBSCAN:
 
     def _record(self, update: IncrementalUpdate,
                 elapsed: float) -> None:
-        reg = self._registry
-        reg.counter("repro_incremental_arrivals_total").inc()
+        self._arrivals_total.inc()
         if update.interned_hit and not update.new_point:
-            reg.counter("repro_incremental_hits_total").inc()
+            self._hits_total.inc()
         if update.new_point:
-            reg.counter("repro_incremental_inserts_total").inc()
-        for name, value in (("promotions", update.promotions),
-                            ("demotions", update.demotions),
-                            ("merges", update.merges),
-                            ("splits", update.splits),
-                            ("new_clusters", update.new_clusters)):
+            self._inserts_total.inc()
+        for name, counter in self._repair_totals:
+            value = getattr(update, name)
             if value:
-                reg.counter(f"repro_incremental_{name}_total").inc(value)
-        reg.histogram("repro_incremental_update_seconds").observe(
-            elapsed)
-        reg.gauge("repro_incremental_population").set(self.n_unique)
-        reg.gauge("repro_incremental_clusters").set(self.n_clusters)
+                counter.inc(value)
+        self._update_seconds.observe(elapsed)
+        self._population.set(self.n_unique)
+        self._clusters.set(self.n_clusters)
 
     def summary(self) -> str:
         hit_pct = (100.0 * self.interned_hits / self.arrivals

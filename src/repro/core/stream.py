@@ -11,7 +11,12 @@ predicates and query types".  This module implements that operator view:
   combinations, query-type features (aggregation, nesting, outer joins),
   and constants outside the current ``access(a)`` range;
 * a sliding failure-rate window flags bursts of unparseable statements
-  (e.g. a client suddenly emitting a different SQL dialect).
+  (e.g. a client suddenly emitting a different SQL dialect);
+* a text seen before skips extraction: an access area depends only on
+  the statement and the schema, never on the data, and SQL traffic is
+  dominated by programs that re-issue the same statements, so the
+  monitor remembers what each recent text extracted to (the area or
+  the typed refusal), within :data:`MEMO_CHARS` characters of text.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -32,6 +37,12 @@ from .area import AccessArea
 from .extractor import AccessAreaExtractor
 
 logger = get_logger(__name__)
+
+#: characters of statement text the extraction memo holds; the least
+#: recently used text is evicted first, and a longer text is never held.
+#: It is a budget of characters, not entries, because one POST may carry
+#: megabytes; at a typical 90-character statement it holds ~3,000 texts.
+MEMO_CHARS = 1 << 18
 
 
 class EventKind(enum.Enum):
@@ -123,6 +134,13 @@ class StreamMonitor:
         self.statement_labels: list[Optional[int]] = []
         #: what the latest failed statement raised.
         self.last_error: Optional[Exception] = None
+        #: statement text → what extracting it gave: the area (the
+        #: clusterer's pooled one once clustered) or the typed refusal;
+        #: least recently used first, :data:`MEMO_CHARS` characters.
+        self._memo: OrderedDict[str, AccessArea | Exception] = \
+            OrderedDict()
+        self._memo_chars = 0
+        registry = self.registry or metrics.get_registry()
         self.clusterer = None
         if self.cluster_incrementally:
             if self.stats is None:
@@ -139,11 +157,11 @@ class StreamMonitor:
             frozen = copy.deepcopy(self.stats)
             self.clusterer = IncrementalDBSCAN(
                 QueryDistance(frozen), eps=self.cluster_eps,
-                min_pts=self.cluster_min_pts,
-                registry=self.registry or metrics.get_registry())
+                min_pts=self.cluster_min_pts, registry=registry)
+            self._refused_total = registry.counter(
+                "repro_incremental_refused_total")
         self._recent_failures: deque[bool] = deque(maxlen=self.failure_window)
         self._burst_active = False
-        registry = self.registry or metrics.get_registry()
         self._statements_total = registry.counter(
             "repro_stream_statements_total")
         self._extracted_total = registry.counter(
@@ -159,19 +177,63 @@ class StreamMonitor:
     # -- ingestion ---------------------------------------------------------
 
     def process(self, sql: str) -> Optional[AccessArea]:
-        """Consume one statement; returns its area or ``None`` on failure."""
+        """Consume one statement; returns its area or ``None`` on failure.
+
+        A text still in the memo skips extraction and, when it
+        extracted, novelty detection and learning too: its first arrival
+        taught the monitor its relations, columns, relation set and query
+        features and widened ``access(a)`` over its constants, and that
+        state only grows, so no novelty can fire for it again.  Counters,
+        the failure-burst window, :attr:`last_error` and clustering
+        (whose refusal depends on live state) run for every arrival.
+        """
         index = self.state.processed
         self.state.processed += 1
         self._statements_total.inc()
+        held = self._memo.get(sql)
+        if held is None:
+            return self._process_new(index, sql)
+        self._memo.move_to_end(sql)
+        if isinstance(held, Exception):
+            self._fail(index, sql, held)
+            return None
+        self._count_extracted()
+        if self.clusterer is not None:
+            self._cluster(index, sql, held)
+        return held
+
+    def _process_new(self, index: int, sql: str) -> Optional[AccessArea]:
         try:
             result = self.extractor.extract(sql)
         except (SqlError, CNFConversionError) as exc:
-            self.last_error = exc
-            self.state.failures += 1
-            self._failures_total.inc()
-            self._recent_failures.append(True)
-            self._check_failure_burst(index, sql, exc)
+            self._remember(sql, exc)
+            self._fail(index, sql, exc)
             return None
+        except Exception as exc:
+            # Backstop behind the typed refusals.  Extraction is pure,
+            # so a fault in it fails this arrival alone and leaves the
+            # counters and the journal numbering consistent.  It is not
+            # remembered: a transient fault must not stick to the text.
+            logger.exception("extraction of statement #%d raised", index)
+            self._fail(index, sql, exc)
+            return None
+        warmed_up = self._count_extracted()
+        area = result.area
+        features = _query_features(result.statement)
+        if warmed_up:
+            self._notify_novelties(index, sql, area, features)
+        self._learn(area, features)
+        if self.clusterer is not None:
+            unique = self._cluster(index, sql, area)
+            if unique is not None:
+                # Hold the pooled area, so a respelled text's own
+                # object dies with this arrival.
+                area = self.clusterer.area(unique)
+        self._remember(sql, area)
+        return area
+
+    def _count_extracted(self) -> bool:
+        """Tally one extracted arrival; whether warmup was over."""
         self._recent_failures.append(False)
         self._maybe_rearm_burst()
         # Warmup counts *extracted* statements: parse failures teach the
@@ -181,16 +243,38 @@ class StreamMonitor:
         warmed_up = self.state.extracted >= self.warmup
         self.state.extracted += 1
         self._extracted_total.inc()
+        return warmed_up
 
-        area = result.area
-        if warmed_up:
-            self._notify_novelties(index, sql, area, result.statement)
-        self._learn(area, result.statement)
-        if self.clusterer is not None:
-            self._cluster(index, sql, area)
-        return area
+    def _fail(self, index: int, sql: str, exc: Exception) -> None:
+        self.last_error = exc
+        self.state.failures += 1
+        self._failures_total.inc()
+        self._recent_failures.append(True)
+        self._check_failure_burst(index, sql, exc)
 
-    def _cluster(self, index: int, sql: str, area: AccessArea) -> None:
+    def _remember(self, sql: str, held: AccessArea | Exception) -> None:
+        """Hold what ``sql`` extracted to, evicting least recently used
+        texts until it fits in :data:`MEMO_CHARS`."""
+        size = len(sql)
+        if size > MEMO_CHARS:
+            return
+        if isinstance(held, Exception):
+            # A held refusal must not pin the frames it was raised in.
+            link = held
+            while link is not None:
+                link.__traceback__ = None
+                link = link.__cause__ or link.__context__
+        memo = self._memo
+        while self._memo_chars + size > MEMO_CHARS:
+            evicted, _ = memo.popitem(last=False)
+            self._memo_chars -= len(evicted)
+        memo[sql] = held
+        self._memo_chars += size
+
+    def _cluster(self, index: int, sql: str,
+                 area: AccessArea) -> Optional[int]:
+        """Add ``area`` to the clusterer; its unique index, or ``None``
+        when the clusterer refused it."""
         try:
             update = self.clusterer.add(area)
         except ValueError as exc:
@@ -200,10 +284,9 @@ class StreamMonitor:
             # statement unlabelled.
             logger.warning("incremental clustering refused statement "
                            "#%d: %s", index, exc)
-            (self.registry or metrics.get_registry()).counter(
-                "repro_incremental_refused_total").inc()
+            self._refused_total.inc()
             self.statement_labels.append(None)
-            return
+            return None
         self.statement_labels.append(update.label)
         if update.structure_changed:
             self._emit(
@@ -213,6 +296,7 @@ class StreamMonitor:
                 f"{update.merges} merges, {update.splits} splits, "
                 f"{update.new_clusters} new clusters "
                 f"({self.clusterer.n_clusters} total)", sql)
+        return update.index
 
     def replay(self, area: Optional[AccessArea]) -> Optional[int]:
         """Re-apply one previously processed arrival without SQL work.
@@ -246,14 +330,13 @@ class StreamMonitor:
         self._recent_failures.append(False)
         self.state.extracted += 1
         self._extracted_total.inc()
-        self._learn(area, None)
+        self._learn(area, ())
         if self.clusterer is None:
             return None
         try:
             update = self.clusterer.add(area)
         except ValueError:
-            (self.registry or metrics.get_registry()).counter(
-                "repro_incremental_refused_total").inc()
+            self._refused_total.inc()
             self.statement_labels.append(None)
             return None
         self.statement_labels.append(update.label)
@@ -270,7 +353,7 @@ class StreamMonitor:
     # -- novelty detection ---------------------------------------------------
 
     def _notify_novelties(self, index: int, sql: str, area: AccessArea,
-                          statement: Optional[ast.SelectStatement]) -> None:
+                          features: Iterable[str]) -> None:
         for relation in area.relations:
             if relation.lower() not in self.state.relations:
                 self._emit(EventKind.NEW_RELATION, index,
@@ -291,11 +374,10 @@ class StreamMonitor:
                                f"first predicate on {ref}", sql)
         if self.stats is not None:
             self._check_out_of_range(index, sql, area)
-        if statement is not None:
-            for feature in _query_features(statement):
-                if feature not in self.state.features:
-                    self._emit(EventKind.NEW_QUERY_FEATURE, index,
-                               f"first {feature} query", sql)
+        for feature in features:
+            if feature not in self.state.features:
+                self._emit(EventKind.NEW_QUERY_FEATURE, index,
+                           f"first {feature} query", sql)
 
     def _check_out_of_range(self, index: int, sql: str,
                             area: AccessArea) -> None:
@@ -372,8 +454,7 @@ class StreamMonitor:
 
     # -- learning -----------------------------------------------------------------
 
-    def _learn(self, area: AccessArea,
-               statement: Optional[ast.SelectStatement]) -> None:
+    def _learn(self, area: AccessArea, features: Iterable[str]) -> None:
         state = self.state
         state.relations.update(r.lower() for r in area.relations)
         state.relation_sets.add(
@@ -382,8 +463,7 @@ class StreamMonitor:
             for ref in pred.columns:
                 state.columns.add((ref.relation.lower(),
                                    ref.column.lower()))
-        if statement is not None:
-            state.features.update(_query_features(statement))
+        state.features.update(features)
         if self.stats is not None:
             self.stats.observe_cnf(area.cnf)
 

@@ -261,6 +261,30 @@ class TestTelemetryAndValidation:
         hist = registry.histogram("repro_incremental_update_seconds")
         assert hist.count == 2
 
+    def test_add_looks_up_no_instrument(self, monkeypatch):
+        # Instruments are bound at construction; a registry lookup per
+        # arrival takes the registry's lock and builds a label key.
+        registry = MetricsRegistry()
+        inc = IncrementalDBSCAN(QueryDistance(_stats()), eps=0.1,
+                                min_pts=2, registry=registry)
+        lookups = []
+        for name in ("counter", "gauge", "histogram"):
+            original = getattr(MetricsRegistry, name)
+
+            def counting(reg, *args, _original=original, **kwargs):
+                lookups.append(args)
+                return _original(reg, *args, **kwargs)
+
+            monkeypatch.setattr(MetricsRegistry, name, counting)
+        for i in range(100):
+            inc.add(_window("T", i % 10, i % 10 + 5))
+        assert lookups == []
+        monkeypatch.undo()
+        assert registry.counter(
+            "repro_incremental_arrivals_total").value == 100
+        assert registry.counter(
+            "repro_incremental_inserts_total").value == 10
+
     def test_parameter_validation(self):
         metric = QueryDistance(_stats())
         with pytest.raises(ValueError, match="eps"):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AccessAreaExtractor
+import repro.core.extractor as extractor_module
+from repro.core import AccessAreaExtractor, stream
 from repro.core.stream import EventKind, StreamMonitor
 from repro.schema import (CONTENT_BOUNDS, StatisticsCatalog,
                           skyserver_schema)
@@ -172,6 +173,85 @@ class TestFailureBurst:
         bursts = [e for e in monitor.events
                   if e.kind is EventKind.FAILURE_BURST]
         assert len(bursts) == 2
+
+
+class TestTextMemo:
+    """A text seen before skips extraction, novelty detection and
+    learning; every tally and clustering still run."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        calls = []
+        parse = extractor_module.parse
+
+        def counting(sql):
+            calls.append(sql)
+            return parse(sql)
+
+        monkeypatch.setattr(extractor_module, "parse", counting)
+        return calls
+
+    def test_repeat_skips_extraction_and_learning(self, parses,
+                                                  monkeypatch):
+        calls = {"_learn": 0, "_notify_novelties": 0}
+        for name in calls:
+            original = getattr(StreamMonitor, name)
+
+            def counting(monitor, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(monitor, *args)
+
+            monkeypatch.setattr(StreamMonitor, name, counting)
+        schema = skyserver_schema()
+        monitor = StreamMonitor(
+            AccessAreaExtractor(schema),
+            stats=StatisticsCatalog.from_exact_content(schema,
+                                                       CONTENT_BOUNDS),
+            warmup=0, cluster_incrementally=True, cluster_eps=0.12)
+        sql = "SELECT ra, dec FROM PhotoObj WHERE ra BETWEEN 10 AND 20"
+        first = monitor.process(sql)
+        assert (len(parses), calls["_learn"],
+                calls["_notify_novelties"]) == (1, 1, 1)
+        assert monitor.process(sql) is first
+        assert (len(parses), calls["_learn"],
+                calls["_notify_novelties"]) == (1, 1, 1)
+        assert monitor.state.extracted == monitor.clusterer.arrivals == 2
+        assert len(monitor.statement_labels) == 2
+        # Another spelling of the statement parses once and comes back
+        # as the clusterer's pooled area.
+        assert monitor.process(sql.replace("SELECT", "select") + " ") \
+            is first is monitor.clusterer.area(0)
+        assert len(parses) == 2
+        assert monitor.clusterer.n_unique == 1
+
+    def test_held_refusal_pins_no_frames(self, parses, monitor):
+        for _ in range(3):
+            assert monitor.process("SELCT broken") is None
+        assert parses == ["SELCT broken"]
+        assert (monitor.state.processed, monitor.state.failures) == (3, 3)
+        assert monitor.last_error.__traceback__ is None
+
+    def test_least_recently_used_text_is_evicted_first(
+            self, parses, monitor, monkeypatch):
+        a, b, c = (f"SELECT * FROM Photoz WHERE z < 0.{v}"
+                   for v in (1, 2, 3))
+        monkeypatch.setattr(stream, "MEMO_CHARS", len(a) + len(b))
+        for sql in (a, b, a, c):   # a is hit before c evicts
+            monitor.process(sql)
+        assert parses == [a, b, c]
+        monitor.process(a)
+        assert parses == [a, b, c]
+        monitor.process(b)
+        assert parses == [a, b, c, b]
+
+    def test_text_longer_than_the_budget_is_never_held(
+            self, parses, monitor, monkeypatch):
+        short = "SELECT * FROM Photoz"
+        long = "SELECT * FROM Photoz WHERE z < 0.1"
+        monkeypatch.setattr(stream, "MEMO_CHARS", len(long) - 1)
+        for sql in (short, long, long, short):
+            monitor.process(sql)
+        assert parses == [short, long, long]
 
 
 class TestSummary:

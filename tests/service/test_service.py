@@ -107,6 +107,10 @@ class TestIngest:
         assert outcome.status == "failed"
         assert outcome.error.startswith("ParseError: ")
         assert calls == ["CLEARLY NOT SQL"]
+        # A repeat answers from the monitor's memo of the refusal.
+        again = state.ingest("CLEARLY NOT SQL")
+        assert calls == ["CLEARLY NOT SQL"]
+        assert (again.status, again.error) == ("failed", outcome.error)
 
     def test_deeply_nested_statement_degrades(self, ingested):
         # 400 levels is past the parser's nesting limit: an ordinary
@@ -293,6 +297,52 @@ class TestOnePool:
         assert state.clusterer.interned_hits \
             == state.clusterer.arrivals - state.clusterer.n_unique
         assert live_areas() - before <= state.clusterer.n_unique + refused
+
+
+class TestTextMemo:
+    """The monitor's extraction memo changes no answer: a memoizing
+    service against one that memoizes nothing (``MEMO_CHARS = 0``)."""
+
+    @staticmethod
+    def _run(arrivals):
+        registry = MetricsRegistry()
+        state = AppState(ServiceConfig(eps=0.12, min_pts=3, warmup=5),
+                         registry=registry)
+        outcomes = [state.ingest(sql, user=user) for sql, user in arrivals]
+        counters = [c for c in registry.snapshot()["counters"]
+                    if c["name"].startswith("repro_stream_")]
+        return (outcomes, [str(event) for event in state.monitor.events],
+                list(state.monitor.statement_labels),
+                state.clusterer.labels(), state.users,
+                state.user_unclustered, counters)
+
+    def test_memo_answers_as_extraction_does(self, monkeypatch):
+        import random
+
+        from repro.core import stream
+        from repro.sqlparser.parser import MAX_NESTING
+
+        workload = generate_workload(WorkloadConfig(n_queries=150, seed=3))
+        pool = list(dict.fromkeys(workload.log.statements_with_users()))
+        nested = ("SELECT * FROM PhotoObj WHERE " + "(" * (MAX_NESTING + 1)
+                  + "ra > 1" + ")" * (MAX_NESTING + 1))
+        # Broken statements rank high, so the failure-burst latch trips
+        # and re-arms on held refusals as well.
+        pool[2:2] = [("CLEARLY NOT SQL", "mallory"), (nested, "mallory"),
+                     (OFF_THE_LINE[0], "eve")]
+        rng = random.Random(5)
+        weights = [1.0 / (rank + 1) for rank in range(len(pool))]
+        arrivals = []
+        for sql, user in rng.choices(pool, weights=weights, k=600):
+            if rng.random() < 0.2:
+                # A respelled repeat: another text, the same area.
+                sql += " " * rng.randint(1, 3)
+            arrivals.append((sql, user))
+        with monkeypatch.context() as patch:
+            patch.setattr(stream, "MEMO_CHARS", 0)
+            reference = self._run(arrivals)
+        assert any("failure-burst" in event for event in reference[1])
+        assert self._run(arrivals) == reference
 
 
 class TestRefusalDegradation:

@@ -177,6 +177,57 @@ def test_restart_in_a_new_interpreter_keeps_area_identity(tmp_path):
     assert printed == [["0", "0", "1"], ["1", "0", "1"], ["2", "0", "1"]]
 
 
+def test_extraction_fault_fails_one_arrival(store_config, monkeypatch):
+    # Any exception out of extraction is a failed arrival: answered 200,
+    # logged with its traceback, journalled, numbered the same after a
+    # restart, and not remembered, so the text extracts once the fault
+    # is gone.
+    import logging
+
+    from repro.core.extractor import AccessAreaExtractor
+
+    valid = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20"
+    faulty = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 11 AND 21"
+    state = _fresh(store_config)
+    client = TestClient(create_app(state=state))
+
+    def post(sql):
+        response = client.post("/queries", json={"sql": sql, "user": "eve"})
+        assert response.status == 200
+        return response.json()
+
+    def boom(extractor, sql):
+        raise RuntimeError("boom")
+
+    logged = []
+    handler = logging.Handler()
+    handler.emit = logged.append
+    stream_logger = logging.getLogger("repro.core.stream")
+    stream_logger.addHandler(handler)
+    try:
+        assert post(valid)["status"] == "clustered"
+        with monkeypatch.context() as patch:
+            patch.setattr(AccessAreaExtractor, "extract", boom)
+            answer = post(faulty)
+    finally:
+        stream_logger.removeHandler(handler)
+    assert (answer["status"], answer["error"]) == \
+        ("failed", "RuntimeError: boom")
+    assert [record.exc_info[0] for record in logged] == [RuntimeError]
+    assert state.monitor.state.processed == state.version == 2
+    assert post(faulty)["status"] == "clustered"
+    assert len(list(state.store.iter_journal())) == 3
+    labels = list(state.monitor.statement_labels)
+    state.close()
+
+    second = _fresh(store_config)
+    assert second.replayed == 3
+    assert second.monitor.state.failures == 1
+    assert list(second.monitor.statement_labels) == labels
+    assert second.ingest(valid).index == 3
+    second.close()
+
+
 #: statements whose constants the interval algebra cannot place: an
 #: infinity that starts a ray, an integer beyond the float range, a
 #: point at an infinity (also where a literal too long for ``int``
