@@ -57,10 +57,9 @@ def test_throughput_and_stage_timings(benchmark, out_dir):
 def test_distance_matrix_engine_speedup(benchmark, out_dir):
     """The shared matrix engine vs the naive per-algorithm double loop.
 
-    On a 200-area workload the engine must be ≥ 1.5× faster through
-    bound-skipping and the two-level cache alone (this container may
-    have a single core, so parallelism gets no credit), and the
-    parallel path must reproduce the serial matrix bitwise.
+    On a 200-area workload the engine must be ≥ 1.5× faster, through
+    the kernel-filled partitions, bound-skipping and the two-level
+    cache, and its full matrix must equal the naive loop bitwise.
     """
     schema = skyserver_schema()
     workload = generate_workload(WorkloadConfig(n_queries=400, seed=71))
@@ -85,11 +84,9 @@ def test_distance_matrix_engine_speedup(benchmark, out_dir):
         rounds=1, iterations=1)
     speedup = naive_seconds / max(engine.stats.elapsed_seconds, 1e-9)
 
-    # Exactness: serial full matrix == naive loop == parallel matrix.
+    # Exactness: the full matrix == the naive loop.
     serial = DistanceMatrix.compute(areas, metric())
-    parallel = DistanceMatrix.compute(areas, metric(), n_jobs=2)
     assert np.array_equal(serial.to_square(), naive)
-    assert np.array_equal(parallel.condensed, serial.condensed)
 
     art = "\n".join([
         f"population          : {len(areas)} areas, "
@@ -99,7 +96,6 @@ def test_distance_matrix_engine_speedup(benchmark, out_dir):
         f"(cutoff={eps})",
         f"speedup             : {speedup:.1f}x",
         f"engine stats        : {engine.stats.summary()}",
-        "parallel (n_jobs=2) : bitwise identical to serial",
     ])
     write_artifact(out_dir, "distance_matrix_engine.txt", art)
     print("\n" + art)

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..clustering.aggregation import AggregatedArea, aggregate_cluster
+from ..clustering.dbscan import DBSCANResult
 from ..clustering.partitioned import partitioned_dbscan
 from ..core.area import AccessArea
+from ..core.pipeline import dedupe_areas, expand_labels
+from ..distance.block_sparse import compute_matrix
 from ..distance.query_distance import QueryDistance
 from ..recommend.recommender import medoid
 from ..schema.statistics import StatisticsCatalog
@@ -107,21 +110,26 @@ def mine_drift(
         min_pts: int = 5,
         resolution: float = 0.05,
         match_distance: float = 0.5,
-        sigma: float = 3.0,
-        n_jobs: int = 1) -> DriftReport:
+        sigma: float = 3.0) -> DriftReport:
     """Mine each window and match interests across consecutive windows.
 
-    Two interests in consecutive windows are the *same* interest when
-    their medoids are within ``match_distance`` (greedy best-match).
-    ``n_jobs`` fans the per-window distance matrices out over worker
-    processes (1 = serial).
+    Each window's unique areas are clustered with multiplicity weights
+    over a :func:`~repro.distance.block_sparse.compute_matrix` layout
+    (plain DBSCAN on the dense one when ``eps`` reaches the partition
+    exactness bound).  Two interests in consecutive windows are the
+    *same* interest when their medoids are within ``match_distance``
+    (greedy best-match).
     """
     distance = QueryDistance(stats, resolution=resolution)
     report = DriftReport()
 
     for window_index, areas in enumerate(windows):
-        clustering = partitioned_dbscan(list(areas), distance, eps,
-                                        min_pts, n_jobs=n_jobs)
+        unique, weights, inverse = dedupe_areas(areas)
+        matrix = compute_matrix(unique, distance, eps=eps)
+        deduped = partitioned_dbscan(unique, distance, eps, min_pts,
+                                     matrix=matrix, weights=weights,
+                                     on_inexact="fallback")
+        clustering = DBSCANResult(expand_labels(deduped.labels, inverse))
         interests: list[WindowInterest] = []
         for cluster_id, indices in clustering.clusters().items():
             members = [areas[i] for i in indices]

@@ -136,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max areas to cluster")
     p_process.add_argument("--cluster-seed", type=int, default=99,
                            help="sampling seed for the clustering stage")
-    p_process.add_argument("--n-jobs", type=int, default=1,
-                           help="worker processes for a dense distance "
-                                "matrix (1 = serial, 0 = all cores)")
     p_process.add_argument("--store-dir", default=None, metavar="DIR",
                            help="persistent area store: cold runs "
                                 "persist areas + a log manifest, warm "
@@ -209,10 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--seed", type=int, default=13)
     p_case.add_argument("--rows", type=int, default=24,
                         help="table rows to print")
-    p_case.add_argument("--n-jobs", type=int, default=1,
-                        help="worker processes for a dense clustering "
-                             "distance matrix (1 = serial, 0 = all "
-                             "CPU cores)")
     p_case.add_argument("--store-dir", default=None, metavar="DIR",
                         help="persistent area store: warm re-runs "
                              "replay the log manifest and reload "
@@ -498,8 +491,7 @@ def _cluster_report(report, schema, args: argparse.Namespace):
         areas = rng.sample(areas, args.sample)
     distance = QueryDistance(stats)
     unique, weights, inverse = dedupe_areas(areas)
-    matrix = compute_matrix(unique, distance, eps=args.eps,
-                            n_jobs=args.n_jobs)
+    matrix = compute_matrix(unique, distance, eps=args.eps)
     matrix.stats.n_source_items = len(areas)
     deduped = partitioned_dbscan(
         unique, distance, args.eps, args.min_pts, matrix=matrix,
@@ -626,7 +618,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         eps=args.eps,
         min_pts=args.min_pts,
-        n_jobs=args.n_jobs,
         store_dir=args.store_dir,
     )
     with profile_section("casestudy"):

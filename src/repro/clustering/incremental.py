@@ -142,8 +142,9 @@ class _SparseBackend:
 
     Per-insert cost is intra-partition only; ``neighbors`` scans just
     the point's partition.  Requires ``eps`` strictly below the
-    partition exactness bound — ``insert`` refuses (pre-mutation) any
-    area whose new partition would drop the bound to ``eps``."""
+    partition exactness bound — ``insert`` refuses (pre-mutation, with
+    :class:`~repro.distance.block_sparse.ExactnessRefusal`) any area
+    whose new partition would drop the bound to ``eps``."""
 
     def __init__(self, metric, eps: float):
         from ..distance.block_sparse import BlockSparseDistanceMatrix

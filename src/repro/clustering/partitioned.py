@@ -27,13 +27,11 @@ canonicalized once at extraction: schema capitalization, lowercase
 fallback), i.e. exactly the sets ``d_tables`` compares — the partition
 decision and the metric can never disagree on case.
 
-Per-partition distances go through the shared
-:class:`~repro.distance.DistanceMatrix` engine: pass a precomputed
-matrix over the whole population — dense or
+Pass a precomputed matrix over the whole population — dense
+:class:`~repro.distance.DistanceMatrix` or
 :class:`~repro.distance.BlockSparseDistanceMatrix` — to reuse it across
-algorithms, or ``n_jobs != 1`` to fan the per-partition computation out
-over worker processes.  All paths produce exactly the labels of the
-legacy callable path.
+algorithms; without one, each partition's DBSCAN evaluates the distance
+callable per pair.  Both paths produce exactly the same labels.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import warnings
 from typing import Callable, Optional, Sequence
 
 from ..core.area import AccessArea
-from ..distance.matrix import DistanceMatrix
 from ..distance.query_distance import partition_exactness_bound
 from ..obs import get_logger, metrics, trace
 from .dbscan import DBSCAN, NOISE, DBSCANResult
@@ -57,7 +54,6 @@ def partitioned_dbscan(areas: Sequence[AccessArea],
                        distance: Optional[Distance], eps: float,
                        min_pts: int = 5, *,
                        matrix=None,
-                       n_jobs: int = 1,
                        weights: Optional[Sequence[float]] = None,
                        on_inexact: str = "raise") -> DBSCANResult:
     """DBSCAN over access areas, partitioned by relation set.
@@ -68,12 +64,11 @@ def partitioned_dbscan(areas: Sequence[AccessArea],
     distinct table sets, ``1/(k+1)`` in the worst ``k``-table-join case.
     ``matrix`` — optional precomputed distance matrix over ``areas``
     (dense :class:`~repro.distance.DistanceMatrix` or block-sparse; then
-    ``distance`` may be ``None``); ``n_jobs`` — worker processes for the
-    per-partition distance matrices (1 = the serial callable path);
-    ``weights`` — optional positive per-area multiplicities (intern-pool
-    duplicate counts), forwarded to the per-partition DBSCANs so the
-    core condition sums neighbourhood weight; the small-partition skip
-    likewise compares summed weight against ``min_pts``;
+    ``distance`` may be ``None``); ``weights`` — optional positive
+    per-area multiplicities (intern-pool duplicate counts), forwarded to
+    the per-partition DBSCANs so the core condition sums neighbourhood
+    weight; the small-partition skip likewise compares summed weight
+    against ``min_pts``;
     ``on_inexact`` — what to do when ``eps`` reaches the bound:
     ``"raise"`` (default) or ``"fallback"`` (warn and run plain DBSCAN
     over the whole, unpartitioned population).
@@ -135,11 +130,6 @@ def partitioned_dbscan(areas: Sequence[AccessArea],
                     result = DBSCAN(eps, min_pts).fit(
                         subset, matrix=matrix.submatrix(indices),
                         weights=subset_weights)
-                elif n_jobs != 1:
-                    sub = DistanceMatrix.compute(subset, distance,
-                                                 n_jobs=n_jobs)
-                    result = DBSCAN(eps, min_pts).fit(
-                        subset, matrix=sub, weights=subset_weights)
                 else:
                     result = DBSCAN(eps, min_pts).fit(
                         subset, distance, weights=subset_weights)

@@ -284,17 +284,16 @@ class LogProcessingReport:
 
     def distance_matrix(self, metric: Callable[[AccessArea, AccessArea],
                                                float], *,
-                        n_jobs: int = 1, cutoff: Optional[float] = None):
+                        cutoff: Optional[float] = None):
         """Pairwise :class:`~repro.distance.DistanceMatrix` over the
         extracted areas — the batch path's hand-off to the clustering
-        stage.  ``n_jobs``/``cutoff`` are forwarded to
+        stage.  ``cutoff`` is forwarded to
         :meth:`~repro.distance.DistanceMatrix.compute`.
         """
         # Imported lazily: the core layer must not depend on the
         # distance layer at import time.
         from ..distance.matrix import DistanceMatrix
-        return DistanceMatrix.compute(self.areas(), metric,
-                                      n_jobs=n_jobs, cutoff=cutoff)
+        return DistanceMatrix.compute(self.areas(), metric, cutoff=cutoff)
 
 
 def _extractor_signature(extractor: AccessAreaExtractor) -> str:

@@ -148,7 +148,7 @@ class StreamMonitor:
                     "cluster_incrementally=True requires a statistics "
                     "catalog (the distance metric needs access ranges)")
             from ..clustering.incremental import IncrementalDBSCAN
-            from ..distance import QueryDistance
+            from ..distance import ExactnessRefusal, QueryDistance
             # The clusterer gets a *frozen* copy of the catalog: the
             # monitor keeps widening access(a) as statements arrive
             # (out-of-range detection needs that), but the metric's
@@ -160,6 +160,9 @@ class StreamMonitor:
                 min_pts=self.cluster_min_pts, registry=registry)
             self._refused_total = registry.counter(
                 "repro_incremental_refused_total")
+            #: the clusterer's pre-mutation refusal; any other exception
+            #: out of ``add`` propagates
+            self._refusal = ExactnessRefusal
         self._recent_failures: deque[bool] = deque(maxlen=self.failure_window)
         self._burst_active = False
         self._statements_total = registry.counter(
@@ -277,7 +280,7 @@ class StreamMonitor:
         when the clusterer refused it."""
         try:
             update = self.clusterer.add(area)
-        except ValueError as exc:
+        except self._refusal as exc:
             # Pre-mutation exactness refusal: the area's table set would
             # drop the partition bound to cluster_eps or below.  The
             # clusterer state is untouched; keep monitoring, leave this
@@ -335,7 +338,7 @@ class StreamMonitor:
             return None
         try:
             update = self.clusterer.add(area)
-        except ValueError:
+        except self._refusal:
             self._refused_total.inc()
             self.statement_labels.append(None)
             return None

@@ -47,7 +47,7 @@ import numpy as np
 
 from ..obs import get_logger, metrics, trace
 from .kernel import KernelUnsupported, PackedPartition, compute_kernel_blocks
-from .matrix import DistanceMatrix, MatrixStats, Metric
+from .matrix import DistanceMatrix, MatrixStats, Metric, is_decomposed
 from .query_distance import partition_exactness_bound
 
 logger = get_logger(__name__)
@@ -55,6 +55,12 @@ logger = get_logger(__name__)
 #: ``_packs`` sentinel distinguishing "never attempted" from "retired to
 #: the per-pair fallback".
 _UNSET = object()
+
+
+class ExactnessRefusal(ValueError):
+    """:meth:`BlockSparseDistanceMatrix.insert_row` refused an item
+    before any mutation: its unseen table set would lower the partition
+    exactness bound to the reserved ``max_radius`` or below."""
 
 
 class _GrowableBlock:
@@ -116,14 +122,6 @@ class _GrowableBlock:
 #: block-sparse layout, ``dense`` the full :class:`DistanceMatrix`, and
 #: ``auto`` lets ``eps`` pick between them.
 MATRIX_MODES = ("auto", "dense", "kernel")
-
-
-def is_decomposed(metric, items: Sequence) -> bool:
-    """True when ``metric``/``items`` support the ``d_tables + d_conj``
-    decomposition the block-sparse layout requires."""
-    return (hasattr(metric, "d_tables") and hasattr(metric, "d_conj")
-            and all(hasattr(item, "table_set") and hasattr(item, "cnf")
-                    for item in items))
 
 
 class BlockSparseDistanceMatrix:
@@ -380,13 +378,13 @@ class BlockSparseDistanceMatrix:
         :meth:`neighbors` keeps refusing radii at or beyond the current
         bound, so threshold queries stay exact.  Pass ``max_radius`` to
         reject such an insert *before* any mutation: if opening the new
-        partition would drop the bound to ``max_radius`` or below, a
-        ``ValueError`` is raised and the matrix is left untouched —
-        callers that hold a fixed query radius (e.g. incremental DBSCAN
-        with a fixed ``eps``) stay consistent instead of discovering a
-        poisoned state on their next neighbourhood query.  Returns the
-        item's new global index.  Only matrices built by
-        :meth:`compute` retain the items this needs.
+        partition would drop the bound to ``max_radius`` or below,
+        :class:`ExactnessRefusal` is raised and the matrix is left
+        untouched — callers that hold a fixed query radius (e.g.
+        incremental DBSCAN with a fixed ``eps``) stay consistent instead
+        of discovering a poisoned state on their next neighbourhood
+        query.  Returns the item's new global index.  Only matrices
+        built by :meth:`compute` retain the items this needs.
         """
         if self._items is None:
             raise ValueError(
@@ -439,7 +437,7 @@ class BlockSparseDistanceMatrix:
             bound = min(bound, metric.d_tables(
                 self._items[int(members[0])], item))
         if max_radius >= bound:
-            raise ValueError(
+            raise ExactnessRefusal(
                 f"inserting an item with unseen table set {sorted(key)} "
                 f"would lower the partition exactness bound to "
                 f"{bound:.4g}, at or below the reserved query radius "
@@ -591,7 +589,6 @@ class BlockSparseDistanceMatrix:
 
 def compute_matrix(items: Sequence, metric: Metric, *,
                    mode: str = "auto", eps: Optional[float] = None,
-                   n_jobs: int = 1,
                    registry: Optional[metrics.MetricsRegistry] = None,
                    store=None, store_token: Optional[str] = None):
     """Build a distance matrix in the requested ``mode``.
@@ -604,9 +601,8 @@ def compute_matrix(items: Sequence, metric: Metric, *,
     :func:`~repro.distance.query_distance.partition_exactness_bound`),
     dense otherwise.  ``"kernel"`` forces the block-sparse layout and
     raises when ``eps`` is not below the bound.  ``eps`` doubles as
-    the dense matrix's ``cutoff``; ``n_jobs`` fans the dense fill out
-    over worker processes.  ``store``/``store_token`` persist and
-    reload block-sparse blocks (see
+    the dense matrix's ``cutoff``.  ``store``/``store_token`` persist
+    and reload block-sparse blocks (see
     :meth:`BlockSparseDistanceMatrix.compute`).
     """
     if mode not in MATRIX_MODES:
@@ -623,5 +619,5 @@ def compute_matrix(items: Sequence, metric: Metric, *,
         return BlockSparseDistanceMatrix.compute(
             items, metric, cutoff=eps, registry=registry, store=store,
             store_token=store_token)
-    return DistanceMatrix.compute(items, metric, n_jobs=n_jobs,
-                                  cutoff=eps, registry=registry)
+    return DistanceMatrix.compute(items, metric, cutoff=eps,
+                                  registry=registry)

@@ -2,27 +2,31 @@
 
 Every clustering algorithm in the package needs the same thing: the
 pairwise ``d = d_tables + d_conj`` values over a population of access
-areas.  Computing them inside each algorithm made the hot path serial
-and redundant.  :class:`DistanceMatrix` computes the upper triangle once
-— optionally over a multiprocessing pool (:mod:`.parallel`) — into the
-scipy-style *condensed* layout (``n·(n−1)/2`` floats, pair ``(i, j)``
-with ``i < j`` at index ``i·(2n−i−1)/2 + (j−i−1)``) and hands the
-algorithms O(1) lookups and vectorized row/neighbour queries.
+areas.  Computing them inside each algorithm made the hot path
+redundant.  :class:`DistanceMatrix` computes the upper triangle once
+into the scipy-style *condensed* layout (``n·(n−1)/2`` floats, pair
+``(i, j)`` with ``i < j`` at index ``i·(2n−i−1)/2 + (j−i−1)``) and hands
+the algorithms O(1) lookups and vectorized row/neighbour queries.
 
-Two layers of work avoidance apply when the metric decomposes like the
-paper's query distance (``d_tables``/``d_conj`` attributes):
+When the metric decomposes like the paper's query distance
+(``d_tables``/``d_conj`` attributes), the population splits into
+table-set partitions and three layers of work avoidance apply:
 
-* ``d_tables`` is memoized per *relation-set pair* — a SkyServer-scale
-  log has millions of statements but only a handful of distinct FROM
-  sets, so the Jaccard term collapses to a tiny table;
+* every pair *within* a partition (``d_tables == 0``) comes from the
+  vectorized kernel (:func:`~.kernel.compute_kernel_blocks`, the fill
+  the block-sparse layout uses), per pair where the kernel refuses;
+* ``d_tables`` is memoized per *partition pair* — a SkyServer-scale log
+  has millions of statements but only a handful of distinct FROM sets,
+  so the Jaccard term collapses to a tiny table;
 * with a ``cutoff`` (the clustering radius), the partition bound
-  ``d ≥ d_tables ≥ 0.5`` for differing relation sets lets whole blocks
-  of pairs skip the expensive constraint comparison: the entry stores
-  the exact lower bound ``d_tables`` instead, which any threshold query
-  at ``eps ≤ cutoff`` treats identically to the true distance.
+  ``d ≥ d_tables`` lets every cross-partition pair whose ``d_tables``
+  exceeds it skip the constraint comparison: the entry stores the
+  exact lower bound ``d_tables`` instead, which any threshold query at
+  ``eps ≤ cutoff`` treats identically to the true distance.  Only the
+  cross-partition pairs at or below the cutoff are evaluated per pair.
 
-Without a cutoff the matrix is exact and bitwise identical between the
-serial and parallel paths.  :class:`MatrixStats` reports what happened:
+Every stored value is bitwise the per-pair metric's (or, for a skipped
+pair, its ``d_tables``).  :class:`MatrixStats` reports what happened:
 pairs computed, pairs bound-skipped, cache hit rates, wall time.
 """
 
@@ -35,11 +39,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..obs import get_logger, metrics, trace
-from .parallel import compute_pairs, resolve_n_jobs
+from .kernel import compute_kernel_blocks
 
 logger = get_logger(__name__)
 
 Metric = Callable[[object, object], float]
+
+
+def is_decomposed(metric, items: Sequence) -> bool:
+    """True when ``metric``/``items`` support the ``d_tables + d_conj``
+    decomposition the partitioned fills rely on."""
+    return (hasattr(metric, "d_tables") and hasattr(metric, "d_conj")
+            and all(hasattr(item, "table_set") and hasattr(item, "cnf")
+                    for item in items))
 
 
 def condensed_index(i: int, j: int, n: int) -> int:
@@ -66,7 +78,6 @@ class MatrixStats:
     predicate_cache_hits: int = 0
     predicate_cache_misses: int = 0
     elapsed_seconds: float = 0.0
-    n_jobs: int = 1
     cutoff: Optional[float] = None
     #: partition blocks stored (0 for the dense matrix)
     n_blocks: int = 0
@@ -131,7 +142,7 @@ class MatrixStats:
             f"d_tables memo {self.table_cache_hits:,} hits / "
             f"{self.table_pairs:,} entries; "
             f"d_pred cache hit rate {self.predicate_cache_hit_rate:.1%}; "
-            f"{self.elapsed_seconds:.3f} s with n_jobs={self.n_jobs}")
+            f"{self.elapsed_seconds:.3f} s")
 
     def record(self, registry) -> None:
         """Fold this run into a metrics registry (``repro_distance_*``).
@@ -189,88 +200,52 @@ class DistanceMatrix:
 
     @classmethod
     def compute(cls, items: Sequence, metric: Metric, *,
-                n_jobs: int = 1, cutoff: Optional[float] = None,
+                cutoff: Optional[float] = None,
                 registry: Optional[metrics.MetricsRegistry] = None,
                 ) -> "DistanceMatrix":
         """Evaluate ``metric`` over every unordered pair of ``items``.
 
-        ``n_jobs`` — worker processes (1 = serial, 0/None = all cores);
         ``cutoff`` — optional threshold enabling the partition-bound
         skip: entries whose ``d_tables`` lower bound already exceeds it
         store that bound instead of the full distance (only valid when
         every later query uses a radius ``≤ cutoff``);
         ``registry`` — metrics sink (defaults to the process-wide
-        registry); worker-process metrics are merged back into it.
+        registry).
         """
         n = len(items)
-        n_jobs = resolve_n_jobs(n_jobs)
         if registry is None:
             registry = metrics.get_registry()
-        stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2,
-                            n_jobs=n_jobs, cutoff=cutoff,
-                            stored_floats=n * (n - 1) // 2)
-        values = np.zeros(stats.pairs_total, dtype=float)
+        total = n * (n - 1) // 2
+        stats = MatrixStats(n_items=n, pairs_total=total, cutoff=cutoff,
+                            stored_floats=total)
+        values = np.zeros(total, dtype=float)
         started = time.perf_counter()
         pred_info = getattr(metric, "pred_cache_info", None)
         before = pred_info() if pred_info is not None else None
 
-        with trace.span("distance_matrix", n_items=n,
-                        n_jobs=n_jobs) as span:
-            decomposed = (hasattr(metric, "d_tables")
-                          and hasattr(metric, "d_conj")
-                          and all(hasattr(item, "table_set")
-                                  and hasattr(item, "cnf")
-                                  for item in items))
-            with trace.span("plan"):
-                if decomposed:
-                    work = cls._plan_decomposed(items, metric, cutoff,
-                                                values, stats)
-                else:
-                    work = [(condensed_index(i, j, n), i, j)
-                            for i in range(n) for j in range(i + 1, n)]
-
-            stats.pairs_computed = len(work)
-            mode = "serial" if n_jobs == 1 else "parallel"
-            chunk_seconds = registry.histogram(
-                "repro_distance_chunk_seconds", mode=mode)
-            worker_hits = worker_misses = 0
-            with trace.span("fill", pairs=len(work), mode=mode):
-                if n_jobs == 1:
-                    fill_started = time.perf_counter()
-                    if decomposed:
-                        cls._fill_decomposed(items, metric, work, values)
-                    else:
-                        for k, i, j in work:
+        with trace.span("distance_matrix", n_items=n) as span:
+            if is_decomposed(metric, items):
+                cls._fill_decomposed(items, metric, cutoff, values, stats,
+                                     registry)
+            else:
+                with trace.span("fill", pairs=total):
+                    k = 0
+                    for i in range(n):
+                        for j in range(i + 1, n):
                             values[k] = metric(items[i], items[j])
-                    if work:
-                        chunk_seconds.observe(
-                            time.perf_counter() - fill_started)
-                else:
-                    entries, infos = compute_pairs(items, metric, work,
-                                                   n_jobs)
-                    for k, value in entries:
-                        values[k] = value
-                    for info in infos:
-                        trace.attach(info.span)
-                        chunk_seconds.observe(
-                            info.seconds,
-                            exemplar=info.span.get("span_id")
-                            if info.span else None)
-                        worker_hits += info.cache_hits
-                        worker_misses += info.cache_misses
-                    registry.merge_all(
-                        info.metrics for info in infos)
-
+                            k += 1
+                stats.pairs_computed = total
             if before is not None:
                 after = pred_info()
-                stats.predicate_cache_hits = (after.hits - before.hits
-                                              + worker_hits)
-                stats.predicate_cache_misses = (
-                    after.misses - before.misses + worker_misses)
+                stats.predicate_cache_hits = after.hits - before.hits
+                stats.predicate_cache_misses = after.misses - before.misses
             stats.elapsed_seconds = time.perf_counter() - started
             span.set(pairs_computed=stats.pairs_computed,
                      pairs_skipped=stats.pairs_skipped)
 
+        if total:
+            registry.histogram("repro_distance_chunk_seconds",
+                               mode="dense").observe(stats.elapsed_seconds)
         stats.record(registry)
         logger.debug("distance matrix: %s", stats.summary())
         return cls(n, values, stats)
@@ -285,43 +260,78 @@ class DistanceMatrix:
         return cls(n, matrix[np.triu_indices(n, k=1)])
 
     @staticmethod
-    def _plan_decomposed(items: Sequence, metric: Metric,
-                         cutoff: Optional[float], values: np.ndarray,
-                         stats: MatrixStats) -> list[tuple[int, int, int]]:
-        """Memoize ``d_tables`` per relation-set pair; bound-skip blocks."""
-        n = len(items)
-        table_sets = [item.table_set for item in items]
-        memo: dict[frozenset, float] = {}
-        work: list[tuple[int, int, int]] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = frozenset((table_sets[i], table_sets[j]))
-                d_tables = memo.get(key)
-                if d_tables is None:
-                    d_tables = metric.d_tables(items[i], items[j])
-                    memo[key] = d_tables
-                else:
-                    stats.table_cache_hits += 1
-                k = condensed_index(i, j, n)
-                if cutoff is not None and d_tables > cutoff:
-                    # d = d_tables + d_conj ≥ d_tables > cutoff: the exact
-                    # lower bound answers every query at radius ≤ cutoff.
-                    values[k] = d_tables
-                    stats.pairs_skipped += 1
-                else:
-                    work.append((k, i, j))
-        stats.table_pairs = len(memo)
-        return work
-
-    @staticmethod
     def _fill_decomposed(items: Sequence, metric: Metric,
-                         work: list[tuple[int, int, int]],
-                         values: np.ndarray) -> None:
-        # d_tables is re-derived from the memo-equivalent pure function,
-        # so ``d_tables + d_conj`` reproduces ``metric(a, b)`` bitwise.
-        for k, i, j in work:
-            values[k] = (metric.d_tables(items[i], items[j])
-                         + metric.d_conj(items[i].cnf, items[j].cnf))
+                         cutoff: Optional[float], values: np.ndarray,
+                         stats: MatrixStats, registry) -> None:
+        """Kernel blocks within partitions; memoized ``d_tables`` and
+        the cutoff bound-skip across them."""
+        n = len(items)
+        with trace.span("plan"):
+            groups: dict[frozenset, list[int]] = {}
+            for index, item in enumerate(items):
+                groups.setdefault(item.table_set, []).append(index)
+            members = list(groups.values())
+            p = len(members)
+            pids = np.empty(n, dtype=np.intp)
+            local = np.empty(n, dtype=np.intp)
+            for pid, member_list in enumerate(members):
+                pids[member_list] = pid
+                local[member_list] = np.arange(len(member_list))
+            # One d_tables evaluation per partition pair answers every
+            # cross-partition pair of those two table sets.
+            bounds = np.zeros((p, p), dtype=float)
+            for a in range(p):
+                for b in range(a + 1, p):
+                    bounds[a, b] = bounds[b, a] = metric.d_tables(
+                        items[members[a][0]], items[members[b][0]])
+
+        sizes = [len(member_list) for member_list in members]
+        evaluated = skipped = 0
+        with trace.span("fill", partitions=p) as fill:
+            raw, kernel_stats = compute_kernel_blocks(items, metric,
+                                                      members)
+            kernel_stats.record(registry)
+            blocks = [np.asarray(block, dtype=float) for block in raw]
+            start = 0
+            for i in range(n - 1):
+                stop = start + n - 1 - i
+                pid = pids[i]
+                rest = pids[i + 1:]
+                row = bounds[pid][rest]
+                # Partition members after i, in order: the rest of i's
+                # row in its partition's condensed block.
+                same = rest == pid
+                m, a = sizes[pid], int(local[i])
+                offset = a * (2 * m - a - 1) // 2
+                row[same] = blocks[pid][offset:offset + m - 1 - a]
+                pending = ~same
+                if cutoff is not None:
+                    # d = d_tables + d_conj ≥ d_tables > cutoff: the
+                    # exact lower bound answers every query at radius
+                    # ≤ cutoff.
+                    over = pending & (row > cutoff)
+                    skipped += int(np.count_nonzero(over))
+                    pending &= ~over
+                cnf = items[i].cnf
+                cross = np.flatnonzero(pending)
+                for offset_j in cross:
+                    row[offset_j] += metric.d_conj(
+                        cnf, items[i + 1 + offset_j].cnf)
+                evaluated += len(cross)
+                values[start:stop] = row
+                start = stop
+            fill.set(pairs_vectorized=kernel_stats.pairs_vectorized,
+                     pairs_per_pair=kernel_stats.pairs_fallback
+                     + evaluated)
+
+        in_partition = sum(m * (m - 1) // 2 for m in sizes)
+        stats.pairs_computed = in_partition + evaluated
+        stats.pairs_skipped = skipped
+        stats.table_pairs = p * (p - 1) // 2
+        # Every cross-partition pair beyond the first per partition pair
+        # is served by the memo.
+        stats.table_cache_hits = (stats.pairs_total - in_partition
+                                  - stats.table_pairs)
 
     # -- lookups ------------------------------------------------------------
 

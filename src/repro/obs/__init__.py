@@ -18,8 +18,7 @@ from .logs import (JsonFormatter, configure_logging, get_logger)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       NullRegistry, RunningStats, get_registry,
                       set_registry, use_registry)
-from .trace import (NULL_TRACER, NullTracer, Span, TraceContext, Tracer,
-                    attach, current_context, flush_all_open,
+from .trace import (NULL_TRACER, NullTracer, Span, Tracer, flush_all_open,
                     format_span_tree, get_tracer, load_trace, set_tracer,
                     span, use_tracer)
 from .export import (load_json, render_table, to_json, to_prometheus,
@@ -32,8 +31,8 @@ __all__ = [
     "JsonFormatter", "configure_logging", "get_logger",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
     "RunningStats", "get_registry", "set_registry", "use_registry",
-    "NULL_TRACER", "NullTracer", "Span", "TraceContext", "Tracer",
-    "attach", "current_context", "flush_all_open", "format_span_tree",
+    "NULL_TRACER", "NullTracer", "Span", "Tracer",
+    "flush_all_open", "format_span_tree",
     "get_tracer", "load_trace", "set_tracer", "span", "use_tracer",
     "load_json", "render_table", "to_json", "to_prometheus", "write_json",
     "NULL_PROFILER", "NullProfiler", "Profiler", "get_profiler",

@@ -18,12 +18,10 @@ uniform sample, so repeated runs of a deterministic pipeline report
 identical p50/p95/p99.
 
 :class:`MetricsRegistry` is the process-wide sink.  A default registry
-exists (:func:`get_registry`); tests and parallel workers inject their
-own via :func:`set_registry` / :func:`use_registry`.  Registries
-snapshot to plain dicts (picklable — this is how multiprocessing
-workers ship their metrics back to the parent) and :meth:`merge`
-combines snapshots: counters add, gauges last-write-wins, histograms
-pool their accumulators and reservoirs.
+exists (:func:`get_registry`); tests inject their own via
+:func:`set_registry` / :func:`use_registry`.  Registries snapshot to
+plain dicts, which the exporters (:mod:`.export`) and the run records
+render.
 
 :class:`NullRegistry` is the disabled mode: every instrument it hands
 out is a shared no-op, keeping the hot path free of locks and
@@ -32,12 +30,11 @@ appends.
 
 from __future__ import annotations
 
-import json
 import threading
 import zlib
 from contextlib import contextmanager
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 #: Observations kept exactly before reservoir sampling kicks in.
 DEFAULT_RESERVOIR_SIZE = 512
@@ -300,13 +297,12 @@ class MetricsRegistry:
                 self._histograms[key] = instrument
         return instrument
 
-    # -- snapshots / merging ------------------------------------------------
+    # -- snapshots ----------------------------------------------------------
 
     def snapshot(self, include_reservoir: bool = True) -> dict:
         """A plain-dict (JSON/pickle-safe) view of every instrument.
 
-        ``include_reservoir`` keeps the raw histogram samples, which
-        :meth:`merge` needs to pool quantiles across processes; drop it
+        ``include_reservoir`` keeps the raw histogram samples; drop it
         for compact exports.
         """
         counters = [
@@ -341,65 +337,6 @@ class MetricsRegistry:
         with self._lock:
             return [table[key] for key in sorted(table)]
 
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) in.
-
-        Counters add, gauges take the incoming value, histograms pool
-        the accumulator statistics, exemplars, and the incoming
-        reservoir (re-sampling down once over capacity).  Pooling is
-        deterministic for a *given* merge order — the combined
-        reservoir is sorted before the down-sample and the sampler is
-        re-seeded from the pooled count — but a *set* of worker
-        snapshots arriving in completion order should go through
-        :meth:`merge_all`, which first sorts them by a stable key so
-        worker scheduling cannot change the surviving sample.
-        """
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], **entry["labels"]).inc(
-                entry["value"])
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"], **entry["labels"]).set(entry["value"])
-        for entry in snapshot.get("histograms", ()):
-            histogram = self.histogram(entry["name"], **entry["labels"])
-            incoming = entry.get("reservoir") or ()
-            with histogram._lock:
-                stats = histogram.stats
-                stats.count += entry["count"]
-                stats.total += entry["sum"]
-                if entry["count"]:
-                    if stats._minimum is None \
-                            or entry["min"] < stats._minimum:
-                        stats._minimum = entry["min"]
-                    if stats._maximum is None \
-                            or entry["max"] > stats._maximum:
-                        stats._maximum = entry["max"]
-                histogram.reservoir.extend(incoming)
-                if len(histogram.reservoir) > histogram._size:
-                    pooled = sorted(histogram.reservoir)
-                    seed = zlib.crc32(
-                        f"{histogram.name}:{stats.count}".encode("utf-8"))
-                    histogram.reservoir = Random(seed).sample(
-                        pooled, histogram._size)
-                for exemplar in entry.get("exemplars", ()):
-                    histogram._note_exemplar(exemplar["value"],
-                                             exemplar["span_id"])
-
-    def merge_all(self, snapshots: Iterable[dict]) -> int:
-        """Merge worker snapshots in a canonical order.
-
-        Multiprocessing pools hand results back in completion order,
-        which varies run to run; merging in that order would let
-        scheduling noise pick which reservoir samples survive the
-        down-sample, making p50/p95/p99 flap across identical runs.
-        Sorting the snapshots by their canonical JSON serialization
-        first makes the merged state a pure function of the snapshot
-        *set*.  Returns the number of snapshots merged."""
-        ordered = sorted((s for s in snapshots if s),
-                         key=lambda s: json.dumps(s, sort_keys=True))
-        for snapshot in ordered:
-            self.merge(snapshot)
-        return len(ordered)
-
 
 class NullRegistry(MetricsRegistry):
     """Disabled metrics: every instrument is a shared no-op."""
@@ -424,9 +361,6 @@ class NullRegistry(MetricsRegistry):
 
     def snapshot(self, include_reservoir: bool = True) -> dict:
         return {"counters": [], "gauges": [], "histograms": []}
-
-    def merge(self, snapshot: dict) -> None:
-        pass
 
 
 def record_counter_deltas(registry: MetricsRegistry,

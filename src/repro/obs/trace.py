@@ -30,7 +30,6 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO, Union
 
 _id_lock = threading.Lock()
@@ -40,31 +39,16 @@ _id_counter = 0
 def new_span_id() -> str:
     """A process-unique 16-hex-char span id.
 
-    Built from the pid and a process-local counter, so ids minted in
-    forked multiprocessing workers never collide with the parent's —
-    the property cross-process stitching and histogram exemplars rely
-    on.  (A counter, not a clock: two spans opened within one timer
-    tick must still get distinct ids.)
+    Built from the pid and a process-local counter, so ids minted by
+    different processes (two runs' trace files, the spans a histogram
+    exemplar names) do not collide.  (A counter, not a clock: two spans
+    opened within one timer tick must still get distinct ids.)
     """
     global _id_counter
     with _id_lock:
         _id_counter += 1
         count = _id_counter
     return f"{os.getpid() & 0xFFFFFF:06x}{count & 0xFFFFFFFFFF:010x}"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The picklable cross-process handle of an open trace.
-
-    Carries just enough to let a worker process mint spans that the
-    parent can stitch back under the right node: the root trace id and
-    the span id of the parent-side span the worker's tree will become
-    a child of.
-    """
-
-    trace_id: str
-    parent_span_id: str
 
 
 class Span:
@@ -74,7 +58,6 @@ class Span:
                  "error", "span_id", "trace_id")
 
     def __init__(self, name: str, attrs: Optional[dict] = None,
-                 span_id: Optional[str] = None,
                  trace_id: Optional[str] = None) -> None:
         self.name = name
         self.attrs = dict(attrs or {})
@@ -83,7 +66,7 @@ class Span:
         self.end: Optional[float] = None
         self.status = "ok"
         self.error: Optional[str] = None
-        self.span_id = span_id or new_span_id()
+        self.span_id = new_span_id()
         self.trace_id = trace_id
 
     def set(self, **attrs) -> None:
@@ -111,25 +94,6 @@ class Span:
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
-
-    @classmethod
-    def from_dict(cls, node: dict) -> "Span":
-        """Rebuild a span tree from :meth:`to_dict` output.
-
-        Timing is reconstructed relative to zero (``start=0``,
-        ``end=duration_s``) — good enough for rendering and duration
-        arithmetic, which is all a stitched-in foreign subtree needs.
-        """
-        span = cls(node["name"], node.get("attrs"),
-                   span_id=node.get("span_id"),
-                   trace_id=node.get("trace_id"))
-        span.start = 0.0
-        span.end = float(node.get("duration_s", 0.0))
-        span.status = node.get("status", "ok")
-        span.error = node.get("error")
-        span.children = [cls.from_dict(child)
-                         for child in node.get("children", ())]
-        return span
 
     def find(self, name: str) -> Optional["Span"]:
         """Depth-first lookup of a descendant span by name."""
@@ -237,31 +201,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def current_context(self) -> Optional[TraceContext]:
-        """A picklable handle of the innermost open span, for workers."""
-        current = self.current()
-        if current is None:
-            return None
-        return TraceContext(trace_id=current.trace_id or current.span_id,
-                            parent_span_id=current.span_id)
-
-    def attach(self, tree: Union[Span, dict]) -> Span:
-        """Graft a completed foreign span tree (e.g. shipped back from a
-        multiprocessing worker as a :meth:`Span.to_dict`) under the
-        innermost open span of this thread; returns the grafted
-        :class:`Span`.  With no span open it becomes a completed root
-        (kept/sunk like any other)."""
-        span = tree if isinstance(tree, Span) else Span.from_dict(tree)
-        stack = self._stack()
-        if stack:
-            span.trace_id = stack[-1].trace_id
-            stack[-1].children.append(span)
-        else:
-            if self.keep:
-                self.roots.append(span)
-            self._write(span)
-        return span
-
     def _write(self, span: Span) -> None:
         if self._sink is None:
             return
@@ -365,12 +304,6 @@ class NullTracer:
     def current(self) -> None:
         return None
 
-    def current_context(self) -> None:
-        return None
-
-    def attach(self, tree) -> None:
-        return None
-
     def flush_open(self) -> int:
         return 0
 
@@ -447,21 +380,6 @@ def use_tracer(tracer: Union[Tracer, NullTracer]
 def span(name: str, **attrs):
     """Open a span on the process-wide tracer (no-op by default)."""
     return _tracer.span(name, **attrs)
-
-
-def current_context() -> Optional[TraceContext]:
-    """The innermost open span's cross-process handle (None when
-    tracing is off or nothing is open)."""
-    return _tracer.current_context()
-
-
-def attach(tree: Union[Span, dict, None]) -> Optional[Span]:
-    """Graft a completed span tree under the current open span of the
-    process-wide tracer.  ``None`` (no tree shipped) is a no-op, so
-    call sites can pass ``info.span`` straight through."""
-    if tree is None:
-        return None
-    return _tracer.attach(tree)
 
 
 # -- trace file rendering ---------------------------------------------------

@@ -11,11 +11,9 @@ Three concerns live here, shared by every store file format:
   Equal areas — regardless of clause order or literal spelling — map to
   one 32-byte key, which doubles as the segment-log and index key.
 
-* **Payload encoding.**  Areas are pickled (they already travel through
-  ``multiprocessing`` pickling for the parallel distance fan-out, so
-  the full algebra object graph round-trips); condensed distance
-  blocks are raw little-endian float64 — the layout :mod:`numpy` can
-  ``memmap`` straight from disk.
+* **Payload encoding.**  Areas are pickled (the full algebra object
+  graph round-trips); condensed distance blocks are raw little-endian
+  float64 — the layout :mod:`numpy` can ``memmap`` straight from disk.
 
 * **Record framing.**  Every append-only file is a sequence of
   self-delimiting records::

@@ -1,5 +1,7 @@
 """The case-study driver: headline Section 6 observations at small scale."""
 
+import pytest
+
 from repro.analysis import CaseStudyConfig
 
 
@@ -68,3 +70,8 @@ class TestResultAccessors:
         config = CaseStudyConfig()
         assert config.eps < 0.5  # partitioned DBSCAN validity
         assert config.predicate_cap == 35
+
+    def test_config_runs_in_one_process(self):
+        assert CaseStudyConfig(n_jobs=1).n_jobs == 1
+        with pytest.raises(ValueError, match="n_jobs must be 1"):
+            CaseStudyConfig(n_jobs=2)

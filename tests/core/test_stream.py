@@ -423,6 +423,29 @@ class TestIncrementalClustering:
         assert clusterer.labels() == list(want.labels)
         assert monitor.clusterer.n_clusters >= 2
 
+    def test_fault_after_insert_propagates(self, monkeypatch):
+        # Only the exactness refusal, raised before any mutation, leaves
+        # a statement unlabelled.  A ValueError out of label repair
+        # fires after the insert has changed the clusterer, so answering
+        # it as a refusal would hide a half-applied arrival.
+        from repro.clustering.incremental import IncrementalDBSCAN
+
+        def fault(self, candidates, update):
+            raise ValueError("injected repair fault")
+
+        sql = "SELECT * FROM Photoz WHERE z < 0.1"
+        area = AccessAreaExtractor(skyserver_schema()).extract(sql).area
+        monkeypatch.setattr(IncrementalDBSCAN, "_promote_eligible", fault)
+        monitor = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        with pytest.raises(ValueError, match="injected repair fault"):
+            monitor.process(sql)
+        assert monitor.clusterer.n_unique == 1
+        assert monitor.statement_labels == []
+        replayed = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        with pytest.raises(ValueError, match="injected repair fault"):
+            replayed.replay(area)
+        assert replayed.statement_labels == []
+
     def test_large_eps_labels_every_statement(self):
         # eps=0.6 is at or above the single-table bound 1/2, so the
         # clusterer runs dense and refuses no table set; the block-sparse

@@ -1,4 +1,5 @@
-"""BlockSparseDistanceMatrix: dense parity, bound semantics, stats."""
+"""BlockSparseDistanceMatrix: per-pair oracle parity, bound semantics,
+stats."""
 
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from repro.algebra.cnf import CNF, Clause
 from repro.algebra.predicates import (ColumnConstantPredicate, ColumnRef,
                                       Op)
-from repro.clustering import DBSCAN, OPTICS, SingleLinkage, partitioned_dbscan
+from repro.clustering import (DBSCAN, OPTICS, SingleLinkage,
+                              pairwise_matrix, partitioned_dbscan)
 from repro.core.area import AccessArea
 from repro.core.extractor import AccessAreaExtractor
 from repro.distance import (BlockSparseDistanceMatrix, DistanceMatrix,
@@ -43,8 +45,9 @@ def population():
 
 @pytest.fixture(scope="module")
 def dense(population):
+    """The per-pair oracle, in the dense matrix's container."""
     areas, metric = population
-    return DistanceMatrix.compute(areas, metric)
+    return DistanceMatrix.from_square(pairwise_matrix(areas, metric))
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +134,8 @@ class TestLookupParity:
 
 
 class TestClusteringParity:
-    """Dense and sparse matrices must give identical labels below the bound."""
+    """The per-pair oracle and the sparse matrix must give identical
+    labels below the bound."""
 
     def test_dbscan(self, population, dense, sparse):
         areas, _ = population

@@ -42,9 +42,10 @@ from repro.algebra.intervals import Interval
 from repro.algebra.predicates import (ColumnColumnPredicate,
                                       ColumnConstantPredicate, ColumnRef,
                                       Op)
+from repro.clustering import pairwise_matrix
 from repro.core.area import AccessArea
 import repro.distance.kernel as kernel_module
-from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.distance import QueryDistance, condensed_index
 from repro.distance.kernel import (KernelUnsupported, PackedPartition,
                                    compute_kernel_blocks)
 from repro.distance.predicate_distance import PredicateDistance
@@ -310,16 +311,16 @@ class TestKernelMatrixMode:
                                          float(i))])]))
             for i in range(4)
         ]
-        dense = DistanceMatrix.compute(population, QueryDistance(stats))
+        oracle = pairwise_matrix(population, QueryDistance(stats))
         kernel = compute_matrix(population, QueryDistance(stats),
                                 mode="kernel", eps=0.12)
         for i in range(len(population)):
             kernel_row = kernel.row(i)
-            dense_row = dense.row(i)
             for j in range(len(population)):
                 if population[i].table_set == population[j].table_set:
-                    assert kernel_row[j] == dense_row[j]
-            assert kernel.neighbors(i, 0.12) == dense.neighbors(i, 0.12)
+                    assert kernel_row[j] == oracle[i, j]
+            assert kernel.neighbors(i, 0.12) \
+                == list(np.flatnonzero(oracle[i] <= 0.12))
 
 
 # -- growing a pack ----------------------------------------------------------

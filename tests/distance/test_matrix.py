@@ -1,11 +1,13 @@
 """Parity tests for the shared distance-matrix engine.
 
-The engine must be a pure optimization: the parallel matrix equals the
-serial matrix and the naive double loop *bitwise*, the stats counters
-account for every pair, and every clustering algorithm produces the
-same labels whether it evaluates the callable itself or consumes a
-precomputed matrix.
+The engine must be a pure optimization: the kernel-filled matrix equals
+the naive per-pair double loop *bitwise*, the stats counters account
+for every pair, and every clustering algorithm produces the same labels
+whether it evaluates the callable itself or consumes a precomputed
+matrix.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.clustering import (DBSCAN, OPTICS, SingleLinkage,
                               partitioned_dbscan)
 from repro.core import AccessAreaExtractor, process_log
 from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.schema import StatisticsCatalog, skyserver_schema
 from repro.schema.skyserver import CONTENT_BOUNDS
 from repro.workload import WorkloadConfig, generate_workload
@@ -39,7 +42,7 @@ def _metric(stats):
     return QueryDistance(stats, resolution=0.05)
 
 
-# -- matrix vs naive loop vs parallel ---------------------------------------
+# -- matrix vs naive loop ---------------------------------------------------
 
 def test_serial_matrix_equals_naive_double_loop(population):
     areas, stats = population
@@ -48,29 +51,52 @@ def test_serial_matrix_equals_naive_double_loop(population):
     assert np.array_equal(matrix.to_square(), naive)
 
 
-def test_parallel_matrix_equals_serial(population):
+class _OverridingDistance(QueryDistance):
+    """Overrides a distance component, so the kernel refuses it."""
+
+    def d_disj(self, o1, o2):
+        return super().d_disj(o1, o2)
+
+
+def test_kernel_refusal_falls_back_per_pair(population):
     areas, stats = population
-    serial = DistanceMatrix.compute(areas, _metric(stats))
-    parallel = DistanceMatrix.compute(areas, _metric(stats), n_jobs=2)
-    assert np.array_equal(parallel.condensed, serial.condensed)
-    assert parallel.stats.n_jobs == 2
+    registry = MetricsRegistry()
+    matrix = DistanceMatrix.compute(
+        areas, _OverridingDistance(stats, resolution=0.05),
+        registry=registry)
+    assert registry.counter(
+        "repro_kernel_pairs_vectorized_total").value == 0
+    assert registry.counter("repro_kernel_pairs_fallback_total").value > 0
+    assert np.array_equal(matrix.to_square(),
+                          pairwise_matrix(areas, _metric(stats)))
 
 
 def test_stats_counters_account_for_every_pair(population):
     areas, stats = population
     n = len(areas)
     full = DistanceMatrix.compute(areas, _metric(stats))
-    cut = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
+    registry = MetricsRegistry()
+    cut = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS,
+                                 registry=registry)
     for m in (full, cut):
         assert m.stats.pairs_total == n * (n - 1) // 2
         assert m.stats.pairs_computed + m.stats.pairs_skipped \
             == m.stats.pairs_total
     assert full.stats.pairs_skipped == 0
     assert cut.stats.pairs_skipped > 0
-    # Every d_tables evaluation beyond one per distinct set pair is a hit.
+    # The kernel fills every pair within a table-set partition; every
+    # cross-partition d_tables lookup beyond one per partition pair is
+    # a memo hit.
+    sizes = Counter(area.table_set for area in areas).values()
+    in_partition = sum(m * (m - 1) // 2 for m in sizes)
+    assert cut.stats.table_pairs == len(sizes) * (len(sizes) - 1) // 2
     assert cut.stats.table_cache_hits \
-        == cut.stats.pairs_total - cut.stats.table_pairs
-    assert cut.stats.predicate_cache_hits > 0
+        == cut.stats.pairs_total - in_partition - cut.stats.table_pairs
+    vectorized = registry.counter(
+        "repro_kernel_pairs_vectorized_total").value
+    fallback = registry.counter("repro_kernel_pairs_fallback_total").value
+    assert vectorized > 0
+    assert vectorized + fallback == in_partition
     assert 0.0 < cut.stats.skip_fraction < 1.0
     assert "bound-skipped" in cut.stats.summary()
 
@@ -146,18 +172,27 @@ def test_constructor_rejects_wrong_length():
 
 
 def test_generic_metric_without_table_decomposition():
-    """Plain callables (no d_tables/d_conj hooks) still work, serially
-    and in parallel."""
+    """Plain callables (no d_tables/d_conj hooks) still work."""
     items = [0.0, 1.5, 4.0, 9.5]
-    metric = _absolute_difference
-    serial = DistanceMatrix.compute(items, metric)
-    parallel = DistanceMatrix.compute(items, metric, n_jobs=2)
-    assert serial.value(1, 3) == 8.0
-    assert np.array_equal(parallel.condensed, serial.condensed)
+    matrix = DistanceMatrix.compute(items, _absolute_difference)
+    assert matrix.value(1, 3) == 8.0
+    assert np.array_equal(matrix.to_square(),
+                          pairwise_matrix(items, _absolute_difference))
+
+
+def test_explicit_registry_bypasses_global():
+    global_registry = MetricsRegistry()
+    private = MetricsRegistry()
+    items = [float(v) for v in range(8)]
+    with use_registry(global_registry):
+        DistanceMatrix.compute(items, _absolute_difference,
+                               registry=private)
+    assert global_registry.snapshot()["counters"] == []
+    assert private.counter(
+        "repro_distance_pairs_computed_total").value == 28
 
 
 def _absolute_difference(a, b):
-    # Module-level so the parallel path can pickle it.
     return abs(a - b)
 
 
@@ -200,10 +235,7 @@ def test_partitioned_dbscan_identical_across_engines(population):
     matrix = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
     precomputed = partitioned_dbscan(areas, None, EPS, min_pts=3,
                                      matrix=matrix)
-    fanned_out = partitioned_dbscan(areas, _metric(stats), EPS, min_pts=3,
-                                    n_jobs=2)
     assert precomputed.labels == legacy.labels
-    assert fanned_out.labels == legacy.labels
 
 
 def test_clustering_argument_validation(population):

@@ -1,12 +1,12 @@
 """End-to-end cross-backend label parity.
 
-The kernel-filled block-sparse layout claims *bitwise* agreement with
-the dense per-pair path, so every clustering algorithm must produce
-**identical labels** — not merely similar clusterings — whichever
-layout computed its distances.  Checked for all four algorithms
-(DBSCAN, partitioned DBSCAN, OPTICS, single linkage) across the
-dense / kernel / auto matrix modes, with interning on and off, on two
-very different populations: the
+Both matrix layouts claim *bitwise* agreement with the per-pair metric,
+so every clustering algorithm must produce **identical labels** — not
+merely similar clusterings — to its run over the metric callable,
+whichever layout computed its distances.  Checked for all four
+algorithms (DBSCAN, partitioned DBSCAN, OPTICS, single linkage) across
+the dense / kernel / auto matrix modes, with interning on and off, on
+two very different populations: the
 SkyServer workload generator (the paper's case-study shape) and a
 QA-harness random profile (adversarially unstructured schemas and
 predicates, the ``repro qa`` generator).
@@ -30,7 +30,8 @@ from repro.workload import WorkloadConfig, generate_workload
 EPS = 0.12
 MIN_PTS = 3
 
-#: Matrix modes under test; dense is the reference.
+#: Matrix modes under test; the metric callable, evaluated per pair by
+#: each algorithm, is the reference.
 MODES = ["dense", "kernel", "auto"]
 
 
@@ -74,35 +75,36 @@ def population(request):
     return _qa_population()
 
 
-def _labels_all_algorithms(areas, stats, mode):
+def _labels_all_algorithms(areas, stats, mode=None):
     """Labels (and the full OPTICS result) from every algorithm, with
-    distances served in the requested matrix mode."""
+    distances served in the requested matrix mode, or evaluated per
+    pair through the metric callable when ``mode`` is None."""
     metric = QueryDistance(stats)
-    matrix = compute_matrix(areas, metric, mode=mode, eps=EPS)
-    optics = OPTICS(max_eps=EPS, min_pts=MIN_PTS).fit(areas,
-                                                      matrix=matrix)
+    if mode is None:
+        source = {"distance": metric}
+    else:
+        source = {"matrix": compute_matrix(areas, metric, mode=mode,
+                                           eps=EPS)}
+    optics = OPTICS(max_eps=EPS, min_pts=MIN_PTS).fit(areas, **source)
     return {
         "dbscan": DBSCAN(eps=EPS, min_pts=MIN_PTS).fit(
-            areas, matrix=matrix).labels,
+            areas, **source).labels,
         "partitioned": partitioned_dbscan(
-            areas, metric, EPS, MIN_PTS, matrix=matrix).labels,
+            areas, metric, EPS, MIN_PTS,
+            matrix=source.get("matrix")).labels,
         "optics": (optics.ordering, optics.reachability,
                    optics.core_distance),
         "single_linkage": SingleLinkage(
-            threshold=EPS, min_size=MIN_PTS).fit(
-                areas, matrix=matrix).labels,
+            threshold=EPS, min_size=MIN_PTS).fit(areas, **source).labels,
     }
 
 
 class TestCrossBackendParity:
     def test_all_algorithms_all_backends(self, population):
         areas, stats = population
-        reference = None
+        reference = _labels_all_algorithms(areas, stats)
         for mode in MODES:
             got = _labels_all_algorithms(areas, stats, mode)
-            if reference is None:
-                reference = got
-                continue
             for algorithm, labels in got.items():
                 assert labels == reference[algorithm], (
                     f"{algorithm} labels diverge on mode={mode}")

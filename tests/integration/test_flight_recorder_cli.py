@@ -43,21 +43,20 @@ class TestRunRecords:
         assert "repro_pipeline_statements_total" in counters
 
     @pytest.mark.filterwarnings("ignore:partitioned DBSCAN")
-    def test_parallel_run_stitches_worker_spans(self, small_log,
-                                                tmp_path, capsys):
+    def test_dense_fill_traces_kernel_blocks(self, small_log, tmp_path,
+                                             capsys):
         runs = tmp_path / "runs"
         trace_path = tmp_path / "trace.jsonl"
-        # --n-jobs fans out only the dense fill, which eps >= 1/2 picks.
+        # eps >= 1/2 picks the dense layout.
         assert main(["process", str(small_log), "--sample", "120",
-                     "--eps", "0.6", "--n-jobs", "2",
-                     "--runs-dir", str(runs),
+                     "--eps", "0.6", "--runs-dir", str(runs),
                      "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         roots = [json.loads(line) for line
                  in trace_path.read_text().splitlines()]
         matrix_roots = [r for r in roots
                         if "matrix" in r["name"]]
-        assert len(matrix_roots) == 1, "one stitched tree expected"
+        assert [r["name"] for r in matrix_roots] == ["distance_matrix"]
         root = matrix_roots[0]
 
         def collect(node, out):
@@ -67,11 +66,19 @@ class TestRunRecords:
 
         nodes = []
         collect(root, nodes)
-        worker_spans = [n for n in nodes
-                        if (n.get("attrs") or {}).get("pid")]
-        assert worker_spans, "worker-side spans must be stitched in"
-        assert {n.get("trace_id") for n in worker_spans} \
-            == {root["trace_id"]}
+        kernel = [n for n in nodes if n["name"] == "kernel_blocks"]
+        assert len(kernel) == 1, "the dense fill runs the kernel once"
+        assert {n.get("trace_id") for n in nodes} == {root["trace_id"]}
+
+    @pytest.mark.parametrize("command", ["process", "casestudy"])
+    def test_n_jobs_is_a_usage_error(self, small_log, command, capsys):
+        argv = [command, "--n-jobs", "2"]
+        if command == "process":
+            argv.insert(1, str(small_log))
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "--n-jobs" in capsys.readouterr().err
 
     def test_no_run_record_opts_out(self, small_log, tmp_path,
                                     capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.obs.export import (load_json, render_table, to_json,
 from repro.obs.metrics import (Counter, Histogram, MetricsRegistry,
                                NullRegistry, RunningStats, get_registry,
                                set_registry, use_registry)
+from repro.obs.trace import NULL_TRACER
 
 
 class TestRunningStats:
@@ -116,38 +118,6 @@ class TestRegistry:
         finally:
             set_registry(original)
 
-    def test_merge_adds_counters_and_pools_histograms(self):
-        worker = MetricsRegistry()
-        worker.counter("repro_pairs_total").inc(10)
-        for value in (1.0, 2.0, 3.0):
-            worker.histogram("repro_seconds").observe(value)
-        worker.gauge("repro_g").set(7)
-
-        parent = MetricsRegistry()
-        parent.counter("repro_pairs_total").inc(5)
-        parent.histogram("repro_seconds").observe(10.0)
-
-        parent.merge(worker.snapshot())
-        assert parent.counter("repro_pairs_total").value == 15
-        histogram = parent.histogram("repro_seconds")
-        assert histogram.count == 4
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 10.0
-        assert histogram.total == 16.0
-        assert parent.gauge("repro_g").value == 7
-
-    def test_merge_without_reservoir_keeps_summary_stats(self):
-        worker = MetricsRegistry()
-        for value in (1.0, 5.0):
-            worker.histogram("repro_seconds").observe(value)
-        snapshot = worker.snapshot(include_reservoir=False)
-        parent = MetricsRegistry()
-        parent.merge(snapshot)
-        histogram = parent.histogram("repro_seconds")
-        assert histogram.count == 2
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 5.0
-
 
 class TestNullRegistry:
     def test_all_instruments_are_noops(self):
@@ -159,6 +129,67 @@ class TestNullRegistry:
         assert registry.snapshot() == {
             "counters": [], "gauges": [], "histograms": []}
         assert not registry.enabled
+
+
+class TestNoOpOverhead:
+    """Disabled instruments must stay within noise of bare code.
+
+    The bound is deliberately loose (20×) — CI boxes are noisy and the
+    point is to catch accidental allocation/IO on the null paths, not
+    to benchmark them.
+    """
+
+    ROUNDS = 20_000
+
+    @staticmethod
+    def _time(fn) -> float:
+        best = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    def test_null_tracer_spans_are_cheap(self):
+        def bare():
+            total = 0
+            for i in range(self.ROUNDS):
+                total += i
+            return total
+
+        def traced():
+            total = 0
+            for i in range(self.ROUNDS):
+                with NULL_TRACER.span("step"):
+                    total += i
+            return total
+
+        baseline = self._time(bare)
+        instrumented = self._time(traced)
+        assert instrumented < baseline * 20 + 0.05
+
+    def test_null_registry_instruments_are_cheap(self):
+        registry = NullRegistry()
+        counter = registry.counter("repro_x_total")
+        histogram = registry.histogram("repro_seconds")
+
+        def bare():
+            total = 0
+            for i in range(self.ROUNDS):
+                total += i
+            return total
+
+        def instrumented_loop():
+            total = 0
+            for i in range(self.ROUNDS):
+                counter.inc()
+                histogram.observe(i)
+                total += i
+            return total
+
+        baseline = self._time(bare)
+        instrumented = self._time(instrumented_loop)
+        assert instrumented < baseline * 20 + 0.05
 
 
 class TestPrometheusExport:
