@@ -16,8 +16,30 @@ from repro.core import AccessAreaExtractor, process_log
 from repro.distance import DistanceMatrix, QueryDistance
 from repro.schema import StatisticsCatalog, skyserver_schema
 from repro.schema.skyserver import CONTENT_BOUNDS
+from repro.sqlparser import SqlError, parse, parser
+from repro.sqlparser.lexer import scan
 from repro.workload import WorkloadConfig, generate_workload
 from .conftest import write_artifact
+
+
+def _parse_by_shape(statements):
+    """Parse seconds of the statements the parser parsed in full (the
+    first of each shape and every failing one: the paper's stage) and
+    of those whose shape it held, from a cold shape memo."""
+    parser._SHAPES.clear()
+    full, held = [], []
+    for sql in statements:
+        try:
+            hit = parser._SHAPES.get(scan(sql)[0]) is not None
+        except SqlError:
+            hit = False
+        start = time.perf_counter()
+        try:
+            parse(sql)
+        except SqlError:
+            pass
+        (held if hit else full).append(time.perf_counter() - start)
+    return full, held
 
 
 def test_throughput_and_stage_timings(benchmark, out_dir):
@@ -25,6 +47,7 @@ def test_throughput_and_stage_timings(benchmark, out_dir):
     statements = workload.log.statements()
     extractor = AccessAreaExtractor(skyserver_schema())
 
+    parser._SHAPES.clear()
     report = benchmark.pedantic(
         lambda: process_log(statements, extractor, keep_failures=False),
         rounds=1, iterations=1)
@@ -44,6 +67,17 @@ def test_throughput_and_stage_timings(benchmark, out_dir):
         s = report.stage_timings[stage]
         lines.append(f"{stage:<12} {s.minimum * 1e3:>9.3f} "
                      f"{s.mean * 1e3:>9.3f} {s.maximum * 1e3:>9.3f}")
+    # The parser parses each statement shape once and binds the
+    # literals of every later statement of that shape.
+    full, held = _parse_by_shape(statements)
+    lines += ["", f"parse stage by shape: {len(full):,} full parses (the "
+              f"first of each shape, and failures: the paper's stage), "
+              f"{len(held):,} on a held shape "
+              f"(hit share {len(held) / len(statements):.3f})"]
+    for name, seconds in (("full", full), ("held", held)):
+        lines.append(f"{'parse ' + name:<12} {min(seconds) * 1e3:>9.3f} "
+                     f"{np.mean(seconds) * 1e3:>9.3f} "
+                     f"{max(seconds) * 1e3:>9.3f}")
     art = "\n".join(lines)
     write_artifact(out_dir, "efficiency.txt", art)
     print("\n" + art)

@@ -35,20 +35,6 @@ class CNFConversionError(Exception):
     """Raised when a constraint cannot be converted within resource limits."""
 
 
-#: Memoized predicate renderings: predicates are immutable and shared
-#: across many clauses during CNF distribution, where canonicalization
-#: would otherwise re-render them millions of times.
-_PSTR_CACHE: dict[Predicate, str] = {}
-
-
-def _pstr(pred: Predicate) -> str:
-    text = _PSTR_CACHE.get(pred)
-    if text is None:
-        text = str(pred)
-        _PSTR_CACHE[pred] = text
-    return text
-
-
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of atomic predicates.
@@ -60,8 +46,24 @@ class Clause:
     predicates: tuple[Predicate, ...]
 
     @staticmethod
-    def of(predicates: Iterable[Predicate]) -> "Clause":
-        unique = {_pstr(p): p for p in predicates}
+    def of(predicates: Iterable[Predicate],
+           rendered: dict[Predicate, str] | None = None) -> "Clause":
+        """The clause of ``predicates``, deduplicated by rendering.
+
+        ``rendered`` memoizes renderings; equal predicates share the
+        first one.  :func:`to_cnf` passes one for the length of a call:
+        predicates are shared across many clauses during distribution,
+        where canonicalization would otherwise re-render them millions
+        of times.
+        """
+        if rendered is None:
+            rendered = {}
+        unique = {}
+        for p in predicates:
+            text = rendered.get(p)
+            if text is None:
+                text = rendered[p] = str(p)
+            unique[text] = p
         return Clause(tuple(unique[key] for key in sorted(unique)))
 
     def __len__(self) -> int:
@@ -207,28 +209,29 @@ def to_cnf(expr: BoolExpr,
     expr = to_nnf(expr)
     if max_predicates is not None and expr.count_atoms() > max_predicates:
         expr = to_nnf(truncate_predicates(expr, max_predicates))
-    clauses = _distribute(expr, max_clauses)
+    clauses = _distribute(expr, max_clauses, {})
     if clauses is None:
         return CNF((Clause(()),))  # unsatisfiable: the empty clause
     return CNF.of(_drop_subsumed(clauses))
 
 
-def _distribute(expr: BoolExpr, max_clauses: int) -> list[Clause] | None:
+def _distribute(expr: BoolExpr, max_clauses: int,
+                rendered: dict[Predicate, str]) -> list[Clause] | None:
     """Return the clause list of ``expr`` (already in NNF).
 
     ``None`` encodes FALSE (an unsatisfiable constraint); an empty list
-    encodes TRUE.
+    encodes TRUE.  ``rendered`` is :meth:`Clause.of`'s memo.
     """
     if expr is TRUE:
         return []
     if expr is FALSE:
         return None
     if isinstance(expr, Atom):
-        return [Clause.of([expr.predicate])]
+        return [Clause.of([expr.predicate], rendered)]
     if isinstance(expr, And):
         out: list[Clause] = []
         for child in expr.children:
-            sub = _distribute(child, max_clauses)
+            sub = _distribute(child, max_clauses, rendered)
             if sub is None:
                 return None
             out.extend(sub)
@@ -240,7 +243,7 @@ def _distribute(expr: BoolExpr, max_clauses: int) -> list[Clause] | None:
         # Cross product of the children's clause lists.
         product: list[Clause] = [Clause(())]
         for child in expr.children:
-            sub = _distribute(child, max_clauses)
+            sub = _distribute(child, max_clauses, rendered)
             if sub is None:
                 continue  # FALSE is the identity of OR
             if not sub:
@@ -249,7 +252,8 @@ def _distribute(expr: BoolExpr, max_clauses: int) -> list[Clause] | None:
             for left in product:
                 for right in sub:
                     next_product.append(
-                        Clause.of((*left.predicates, *right.predicates)))
+                        Clause.of((*left.predicates, *right.predicates),
+                                  rendered))
                     if len(next_product) > max_clauses:
                         raise CNFConversionError(
                             f"CNF exceeded {max_clauses} clauses")

@@ -46,6 +46,12 @@ class AccessArea:
 
     __setstate__ = setstate_without_hash
 
+    def __getstate__(self) -> dict:
+        # ``_digest``, the key a store holds this area under
+        # (repro.store.codec.keep_digest), stays out of the pickle.
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_digest"}
+
     def __post_init__(self) -> None:
         ordered = tuple(sorted(dict.fromkeys(self.relations)))
         object.__setattr__(self, "relations", ordered)

@@ -521,23 +521,28 @@ class PackedPartition:
         old, fresh = numeric[:split], numeric[split:]
         if len(fresh):
             # Cross-column numeric pairs: 1 − cov·cov, a commutative
-            # product; the same-column groups are overwritten below.
+            # product, so the old rows' new columns are the transposed
+            # new rows; the same-column groups are overwritten below.
             coverage = table["cov"]
-            dp[fresh[:, None], numeric] = \
-                1.0 - coverage[fresh, None] * coverage[None, numeric]
-            dp[old[:, None], fresh] = \
-                1.0 - coverage[old, None] * coverage[None, fresh]
+            block = 1.0 - coverage[fresh, None] * coverage[None, numeric]
+            dp[fresh[:, None], numeric] = block
+            dp[old[:, None], fresh] = block[:, :len(old)].T
         packed = table["group"][:p]
         for gid in sorted(set(groups)):
             members = np.flatnonzero(packed == gid)
             split = int(np.searchsorted(members, p_old))
             old, fresh = members[:split], members[split:]
-            # Rows then columns, each in the orientation a from-scratch
-            # fill uses: the other orientation adds the slot pairs of
-            # two-slot footprints in another order.
-            dp[fresh[:, None], members] = self._group_block(gid, fresh,
-                                                            members)
-            if len(old):
+            block = self._group_block(gid, fresh, members)
+            dp[fresh[:, None], members] = block
+            if not len(old):
+                continue
+            if self._formulas[gid] != _JACCARD or self._slots <= 1:
+                # A symmetric formula: the columns are the rows.
+                dp[old[:, None], fresh] = block[:, :len(old)].T
+            else:
+                # In the orientation a from-scratch fill uses: the
+                # other one adds the slot pairs of two-slot footprints
+                # in another order.
                 dp[old[:, None], fresh] = self._group_block(gid, old, fresh)
         fresh = np.arange(p_old, p)
         dp[fresh, fresh] = 0.0

@@ -45,7 +45,7 @@ from ..schema import StatisticsCatalog, skyserver_schema
 from ..schema.skyserver import CONTENT_BOUNDS
 from ..sqlparser import UnsupportedStatementError
 from ..store import open_store
-from ..store.codec import fingerprint_digest
+from ..store.codec import fingerprint_digest, held_digest
 
 logger = get_logger(__name__)
 
@@ -286,8 +286,10 @@ class AppState:
             unique_index = self._book(user, area, label)
             if self.store is not None:
                 if unique_index is not None and unique_index < held:
-                    # A repeat: the store already holds this area.
-                    digest = fingerprint_digest(area)
+                    # A repeat: the store already holds this area, and
+                    # its pooled area keeps the digest it is held under.
+                    digest = (held_digest(self.clusterer.area(unique_index))
+                              or fingerprint_digest(area))
                 else:
                     digest = self.store.append_area(area)
             if label is None:

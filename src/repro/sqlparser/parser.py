@@ -12,15 +12,27 @@ Non-SELECT statements raise :class:`UnsupportedStatementError`; malformed
 input raises :class:`ParseError` — the two unparsed classes of Section 6.1.
 So does a statement nested deeper than :data:`MAX_NESTING`, before the
 recursive descent can exhaust Python's stack.
+
+Statements that differ only in their number and string literals have
+one *shape* (:func:`~.lexer.scan`), and the grammar decides on token
+types and keywords alone, so a shape parses the same way whatever its
+literals hold.  :func:`parse` therefore parses each shape once: it
+holds the AST of the first statement of a shape together with where
+each literal went, and answers a later one by binding its literals
+into a fresh copy of the nodes above them (:class:`_Shape`).  The memo
+is bounded by :data:`SHAPE_CHARS`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+from collections import OrderedDict
 from typing import Optional
 
 from . import ast
 from .errors import ParseError, UnsupportedStatementError
-from .lexer import Token, TokenType, tokenize
+from .lexer import Token, TokenType, scan, tokenize
 
 _COMPARISON_OPS = {"<", "<=", "=", ">", ">=", "<>"}
 
@@ -37,12 +49,36 @@ _STATEMENT_KEYWORDS = {
 }
 
 
+#: Characters of statement text the shape memo may hold, counted over
+#: the statements that introduced its shapes; the least recently used
+#: shape goes first.  A longer statement is never held.
+SHAPE_CHARS = 1 << 16
+
+
 def parse(sql: str) -> ast.SelectStatement:
-    """Parse one SQL statement into a :class:`~.ast.SelectStatement`."""
+    """Parse one SQL statement into a :class:`~.ast.SelectStatement`.
+
+    A statement whose shape is held skips the recursive descent: its
+    literals are bound into the held shape.  A literal the grammar
+    rejects there (a malformed number, a TOP past the float range)
+    falls back to the full parse, which reports it; a statement that
+    fails to parse is never held.
+    """
+    key, literals = scan(sql)
+    shape = _SHAPES.get(key)
+    if shape is not None:
+        try:
+            return shape.bind(literals)
+        except ParseError:
+            pass
     tokens = tokenize(sql)
     parser = _Parser(tokens)
     statement = parser.parse_statement()
     parser.expect_end()
+    if key is not None and len(sql) <= SHAPE_CHARS:
+        shape = _Shape.of(statement, parser.slots, tokens, len(sql))
+        if shape is not None:
+            _SHAPES.hold(key, shape)
     return statement
 
 
@@ -55,6 +91,9 @@ class _Parser:
         self._depth = 0
         #: token positions where a grouped condition was rolled back
         self._ungrouped: set[int] = set()
+        #: id of each node built from a literal token -> the node and,
+        #: per field the literal filled, (field, token index, rule)
+        self.slots: dict[int, tuple[object, list[tuple[str, int, int]]]] = {}
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -113,6 +152,18 @@ class _Parser:
     def _close(self) -> None:
         self._depth -= 1
 
+    def _slot(self, node: object, field: str, index: int, rule: int) -> None:
+        """Note that ``field`` of ``node`` holds the literal token at
+        ``index``, converted by ``rule`` (see :func:`_slot_value`)."""
+        self.slots.setdefault(id(node), (node, []))[1].append(
+            (field, index, rule))
+
+    def _literal(self, value: object, rule: int) -> ast.Literal:
+        """The literal token just consumed, as a node."""
+        node = ast.Literal(value)
+        self._slot(node, "value", self._pos - 1, rule)
+        return node
+
     def expect_end(self) -> None:
         self._accept_punct(";")
         if self.current.type is not TokenType.EOF:
@@ -136,6 +187,7 @@ class _Parser:
         self._open()
         distinct = self._accept_keyword("DISTINCT")
         self._accept_keyword("ALL")  # SELECT ALL is a no-op
+        top_at = self._pos + 1
         top = self._parse_top()
         select_items = self._parse_select_list()
         self._parse_into()
@@ -152,11 +204,12 @@ class _Parser:
         if self._accept_keyword("ORDER"):
             self._expect_keyword("BY")
             order_by = self._parse_order_list()
+        limit_at = self._pos + 1
         limit = self._parse_limit()
         if self.current.is_keyword("UNION"):
             raise UnsupportedStatementError("UNION")
         self._close()
-        return ast.SelectStatement(
+        statement = ast.SelectStatement(
             select_items=select_items,
             from_items=from_items,
             where=where,
@@ -167,6 +220,11 @@ class _Parser:
             distinct=distinct,
             limit=limit,
         )
+        if top is not None:
+            self._slot(statement, "top", top_at, _AS_COUNT)
+        if limit is not None:
+            self._slot(statement, "limit", limit_at, _AS_COUNT)
+        return statement
 
     def _parse_top(self) -> Optional[int]:
         if not self._accept_keyword("TOP"):
@@ -175,7 +233,7 @@ class _Parser:
         if token.type is not TokenType.NUMBER:
             raise ParseError("expected number after TOP", token.position)
         self._advance()
-        return int(float(token.value))
+        return _count(token.value, "TOP", token.position)
 
     def _parse_into(self) -> None:
         """SkyServer CasJobs ``SELECT ... INTO mydb.table`` — parse & drop."""
@@ -205,7 +263,7 @@ class _Parser:
                 raise ParseError("expected number after OFFSET",
                                  self.current.position)
             self._advance()
-        return int(float(token.value))
+        return _count(token.value, "LIMIT", token.position)
 
     # -- select list ---------------------------------------------------------
 
@@ -425,7 +483,9 @@ class _Parser:
                 raise ParseError("expected string after LIKE",
                                  pattern_token.position)
             self._advance()
-            return ast.Like(expr, pattern_token.value, negated)
+            like = ast.Like(expr, pattern_token.value, negated)
+            self._slot(like, "pattern", self._pos - 1, _AS_STRING)
+            return like
         if negated:
             raise ParseError("dangling NOT in predicate", token.position)
         if token.is_keyword("IS"):
@@ -520,14 +580,18 @@ class _Parser:
                 return operand
             if isinstance(operand, ast.Literal) and isinstance(
                     operand.value, (int, float)):
-                return ast.Literal(-operand.value)
+                # Only a number token makes such a literal.
+                _, [(_, index, negations)] = self.slots[id(operand)]
+                negated = ast.Literal(-operand.value)
+                self._slot(negated, "value", index, negations + 1)
+                return negated
             return ast.UnaryMinus(operand)
         if token.type is TokenType.NUMBER:
             self._advance()
-            return ast.Literal(_parse_number(token.value))
+            return self._literal(_parse_number(token.value), 0)
         if token.type is TokenType.STRING:
             self._advance()
-            return ast.Literal(token.value)
+            return self._literal(token.value, _AS_STRING)
         if token.is_keyword("NULL"):
             self._advance()
             return ast.Literal(None)
@@ -589,3 +653,168 @@ def _parse_number(text: str) -> int | float:
         return float(text)
     except ValueError:
         raise ParseError(f"malformed numeric literal {text!r}") from None
+
+
+def _count(text: str, clause: str, position: int) -> int:
+    """The integer a TOP or LIMIT number stands for."""
+    try:
+        return int(float(text))
+    except (OverflowError, ValueError):
+        raise ParseError(f"{clause} needs a finite number, found {text!r}",
+                         position) from None
+
+
+#: Rules of :func:`_slot_value` besides a number negated n >= 0 times.
+_AS_STRING, _AS_COUNT = -1, -2
+
+
+def _slot_value(text: str, rule: int) -> object:
+    """What a literal's text becomes in the field it fills: a string
+    as it is, a TOP or LIMIT count, or a number negated ``rule`` times
+    (the unary-minus fold)."""
+    if rule == _AS_STRING:
+        return text
+    if rule == _AS_COUNT:
+        return _count(text, "TOP or LIMIT", -1)
+    value = _parse_number(text)
+    for _ in range(rule):
+        value = -value
+    return value
+
+
+def _tuple(*items: object) -> tuple:
+    return items
+
+
+#: Field names of every AST node class, in constructor order.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
+    for cls in vars(ast).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+
+
+class _Shape:
+    """A parsed statement with its literals taken out.
+
+    ``steps`` rebuild, children first, every node that has a literal
+    below it.  Each is ``(make, fields, nodes, literals)``: the node's
+    class (:func:`_tuple` for a tuple), its field values in the
+    statement parsed, the fields that take an earlier step's result as
+    ``(field, step)``, and those that take a literal as ``(field, place
+    among the statement's literals, rule)``.  Every other node is
+    shared with the statement parsed; AST nodes are frozen.
+    """
+
+    __slots__ = ("statement", "steps", "size")
+
+    def __init__(self, statement: ast.SelectStatement, steps: tuple,
+                 size: int) -> None:
+        self.statement = statement
+        self.steps = steps
+        self.size = size
+
+    @classmethod
+    def of(cls, statement: ast.SelectStatement,
+           slots: dict[int, tuple[object, list[tuple[str, int, int]]]],
+           tokens: list[Token], size: int) -> Optional["_Shape"]:
+        """The shape of a statement just parsed from ``tokens``, with
+        the parser's ``slots``; ``None`` if a node occurs twice in it."""
+        # Breadth first, so every node comes after its parent.  A field
+        # is a position in a tuple, a name in a node.
+        nodes: list = [statement]
+        parent: list[Optional[tuple[int, int | str]]] = [None]
+        place = {id(statement): 0}
+        for index, node in enumerate(nodes):
+            for field, value in (enumerate(node) if type(node) is tuple
+                                 else vars(node).items()):
+                if type(value) in _FIELDS or (type(value) is tuple
+                                              and value):
+                    if place.setdefault(id(value), len(nodes)) != len(nodes):
+                        return None
+                    nodes.append(value)
+                    parent.append((index, field))
+        live: set[int] = set()
+        for node_id in slots:
+            index = place.get(node_id)   # None: dropped while parsing
+            while index is not None and index not in live:
+                live.add(index)
+                above = parent[index]
+                index = None if above is None else above[0]
+        number, string = TokenType.NUMBER, TokenType.STRING
+        literal_of = {at: n for n, at in enumerate([
+            at for at, token in enumerate(tokens)
+            if token.type is number or token.type is string])}
+        holes: dict[int, list[tuple[int, int]]] = {index: [] for index in live}
+        steps = []
+        for index in sorted(live, reverse=True):   # children first
+            node = nodes[index]
+            names = _FIELDS.get(type(node))
+            if names is None:
+                steps.append((_tuple, node, tuple(holes[index]), ()))
+            else:
+                filled = slots.get(id(node), (None, ()))[1]
+                steps.append((
+                    type(node), tuple([getattr(node, name) for name in names]),
+                    tuple([(names.index(field), step)
+                           for field, step in holes[index]]),
+                    tuple([(names.index(field), literal_of[token], rule)
+                           for field, token, rule in filled])))
+            above = parent[index]
+            if above is not None:
+                holes[above[0]].append((above[1], len(steps) - 1))
+        return cls(statement, tuple(steps), size)
+
+    def bind(self, literals: list[str]) -> ast.SelectStatement:
+        """The statement of this shape with ``literals`` in its slots;
+        raises :class:`ParseError` where :func:`parse` would reject one."""
+        built: list = []
+        for make, fields, nodes, slots in self.steps:
+            args = list(fields)
+            for field, step in nodes:
+                args[field] = built[step]
+            for field, literal, rule in slots:
+                args[field] = _slot_value(literals[literal], rule)
+            built.append(make(*args))
+        return built[-1] if built else self.statement
+
+
+class _ShapeMemo:
+    """Shape key -> :class:`_Shape`, least recently used first, within
+    :data:`SHAPE_CHARS` characters of the statements that introduced
+    them.  Process-wide, so every lookup and change holds a lock."""
+
+    def __init__(self) -> None:
+        self._shapes: OrderedDict[str, _Shape] = OrderedDict()
+        self._chars = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def get(self, key: Optional[str]) -> Optional[_Shape]:
+        with self._lock:
+            shape = self._shapes.get(key)
+            if shape is not None:
+                self._shapes.move_to_end(key)
+        return shape
+
+    def hold(self, key: str, shape: _Shape) -> None:
+        """Hold ``shape``, no larger than :data:`SHAPE_CHARS`."""
+        with self._lock:
+            shapes = self._shapes
+            held = shapes.pop(key, None)
+            if held is not None:
+                self._chars -= held.size
+            while self._chars + shape.size > SHAPE_CHARS:
+                _, evicted = shapes.popitem(last=False)
+                self._chars -= evicted.size
+            shapes[key] = shape
+            self._chars += shape.size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._shapes.clear()
+            self._chars = 0
+
+
+_SHAPES = _ShapeMemo()

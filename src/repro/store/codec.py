@@ -108,6 +108,18 @@ def fingerprint_digest(area_or_fingerprint) -> bytes:
     return sha256(encode_fingerprint(fingerprint)).digest()
 
 
+def keep_digest(area, digest: bytes) -> None:
+    """Let ``area`` keep the digest a store holds it under.  It is not
+    pickled (see :class:`~repro.core.area.AccessArea`)."""
+    object.__setattr__(area, "_digest", digest)
+
+
+def held_digest(area) -> Optional[bytes]:
+    """The digest ``area`` was appended to or read back from a store
+    under, or ``None``; it costs no hashing."""
+    return area.__dict__.get("_digest")
+
+
 # -- area payloads ----------------------------------------------------------
 
 def encode_area(area) -> bytes:

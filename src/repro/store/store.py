@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from ..obs import get_logger
 from .blocks import BlockStore
 from .codec import (KIND_AREA, KIND_JOURNAL, decode_area, encode_area,
-                    fingerprint_digest)
+                    fingerprint_digest, keep_digest)
 from .index import FingerprintIndex
 from .pager import (BufferPool, DEFAULT_CAPACITY, DEFAULT_PAGE_SIZE,
                     fsync_dir)
@@ -108,21 +108,24 @@ class AreaStore:
 
     def append_area(self, area) -> bytes:
         """Persist ``area`` (idempotent by fingerprint digest) and
-        return its 32-byte digest key."""
+        return its 32-byte digest key, which the area keeps
+        (:func:`~repro.store.codec.held_digest`)."""
         digest = fingerprint_digest(area)
         if digest in self.index:
             self._area_hits += 1
-            return digest
-        location = self.segments.append(KIND_AREA, digest,
-                                        encode_area(area))
-        self.index.put(digest, location)
-        self._area_appends += 1
-        if self.index.dirty >= CHECKPOINT_EVERY:
-            self.checkpoint()
+        else:
+            location = self.segments.append(KIND_AREA, digest,
+                                            encode_area(area))
+            self.index.put(digest, location)
+            self._area_appends += 1
+            if self.index.dirty >= CHECKPOINT_EVERY:
+                self.checkpoint()
+        keep_digest(area, digest)
         return digest
 
     def get_area(self, digest: bytes):
-        """The stored area for ``digest``, or ``None``."""
+        """The stored area for ``digest``, or ``None``; the area keeps
+        its digest."""
         location = self.index.get(digest)
         if location is None:
             return None
@@ -130,7 +133,9 @@ class AreaStore:
         if record is None:  # pragma: no cover - index ⊆ segments
             return None
         _kind, _key, payload = record
-        return decode_area(payload)
+        area = decode_area(payload)
+        keep_digest(area, digest)
+        return area
 
     def iter_areas(self) -> Iterator[tuple[bytes, object]]:
         """``(digest, area)`` pairs in first-appended order."""

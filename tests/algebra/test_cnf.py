@@ -1,5 +1,8 @@
 """NNF and CNF conversion, incl. the 35-predicate workaround."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.algebra.boolexpr import (FALSE, TRUE, Not, atom, make_and,
@@ -59,6 +62,28 @@ class TestClause:
 
     def test_str_empty_clause_is_false(self):
         assert str(Clause(())) == "FALSE"
+
+
+class TestRenderingLifetime:
+    def test_converted_predicate_is_freed(self):
+        # to_cnf's predicate renderings live for one call: once its
+        # output is dropped, nothing holds a predicate it rendered.
+        kept = ColumnConstantPredicate(ColumnRef("T", "u"), Op.GT, 31.5)
+        expr = make_or([make_and([atom(kept), p("v", Op.LT, 2)]),
+                        p("w", Op.EQ, 3)])
+        cnf = to_cnf(expr)
+        assert str(cnf) == "(T.u > 31.5 OR T.w = 3) AND (T.v < 2 OR T.w = 3)"
+        assert str(to_cnf(expr)) == str(cnf)
+        freed = weakref.ref(kept)
+        del kept, expr, cnf
+        gc.collect()
+        assert freed() is None
+
+    def test_equal_predicates_in_one_clause_collapse(self):
+        # 5 == 5.0: equal predicates share their first rendering.
+        clause = Clause.of([p("u", Op.GT, 5).predicate,
+                            p("u", Op.GT, 5.0).predicate])
+        assert len(clause) == 1
 
 
 class TestToCNF:

@@ -42,6 +42,19 @@ class TestProcessLog:
         index, kind, message = report.failures[0]
         assert index == 0 and kind == "parse" and message
 
+    def test_counts_past_the_float_range_are_tallied(self, schema):
+        # TOP and LIMIT counts float() reads as infinite are parse
+        # errors, tallied like any other.
+        statements = ["SELECT TOP 1e400 u FROM T",
+                      "SELECT u FROM T LIMIT 1e999",
+                      "SELECT TOP 5 u FROM T WHERE u > 1"]
+        report = process_log(statements, AccessAreaExtractor(schema))
+        assert report.total == 3
+        assert report.parse_errors == 2
+        assert [(index, kind) for index, kind, _ in report.failures] == \
+            [(0, "parse"), (1, "parse")]
+        assert [item.index for item in report.extracted] == [2]
+
     def test_failures_can_be_dropped(self, schema):
         report = process_log(["SELCT 1"], AccessAreaExtractor(schema),
                              keep_failures=False)

@@ -112,6 +112,16 @@ class TestIngest:
         assert calls == ["CLEARLY NOT SQL"]
         assert (again.status, again.error) == ("failed", outcome.error)
 
+    def test_count_past_the_float_range_fails_as_a_parse_error(self,
+                                                                ingested):
+        _, _, client, _ = ingested
+        response = client.post(
+            "/queries", json={"sql": "SELECT TOP 1e400 ra FROM PhotoObj"})
+        assert response.status == 200
+        body = response.json()
+        assert body["status"] == "failed"
+        assert body["error"].startswith("ParseError: TOP needs a finite")
+
     def test_deeply_nested_statement_degrades(self, ingested):
         # 400 levels is past the parser's nesting limit: an ordinary
         # failed statement, not a 5xx from exhausted recursion.
@@ -206,6 +216,14 @@ class TestReads:
         response = client.get("/recommend",
                               params={"sql": "NOT SQL"})
         assert response.status == 422
+
+    def test_recommend_count_past_the_float_range_is_422(self, ingested):
+        _, _, client, _ = ingested
+        for sql in ("SELECT TOP 1e400 ra FROM PhotoObj",
+                    "SELECT ra FROM PhotoObj LIMIT 1e999"):
+            response = client.get("/recommend", params={"sql": sql})
+            assert response.status == 422
+            assert "finite number" in response.json()["error"]
 
     def test_recommend_unplaceable_constant_is_422(self, ingested):
         _, _, client, _ = ingested

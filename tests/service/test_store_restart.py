@@ -151,6 +151,106 @@ def test_reopen_fetches_each_stored_area_once(store_config, monkeypatch):
     second.close()
 
 
+def _repeat_arrivals():
+    """A log, then its statements again, then respelled: repeats that
+    hit the monitor's text memo and repeats it extracts again."""
+    statements = generate_workload(WorkloadConfig(
+        n_queries=60, seed=11)).log.statements_with_users()
+    return (statements + statements
+            + [(sql + "  ", user) for sql, user in statements])
+
+
+def _store_bytes(store_dir):
+    files = {}
+    for root, _dirs, names in os.walk(store_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, store_dir)] = handle.read()
+    return files
+
+
+def test_repeat_arrival_computes_no_digest(store_config, monkeypatch):
+    from repro.service import state as state_module
+    from repro.store import codec, store
+
+    state = _fresh(store_config)
+    sql = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20"
+    first = state.ingest(sql, user="a")
+    calls = []
+    for module in (codec, store, state_module):
+        digest = module.fingerprint_digest
+        monkeypatch.setattr(
+            module, "fingerprint_digest",
+            lambda area, _digest=digest: calls.append(area) or _digest(area))
+    repeats = [state.ingest(sql, user="b"),         # the text memo's area
+               state.ingest(sql + "  ", user="c")]  # extracted again
+    assert calls == []
+    assert {o.unique_index for o in repeats} == {first.unique_index}
+    digests = [entry["digest"] for entry in state.store.iter_journal()]
+    assert len(digests) == 3 and len(set(digests)) == 1
+    state.close()
+
+
+def test_held_digests_journal_what_hashing_would(tmp_path, monkeypatch):
+    # Against a service that hashes every repeat again: the same
+    # answers and, byte for byte, the same journal and stored records.
+    from repro.service import state as state_module
+
+    def run(store_dir):
+        state = _fresh(ServiceConfig(eps=0.12, min_pts=3, warmup=10,
+                                     min_cluster_size=2,
+                                     store_dir=str(store_dir)))
+        answers = [state.ingest(sql, user=user)
+                   for sql, user in _repeat_arrivals()]
+        state.close()
+        return answers, _store_bytes(store_dir)
+
+    held = run(tmp_path / "held")
+    with monkeypatch.context() as patch:
+        patch.setattr(state_module, "held_digest", lambda area: None)
+        hashed = run(tmp_path / "hashed")
+    assert held[0] == hashed[0]
+    assert held[1] == hashed[1]
+
+
+def test_reopen_answers_as_an_uninterrupted_run(tmp_path, monkeypatch):
+    # After a reopen the pooled areas are the stored ones read back,
+    # which keep the digests they were fetched by.
+    from repro.service import state as state_module
+
+    arrivals = _repeat_arrivals()
+
+    def config(name):
+        return ServiceConfig(eps=0.12, min_pts=3, warmup=10,
+                             min_cluster_size=2,
+                             store_dir=str(tmp_path / name))
+
+    whole = _fresh(config("whole"))
+    expected = [whole.ingest(sql, user=user) for sql, user in arrivals]
+    journal = list(whole.store.iter_journal())
+    labels = list(whole.monitor.statement_labels)
+    whole.close()
+
+    cut = len(arrivals) // 3
+    first = _fresh(config("cut"))
+    answers = [first.ingest(sql, user=user) for sql, user in arrivals[:cut]]
+    first.close()
+    second = _fresh(config("cut"))
+    hashed = []
+    digest = state_module.fingerprint_digest
+    monkeypatch.setattr(state_module, "fingerprint_digest",
+                        lambda area: hashed.append(area) or digest(area))
+    answers += [second.ingest(sql, user=user)
+                for sql, user in arrivals[cut:]]
+    assert hashed == []
+    assert [(a.status, a.label, a.unique_index) for a in answers] == \
+        [(a.status, a.label, a.unique_index) for a in expected]
+    assert list(second.store.iter_journal()) == journal
+    assert list(second.monitor.statement_labels) == labels
+    second.close()
+
+
 def test_restart_in_a_new_interpreter_keeps_area_identity(tmp_path):
     # String hashes differ between interpreters.  An area read back from
     # the store must not keep the writer's cached hash, or a repeat

@@ -68,9 +68,31 @@ class TestLexErrors:
 
     def test_all_errors_are_sql_errors(self):
         for bad in ["CREATE TABLE x (a int)", "SELECT FROM",
-                    "SELECT 'oops FROM T"]:
+                    "SELECT 'oops FROM T",
+                    "SELECT TOP 1e400 ra FROM PhotoObj",
+                    "SELECT ra FROM PhotoObj LIMIT 1e999"]:
             with pytest.raises(SqlError):
                 parse(bad)
+
+
+class TestCounts:
+    """TOP and LIMIT take an integer count; a number float() cannot
+    read as a finite value is a parse error at its token."""
+
+    @pytest.mark.parametrize("sql,position", [
+        ("SELECT TOP 1e400 ra FROM PhotoObj", 16),
+        ("SELECT ra FROM PhotoObj LIMIT 1e999", 35),
+        ("SELECT TOP \u00b2 ra FROM PhotoObj", 12),
+    ])
+    def test_count_past_the_float_range(self, sql, position):
+        with pytest.raises(ParseError, match="needs a finite number") \
+                as excinfo:
+            parse(sql)
+        assert excinfo.value.position == position
+
+    def test_counts_truncate(self):
+        assert parse("SELECT TOP 1.9 ra FROM PhotoObj").top == 1
+        assert parse("SELECT ra FROM PhotoObj LIMIT 1e3").limit == 1000
 
 
 class TestRobustness:
@@ -128,7 +150,7 @@ class TestNestingLimit:
         monkeypatch.setattr(_Parser, "_parse_factor", counting)
         with pytest.raises(ParseError):
             parse(_grouped(1000))
-        assert len(calls) <= MAX_NESTING
+        assert 0 < len(calls) <= MAX_NESTING
 
     def test_grouped_backtracking_is_not_exponential(self, monkeypatch):
         # A scalar subquery inside a grouped expression: each level is
@@ -156,7 +178,8 @@ class TestNestingLimit:
             with pytest.raises(ParseError):
                 parse(nested(levels))
             counts.append(len(calls))
-        assert counts[1] <= 4 * counts[0], counts
+        # A statement that fails is never answered from the shape memo.
+        assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
 
     @pytest.mark.parametrize("sql", [
         _grouped(1000),
