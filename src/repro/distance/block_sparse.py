@@ -29,12 +29,12 @@ minimum cross-partition ``d_tables``).  Any threshold query at
 thresholds — therefore gets exactly the answers the dense matrix gives;
 :meth:`neighbors` enforces the precondition.
 
-The lookup API (``value``/``row``/``neighbors``/``submatrix``/``stats``/
-``__len__``) matches the dense matrix, so dbscan, optics, single-linkage
-and partitioned DBSCAN accept either implementation unchanged.  Every
-block is filled by the vectorized kernel (:mod:`repro.distance.kernel`),
-bitwise equal to per-pair evaluation; a partition the kernel cannot
-replay falls back to per-pair metric calls.
+The lookup API (``value``/``take``/``row``/``neighbors``/``submatrix``/
+``stats``/``__len__``) matches the dense matrix, so dbscan, optics,
+single-linkage and partitioned DBSCAN accept either implementation
+unchanged.  Every block is filled by the vectorized kernel
+(:mod:`repro.distance.kernel`), bitwise equal to per-pair evaluation; a
+partition the kernel cannot replay falls back to per-pair metric calls.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import numpy as np
 
 from ..obs import get_logger, metrics, trace
 from .kernel import KernelUnsupported, PackedPartition, compute_kernel_blocks
-from .matrix import DistanceMatrix, MatrixStats, Metric, is_decomposed
+from .matrix import (DistanceMatrix, MatrixStats, Metric, _pairs_of,
+                     is_decomposed)
 from .query_distance import partition_exactness_bound
 
 logger = get_logger(__name__)
@@ -70,7 +71,8 @@ class _GrowableBlock:
     item count — so the first :meth:`BlockSparseDistanceMatrix.insert_row`
     into a partition converts its block to this square capacity-doubled
     form.  Mirrors the :class:`DistanceMatrix` lookup API the clustering
-    layer consumes (``value``/``row``/``neighbors``/``submatrix``).
+    layer consumes (``value``/``take``/``row``/``neighbors``/
+    ``submatrix``).
     """
 
     def __init__(self, dense: DistanceMatrix) -> None:
@@ -113,6 +115,9 @@ class _GrowableBlock:
 
     def neighbors(self, i: int, eps: float) -> list[int]:
         return list(np.flatnonzero(self._buf[i, :self.n] <= eps))
+
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self._buf[rows, cols]
 
     def submatrix(self, indices: Sequence[int]) -> DistanceMatrix:
         idx = np.asarray(indices, dtype=np.intp)
@@ -360,19 +365,19 @@ class BlockSparseDistanceMatrix:
 
         The affected partition's block gains a row of exact ``d_conj``
         values (via the vectorized kernel —
-        :meth:`~.kernel.PackedPartition.extend` plus one ``pair_rows``
-        gather, bitwise-equal to the per-pair oracle — or the per-pair
-        metric for a partition the kernel cannot replay); a previously
-        unseen table set opens a fresh singleton partition, extending
-        the ``d_tables`` bound table by one representative evaluation
-        per existing partition.  No cross-partition distance is ever
+        :meth:`~.kernel.PackedPartition.extend` plus one ``pair_rows``,
+        bitwise-equal to the per-pair oracle — or the per-pair metric
+        for a partition the kernel cannot replay); a previously unseen
+        table set opens a fresh singleton partition, extending the
+        ``d_tables`` bound table by one representative evaluation per
+        existing partition.  No cross-partition distance is ever
         computed, so the cost depends on the affected partition alone:
-        the pack appends only the new predicates', clauses' and area's
-        rows and columns, in one vectorized pass over the partition's
+        the pack appends the new area's features and ids, running the
+        oracle's per-predicate helpers for new predicates only, and
+        computes the row in one vectorized pass over the partition's
         ``P`` predicates, ``C`` clauses and ``m_p`` members —
-        ``O(P + C + L·m_p)`` array work for areas of up to ``L``
-        clauses, amortized over capacity doubling — and runs the
-        oracle's per-predicate helpers for new predicates only.
+        ``O(n·(P + C) + L·m_p)`` array work for an area of ``n``
+        clauses among areas of up to ``L``.
 
         Note a new partition can *lower* :attr:`exactness_bound`;
         :meth:`neighbors` keeps refusing radii at or beyond the current
@@ -572,19 +577,24 @@ class BlockSparseDistanceMatrix:
         partitioned clustering consumes.  Mixed-partition index sets
         inherit the lower-bound semantics of the cross entries.
         """
-        pids = self._pids[np.asarray(indices, dtype=np.intp)]
-        if len(indices) and (pids == pids[0]).all():
+        idx = np.asarray(indices, dtype=np.intp)
+        pids = self._pids[idx]
+        if len(idx) and (pids == pids[0]).all():
             # Fast path: slice the one block directly.
-            local = [int(self._local[i]) for i in indices]
-            return self._blocks[int(pids[0])].submatrix(local)
-        m = len(indices)
-        values = np.empty(m * (m - 1) // 2, dtype=float)
-        pos = 0
-        for a in range(m):
-            for b in range(a + 1, m):
-                values[pos] = self.value(indices[a], indices[b])
-                pos += 1
-        return DistanceMatrix(m, values)
+            return self._blocks[int(pids[0])].submatrix(self._local[idx])
+        return DistanceMatrix(len(idx), _pairs_of(self, idx))
+
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``value(rows[k], cols[k])`` for every ``k``: one gather per
+        partition the pairs fall in, the bound table elsewhere."""
+        first, second = self._pids[rows], self._pids[cols]
+        values = self._bounds[first, second]
+        inside = first == second
+        for pid in np.unique(first[inside]).tolist():
+            sel = np.flatnonzero(inside & (first == pid))
+            values[sel] = self._blocks[pid].take(self._local[rows[sel]],
+                                                 self._local[cols[sel]])
+        return values
 
 
 def compute_matrix(items: Sequence, metric: Metric, *,

@@ -54,6 +54,14 @@ def is_decomposed(metric, items: Sequence) -> bool:
                     for item in items))
 
 
+def _pairs_of(matrix, indices: Sequence[int]) -> np.ndarray:
+    """The condensed values of ``matrix`` restricted to ``indices``: one
+    :meth:`take` over every pair ``a < b`` of positions, row-major."""
+    idx = np.asarray(indices, dtype=np.intp)
+    first, second = np.triu_indices(len(idx), k=1)
+    return matrix.take(idx[first], idx[second])
+
+
 def condensed_index(i: int, j: int, n: int) -> int:
     """Index of pair ``(i, j)``, ``i < j``, in the condensed layout."""
     if i > j:
@@ -378,13 +386,17 @@ class DistanceMatrix:
         out[(iu[1], iu[0])] = self._values
         return out
 
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``value(rows[k], cols[k])`` for every ``k``, in one gather."""
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        same = lo == hi
+        index = lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
+        index[same] = 0
+        values = self._values[index] if len(self._values) else \
+            np.zeros(len(index))
+        values[same] = 0.0
+        return values
+
     def submatrix(self, indices: Sequence[int]) -> "DistanceMatrix":
         """The matrix restricted to ``indices`` (in the given order)."""
-        m = len(indices)
-        values = np.empty(m * (m - 1) // 2, dtype=float)
-        pos = 0
-        for a in range(m):
-            for b in range(a + 1, m):
-                values[pos] = self.value(indices[a], indices[b])
-                pos += 1
-        return DistanceMatrix(m, values)
+        return DistanceMatrix(len(indices), _pairs_of(self, indices))

@@ -406,6 +406,19 @@ def _assert_same_recommender(got, want, probes):
                     want.recommend(probe, k=k, exclude_exact=exclude_exact))
 
 
+def _held_arrays(pack):
+    """Every ndarray ``pack`` holds, by attribute (and list position),
+    with its shape and bytes."""
+    found = {}
+    for name, value in vars(pack).items():
+        items = value if isinstance(value, list) else [value]
+        for position, item in enumerate(items):
+            if hasattr(item, "tobytes"):
+                key = f"{name}[{position}]" if item is not value else name
+                found[key] = (item, (item.shape, item.tobytes()))
+    return found
+
+
 class TestKernelMatchesPerPairOracle:
     """Medoids, distances, ranking order and SQL of the kernel-backed
     recommender equal the per-pair loops', bitwise — across mixed table
@@ -465,17 +478,18 @@ class TestKernelMatchesPerPairOracle:
             areas, DBSCANResult([0, 0, 1, 1, 2, 2]))
         recommender.recommend(areas[0])
         pack = recommender._medoid_pack()[0]
-        tables = {name: getattr(pack, name).copy()
-                  for name in ("_counts", "_dp", "_dc", "_best")}
+        held = _held_arrays(pack)
+        counts = (pack.n_predicates, pack.n_clauses, pack.n_areas)
         query = AccessArea(("S", "T"), CNF.of([
             Clause.of([ColumnConstantPredicate(S_Y, Op.LT, 5.0)]),
             Clause.of([ColumnConstantPredicate(T_C, Op.EQ, "b")])]))
         recommender.recommend(query)
         assert recommender._medoid_pack()[0] is pack
-        for name, table in tables.items():
-            after = getattr(pack, name)
-            assert after.shape == table.shape
-            assert after.tobytes() == table.tobytes(), name
+        assert (pack.n_predicates, pack.n_clauses, pack.n_areas) == counts
+        assert _held_arrays(pack).keys() == held.keys()
+        for name, (array, data) in _held_arrays(pack).items():
+            assert array is held[name][0], name
+            assert data == held[name][1], name
 
 
 

@@ -2,6 +2,7 @@
 stats."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def population():
     for area in areas:
         stats.observe_cnf(area.cnf)
     return areas, QueryDistance(stats)
+
+
+def _submatrix_by_pairs(matrix, indices):
+    """The pair-by-pair copy ``submatrix`` replaced: the oracle."""
+    m = len(indices)
+    values = np.empty(m * (m - 1) // 2, dtype=float)
+    pos = 0
+    for a in range(m):
+        for b in range(a + 1, m):
+            values[pos] = matrix.value(indices[a], indices[b])
+            pos += 1
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +138,30 @@ class TestLookupParity:
             for b in range(a + 1, len(indices)):
                 assert sub.value(a, b) == sparse.value(indices[a],
                                                        indices[b])
+
+    def test_submatrix_gather_equals_pair_loop(self, population, sparse):
+        """Mixed and single-partition index lists, shuffled, over
+        condensed blocks and over blocks grown by ``insert_row``: the
+        gather equals the pair-by-pair copy it replaced."""
+        areas, metric = population
+        grown = BlockSparseDistanceMatrix.compute(areas[:100], metric,
+                                                  cutoff=EPS)
+        for area in areas[100:]:
+            grown.insert_row(area, metric)
+        rng = random.Random(11)
+        for matrix in (sparse, grown):
+            n = len(matrix)
+            biggest = max((members for _, members in matrix.partitions()),
+                          key=len).tolist()
+            for indices in (rng.sample(range(n), 40), rng.sample(range(n), n),
+                            rng.sample(biggest, len(biggest)),
+                            [biggest[0]] + rng.sample(range(n), 12)
+                            + [biggest[0]]):
+                want = _submatrix_by_pairs(matrix, indices)
+                got = matrix.submatrix(indices)
+                assert len(got) == len(indices)
+                assert got.condensed.view(np.int64).tolist() \
+                    == want.view(np.int64).tolist()
 
     def test_to_square_symmetric(self, sparse):
         square = sparse.to_square()

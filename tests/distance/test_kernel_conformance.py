@@ -18,15 +18,19 @@ widths that overflow float64 — are pinned separately: the partition
 falls back to the oracle path and the produced block still matches by
 construction.
 
-A pack grown area by area (or chunk by chunk) must hold the same tables
-as one packed from scratch, refuse before changing anything, and call
-the oracle's per-predicate helpers only for predicates it has not
-packed yet.
+A pack holds per-predicate features and per-clause and per-area ids
+only.  One grown area by area (or chunk by chunk) must hold exactly the
+features and ids of one packed from scratch and answer every
+``pair_rows`` and ``condensed_block()`` like it and the oracle, refuse
+before changing anything, and call the oracle's per-predicate helpers
+only for predicates it has not packed yet.  Its arrays stay linear in
+its predicates, clauses and area slots.
 
 A pack reads no table sets: over areas of several table sets, the
 Jaccard ``d_tables`` plus the pack's ``d_conj`` is the full metric.  A
-probe of a shared pack scores the query as a pack holding it would and
-leaves the shared pack bitwise unchanged.
+probe of a shared pack scores the query as a pack holding it would,
+leaves every array of the shared pack byte-identical, and the pack
+grows afterwards exactly as one never probed.
 """
 
 import math
@@ -253,6 +257,68 @@ class TestUnsupportedFallsBackExactly:
                 Tweaked(stats))
 
 
+class TestWideIntegersAtResolutionZero:
+    """Resolution 0 keeps integer constants and access bounds in the
+    footprints, and the oracle forms their widths and unions in exact
+    integer arithmetic.  Past 2**51 (SkyServer ``specobjid`` ranges)
+    float64 can round those sums differently; such pairs take the
+    oracle's formula, so the pack still packs them and equals it."""
+
+    LO, HI = 299489677444933632, 3300000000000000000
+
+    def _catalog(self):
+        schema = Schema("wide")
+        schema.add(Relation("T", (
+            Column("a", ColumnType.BIGINT, Interval(0.0, 5.0)),
+            Column("a1", ColumnType.FLOAT, Interval(0.0, 5.0)))))
+        return StatisticsCatalog.from_exact_content(schema, {
+            ("T", "a"): Interval(self.LO, self.HI),
+            ("T", "a1"): Interval(0.0, 5.0)})
+
+    def _population(self, seed):
+        rng = random.Random(seed)
+        # Multiples of 2**10 below 2**62 are exact in float64, so the
+        # constants themselves pass the exactness refusal.
+        def constant():
+            return rng.randrange(self.LO >> 10, self.HI >> 10) << 10
+        ops = [Op.LE, Op.GE, Op.LT, Op.GT, Op.NE, Op.EQ]
+        population = [
+            _area([ColumnConstantPredicate(T_A, Op.LE, 1992330826920255488)],
+                  [ColumnConstantPredicate(T_A, Op.GE, 1365326393518678016)]),
+            _area([ColumnConstantPredicate(T_A, Op.LE, 2007451768556875520)],
+                  [ColumnConstantPredicate(T_A, Op.GE, 1361318206045277184)])]
+        for _ in range(10):
+            clauses = [[ColumnConstantPredicate(T_A, rng.choice(ops),
+                                                constant())]
+                       for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                clauses.append([ColumnConstantPredicate(T_A, Op.GE,
+                                                        constant()),
+                                ColumnConstantPredicate(T_A1, Op.LE, 2.5)])
+            population.append(_area(*clauses))
+        return population
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_rows_and_probes_equal_oracle(self, seed):
+        stats = self._catalog()
+        population = self._population(seed)
+        _assert_block_matches(stats, population, 0.0, expect_packed=True)
+        metric = QueryDistance(stats, resolution=0.0)
+        pack = _grow(population[:-1], metric, [1, 2])
+        probe = pack.probe(population[-1])
+        pack.extend(population[-1:])
+        m = len(population)
+        for i in range(m):
+            row = pack.pair_rows(i, range(m))
+            for j in range(m):
+                if i != j:
+                    oracle = QueryDistance(stats, resolution=0.0)
+                    assert row[j] == oracle(population[i], population[j])
+        oracle = QueryDistance(stats, resolution=0.0)
+        assert list(probe) == [oracle(population[-1], other)
+                               for other in population[:-1]]
+
+
 class TestDegenerateAccessWidths:
     """The ``_same_column_numeric`` guard ladder: infinite access width
     → structural (op, value) equality; zero width → value equality."""
@@ -326,18 +392,64 @@ class TestKernelMatrixMode:
 # -- growing a pack ----------------------------------------------------------
 
 
-def _tables(pack):
-    return {name: getattr(pack, name).copy()
-            for name in ("_dp", "_dc", "_best")}
+def _held(pack):
+    """The live regions of the feature and id arrays ``pack`` holds."""
+    p, c, m = pack.n_predicates, pack.n_clauses, pack.n_areas
+    held = {
+        "reals": pack._reals[:p], "tags": pack._tags[:p],
+        "bits": pack._bits[:p],
+        "clause_len": pack._clause_len[:c], "unit_pid": pack._unit_pid[:c],
+        "multi": pack._multi, "multi_pids": pack._multi_pids,
+        "multi_start": pack._multi_start, "multi_len": pack._multi_len,
+        "counts": pack._counts_buf[:m],
+        "id_pad": pack._id_pad_buf[:m, :pack._l_max]}
+    for gid in range(len(pack._formulas)):
+        held[f"members[{gid}]"] = pack._group_members(gid)
+    return held
 
 
-def _assert_same_tables(grown, scratch):
-    for name in ("n_predicates", "n_clauses", "n_areas"):
+def _state(pack):
+    """Everything ``pack`` holds apart from the shared oracle and
+    catalog: each array with its capacity, shape, dtype and bytes, each
+    lookup and counter."""
+    def snapshot(value):
+        if isinstance(value, np.ndarray):
+            return ("ndarray", value.shape, value.dtype.str,
+                    value.tobytes())
+        if isinstance(value, (list, tuple)):
+            return [snapshot(item) for item in value]
+        if isinstance(value, dict):
+            return {key: snapshot(item) for key, item in value.items()}
+        return value
+    return {name: snapshot(value) for name, value in vars(pack).items()
+            if name not in ("_oracle", "_stats_catalog")}
+
+
+def _arrays(pack):
+    """Every ndarray ``pack`` holds, by attribute (and list position)."""
+    found = {}
+    for name, value in vars(pack).items():
+        if isinstance(value, np.ndarray):
+            found[name] = value
+        elif isinstance(value, list):
+            for position, item in enumerate(value):
+                if isinstance(item, np.ndarray):
+                    found[f"{name}[{position}]"] = item
+    return found
+
+
+def _assert_same_pack(grown, scratch):
+    for name in ("n_predicates", "n_clauses", "n_areas", "_l_max",
+                 "_formulas"):
         assert getattr(grown, name) == getattr(scratch, name), name
-    for name, table in _tables(scratch).items():
-        other = getattr(grown, name)
-        assert other.shape == table.shape, name
-        assert (other == table).all(), name
+    assert grown._pred_ids == scratch._pred_ids
+    assert grown._clause_ids == scratch._clause_ids
+    want = _held(scratch)
+    got = _held(grown)
+    assert got.keys() == want.keys()
+    for name, array in want.items():
+        assert got[name].shape == array.shape, name
+        assert got[name].tobytes() == array.tobytes(), name
 
 
 def _assert_rows_match(pack, scratch, want):
@@ -367,8 +479,8 @@ def _grow(population, metric, chunks):
 
 
 class TestGrownPackMatchesScratch:
-    """Growing appends rows and columns; the tables must come out
-    exactly as a from-scratch pack (and the oracle) has them."""
+    """Growing appends features and ids; they must come out exactly as
+    a from-scratch pack has them, and every value as the oracle's."""
 
     @settings(max_examples=60, deadline=None)
     @given(population=populations, resolution=resolutions,
@@ -384,7 +496,7 @@ class TestGrownPackMatchesScratch:
         assert block == want
         for grown in (_grow(population, metric, [1]),
                       _grow(population, metric, chunks)):
-            _assert_same_tables(grown, scratch)
+            _assert_same_pack(grown, scratch)
             assert list(grown.condensed_block()) == block
             _assert_rows_match(grown, scratch, want)
 
@@ -426,8 +538,9 @@ def _overflow_stats():
 
 
 class TestRefusedExtendLeavesPackUnchanged:
-    """A refused extend writes nothing: the pack keeps its tables and
-    grows correctly afterwards."""
+    """A refused extend writes nothing: every array and lookup the pack
+    holds stays byte-identical, every row answers as before, and the
+    pack grows correctly afterwards."""
 
     @pytest.mark.parametrize("catalog, bad", [
         # GT: no packed ``T.a > 1`` that ``True == 1`` would collapse into.
@@ -445,7 +558,9 @@ class TestRefusedExtendLeavesPackUnchanged:
                    ColumnConstantPredicate(T_A, Op.EQ, 4.0)])
             for k in range(3)]
         pack = _grow(population, metric, [1])
-        before = _tables(pack)
+        before = _state(pack)
+        rows = [pack.pair_rows(i, range(len(population))).tobytes()
+                for i in range(len(population))]
         counts = (pack.n_predicates, pack.n_clauses, pack.n_areas)
         # New good predicates and clauses ride along with the bad one,
         # so a partial commit would show.
@@ -454,10 +569,9 @@ class TestRefusedExtendLeavesPackUnchanged:
         with pytest.raises(KernelUnsupported):
             pack.extend([population[0], hostile])
         assert (pack.n_predicates, pack.n_clauses, pack.n_areas) == counts
-        for name, table in before.items():
-            after = getattr(pack, name)
-            assert after.shape == table.shape
-            assert after.tobytes() == table.tobytes(), name
+        assert _state(pack) == before
+        assert [pack.pair_rows(i, range(len(population))).tobytes()
+                for i in range(len(population))] == rows
 
         good = _area([ColumnConstantPredicate(T_A, Op.GE, 2.25)],
                      [ColumnConstantPredicate(T_A, Op.LE, 3.75),
@@ -465,7 +579,7 @@ class TestRefusedExtendLeavesPackUnchanged:
         pack.extend([good])
         grown = population + [good]
         scratch = PackedPartition(grown, metric)
-        _assert_same_tables(pack, scratch)
+        _assert_same_pack(pack, scratch)
         want = _oracle_block(stats, grown, 0.01)
         assert list(pack.condensed_block()) == want
         _assert_rows_match(pack, scratch, want)
@@ -569,10 +683,6 @@ class TestMixedTableSets:
                 assert value == oracle(population[i], population[j])
 
 
-_PROBED = ("_counts", "_dp", "_dc", "_best", "_table", "_bits",
-           "_dp_buf", "_dc_buf", "_best_buf", "_counts_buf", "_id_pad_buf")
-
-
 class TestProbe:
     @settings(max_examples=40, deadline=None)
     @given(population=st.lists(mixed_areas, min_size=1, max_size=8),
@@ -586,9 +696,9 @@ class TestProbe:
                                metric)
         for area in population[1:] if grown else ():
             pack.extend([area])
-        before = {name: getattr(pack, name).copy() for name in _PROBED}
-        counts = (pack.n_predicates, pack.n_clauses, pack.n_areas)
+        before = _state(pack)
         m = len(population)
+        rows = [pack.pair_rows(i, range(m)).tobytes() for i in range(m)]
 
         row = pack.probe(query)
 
@@ -597,19 +707,17 @@ class TestProbe:
         oracle = QueryDistance(_dist_stats(), resolution=resolution)
         assert list(row) == [oracle.d_conj(query.cnf, area.cnf)
                              for area in population]
-        assert (pack.n_predicates, pack.n_clauses, pack.n_areas) == counts
-        for name, table in before.items():
-            after = getattr(pack, name)
-            assert after.shape == table.shape, name
-            assert after.tobytes() == table.tobytes(), name
+        assert _state(pack) == before
+        assert [pack.pair_rows(i, range(m)).tobytes()
+                for i in range(m)] == rows
         # The probed pack still grows exactly as an unprobed one.
         pack.extend([query])
-        _assert_same_tables(pack, held)
+        _assert_same_pack(pack, held)
 
-    def test_probe_wider_than_spare_capacity(self, monkeypatch):
+    def test_probe_wider_than_spare_capacity(self):
         """A query bringing more new predicates and clauses than the
-        shared pack has spare room for leaves the pack's buffers as they
-        were; the probe's copy is sized to the query, not doubled."""
+        shared pack has spare room for reallocates nothing: the pack
+        keeps every array object with its bytes."""
         metric = QueryDistance(_dist_stats(), resolution=0.01)
         population = [
             _area([ColumnConstantPredicate(T_A, Op.GE, 0.25 * k)],
@@ -618,31 +726,147 @@ class TestProbe:
         pack = PackedPartition(population[:1], metric)
         for area in population[1:]:
             pack.extend([area])
-        spare = max(len(pack._table) - pack.n_predicates,
+        spare = max(len(pack._reals) - pack.n_predicates,
                     len(pack._clause_len) - pack.n_clauses)
         assert spare > 0
         wide = spare + 3
         query = _area(*([ColumnConstantPredicate(T_A1, Op.LE, 0.125 * k)]
                         for k in range(wide)))
-        before = {name: getattr(pack, name).copy() for name in _PROBED}
-        read = []
-        pair_rows = PackedPartition.pair_rows
-
-        def reading(self, i, js):
-            read.append(self)
-            return pair_rows(self, i, js)
-
-        monkeypatch.setattr(PackedPartition, "pair_rows", reading)
+        arrays = _arrays(pack)
+        before = _state(pack)
         row = pack.probe(query)
-        (probed,) = read
-        assert len(probed._table) == probed.n_predicates \
-            == pack.n_predicates + wide
-        assert len(probed._clause_len) == probed.n_clauses \
-            == pack.n_clauses + wide
+        assert _arrays(pack).keys() == arrays.keys()
+        assert all(array is arrays[name]
+                   for name, array in _arrays(pack).items())
+        assert _state(pack) == before
         m = len(population)
         held = PackedPartition(population + [query], metric)
         assert row.tobytes() == held.pair_rows(m, range(m)).tobytes()
-        for name, table in before.items():
-            after = getattr(pack, name)
-            assert after.shape == table.shape, name
-            assert after.tobytes() == table.tobytes(), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(population=st.lists(mixed_areas, min_size=1, max_size=6),
+           queries=st.lists(mixed_areas, min_size=1, max_size=4),
+           later=st.lists(mixed_areas, min_size=0, max_size=4),
+           resolution=resolutions)
+    def test_probed_then_grown_answers_as_never_probed(
+            self, population, queries, later, resolution):
+        """Probes stage new groups, keys and bit positions without
+        committing them: a pack probed and then grown by the queries
+        and later areas holds and answers exactly what a pack that
+        was never probed holds and answers."""
+        metric = QueryDistance(_dist_stats(), resolution=resolution)
+        probed = _grow(population, metric, [1])
+        for query in queries:
+            probed.probe(query)
+        plain = _grow(population, metric, [1])
+        grown = population + queries + later
+        for pack in (probed, plain):
+            for area in queries + later:
+                pack.extend([area])
+        _assert_same_pack(probed, plain)
+        assert probed.condensed_block().tobytes() \
+            == plain.condensed_block().tobytes()
+        m = len(grown)
+        for i in range(m):
+            assert probed.pair_rows(i, range(m)).tobytes() \
+                == plain.pair_rows(i, range(m)).tobytes()
+
+
+# -- resolution 0 and resource bounds ----------------------------------------
+
+
+class TestTwoSlotFootprints:
+    """At resolution 0 a ``<>`` predicate keeps two rays, the only
+    footprints whose slot pairs a pair formula could add in either
+    order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(population=st.lists(areas, min_size=2, max_size=8),
+           chunks=st.lists(st.integers(min_value=1, max_value=3),
+                           min_size=1, max_size=4))
+    def test_old_rows_after_extends_equal_oracle_both_orders(
+            self, population, chunks):
+        stats = _dist_stats()
+        metric = QueryDistance(stats, resolution=0.0)
+        rays = [_area([ColumnConstantPredicate(T_A, Op.NE, 1.0 + k)],
+                      [ColumnConstantPredicate(T_A, Op.NE, 2.5),
+                       ColumnConstantPredicate(T_A1, Op.NE, 0.5 * k)])
+                for k in range(3)]
+        population = rays[:1] + population + rays[1:]
+        pack = _grow(population, metric, chunks)
+        assert pack._slots == 2
+        m = len(population)
+        # Every area is old to the areas after it: its row, read after
+        # they were packed, against each of them alone.
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                first = QueryDistance(stats, resolution=0.0)
+                second = QueryDistance(stats, resolution=0.0)
+                value = pack.pair_rows(i, [j])[0]
+                assert value == first(population[i], population[j])
+                assert value == second(population[j], population[i])
+
+
+def _generator_partition(n_queries=1200, seed=3):
+    """The largest table-set partition of a generator log's unique
+    areas, in arrival order, with the catalog that observed them."""
+    from repro.core.extractor import AccessAreaExtractor
+    from repro.schema import CONTENT_BOUNDS, skyserver_schema
+    from repro.workload import WorkloadConfig, generate_workload
+
+    schema = skyserver_schema()
+    extractor = AccessAreaExtractor(schema)
+    stats = StatisticsCatalog.from_exact_content(schema, CONTENT_BOUNDS)
+    seen, unique = set(), []
+    workload = generate_workload(WorkloadConfig(n_queries=n_queries,
+                                                seed=seed))
+    for sql, _ in workload.log.statements_with_users():
+        try:
+            area = extractor.extract(sql).area
+        except Exception:
+            continue
+        stats.observe_cnf(area.cnf)
+        if area not in seen:
+            seen.add(area)
+            unique.append(area)
+    groups: dict = {}
+    for area in unique:
+        groups.setdefault(area.table_set, []).append(area)
+    return max(groups.values(), key=len), stats
+
+
+#: Bytes per predicate, clause and area slot the pack may hold.  A
+#: predicate takes 96 (80 bytes of features, one bitset word, a group
+#: member id), a clause 16 and an area slot 8; capacity doubling at
+#: most doubles each linear array and quadruples the padded (m × L)
+#: clause-id array.  The 224-area partition below peaks at 61.
+_BYTES_PER_ITEM = 256
+
+
+class TestMemoryBound:
+    def test_held_bytes_are_linear(self):
+        """Grown area by area, the ndarrays a pack holds stay within
+        ``_BYTES_PER_ITEM · (P + C + m·L)`` at every step: features
+        and ids only, no table quadratic in predicates or clauses."""
+        part, stats = _generator_partition()
+        assert len(part) >= 100
+        metric = QueryDistance(stats, resolution=0.01)
+        pack = PackedPartition(part[:1], metric)
+        largest = 0
+        for area in part[1:]:
+            pack.extend([area])
+            pack.pair_rows(pack.n_areas - 1, range(pack.n_areas - 1))
+            held = sum(array.nbytes for array in _arrays(pack).values())
+            assert pack._bits.shape[1] == 1
+            size = (pack.n_predicates + pack.n_clauses
+                    + pack.n_areas * max(pack._l_max, 1))
+            assert held <= _BYTES_PER_ITEM * size, (
+                f"{held} bytes for P={pack.n_predicates}, "
+                f"C={pack.n_clauses}, m={pack.n_areas}, "
+                f"L={pack._l_max}")
+            largest = max(largest, held)
+        assert pack.n_predicates > 100
+        # A P×P float table alone would be 8·P² bytes.
+        assert largest < 8 * pack.n_predicates ** 2

@@ -7,6 +7,7 @@ whether it evaluates the callable itself or consumes a precomputed
 matrix.
 """
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -151,6 +152,34 @@ def test_submatrix_preserves_values(population):
     for a, ia in enumerate(indices):
         for b, ib in enumerate(indices):
             assert sub.value(a, b) == matrix.value(ia, ib)
+
+
+def _submatrix_by_pairs(matrix, indices):
+    """The pair-by-pair copy ``submatrix`` replaced: the oracle."""
+    m = len(indices)
+    values = np.empty(m * (m - 1) // 2, dtype=float)
+    pos = 0
+    for a in range(m):
+        for b in range(a + 1, m):
+            values[pos] = matrix.value(indices[a], indices[b])
+            pos += 1
+    return values
+
+
+def test_submatrix_gather_equals_pair_loop(population):
+    areas, stats = population
+    matrix = DistanceMatrix.compute(areas, _metric(stats))
+    rng = random.Random(5)
+    n = len(matrix)
+    for size in (0, 1, 2, 9, n):
+        indices = rng.sample(range(n), size)
+        if size >= 2:
+            indices.append(indices[0])   # a repeated item is 0.0 apart
+        want = _submatrix_by_pairs(matrix, indices)
+        got = matrix.submatrix(indices)
+        assert len(got) == len(indices)
+        assert got.condensed.view(np.int64).tolist() \
+            == want.view(np.int64).tolist()
 
 
 def test_condensed_index_layout():
