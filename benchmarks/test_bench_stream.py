@@ -19,22 +19,21 @@ def test_stream_monitoring(benchmark, out_dir):
     schema = skyserver_schema()
     workload = generate_workload(WorkloadConfig(n_queries=4000, seed=51))
     statements = workload.log.statements()
+    events = []
 
     def run():
+        events.clear()
         stats = StatisticsCatalog.from_exact_content(schema,
                                                      CONTENT_BOUNDS)
         monitor = StreamMonitor(AccessAreaExtractor(schema), stats=stats,
-                                warmup=25)
+                                on_event=events.append, warmup=25)
         monitor.process_many(statements)
         return monitor
 
     monitor = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    counts: dict[EventKind, int] = {}
-    for event in monitor.events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
     art = monitor.summary() + "\n\nfirst events:\n" + "\n".join(
-        f"  {event}" for event in monitor.events[:12])
+        f"  {event}" for event in events[:12])
     write_artifact(out_dir, "stream_monitoring.txt", art)
     print("\n" + art)
 
@@ -42,14 +41,14 @@ def test_stream_monitoring(benchmark, out_dir):
     # Empty-area interest is caught in flight: the first query stepping
     # outside a content-derived access range (southern declinations,
     # impossible redshifts, future ids) raises an operator event.
-    oor = [e for e in monitor.events
+    oor = [e for e in events
            if e.kind is EventKind.OUT_OF_RANGE_CONSTANT]
     assert oor
     flagged = " ".join(e.detail for e in oor)
     assert ("zooSpec.dec" in flagged or "Photoz.z" in flagged
             or "PhotoObjAll.dec" in flagged)
     # Feature novelty fires a bounded number of times (once per feature).
-    features = [e for e in monitor.events
+    features = [e for e in events
                 if e.kind is EventKind.NEW_QUERY_FEATURE]
     assert len(features) <= 10
 
@@ -59,16 +58,19 @@ def test_stream_detects_dialect_switch(benchmark, out_dir):
     schema = skyserver_schema()
     good = ["SELECT * FROM Photoz WHERE z < 0.1"] * 200
     bad = ["SELECT * FROM Photoz WHERE z ?? 0.1"] * 40  # illegal tokens
+    events = []
 
     def run():
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
+        events.clear()
+        monitor = StreamMonitor(AccessAreaExtractor(schema),
+                                on_event=events.append, warmup=0,
                                 failure_window=40,
                                 failure_burst_threshold=0.25)
         monitor.process_many(good + bad)
         return monitor
 
     monitor = benchmark.pedantic(run, rounds=1, iterations=1)
-    bursts = [e for e in monitor.events
+    bursts = [e for e in events
               if e.kind is EventKind.FAILURE_BURST]
     art = (f"statements: {monitor.state.processed}, "
            f"failures: {monitor.state.failures}\n"

@@ -83,11 +83,20 @@ def normalize_constant(value: Constant) -> tuple:
     return ("n", value)
 
 
+def getstate_without_hash(obj) -> dict:
+    """``__getstate__`` of the classes that cache ``hash()`` in
+    ``_hash``: :func:`setstate_without_hash` drops that entry on load,
+    so it is not pickled either."""
+    return {key: value for key, value in obj.__dict__.items()
+            if key != "_hash"}
+
+
 def setstate_without_hash(obj, state: dict) -> None:
     """``__setstate__`` of the classes that cache ``hash()`` in
     ``_hash``.  String hashes differ between interpreters, so a hash
     cached by the process that pickled the object (an area read back
-    from the store after a restart) would split equal objects in every
+    from the store after a restart, or a record written before
+    :func:`getstate_without_hash`) would split equal objects in every
     dict; the next ``hash()`` recomputes it."""
     obj.__dict__.update(state)
     obj.__dict__.pop("_hash", None)
@@ -105,6 +114,7 @@ class ColumnRef:
     relation: str
     column: str
 
+    __getstate__ = getstate_without_hash
     __setstate__ = setstate_without_hash
 
     def __hash__(self) -> int:
@@ -127,6 +137,7 @@ class ColumnRef:
 class Predicate:
     """Base class for atomic predicates."""
 
+    __getstate__ = getstate_without_hash
     __setstate__ = setstate_without_hash
 
     def negate(self) -> "Predicate":

@@ -6,8 +6,6 @@ from .categorize import (IntentKind, QueryCategory, SkyAreaKind,
                          categorize, categorize_sql)
 from .drift import (DriftReport, Trend, TrendKind, WindowInterest,
                     mine_drift, split_by_time)
-from .export import (export_extraction_report_csv, export_figure_csv,
-                     export_table1_csv)
 from .sessions import (DEFAULT_IDLE_GAP, Session, SessionStatistics,
                        split_sessions)
 from .figures import FigureData, Rect, figure1a, figure1b, figure1c
@@ -23,8 +21,6 @@ __all__ = [
     "format_summary", "format_table1",
     "QueryRole", "UserAnalytics", "UserProfile", "UserQuery",
     "analyze_users", "classify_test_queries", "format_user_report",
-    "export_extraction_report_csv", "export_figure_csv",
-    "export_table1_csv",
     "IntentKind", "QueryCategory", "SkyAreaKind", "categorize",
     "categorize_sql",
     "DEFAULT_IDLE_GAP", "Session", "SessionStatistics", "split_sessions",

@@ -1,7 +1,7 @@
 """Clustering of access areas: DBSCAN, aggregation, coverage metrics."""
 
 from .aggregation import (AggregatedArea, CategoricalBounds, ColumnBounds,
-                          aggregate_all, aggregate_cluster)
+                          aggregate_cluster)
 from .coverage import (CoverageReport, area_coverage, coverage,
                        object_coverage)
 from .agglomerative import SingleLinkage
@@ -13,7 +13,7 @@ from .partitioned import partitioned_dbscan
 
 __all__ = [
     "AggregatedArea", "CategoricalBounds", "ColumnBounds",
-    "aggregate_all", "aggregate_cluster",
+    "aggregate_cluster",
     "CoverageReport", "area_coverage", "coverage", "object_coverage",
     "DBSCAN", "NOISE", "DBSCANResult", "pairwise_matrix",
     "partitioned_dbscan",

@@ -235,26 +235,6 @@ def aggregate_cluster(cluster_id: int, members: Sequence[AccessArea],
     )
 
 
-def aggregate_all(clusters: dict[int, Sequence[AccessArea]],
-                  stats: Optional[StatisticsCatalog] = None,
-                  sigma: float = 3.0,
-                  column_support: float = 0.5,
-                  weights: Optional[dict[int, Sequence[int]]] = None,
-                  ) -> list[AggregatedArea]:
-    """Aggregate every cluster, largest first.
-
-    ``weights`` — optional per-cluster member multiplicities, keyed like
-    ``clusters`` (see :func:`aggregate_cluster`)."""
-    aggregated = [
-        aggregate_cluster(cid, members, stats, sigma, column_support,
-                          weights=None if weights is None
-                          else weights.get(cid))
-        for cid, members in clusters.items()
-    ]
-    aggregated.sort(key=lambda a: a.cardinality, reverse=True)
-    return aggregated
-
-
 # -- helpers ------------------------------------------------------------------
 
 def _majority_relations(members: Sequence[AccessArea],

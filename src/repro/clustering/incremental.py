@@ -41,10 +41,11 @@ Deriving labels from that canonical form makes :meth:`labels` equal to
 ``DBSCAN.fit`` output *exactly* — not merely up to renumbering — which
 the property tests pin after every stream prefix.
 
-Arrivals only add weight and edges, so the stream case needs only
-promotions and merges.  :meth:`remove` (retracting a duplicate, e.g. a
-revoked statement) is the converse: demotions trigger a split re-check
-bounded by the demoted core's component, never the population.
+Arrivals only add weight and edges, so repair needs only promotions
+and merges: a core never demotes and a component never splits.  The
+clusterer holds per-unique-area state only; an arrival's label is in
+the :class:`IncrementalUpdate` that :meth:`~IncrementalDBSCAN.add`
+returns.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ SPARSE_BELOW = 0.5
 
 @dataclass
 class IncrementalUpdate:
-    """What one arrival (or removal) did to the clustering.
+    """What one arrival did to the clustering.
 
     ``index`` is the unique-area index of the affected representative,
     ``label`` its canonical cluster label after the update.  The repair
@@ -85,19 +86,16 @@ class IncrementalUpdate:
     new_point: bool
     interned_hit: bool
     promotions: int = 0
-    demotions: int = 0
     merges: int = 0
-    splits: int = 0
     new_clusters: int = 0
 
     @property
     def structure_changed(self) -> bool:
-        return bool(self.promotions or self.demotions or self.merges
-                    or self.splits or self.new_clusters)
+        return bool(self.promotions or self.merges or self.new_clusters)
 
 
 class _DenseBackend:
-    """Growable symmetric distance matrix via per-pair metric calls.
+    """Growable symmetric distance block via per-pair metric calls.
 
     O(n) metric evaluations per insert, valid at any ``eps`` (no
     partition exactness precondition).  Like the dense matrix's
@@ -106,35 +104,26 @@ class _DenseBackend:
     :meth:`neighbors` is exact at radii up to ``eps``."""
 
     def __init__(self, metric, eps: float):
+        from ..distance.block_sparse import _GrowableBlock
+        from ..distance.matrix import DistanceMatrix
         self._metric = metric
         self._eps = eps
         self._items: list = []
-        self._buf = np.zeros((4, 4), dtype=float)
-        self.n = 0
+        self._block = _GrowableBlock(DistanceMatrix(0, np.empty(0)))
 
     def insert(self, area) -> int:
-        i = self.n
-        if i >= self._buf.shape[0]:
-            cap = max(2 * self._buf.shape[0], 4)
-            buf = np.zeros((cap, cap), dtype=float)
-            buf[:i, :i] = self._buf[:i, :i]
-            self._buf = buf
-        row = np.array([self._distance(old, area) for old in self._items],
-                       dtype=float)
-        self._buf[i, :i] = row
-        self._buf[:i, i] = row
-        self._buf[i, i] = 0.0
+        self._block.append(np.array(
+            [self._distance(old, area) for old in self._items],
+            dtype=float))
         self._items.append(area)
-        self.n = i + 1
-        return i
+        return self._block.n - 1
 
     def _distance(self, old, area) -> float:
         bound = self._metric.d_tables(old, area)
         return bound if bound > self._eps else self._metric(old, area)
 
     def neighbors(self, i: int, eps: float) -> list[int]:
-        return [int(j) for j in
-                np.flatnonzero(self._buf[i, :self.n] <= eps)]
+        return self._block.neighbors(i, eps)
 
 
 class _SparseBackend:
@@ -185,6 +174,8 @@ class IncrementalDBSCAN:
             raise ValueError(f"min_pts must be >= 1, got {min_pts}")
         self.eps = float(eps)
         self.min_pts = float(min_pts)
+        #: the decomposed query metric every distance is measured with.
+        self.metric = metric
         sparse = self.eps < SPARSE_BELOW
         self.backend_name = "sparse" if sparse else "dense"
         # Instruments are bound once: a registry lookup takes its lock
@@ -197,8 +188,7 @@ class IncrementalDBSCAN:
             "repro_incremental_inserts_total")
         self._repair_totals = tuple(
             (name, registry.counter(f"repro_incremental_{name}_total"))
-            for name in ("promotions", "demotions", "merges", "splits",
-                         "new_clusters"))
+            for name in ("promotions", "merges", "new_clusters"))
         self._update_seconds = registry.histogram(
             "repro_incremental_update_seconds")
         self._population = registry.gauge("repro_incremental_population")
@@ -218,8 +208,6 @@ class IncrementalDBSCAN:
         self._parent: dict[int, int] = {}
         self._size: dict[int, int] = {}
         self._comp_min: dict[int, int] = {}  # keyed by root only
-        # Arrival log: unique index per source statement, in order.
-        self._inverse: list[int] = []
         self.arrivals = 0
         self.interned_hits = 0
 
@@ -244,11 +232,6 @@ class IncrementalDBSCAN:
 
     def weights(self) -> list[float]:
         return list(self._weights)
-
-    def inverse(self) -> list[int]:
-        """Unique index of each arrival, in arrival order (the
-        expansion map of :func:`~repro.core.pipeline.expand_labels`)."""
-        return list(self._inverse)
 
     def index_of(self, area) -> Optional[int]:
         """Unique-area index of ``area`` by canonical fingerprint, or
@@ -298,59 +281,6 @@ class IncrementalDBSCAN:
                 update = self._bump(idx, float(count))
             else:
                 update = self._insert(area, float(count))
-            self._inverse.extend([update.index] * count)
-        self._record(update, time.perf_counter() - started)
-        return update
-
-    def remove(self, area, count: int = 1) -> IncrementalUpdate:
-        """Retract ``count`` earlier arrivals of ``area``.
-
-        The representative is looked up by fingerprint, and at least
-        one arrival must stay in place: the growable distance backends
-        only ever append, so full point deletion is out of scope —
-        decrementing to zero would desync the adjacency index.
-        Demotions trigger a split re-check bounded by the demoted
-        core's component.
-        """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        idx = self._index_of.get(area)
-        if idx is None:
-            raise KeyError("area was never added")
-        if count >= self._weights[idx]:
-            raise ValueError(
-                f"cannot retract {count} of {self._weights[idx]:g} "
-                f"arrivals: full deletion is unsupported (the distance "
-                f"backends are append-only)")
-        started = time.perf_counter()
-        with trace.span("incremental_remove",
-                        backend=self.backend_name):
-            self.arrivals -= count
-            delta = float(count)
-            self._weights[idx] -= delta
-            for j in self._adj[idx]:
-                self._mass[j] -= delta
-            demoted = [j for j in self._adj[idx]
-                       if self._core[j] and self._mass[j] < self.min_pts]
-            splits = 0
-            clusters_before = self.n_clusters
-            for d in demoted:
-                splits += self._demote(d)
-            update = IncrementalUpdate(
-                index=idx, label=self.label_of(idx), new_point=False,
-                interned_hit=True, demotions=len(demoted),
-                splits=splits,
-                new_clusters=max(0, self.n_clusters - clusters_before))
-            # Keep the arrival log consistent: drop the retracted
-            # occurrences (latest first) so expanded_labels() still
-            # mirrors the surviving arrival sequence.
-            remaining = count
-            for pos in range(len(self._inverse) - 1, -1, -1):
-                if self._inverse[pos] == idx:
-                    del self._inverse[pos]
-                    remaining -= 1
-                    if remaining == 0:
-                        break
         self._record(update, time.perf_counter() - started)
         return update
 
@@ -407,47 +337,6 @@ class IncrementalDBSCAN:
                 # further one fuses two pre-existing components.
                 update.merges += joined - 1
 
-    def _demote(self, d: int) -> int:
-        """Demote core ``d``; re-check its component for splits.
-
-        The affected set — cores formerly connected through ``d`` — is
-        found by BFS from ``d``'s core neighbours over the core graph,
-        so the cost is bounded by ``d``'s component size, never the
-        population.  Returns the number of extra components created.
-        """
-        self._core[d] = False
-        seeds = [k for k in self._adj[d] if k != d and self._core[k]]
-        # Every former component member minus d reaches some seed
-        # without passing through d (the hop before d is a seed), so
-        # this BFS covers the whole affected set.
-        affected: set[int] = set()
-        frontier = [s for s in seeds]
-        affected.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for k in self._adj[x]:
-                    if k != x and self._core[k] and k not in affected:
-                        affected.add(k)
-                        nxt.append(k)
-            frontier = nxt
-        old_root = self._find(d)
-        self._comp_min.pop(old_root, None)
-        self._size.pop(old_root, None)
-        self._parent.pop(d, None)
-        self._size.pop(d, None)
-        # Rebuild union-find entries for just the affected set.
-        for x in affected:
-            self._parent[x] = x
-            self._size[x] = 1
-            self._comp_min[x] = x
-        for x in affected:
-            for k in self._adj[x]:
-                if k != x and self._core[k]:
-                    self._union(x, k)
-        parts = len({self._find(x) for x in affected})
-        return max(0, parts - 1)
-
     # -- canonical labels ---------------------------------------------
 
     def labels(self) -> list[int]:
@@ -478,11 +367,6 @@ class IncrementalDBSCAN:
                 return NOISE
             key = min(mins)
         return sum(1 for v in self._comp_min.values() if v < key)
-
-    def expanded_labels(self) -> list[int]:
-        """Per-arrival labels in arrival order."""
-        labels = self.labels()
-        return [labels[i] for i in self._inverse]
 
     def _ranks(self) -> dict[int, int]:
         ordered = sorted(self._comp_min.items(), key=lambda kv: kv[1])

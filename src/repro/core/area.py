@@ -47,10 +47,10 @@ class AccessArea:
     __setstate__ = setstate_without_hash
 
     def __getstate__(self) -> dict:
-        # ``_digest``, the key a store holds this area under
-        # (repro.store.codec.keep_digest), stays out of the pickle.
+        # Neither the cached hash nor ``_digest``, the key a store holds
+        # this area under (repro.store.codec.keep_digest), is pickled.
         return {key: value for key, value in self.__dict__.items()
-                if key != "_digest"}
+                if key not in ("_hash", "_digest")}
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(dict.fromkeys(self.relations)))

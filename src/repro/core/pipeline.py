@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..algebra.cnf import CNFConversionError
 from ..obs import get_logger, metrics, trace
@@ -281,19 +281,6 @@ class LogProcessingReport:
         inverse)`` as per :func:`dedupe_areas`.  Duplicates are already
         shared objects, so this only builds the weight/inverse maps."""
         return dedupe_areas(self.areas())
-
-    def distance_matrix(self, metric: Callable[[AccessArea, AccessArea],
-                                               float], *,
-                        cutoff: Optional[float] = None):
-        """Pairwise :class:`~repro.distance.DistanceMatrix` over the
-        extracted areas — the batch path's hand-off to the clustering
-        stage.  ``cutoff`` is forwarded to
-        :meth:`~repro.distance.DistanceMatrix.compute`.
-        """
-        # Imported lazily: the core layer must not depend on the
-        # distance layer at import time.
-        from ..distance.matrix import DistanceMatrix
-        return DistanceMatrix.compute(self.areas(), metric, cutoff=cutoff)
 
 
 def _extractor_signature(extractor: AccessAreaExtractor) -> str:

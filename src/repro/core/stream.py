@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -100,8 +100,8 @@ class StreamState:
 class StreamMonitor:
     """Incremental access-area extraction with novelty notifications.
 
-    ``on_event`` is invoked synchronously for each notification; events
-    are also retained in :attr:`events` for batch inspection.
+    ``on_event`` is invoked synchronously for each notification; the
+    monitor itself keeps only a count per kind (see :meth:`summary`).
     ``warmup`` suppresses the notification flood while the vocabulary of
     an unfamiliar log is still being learned.
     """
@@ -127,11 +127,11 @@ class StreamMonitor:
 
     def __post_init__(self) -> None:
         self.state = StreamState()
-        self.events: list[StreamEvent] = []
-        #: per extracted statement, in arrival order: its live cluster
-        #: label, or ``None`` when the area was refused by the
-        #: clusterer's exactness precondition.
-        self.statement_labels: list[Optional[int]] = []
+        self._event_counts: Counter[EventKind] = Counter()
+        #: the latest arrival's live cluster label; ``None`` when it
+        #: failed extraction, the clusterer's exactness precondition
+        #: refused it, or the monitor does not cluster.
+        self.last_label: Optional[int] = None
         #: what the latest failed statement raised.
         self.last_error: Optional[Exception] = None
         #: statement text → what extracting it gave: the area (the
@@ -193,6 +193,7 @@ class StreamMonitor:
         index = self.state.processed
         self.state.processed += 1
         self._statements_total.inc()
+        self.last_label = None
         held = self._memo.get(sql)
         if held is None:
             return self._process_new(index, sql)
@@ -288,15 +289,13 @@ class StreamMonitor:
             logger.warning("incremental clustering refused statement "
                            "#%d: %s", index, exc)
             self._refused_total.inc()
-            self.statement_labels.append(None)
             return None
-        self.statement_labels.append(update.label)
+        self.last_label = update.label
         if update.structure_changed:
             self._emit(
                 EventKind.CLUSTER_CHANGED, index,
                 f"cluster structure changed: {update.promotions} "
-                f"promotions, {update.demotions} demotions, "
-                f"{update.merges} merges, {update.splits} splits, "
+                f"promotions, {update.merges} merges, "
                 f"{update.new_clusters} new clusters "
                 f"({self.clusterer.n_clusters} total)", sql)
         return update.index
@@ -325,6 +324,7 @@ class StreamMonitor:
         """
         self.state.processed += 1
         self._statements_total.inc()
+        self.last_label = None
         if area is None:
             self.state.failures += 1
             self._failures_total.inc()
@@ -340,9 +340,8 @@ class StreamMonitor:
             update = self.clusterer.add(area)
         except self._refusal:
             self._refused_total.inc()
-            self.statement_labels.append(None)
             return None
-        self.statement_labels.append(update.label)
+        self.last_label = update.label
         return update.label
 
     def process_many(self, statements: Iterable[str]) -> list[AccessArea]:
@@ -473,7 +472,7 @@ class StreamMonitor:
     def _emit(self, kind: EventKind, index: int, detail: str,
               sql: str) -> None:
         event = StreamEvent(kind, index, detail, sql)
-        self.events.append(event)
+        self._event_counts[kind] += 1
         self._event_counters[kind].inc()
         logger.info("stream event %s at #%d: %s", kind.value, index,
                     detail)
@@ -484,9 +483,7 @@ class StreamMonitor:
 
     def summary(self) -> str:
         state = self.state
-        counts: dict[EventKind, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
+        counts = self._event_counts
         lines = [
             f"statements processed : {state.processed:,}",
             f"areas extracted      : {state.extracted:,} "
@@ -494,7 +491,7 @@ class StreamMonitor:
             f"relations seen       : {len(state.relations)}",
             f"columns seen         : {len(state.columns)}",
             f"query features seen  : {len(state.features)}",
-            f"events emitted       : {len(self.events)}",
+            f"events emitted       : {sum(counts.values())}",
         ]
         if self.clusterer is not None:
             lines.insert(5, "clustering           : "

@@ -70,9 +70,10 @@ class _GrowableBlock:
     Condensed storage cannot grow in place — every index depends on the
     item count — so the first :meth:`BlockSparseDistanceMatrix.insert_row`
     into a partition converts its block to this square capacity-doubled
-    form.  Mirrors the :class:`DistanceMatrix` lookup API the clustering
-    layer consumes (``value``/``take``/``row``/``neighbors``/
-    ``submatrix``).
+    form; :class:`~repro.clustering.incremental.IncrementalDBSCAN`'s
+    dense layout grows one from empty.  Mirrors the
+    :class:`DistanceMatrix` lookup API the clustering layer consumes
+    (``value``/``take``/``row``/``neighbors``/``submatrix``).
     """
 
     def __init__(self, dense: DistanceMatrix) -> None:
@@ -281,8 +282,6 @@ class BlockSparseDistanceMatrix:
 
             stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2,
                                 cutoff=cutoff)
-            chunk_seconds = registry.histogram(
-                "repro_distance_chunk_seconds", mode="kernel")
 
             # Store-backed reuse: a partition whose content key matches
             # a persisted block skips computation entirely.
@@ -319,8 +318,6 @@ class BlockSparseDistanceMatrix:
                     raw_blocks, kernel_stats = compute_kernel_blocks(
                         items, metric, pending_members)
                     kernel_stats.record(registry)
-                    chunk_seconds.observe(kernel_stats.pack_seconds
-                                          + kernel_stats.block_seconds)
                 computed = {bi: np.asarray(raw, dtype=float)
                             for bi, raw in zip(pending, raw_blocks)}
                 blocks = [cached[bi] if bi in cached else computed[bi]

@@ -251,9 +251,6 @@ class DistanceMatrix:
             span.set(pairs_computed=stats.pairs_computed,
                      pairs_skipped=stats.pairs_skipped)
 
-        if total:
-            registry.histogram("repro_distance_chunk_seconds",
-                               mode="dense").observe(stats.elapsed_seconds)
         stats.record(registry)
         logger.debug("distance matrix: %s", stats.summary())
         return cls(n, values, stats)

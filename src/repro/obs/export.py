@@ -65,8 +65,6 @@ HELP_TEXTS = {
         "Extraction failures by kind (parse/lex/unsupported/cnf).",
     "repro_pipeline_stage_seconds":
         "Per-statement extractor stage latency.",
-    "repro_distance_chunk_seconds":
-        "Distance-matrix fill latency by layout (dense/kernel).",
     "repro_distance_matrix_seconds": "Whole distance-matrix build time.",
     "repro_intern_pool_size": "Unique access areas in the intern pool.",
     "repro_intern_hits_total": "Intern-pool fingerprint hits.",

@@ -141,26 +141,6 @@ class Profiler:
         Path(path).write_text(text + ("\n" if text else ""),
                               encoding="utf-8")
 
-    def format_table(self) -> str:
-        """Fixed-width per-section hotspot tables for terminals."""
-        if not self.sections:
-            return "(no sections profiled)"
-        blocks = []
-        for section in self.sections:
-            header = (f"section {section.name}  "
-                      f"({section.seconds:.3f} s, "
-                      f"{section.calls:,} calls)")
-            lines = [header, "-" * len(header),
-                     f"{'cumtime':>10}  {'tottime':>10}  {'ncalls':>8}"
-                     f"  function"]
-            for row in section.hotspots:
-                lines.append(
-                    f"{row['cumtime_s']:>10.4f}  "
-                    f"{row['tottime_s']:>10.4f}  "
-                    f"{row['ncalls']:>8}  {row['function']}")
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks)
-
 
 class _NullSection:
     """Shared do-nothing section handle."""

@@ -29,7 +29,6 @@ consistent answers without stalling the writer.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -149,11 +148,6 @@ class AppState:
         self._started_monotonic = time.monotonic()
         stats = StatisticsCatalog.from_exact_content(
             self.schema, CONTENT_BOUNDS if schema is None else {})
-        # The recommender must measure with the same normalization the
-        # clusterer does, so it gets the same frozen catalog the
-        # monitor hands its clusterer (the monitor's own copy keeps
-        # widening for out-of-range novelty detection).
-        self.frozen_stats = copy.deepcopy(stats)
         self.extractor = AccessAreaExtractor(self.schema)
         self.store = open_store(self.config.store_dir)
         self._pending_events: list[StreamEvent] = []
@@ -166,6 +160,11 @@ class AppState:
             cluster_min_pts=self.config.min_pts,
             registry=self.registry)
         self.clusterer = self.monitor.clusterer
+        #: the catalog the clusterer measures with, frozen when the
+        #: monitor enabled it (the monitor's own keeps widening for
+        #: out-of-range novelty detection); aggregation and the
+        #: recommender measure with it too.
+        self.frozen_stats = self.clusterer.metric.stats
         #: user → {unique index: clustered arrivals}.
         self.users: dict[str, dict[int, int]] = {}
         self.user_unclustered: dict[str, int] = {}
@@ -282,7 +281,7 @@ class AppState:
                 status="failed", index=index, events=events,
                 error=f"{type(exc).__name__}: {exc}")
         else:
-            label = self.monitor.statement_labels[-1]
+            label = self.monitor.last_label
             unique_index = self._book(user, area, label)
             if self.store is not None:
                 if unique_index is not None and unique_index < held:

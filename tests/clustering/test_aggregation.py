@@ -11,7 +11,7 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
                                       ColumnConstantPredicate, ColumnRef,
                                       Op)
 from repro.core.area import AccessArea
-from repro.clustering import aggregate_all, aggregate_cluster
+from repro.clustering import aggregate_cluster
 from repro.clustering.aggregation import _trim
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
@@ -182,16 +182,6 @@ class TestToSql:
         area = AccessAreaExtractor(None).extract(agg.to_sql()).area
         # No schema: relation names canonicalize to lowercase.
         assert str(area.cnf) == "t.u <= 20 AND t.u >= 10"
-
-
-class TestAggregateAll:
-    def test_sorted_by_cardinality(self):
-        clusters = {
-            0: [window(1, 2)] * 2,
-            1: [window(3, 4)] * 5,
-        }
-        aggs = aggregate_all(clusters)
-        assert [a.cluster_id for a in aggs] == [1, 0]
 
 
 class TestTrimRobustness:

@@ -9,12 +9,10 @@ borders take the minimal neighbouring cluster id).  Checked by
 hypothesis on both layouts ``eps`` picks: block-sparse below 1/2,
 dense at or above it.
 
-Structural repair is pinned separately: core promotion by weight bump,
-cluster merge through a bridging arrival, and — on the :meth:`remove`
-path — demotion with a component split re-check.
+Structural repair is pinned separately: core promotion by weight bump
+and cluster merge through a bridging arrival.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,18 +89,22 @@ def _assert_prefix_parity(stream, *, eps, min_pts, backend):
     inc = IncrementalDBSCAN(metric, eps=eps, min_pts=min_pts,
                             registry=MetricsRegistry())
     assert inc.backend_name == backend
-    seen = []
+    seen, indices = [], []
     for arrival in stream:
-        inc.add(arrival)
+        update = inc.add(arrival)
         seen.append(arrival)
+        indices.append(update.index)
         population, weights = inc.areas(), inc.weights()
         want = _batch_labels(metric, population, weights, eps, min_pts)
         assert inc.labels() == want
         for i in range(len(population)):
             assert inc.label_of(i) == want[i]
-        expanded = inc.expanded_labels()
-        assert len(expanded) == len(seen)
-        assert expanded[-1] == inc.labels()[inc.inverse()[-1]]
+        # Per arrival: each maps to its representative, whose weight
+        # counts its arrivals and whose label the update reports.
+        assert [population[i] for i in indices] == seen
+        assert [indices.count(i) for i in range(len(population))] \
+            == weights
+        assert update.label == want[update.index]
 
 
 class TestPrefixParity:
@@ -155,60 +157,6 @@ class TestStructuralRepair:
         assert update.structure_changed
         assert inc.n_clusters == 1
         assert len(set(inc.labels())) == 1
-
-    def test_remove_demotes_and_splits(self):
-        # A five-window chain A1–A2–B–C1–C2 at eps=0.215 (B–C2 is
-        # 0.221, A1–B 0.270, so only consecutive windows are
-        # neighbours).  Weights make every point core (min_pts=6) but
-        # leave the bridge B one retraction away from demotion while
-        # the flanks keep their heavy outer anchors.
-        eps, min_pts = 0.215, 6
-        inc = self._clusterer(eps=eps, min_pts=min_pts)
-        chain = [(_window("T", 0, 10), 4), (_window("T", 2, 12), 2),
-                 (_window("T", 9, 19), 2), (_window("T", 16, 26), 2),
-                 (_window("T", 19, 29), 4)]
-        for area, count in chain:
-            inc.add(area, count=count)
-        assert all(inc._core) and inc.n_clusters == 1
-        bridge = chain[2][0]
-        update = inc.remove(bridge, count=1)
-        assert update.demotions == 1 and update.splits == 1
-        assert inc.n_clusters == 2
-        want = _batch_labels(QueryDistance(_stats()), inc.areas(),
-                             inc.weights(), eps, min_pts)
-        assert inc.labels() == want
-
-    def test_remove_requires_intern_and_surplus_weight(self):
-        area = _window("T", 10, 20)
-        inc = self._clusterer()
-        inc.add(area)
-        with pytest.raises(KeyError):
-            inc.remove(_window("T", 50, 60))
-        with pytest.raises(ValueError, match="full deletion"):
-            inc.remove(area)
-
-    def test_randomized_remove_parity(self):
-        rng = np.random.default_rng(5)
-        metric = QueryDistance(_stats())
-        base = [_window("T", float(lo), float(lo) + 6.0)
-                for lo in (0, 2, 4, 30, 32, 70)]
-        inc = IncrementalDBSCAN(metric, eps=0.12, min_pts=3,
-                                registry=MetricsRegistry())
-        counts: dict = {}
-        for pick in rng.integers(0, len(base), size=40):
-            area = base[int(pick)]
-            inc.add(area)
-            counts[area] = counts.get(area, 0) + 1
-        for _ in range(12):
-            removable = [a for a, c in counts.items() if c > 1]
-            if not removable:
-                break
-            area = removable[int(rng.integers(len(removable)))]
-            inc.remove(area)
-            counts[area] -= 1
-            want = _batch_labels(metric, inc.areas(), inc.weights(),
-                                 0.12, 3)
-            assert inc.labels() == want
 
 
 def _joined(*relations):

@@ -3,22 +3,37 @@
 import pytest
 
 import repro.core.extractor as extractor_module
+from repro.clustering import NOISE
 from repro.core import AccessAreaExtractor, stream
 from repro.core.stream import EventKind, StreamMonitor
 from repro.schema import (CONTENT_BOUNDS, StatisticsCatalog,
                           skyserver_schema)
 
 
+def watched(schema=None, **kwargs):
+    """A monitor over ``schema`` (SkyServer's by default) and the list
+    its events go to."""
+    events = []
+    monitor = StreamMonitor(AccessAreaExtractor(schema or skyserver_schema()),
+                            on_event=events.append, **kwargs)
+    return monitor, events
+
+
 @pytest.fixture()
-def monitor():
+def events():
+    return []
+
+
+@pytest.fixture()
+def monitor(events):
     schema = skyserver_schema()
     stats = StatisticsCatalog.from_exact_content(schema, CONTENT_BOUNDS)
     return StreamMonitor(AccessAreaExtractor(schema), stats=stats,
-                         warmup=0)
+                         on_event=events.append, warmup=0)
 
 
-def kinds(monitor):
-    return [event.kind for event in monitor.events]
+def kinds(events):
+    return [event.kind for event in events]
 
 
 class TestIngestion:
@@ -41,62 +56,61 @@ class TestIngestion:
 
 
 class TestNoveltyEvents:
-    def test_new_relation_once(self, monitor):
+    def test_new_relation_once(self, monitor, events):
         monitor.process("SELECT * FROM Photoz")
         monitor.process("SELECT * FROM Photoz")
-        relation_events = [e for e in monitor.events
+        relation_events = [e for e in events
                            if e.kind is EventKind.NEW_RELATION]
         assert len(relation_events) == 1
 
-    def test_new_column(self, monitor):
+    def test_new_column(self, monitor, events):
         monitor.process("SELECT * FROM Photoz")
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
-        assert EventKind.NEW_COLUMN in kinds(monitor)
+        assert EventKind.NEW_COLUMN in kinds(events)
 
-    def test_new_relation_combination(self, monitor):
+    def test_new_relation_combination(self, monitor, events):
         monitor.process("SELECT * FROM sppLines")
         monitor.process("SELECT * FROM sppParams")
         monitor.process(
             "SELECT * FROM sppLines l JOIN sppParams p "
             "ON l.specobjid = p.specobjid")
-        assert EventKind.NEW_RELATION_SET in kinds(monitor)
+        assert EventKind.NEW_RELATION_SET in kinds(events)
 
-    def test_new_query_feature(self, monitor):
+    def test_new_query_feature(self, monitor, events):
         monitor.process("SELECT * FROM SpecObjAll WHERE plate > 300")
-        assert EventKind.NEW_QUERY_FEATURE not in kinds(monitor)
+        assert EventKind.NEW_QUERY_FEATURE not in kinds(events)
         monitor.process("SELECT plate, COUNT(*) FROM SpecObjAll "
                         "GROUP BY plate HAVING COUNT(*) > 5")
-        features = {e.detail for e in monitor.events
+        features = {e.detail for e in events
                     if e.kind is EventKind.NEW_QUERY_FEATURE}
         assert any("group-by" in f for f in features)
         assert any("having" in f for f in features)
 
-    def test_feature_only_fires_once(self, monitor):
+    def test_feature_only_fires_once(self, monitor, events):
         for _ in range(3):
             monitor.process("SELECT * FROM Photoz WHERE z "
                             "BETWEEN 0 AND 0.1")
         between_events = [
-            e for e in monitor.events
+            e for e in events
             if e.kind is EventKind.NEW_QUERY_FEATURE
             and "between" in e.detail
         ]
         assert len(between_events) == 1
 
-    def test_out_of_range_constant(self, monitor):
+    def test_out_of_range_constant(self, monitor, events):
         # zooSpec access(dec) is the [-11, 70] stripe: 0 is inside.
         monitor.process("SELECT * FROM zooSpec WHERE dec >= 0")
-        assert EventKind.OUT_OF_RANGE_CONSTANT not in kinds(monitor)
+        assert EventKind.OUT_OF_RANGE_CONSTANT not in kinds(events)
         monitor.process("SELECT * FROM zooSpec WHERE dec >= -100")
-        events = [e for e in monitor.events
-                  if e.kind is EventKind.OUT_OF_RANGE_CONSTANT]
-        assert events and "-100" in events[0].detail
+        flagged = [e for e in events
+                   if e.kind is EventKind.OUT_OF_RANGE_CONSTANT]
+        assert flagged and "-100" in flagged[0].detail
 
     def test_warmup_suppresses_events(self):
-        schema = skyserver_schema()
-        quiet = StreamMonitor(AccessAreaExtractor(schema), warmup=10)
+        quiet, events = watched(warmup=10)
         for _ in range(5):
             quiet.process("SELECT * FROM Photoz WHERE z < 0.1")
-        assert not quiet.events
+        assert not events
 
     def test_callback_invoked(self):
         schema = skyserver_schema()
@@ -109,68 +123,58 @@ class TestNoveltyEvents:
 
 class TestFailureBurst:
     def test_burst_detected(self):
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=10,
-                                failure_burst_threshold=0.3)
+        monitor, events = watched(warmup=0, failure_window=10,
+                                  failure_burst_threshold=0.3)
         for _ in range(10):
             monitor.process("SELECT * FROM Photoz")
         for _ in range(10):
             monitor.process("SELCT broken !!!")
-        assert EventKind.FAILURE_BURST in kinds(monitor)
+        assert EventKind.FAILURE_BURST in kinds(events)
 
     def test_burst_fires_once_per_episode(self):
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=10,
-                                failure_burst_threshold=0.3)
+        monitor, events = watched(warmup=0, failure_window=10,
+                                  failure_burst_threshold=0.3)
         for _ in range(30):
             monitor.process("SELCT broken")
-        bursts = [e for e in monitor.events
+        bursts = [e for e in events
                   if e.kind is EventKind.FAILURE_BURST]
         assert len(bursts) == 1
 
     def test_no_burst_on_sporadic_failures(self):
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=10,
-                                failure_burst_threshold=0.5)
+        monitor, events = watched(warmup=0, failure_window=10,
+                                  failure_burst_threshold=0.5)
         for i in range(40):
             if i % 10 == 0:
                 monitor.process("SELCT broken")
             else:
                 monitor.process("SELECT * FROM Photoz")
-        assert EventKind.FAILURE_BURST not in kinds(monitor)
+        assert EventKind.FAILURE_BURST not in kinds(events)
 
     def test_alternating_burst_fires_once(self):
         # An alternating fail/success stream keeps the window at a 50%
         # failure rate: one long burst episode.  The old latch re-armed
         # on every successful parse and fired once per failure.
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=10,
-                                failure_burst_threshold=0.3)
+        monitor, events = watched(warmup=0, failure_window=10,
+                                  failure_burst_threshold=0.3)
         for _ in range(30):
             monitor.process("SELCT broken")
             monitor.process("SELECT * FROM Photoz")
-        bursts = [e for e in monitor.events
+        bursts = [e for e in events
                   if e.kind is EventKind.FAILURE_BURST]
         assert len(bursts) == 1
 
     def test_latch_rearms_after_recovery(self):
         # Burst → full recovery (window rate drops below threshold) →
         # second burst: exactly two notifications, one per episode.
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=10,
-                                failure_burst_threshold=0.3)
+        monitor, events = watched(warmup=0, failure_window=10,
+                                  failure_burst_threshold=0.3)
         for _ in range(15):
             monitor.process("SELCT broken")
         for _ in range(20):  # flush the window clean
             monitor.process("SELECT * FROM Photoz")
         for _ in range(15):
             monitor.process("SELCT broken")
-        bursts = [e for e in monitor.events
+        bursts = [e for e in events
                   if e.kind is EventKind.FAILURE_BURST]
         assert len(bursts) == 2
 
@@ -216,7 +220,7 @@ class TestTextMemo:
         assert (len(parses), calls["_learn"],
                 calls["_notify_novelties"]) == (1, 1, 1)
         assert monitor.state.extracted == monitor.clusterer.arrivals == 2
-        assert len(monitor.statement_labels) == 2
+        assert monitor.last_label == NOISE   # the hit was labelled
         # Another spelling of the statement parses once and comes back
         # as the clusterer's pooled area.
         assert monitor.process(sql.replace("SELECT", "select") + " ") \
@@ -255,11 +259,12 @@ class TestTextMemo:
 
 
 class TestSummary:
-    def test_summary_mentions_counts(self, monitor):
+    def test_summary_mentions_counts(self, monitor, events):
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
         text = monitor.summary()
         assert "statements processed : 1" in text
-        assert "events emitted" in text
+        assert f"events emitted       : {len(events)}" in text
+        assert "  new-relation          : 1" in text
 
 
 class TestShortStreamBurst:
@@ -267,22 +272,18 @@ class TestShortStreamBurst:
         # A stream that dies before failure_window statements must
         # still notify: the burst check fires once half the window has
         # been observed.
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=50,
-                                failure_burst_threshold=0.2)
+        monitor, events = watched(warmup=0, failure_window=50,
+                                  failure_burst_threshold=0.2)
         for _ in range(25):
             monitor.process("SELCT broken !!!")
-        assert EventKind.FAILURE_BURST in kinds(monitor)
+        assert EventKind.FAILURE_BURST in kinds(events)
 
     def test_below_half_window_stays_quiet(self):
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=0,
-                                failure_window=50,
-                                failure_burst_threshold=0.2)
+        monitor, events = watched(warmup=0, failure_window=50,
+                                  failure_burst_threshold=0.2)
         for _ in range(24):
             monitor.process("SELCT broken !!!")
-        assert EventKind.FAILURE_BURST not in kinds(monitor)
+        assert EventKind.FAILURE_BURST not in kinds(events)
 
 
 class TestWarmupCountsExtractions:
@@ -290,19 +291,18 @@ class TestWarmupCountsExtractions:
         # 20 junk statements then one real one: with warmup measured
         # against processed statements the junk would exhaust warmup
         # and the real statement's novelties would fire mid-learning.
-        schema = skyserver_schema()
-        monitor = StreamMonitor(AccessAreaExtractor(schema), warmup=3)
+        monitor, events = watched(warmup=3)
         for _ in range(20):
             monitor.process("SELCT broken !!!")
         monitor.process("SELECT * FROM Photoz")
-        novelty = [e for e in monitor.events
+        novelty = [e for e in events
                    if e.kind is EventKind.NEW_RELATION]
         assert not novelty
         # After three *extractions* the monitor is warmed up.
         monitor.process("SELECT * FROM SpecObjAll")
         monitor.process("SELECT * FROM zooSpec")
         monitor.process("SELECT * FROM sppLines")
-        novelty = [e for e in monitor.events
+        novelty = [e for e in events
                    if e.kind is EventKind.NEW_RELATION]
         assert [e.detail for e in novelty] \
             == ["first query touching relation sppLines"]
@@ -320,22 +320,21 @@ class TestOutOfRangeSlackFloor:
                                                      CONTENT_BOUNDS)
         stats._numeric[("photoz", "z")] = NumericColumnStats(
             access=Interval(0.2, 0.2), content=Interval(0.2, 0.2))
-        return StreamMonitor(AccessAreaExtractor(schema), stats=stats,
-                             warmup=0)
+        return watched(schema, stats=stats, warmup=0)
 
     def test_point_access_interval_uses_domain_floor(self):
-        monitor = self._point_access_monitor()
+        monitor, events = self._point_access_monitor()
         # z's declared domain is [-1, 10]: with the domain-derived
         # floor, a nearby constant is routine widening...
         monitor.process("SELECT * FROM Photoz WHERE z < 0.21")
-        assert EventKind.OUT_OF_RANGE_CONSTANT not in kinds(monitor)
+        assert EventKind.OUT_OF_RANGE_CONSTANT not in kinds(events)
 
     def test_domain_floor_still_catches_far_constants(self):
-        monitor = self._point_access_monitor()
+        monitor, events = self._point_access_monitor()
         monitor.process("SELECT * FROM Photoz WHERE z < 5.0")
-        events = [e for e in monitor.events
-                  if e.kind is EventKind.OUT_OF_RANGE_CONSTANT]
-        assert events and "5.0" in events[0].detail
+        flagged = [e for e in events
+                   if e.kind is EventKind.OUT_OF_RANGE_CONSTANT]
+        assert flagged and "5.0" in flagged[0].detail
 
     def test_unknown_column_fallback_cannot_overflow(self):
         # An unresolvable column falls back to Interval(-1.7e308,
@@ -345,12 +344,11 @@ class TestOutOfRangeSlackFloor:
         schema = skyserver_schema()
         stats = StatisticsCatalog.from_exact_content(schema,
                                                      CONTENT_BOUNDS)
-        monitor = StreamMonitor(AccessAreaExtractor(schema), stats=stats,
-                                warmup=0)
+        monitor, events = watched(schema, stats=stats, warmup=0)
         monitor.process(
             "SELECT * FROM Photoz p JOIN SpecObjAll s "
             "ON p.specobjid = s.specobjid WHERE p.nosuchcol > 1e307")
-        assert EventKind.OUT_OF_RANGE_CONSTANT not in kinds(monitor)
+        assert EventKind.OUT_OF_RANGE_CONSTANT not in kinds(events)
         assert monitor.state.extracted == 1
 
 
@@ -359,9 +357,8 @@ class TestIncrementalClustering:
         schema = skyserver_schema()
         stats = StatisticsCatalog.from_exact_content(schema,
                                                      CONTENT_BOUNDS)
-        return StreamMonitor(AccessAreaExtractor(schema), stats=stats,
-                             warmup=0, cluster_incrementally=True,
-                             **kwargs)
+        return watched(schema, stats=stats, warmup=0,
+                       cluster_incrementally=True, **kwargs)
 
     def test_requires_stats(self):
         schema = skyserver_schema()
@@ -370,28 +367,30 @@ class TestIncrementalClustering:
                           cluster_incrementally=True)
 
     def test_labels_track_extracted_statements(self):
-        monitor = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        monitor, _ = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        labels = []
         for i in range(4):
-            monitor.process(f"SELECT * FROM Photoz WHERE z < 0.1")
+            monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
+            labels.append(monitor.last_label)
             monitor.process("SELCT broken !!!")
-        assert len(monitor.statement_labels) == 4
-        assert len(monitor.statement_labels) == monitor.state.extracted
-        # The repeated statement interns to one area, which promotes to
-        # a core singleton cluster at min_pts=2.
-        assert monitor.statement_labels[-1] == 0
+            labels.append(monitor.last_label)
+        # A failed statement has no label.  The repeated statement
+        # interns to one area, which promotes to a core singleton
+        # cluster at min_pts=2.
+        assert labels == [NOISE, None, 0, None, 0, None, 0, None]
         assert monitor.clusterer.n_unique == 1
 
     def test_cluster_changed_event_on_structure_change(self):
-        monitor = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        monitor, events = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
-        assert EventKind.CLUSTER_CHANGED not in kinds(monitor)
+        assert EventKind.CLUSTER_CHANGED not in kinds(events)
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
-        changed = [e for e in monitor.events
+        changed = [e for e in events
                    if e.kind is EventKind.CLUSTER_CHANGED]
         assert len(changed) == 1 and "promotion" in changed[0].detail
         # A third repeat is structurally quiet.
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
-        changed = [e for e in monitor.events
+        changed = [e for e in events
                    if e.kind is EventKind.CLUSTER_CHANGED]
         assert len(changed) == 1
 
@@ -436,23 +435,23 @@ class TestIncrementalClustering:
         sql = "SELECT * FROM Photoz WHERE z < 0.1"
         area = AccessAreaExtractor(skyserver_schema()).extract(sql).area
         monkeypatch.setattr(IncrementalDBSCAN, "_promote_eligible", fault)
-        monitor = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        monitor, _ = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
         with pytest.raises(ValueError, match="injected repair fault"):
             monitor.process(sql)
         assert monitor.clusterer.n_unique == 1
-        assert monitor.statement_labels == []
-        replayed = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
+        assert monitor.last_label is None
+        replayed, _ = self._monitor(cluster_eps=0.1, cluster_min_pts=2)
         with pytest.raises(ValueError, match="injected repair fault"):
             replayed.replay(area)
-        assert replayed.statement_labels == []
+        assert replayed.last_label is None
 
-    def test_large_eps_labels_every_statement(self):
+    def test_large_eps_labels_every_statement(self, monkeypatch):
         # eps=0.6 is at or above the single-table bound 1/2, so the
         # clusterer runs dense and refuses no table set; the block-sparse
         # layout would refuse 22 of these 489 statements at this radius.
         import copy
 
-        from repro.clustering import DBSCAN
+        from repro.clustering import DBSCAN, IncrementalDBSCAN
         from repro.core.pipeline import expand_labels
         from repro.distance import DistanceMatrix, QueryDistance
         from repro.workload import WorkloadConfig, generate_workload
@@ -464,22 +463,31 @@ class TestIncrementalClustering:
         monitor = StreamMonitor(AccessAreaExtractor(schema), stats=stats,
                                 warmup=0, cluster_incrementally=True,
                                 cluster_eps=0.6, cluster_min_pts=5)
+        indices = []
+        add = IncrementalDBSCAN.add
+
+        def recording(clusterer, area, count=1):
+            update = add(clusterer, area, count)
+            indices.append(update.index)
+            return update
+
+        monkeypatch.setattr(IncrementalDBSCAN, "add", recording)
         workload = generate_workload(WorkloadConfig(n_queries=400, seed=7))
         monitor.process_many(workload.log.statements())
         clusterer = monitor.clusterer
         assert clusterer.backend_name == "dense"
-        assert monitor.state.extracted == 489
-        assert None not in monitor.statement_labels
+        # A refused arrival raises out of add(), so every extracted
+        # statement got a label.
+        assert monitor.state.extracted == len(indices) == 489
         areas = clusterer.areas()
         matrix = DistanceMatrix.compute(areas, QueryDistance(frozen),
                                         cutoff=0.6)
         want = DBSCAN(eps=0.6, min_pts=5).fit(
             areas, matrix=matrix, weights=clusterer.weights())
-        assert clusterer.expanded_labels() == expand_labels(
-            want.labels, clusterer.inverse())
-        assert len(clusterer.inverse()) == 489
+        assert expand_labels(clusterer.labels(), indices) == expand_labels(
+            want.labels, indices)
 
     def test_summary_mentions_clustering(self):
-        monitor = self._monitor()
+        monitor, _ = self._monitor()
         monitor.process("SELECT * FROM Photoz WHERE z < 0.1")
         assert "clustering" in monitor.summary()

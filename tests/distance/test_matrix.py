@@ -285,13 +285,14 @@ def test_clustering_argument_validation(population):
 
 
 def test_pipeline_report_hands_off_matrix(population):
-    """The batch path's LogProcessingReport → matrix hand-off."""
+    """The batch path's hand-off: a matrix over a report's areas."""
     _, stats = population
     schema = skyserver_schema()
     workload = generate_workload(WorkloadConfig(n_queries=40, seed=3))
     report = process_log(workload.log.statements(),
                          AccessAreaExtractor(schema), keep_failures=False)
-    matrix = report.distance_matrix(_metric(stats), cutoff=EPS)
+    matrix = DistanceMatrix.compute(report.areas(), _metric(stats),
+                                    cutoff=EPS)
     assert len(matrix) == report.extraction_count
     assert matrix.stats.pairs_computed + matrix.stats.pairs_skipped \
         == matrix.stats.pairs_total

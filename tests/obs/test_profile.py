@@ -88,15 +88,6 @@ class TestFoldedStacks:
         assert text.endswith("\n")
         assert "sec;" in text
 
-    def test_format_table(self):
-        profiler = Profiler()
-        with profiler.section("sec"):
-            _busy(5000)
-        table = profiler.format_table()
-        assert "section sec" in table
-        assert "cumtime" in table
-        assert Profiler().format_table() == "(no sections profiled)"
-
 
 class TestProcessWideHooks:
     def test_default_is_null(self):

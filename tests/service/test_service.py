@@ -317,6 +317,51 @@ class TestOnePool:
         assert live_areas() - before <= state.clusterer.n_unique + refused
 
 
+class TestResidentGrowth:
+    """Resident state grows with unique areas, not with arrivals: once a
+    log passed again and again no longer changes the clustering, more
+    passes leave no memory behind in the program."""
+
+    def test_saturated_repeats_hold_no_memory(self):
+        import math
+        import os
+        import tracemalloc
+
+        import repro
+        from repro.obs.metrics import DEFAULT_RESERVOIR_SIZE
+
+        arrivals = generate_workload(WorkloadConfig(
+            n_queries=120, seed=3)).log.statements_with_users()
+        _, state = _service(ServiceConfig(eps=0.12, min_pts=3, warmup=10))
+
+        def changes() -> int:
+            """One pass of the log; how many arrivals changed the
+            clustering's structure."""
+            return sum(event.startswith("[cluster-changed]")
+                       for sql, user in arrivals
+                       for event in state.ingest(sql, user=user).events)
+
+        # A histogram keeps its first DEFAULT_RESERVOIR_SIZE
+        # observations, so the warmup fills those too.
+        passes = 1
+        while changes() or passes * len(arrivals) < DEFAULT_RESERVOIR_SIZE:
+            passes += 1
+            assert passes <= 20, "the clustering never saturated"
+        under_repro = [tracemalloc.Filter(
+            True, os.path.join(os.path.dirname(repro.__file__), "*"))]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(under_repro)
+            for _ in range(math.ceil(2400 / len(arrivals))):
+                changes()
+            after = tracemalloc.take_snapshot().filter_traces(under_repro)
+        finally:
+            tracemalloc.stop()
+        growth = sum(stat.size_diff
+                     for stat in after.compare_to(before, "filename"))
+        assert growth <= 4096
+
+
 class TestTextMemo:
     """The monitor's extraction memo changes no answer: a memoizing
     service against one that memoizes nothing (``MEMO_CHARS = 0``)."""
@@ -329,9 +374,8 @@ class TestTextMemo:
         outcomes = [state.ingest(sql, user=user) for sql, user in arrivals]
         counters = [c for c in registry.snapshot()["counters"]
                     if c["name"].startswith("repro_stream_")]
-        return (outcomes, [str(event) for event in state.monitor.events],
-                list(state.monitor.statement_labels),
-                state.clusterer.labels(), state.users,
+        return (outcomes, state.monitor.state, state.clusterer.labels(),
+                state.clusterer.weights(), state.users,
                 state.user_unclustered, counters)
 
     def test_memo_answers_as_extraction_does(self, monkeypatch):
@@ -359,7 +403,8 @@ class TestTextMemo:
         with monkeypatch.context() as patch:
             patch.setattr(stream, "MEMO_CHARS", 0)
             reference = self._run(arrivals)
-        assert any("failure-burst" in event for event in reference[1])
+        assert any("failure-burst" in event
+                   for outcome in reference[0] for event in outcome.events)
         assert self._run(arrivals) == reference
 
 

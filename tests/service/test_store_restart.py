@@ -3,7 +3,8 @@
 The contract: every ingest is journalled; a new ``AppState`` over the
 same ``store_dir`` replays the journal — areas fetched by fingerprint
 digest, re-clustered in arrival order, **zero** SQL re-extraction —
-and serves bitwise-identical labels.
+and serves bitwise-identical labels.  Per arrival, the label the replay
+yields equals the one the uninterrupted run answered.
 """
 
 import os
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 import repro
+from repro.core.stream import StreamMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.service import AppState, ServiceConfig, TestClient, create_app
 from repro.store import AreaStore
@@ -22,9 +24,28 @@ from repro.workload import WorkloadConfig, generate_workload
 
 def _ingest_workload(state, n=120, seed=11):
     workload = generate_workload(WorkloadConfig(n_queries=n, seed=seed))
-    for sql, user in workload.log.statements_with_users():
-        state.ingest(sql, user=user)
-    state.ingest("NOT SQL AT ALL ((", user="mallory")
+    outcomes = [state.ingest(sql, user=user)
+                for sql, user in workload.log.statements_with_users()]
+    outcomes.append(state.ingest("NOT SQL AT ALL ((", user="mallory"))
+    return outcomes
+
+
+def _labels(outcomes):
+    """Each arrival's label as answered (``None`` when it failed or
+    went unclustered)."""
+    return [outcome.label for outcome in outcomes]
+
+
+def _resident(state):
+    """What a reopen must restore.  Ledgers are keyed by unique index:
+    equal keys mean the same areas in the same first-arrival positions.
+    Query features are learned from parse trees, which the journal does
+    not hold."""
+    seen = state.monitor.state
+    return (state.clusterer.labels(), state.clusterer.weights(),
+            state.users, state.user_unclustered,
+            (seen.processed, seen.extracted, seen.failures, seen.relations,
+             seen.columns, seen.relation_sets))
 
 
 def _fresh(config):
@@ -38,29 +59,34 @@ def store_config(tmp_path):
                          store_dir=str(tmp_path / "s"))
 
 
-def test_restart_replays_bitwise_identical_state(store_config):
+@pytest.fixture()
+def replay_labels(monkeypatch):
+    """The label of each arrival a journal replay re-applies, in order."""
+    labels = []
+    replay = StreamMonitor.replay
+
+    def recording(monitor, area):
+        label = replay(monitor, area)
+        labels.append(label)
+        return label
+
+    monkeypatch.setattr(StreamMonitor, "replay", recording)
+    return labels
+
+
+def test_restart_replays_bitwise_identical_state(store_config,
+                                                 replay_labels):
     first = _fresh(store_config)
-    _ingest_workload(first)
-    labels = list(first.monitor.statement_labels)
-    counters = (first.monitor.state.processed,
-                first.monitor.state.extracted,
-                first.monitor.state.failures)
+    labels = _labels(_ingest_workload(first))
+    resident = _resident(first)
     sizes = first.snapshot().sizes()
-    users = {user: dict(ledger) for user, ledger in first.users.items()}
-    unclustered = dict(first.user_unclustered)
     first.close()
 
     second = _fresh(store_config)
-    assert second.replayed == counters[0]
-    assert list(second.monitor.statement_labels) == labels
-    assert (second.monitor.state.processed,
-            second.monitor.state.extracted,
-            second.monitor.state.failures) == counters
+    assert second.replayed == len(labels)
+    assert replay_labels == labels
+    assert _resident(second) == resident
     assert second.snapshot().sizes() == sizes
-    # Ledgers are keyed by unique index: equal keys mean the same
-    # areas in the same first-arrival positions.
-    assert second.users == users
-    assert second.user_unclustered == unclustered
     second.close()
 
 
@@ -84,7 +110,8 @@ def test_restart_does_not_reextract_sql(store_config, monkeypatch):
     second.close()
 
 
-def test_hostile_statement_replays_after_restart(store_config):
+def test_hostile_statement_replays_after_restart(store_config,
+                                                 replay_labels):
     # A statement nested past the parser's limit is journalled as a
     # failure, so a reopened store numbers later arrivals the same way.
     valid = ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20",
@@ -92,20 +119,20 @@ def test_hostile_statement_replays_after_restart(store_config):
     hostile = ("SELECT * FROM PhotoObj WHERE " + "(" * 400 + "ra > 1"
                + ")" * 400)
     first = _fresh(store_config)
-    _ingest_workload(first, n=40)
+    labels = _labels(_ingest_workload(first, n=40))
     outcomes = [first.ingest(sql, user="eve")
                 for sql in (valid[0], hostile, valid[1])]
     assert [o.status for o in outcomes][1] == "failed"
     assert [o.index for o in outcomes] == \
         [outcomes[0].index + k for k in range(3)]
-    processed = first.monitor.state.processed
-    labels = list(first.monitor.statement_labels)
+    labels += _labels(outcomes)
+    resident = _resident(first)
     first.close()
 
     second = _fresh(store_config)
-    assert second.replayed == processed
-    assert second.monitor.state.processed == processed
-    assert list(second.monitor.statement_labels) == labels
+    assert second.replayed == len(labels)
+    assert replay_labels == labels
+    assert _resident(second) == resident
     second.close()
 
 
@@ -125,15 +152,16 @@ def test_ingest_continues_after_restart(store_config):
     second.close()
 
 
-def test_reopen_fetches_each_stored_area_once(store_config, monkeypatch):
+def test_reopen_fetches_each_stored_area_once(store_config, monkeypatch,
+                                             replay_labels):
     first = _fresh(store_config)
     statements = generate_workload(WorkloadConfig(
         n_queries=60, seed=11)).log.statements_with_users()
-    for sql, user in statements * 3:
-        first.ingest(sql, user=user)
+    labels = _labels([first.ingest(sql, user=user)
+                      for sql, user in statements * 3])
     digests = [bytes.fromhex(entry["digest"])
                for entry in first.store.iter_journal() if entry["digest"]]
-    labels = list(first.monitor.statement_labels)
+    resident = _resident(first)
     first.close()
 
     fetched = []
@@ -147,7 +175,8 @@ def test_reopen_fetches_each_stored_area_once(store_config, monkeypatch):
     second = _fresh(store_config)
     assert len(set(digests)) < len(digests)
     assert sorted(fetched) == sorted(set(digests))
-    assert list(second.monitor.statement_labels) == labels
+    assert replay_labels == labels
+    assert _resident(second) == resident
     second.close()
 
 
@@ -214,7 +243,8 @@ def test_held_digests_journal_what_hashing_would(tmp_path, monkeypatch):
     assert held[1] == hashed[1]
 
 
-def test_reopen_answers_as_an_uninterrupted_run(tmp_path, monkeypatch):
+def test_reopen_answers_as_an_uninterrupted_run(tmp_path, monkeypatch,
+                                               replay_labels):
     # After a reopen the pooled areas are the stored ones read back,
     # which keep the digests they were fetched by.
     from repro.service import state as state_module
@@ -229,7 +259,7 @@ def test_reopen_answers_as_an_uninterrupted_run(tmp_path, monkeypatch):
     whole = _fresh(config("whole"))
     expected = [whole.ingest(sql, user=user) for sql, user in arrivals]
     journal = list(whole.store.iter_journal())
-    labels = list(whole.monitor.statement_labels)
+    resident = _resident(whole)
     whole.close()
 
     cut = len(arrivals) // 3
@@ -237,6 +267,7 @@ def test_reopen_answers_as_an_uninterrupted_run(tmp_path, monkeypatch):
     answers = [first.ingest(sql, user=user) for sql, user in arrivals[:cut]]
     first.close()
     second = _fresh(config("cut"))
+    assert replay_labels == _labels(expected[:cut])
     hashed = []
     digest = state_module.fingerprint_digest
     monkeypatch.setattr(state_module, "fingerprint_digest",
@@ -247,7 +278,7 @@ def test_reopen_answers_as_an_uninterrupted_run(tmp_path, monkeypatch):
     assert [(a.status, a.label, a.unique_index) for a in answers] == \
         [(a.status, a.label, a.unique_index) for a in expected]
     assert list(second.store.iter_journal()) == journal
-    assert list(second.monitor.statement_labels) == labels
+    assert _resident(second) == resident
     second.close()
 
 
@@ -277,7 +308,8 @@ def test_restart_in_a_new_interpreter_keeps_area_identity(tmp_path):
     assert printed == [["0", "0", "1"], ["1", "0", "1"], ["2", "0", "1"]]
 
 
-def test_extraction_fault_fails_one_arrival(store_config, monkeypatch):
+def test_extraction_fault_fails_one_arrival(store_config, monkeypatch,
+                                            replay_labels):
     # Any exception out of extraction is a failed arrival: answered 200,
     # logged with its traceback, journalled, numbered the same after a
     # restart, and not remembered, so the text extracts once the fault
@@ -305,25 +337,28 @@ def test_extraction_fault_fails_one_arrival(store_config, monkeypatch):
     stream_logger = logging.getLogger("repro.core.stream")
     stream_logger.addHandler(handler)
     try:
-        assert post(valid)["status"] == "clustered"
+        answers = [post(valid)]
+        assert answers[0]["status"] == "clustered"
         with monkeypatch.context() as patch:
             patch.setattr(AccessAreaExtractor, "extract", boom)
-            answer = post(faulty)
+            answers.append(post(faulty))
     finally:
         stream_logger.removeHandler(handler)
-    assert (answer["status"], answer["error"]) == \
+    assert (answers[1]["status"], answers[1]["error"]) == \
         ("failed", "RuntimeError: boom")
     assert [record.exc_info[0] for record in logged] == [RuntimeError]
     assert state.monitor.state.processed == state.version == 2
-    assert post(faulty)["status"] == "clustered"
+    answers.append(post(faulty))
+    assert answers[2]["status"] == "clustered"
     assert len(list(state.store.iter_journal())) == 3
-    labels = list(state.monitor.statement_labels)
+    resident = _resident(state)
     state.close()
 
     second = _fresh(store_config)
     assert second.replayed == 3
     assert second.monitor.state.failures == 1
-    assert list(second.monitor.statement_labels) == labels
+    assert replay_labels == [answer["label"] for answer in answers]
+    assert _resident(second) == resident
     assert second.ingest(valid).index == 3
     second.close()
 
@@ -346,7 +381,8 @@ OFF_THE_LINE = ("SELECT ra FROM PhotoObj WHERE ra > 1e400",
                 + "9" * 400)
 
 
-def test_unplaceable_constants_fail_and_replay(store_config):
+def test_unplaceable_constants_fail_and_replay(store_config,
+                                              replay_labels):
     # Each one is an ordinary failed statement: answered 200, journalled,
     # and numbered the same before and after a restart.
     valid = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20"
@@ -368,20 +404,23 @@ def test_unplaceable_constants_fail_and_replay(store_config):
     assert state.version == state.monitor.state.processed == n
     assert len(list(state.store.iter_journal())) == n
     before = client.post("/queries", json={"sql": valid}).json()
-    labels = list(state.monitor.statement_labels)
+    resident = _resident(state)
     state.close()
 
     second = _fresh(store_config)
     assert second.replayed == n + 1
     assert second.monitor.state.failures == len(OFF_THE_LINE)
-    assert list(second.monitor.statement_labels) == labels
+    assert replay_labels == [answer["label"]
+                             for answer in answers + [before]]
+    assert _resident(second) == resident
     after = second.ingest(valid)
     assert before["index"] == n and after.index == n + 1
     second.close()
 
 
 def test_journalled_point_at_infinity_replays_as_failure(tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         replay_labels):
     """A store written while extraction still placed ``ra = 1e400`` at
     +inf holds that area.  Reopened, it replays as the failed arrival
     the statement is now, so no cluster forms around a point at
@@ -395,21 +434,20 @@ def test_journalled_point_at_infinity_replays_as_failure(tmp_path,
     statements = generate_workload(WorkloadConfig(
         n_queries=60, seed=3)).log.statements_with_users()
     arrivals = statements + [(statements[0][0], "n")] + [(point, "n")] * 5
-    monkeypatch.setattr(extractor_module, "_UNPLACEABLE", {
-        value: tuple(op for op in ops if op is not Op.EQ)
-        for value, ops in extractor_module._UNPLACEABLE.items()})
-    first = _fresh(config)
-    for sql, user in arrivals:
-        first.ingest(sql, user=user)
-    placed = first.monitor.state.failures
-    labels = list(first.monitor.statement_labels)
-    first.close()
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(extractor_module, "_UNPLACEABLE", {
+            value: tuple(op for op in ops if op is not Op.EQ)
+            for value, ops in extractor_module._UNPLACEABLE.items()})
+        first = _fresh(config)
+        labels = _labels([first.ingest(sql, user=user)
+                          for sql, user in arrivals])
+        placed = first.monitor.state.failures
+        first.close()
 
     second = _fresh(config)
     assert second.replayed == len(arrivals)
     assert second.monitor.state.failures == placed + 5
-    assert list(second.monitor.statement_labels) == labels[:-5]
+    assert replay_labels == labels[:-5] + [None] * 5
     client = TestClient(create_app(state=second))
     clusters = client.get("/clusters").json()["clusters"]
     assert clusters

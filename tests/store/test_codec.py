@@ -16,6 +16,53 @@ def test_area_payload_round_trip(areas):
         assert fingerprint_digest(clone) == fingerprint_digest(area)
 
 
+#: ``encode_area`` of :data:`HASHED_SQL`'s area, with the hashes of the
+#: area, its predicates and its column reference cached, as written
+#: before records left cached hashes out.
+HASHED_SQL = "SELECT a, s FROM T WHERE a > 1 AND s = 'x'"
+HASHED_RECORD = bytes.fromhex(
+    "80049522020000000000008c0f726570726f2e636f72652e61726561948c0a41"
+    "6363657373417265619493942981947d94288c0972656c6174696f6e73948c01"
+    "549485948c03636e66948c11726570726f2e616c67656272612e636e66948c03"
+    "434e469493942981947d94288c07636c61757365739468098c06436c61757365"
+    "9493942981947d94288c0a70726564696361746573948c18726570726f2e616c"
+    "67656272612e70726564696361746573948c17436f6c756d6e436f6e7374616e"
+    "745072656469636174659493942981947d94288c037265669468148c09436f6c"
+    "756d6e5265669493942981947d94288c0872656c6174696f6e9468068c06636f"
+    "6c756d6e948c0161948c055f68617368948a08fb03a056422e211675628c026f"
+    "709468148c024f709493948c013e94859452948c0576616c7565944b0168218a"
+    "082c2351ef2b400722756285948c0e5f63616e6f6e6963616c5f6b657994288c"
+    "026363948c03542e619468258c016e944b01869474948594756268102981947d"
+    "9428681368162981947d94286819681b2981947d9428681e6806681f8c017394"
+    "68218a084bac2ba0dc82782f7562682268248c013d948594529468288c017894"
+    "68218a08996905ad45f8286775628594682a28682b8c03542e739468388c0173"
+    "94683b86947494859475628694682a68306841869475628c056e6f7465739429"
+    "8c05657861637494888c0c5f66696e6765727072696e74946807684386946821"
+    "8a08869d6392d337b18975622e")
+
+
+def test_area_record_leaves_cached_hashes_out(extractor):
+    area = extractor.extract(HASHED_SQL).area
+    hash(area)
+    for predicate in area.cnf.predicates():
+        hash(predicate)
+        for ref in predicate.columns:
+            hash(ref)
+    payload = encode_area(area)
+    assert b"_hash" not in payload
+    assert len(payload) < len(HASHED_RECORD)
+    assert decode_area(payload) == area
+
+
+def test_record_with_cached_hashes_decodes_to_an_equal_area(extractor):
+    area = extractor.extract(HASHED_SQL).area
+    clone = decode_area(HASHED_RECORD)
+    assert b"_hash" in HASHED_RECORD
+    assert clone == area and hash(clone) == hash(area)
+    assert fingerprint_digest(clone) == fingerprint_digest(area)
+    assert {clone: 0}.get(area) == 0
+
+
 def test_digest_is_canonical(extractor):
     """Clause order and literal spelling don't change the key."""
     a = extractor.extract(
