@@ -77,8 +77,7 @@ def test_clustering_technique_sweep(benchmark, bench_result, out_dir):
     def sweep():
         # One shared distance matrix feeds both algorithms — the
         # pairwise bill is paid once, not per technique.
-        matrix = DistanceMatrix.compute(areas, distance,
-                                        cutoff=config.eps)
+        matrix = DistanceMatrix.compute(areas, distance)
         dbscan = partitioned_dbscan(areas, None, eps=config.eps,
                                     min_pts=config.min_pts, matrix=matrix)
         linkage = SingleLinkage(threshold=config.eps,

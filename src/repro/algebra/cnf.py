@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from .boolexpr import (FALSE, TRUE, And, Atom, BoolExpr, Or, make_and,
                        make_or)
 from .nnf import to_nnf
-from .predicates import Predicate
+from .predicates import Predicate, getstate_without
 
 #: The paper's workaround cap on the number of predicates fed to the CNF
 #: converter (Section 6.6).
@@ -44,6 +44,8 @@ class Clause:
     """
 
     predicates: tuple[Predicate, ...]
+
+    __getstate__ = getstate_without("_canonical_key")
 
     @staticmethod
     def of(predicates: Iterable[Predicate],
@@ -113,6 +115,8 @@ class CNF:
     """A conjunction of clauses.  The empty CNF means TRUE."""
 
     clauses: tuple[Clause, ...]
+
+    __getstate__ = getstate_without("_canonical_key")
 
     @staticmethod
     def of(clauses: Iterable[Clause]) -> "CNF":

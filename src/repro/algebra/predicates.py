@@ -83,12 +83,14 @@ def normalize_constant(value: Constant) -> tuple:
     return ("n", value)
 
 
-def getstate_without_hash(obj) -> dict:
-    """``__getstate__`` of the classes that cache ``hash()`` in
-    ``_hash``: :func:`setstate_without_hash` drops that entry on load,
-    so it is not pickled either."""
-    return {key: value for key, value in obj.__dict__.items()
-            if key != "_hash"}
+def getstate_without(*cached: str):
+    """A ``__getstate__`` that leaves the ``cached`` entries out of the
+    pickle: values the object recomputes on first use after a load,
+    such as the ``_hash`` that :func:`setstate_without_hash` drops."""
+    def getstate(obj) -> dict:
+        return {key: value for key, value in obj.__dict__.items()
+                if key not in cached}
+    return getstate
 
 
 def setstate_without_hash(obj, state: dict) -> None:
@@ -96,7 +98,7 @@ def setstate_without_hash(obj, state: dict) -> None:
     ``_hash``.  String hashes differ between interpreters, so a hash
     cached by the process that pickled the object (an area read back
     from the store after a restart, or a record written before
-    :func:`getstate_without_hash`) would split equal objects in every
+    :func:`getstate_without`) would split equal objects in every
     dict; the next ``hash()`` recomputes it."""
     obj.__dict__.update(state)
     obj.__dict__.pop("_hash", None)
@@ -114,7 +116,7 @@ class ColumnRef:
     relation: str
     column: str
 
-    __getstate__ = getstate_without_hash
+    __getstate__ = getstate_without("_hash")
     __setstate__ = setstate_without_hash
 
     def __hash__(self) -> int:
@@ -137,7 +139,7 @@ class ColumnRef:
 class Predicate:
     """Base class for atomic predicates."""
 
-    __getstate__ = getstate_without_hash
+    __getstate__ = getstate_without("_hash")
     __setstate__ = setstate_without_hash
 
     def negate(self) -> "Predicate":

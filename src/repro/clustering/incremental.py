@@ -98,10 +98,10 @@ class _DenseBackend:
     """Growable symmetric distance block via per-pair metric calls.
 
     O(n) metric evaluations per insert, valid at any ``eps`` (no
-    partition exactness precondition).  Like the dense matrix's
-    ``cutoff`` skip, a pair whose ``d_tables`` lower bound already
-    exceeds ``eps`` stores that bound instead of the full distance, so
-    :meth:`neighbors` is exact at radii up to ``eps``."""
+    partition exactness precondition).  Like a block-sparse matrix's
+    cross-partition entries, a pair whose ``d_tables`` lower bound
+    already exceeds ``eps`` stores that bound instead of the full
+    distance, so :meth:`neighbors` is exact at radii up to ``eps``."""
 
     def __init__(self, metric, eps: float):
         from ..distance.block_sparse import _GrowableBlock

@@ -56,12 +56,13 @@ class OPTICS:
 
         ``matrix`` is a square array-like or a condensed
         ``DistanceMatrix`` over ``items`` (computed up to at least
-        ``max_eps`` — bound-skipped entries hold lower bounds, which the
-        radius test treats correctly).  ``weights`` — optional positive
-        per-item multiplicities: the core distance becomes the smallest
-        radius whose neighbourhood mass (starting from the point's own
-        weight) reaches ``min_pts``, so ordering ``u`` interned unique
-        areas matches ordering the expanded population."""
+        ``max_eps`` — a block-sparse matrix's cross-partition entries hold
+        lower bounds, which the radius test treats correctly).
+        ``weights`` — optional positive per-item multiplicities: the
+        core distance becomes the smallest radius whose neighbourhood
+        mass (starting from the point's own weight) reaches
+        ``min_pts``, so ordering ``u`` interned unique areas matches
+        ordering the expanded population."""
         if (distance is None) == (matrix is None):
             raise ValueError("provide exactly one of distance or matrix")
         n = len(items)

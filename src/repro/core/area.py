@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..algebra.cnf import CNF, Clause
 from ..algebra.intervals import Interval, IntervalSet
 from ..algebra.predicates import (ColumnConstantPredicate, ColumnRef,
-                                  setstate_without_hash)
+                                  getstate_without, setstate_without_hash)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +44,11 @@ class AccessArea:
     notes: tuple[str, ...] = field(default=())
     exact: bool = field(default=True)
 
+    # Neither the cached hash and fingerprint nor ``_digest``, the key a
+    # store holds this area under (repro.store.codec.keep_digest), is
+    # pickled.
+    __getstate__ = getstate_without("_hash", "_fingerprint", "_digest")
     __setstate__ = setstate_without_hash
-
-    def __getstate__(self) -> dict:
-        # Neither the cached hash nor ``_digest``, the key a store holds
-        # this area under (repro.store.codec.keep_digest), is pickled.
-        return {key: value for key, value in self.__dict__.items()
-                if key not in ("_hash", "_digest")}
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(dict.fromkeys(self.relations)))

@@ -2,11 +2,10 @@
 
 Besides the pairwise metric, the package hosts the shared
 :class:`DistanceMatrix` engine every clustering algorithm consumes: the
-condensed pairwise matrix with relation-set memoization,
-bound-skipping, and :class:`MatrixStats` instrumentation — plus the
-block-sparse layout.  Both layouts take every within-partition pair
-from the vectorized struct-of-arrays kernel (:mod:`.kernel`),
-differentially validated against the pure-Python oracle.
+condensed pairwise matrix with :class:`MatrixStats` instrumentation —
+plus the block-sparse layout.  Both layouts are filled by the
+vectorized struct-of-arrays kernel (:mod:`.kernel`), differentially
+validated against the pure-Python oracle.
 """
 
 from .alternatives import FootprintDistance, WeightedQueryDistance

@@ -1,10 +1,11 @@
 """Block-sparse partitioned distance matrix: sub-quadratic memory.
 
 The dense :class:`~repro.distance.DistanceMatrix` always allocates the
-full ``n·(n−1)/2`` condensed triangle, even when the ``cutoff`` bound
-skip leaves >95% of the entries holding nothing but their ``d_tables``
-lower bound.  At SkyServer log scale (millions of statements, a handful
-of hot table sets) that memory is the bottleneck, not the arithmetic.
+full ``n·(n−1)/2`` condensed triangle, though below the partition
+exactness bound >95% of its entries decide nothing their ``d_tables``
+lower bound would not.  At SkyServer log scale (millions of statements,
+a handful of hot table sets) that memory is the bottleneck, not the
+arithmetic.
 
 :class:`BlockSparseDistanceMatrix` exploits the same structure the
 partitioned clustering does, one level lower:
@@ -17,8 +18,7 @@ partitioned clustering does, one level lower:
 * every **cross-partition** lookup is answered from a memoized P×P table
   of ``d_tables`` values — the exact lower bound ``d ≥ d_tables``, which
   any threshold query at a radius below the partition exactness bound
-  treats identically to the true distance (the same contract the dense
-  ``cutoff`` skip documents).
+  treats identically to the true distance.
 
 Storage drops from ``n·(n−1)/2`` floats to ``Σ m_p·(m_p−1)/2 + P²`` —
 quadratic only in the largest partition.  Validity: every entry is exact
@@ -280,8 +280,7 @@ class BlockSparseDistanceMatrix:
                         f"threshold queries exactly; use the dense "
                         f"DistanceMatrix")
 
-            stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2,
-                                cutoff=cutoff)
+            stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2)
 
             # Store-backed reuse: a partition whose content key matches
             # a persisted block skips computation entirely.
@@ -607,9 +606,9 @@ def compute_matrix(items: Sequence, metric: Metric, *,
     FROM sets, ``1/(k+1)`` once ``k``-table joins are present — see
     :func:`~repro.distance.query_distance.partition_exactness_bound`),
     dense otherwise.  ``"kernel"`` forces the block-sparse layout and
-    raises when ``eps`` is not below the bound.  ``eps`` doubles as
-    the dense matrix's ``cutoff``.  ``store``/``store_token`` persist
-    and reload block-sparse blocks (see
+    raises when ``eps`` is not below the bound.  The dense matrix holds
+    every distance exactly, whatever ``eps``.  ``store``/``store_token``
+    persist and reload block-sparse blocks (see
     :meth:`BlockSparseDistanceMatrix.compute`).
     """
     if mode not in MATRIX_MODES:
@@ -626,5 +625,4 @@ def compute_matrix(items: Sequence, metric: Metric, *,
         return BlockSparseDistanceMatrix.compute(
             items, metric, cutoff=eps, registry=registry, store=store,
             store_token=store_token)
-    return DistanceMatrix.compute(items, metric, cutoff=eps,
-                                  registry=registry)
+    return DistanceMatrix.compute(items, metric, registry=registry)

@@ -19,16 +19,17 @@ grows them as areas arrive, and computes distances from them on demand:
 * **area layer** — each area keeps its clause ids, padded to the
   widest area.
 
-No pairwise table is kept.  One routine (:meth:`PackedPartition.
-_disj_rows`) computes the ``d_disj`` rows of a set of clauses against
-every packed clause, group by group from the predicate features:
-unit×unit pairs are a gather of ``d_pred`` rows, the rare
-multi-predicate clauses run the best-match average over them.  An
-insert (:meth:`~PackedPartition.pair_rows`) and a ranking probe
-(:meth:`~PackedPartition.probe`) call it with one area's clauses, so
+No pairwise table is kept.  One routine (:meth:`PackedPartition._band`)
+computes every distance: the ``d_conj`` rows of a band of areas against
+packed areas, from the ``d_disj`` rows of the band's clauses
+(:meth:`~PackedPartition._disj_rows`), which it computes group by group
+from the predicate features — unit×unit pairs are a gather of
+``d_pred`` rows, the rare multi-predicate clauses run the best-match
+average over them.  An insert (:meth:`~PackedPartition.pair_rows`) and
+a ranking probe (:meth:`~PackedPartition.probe`) are a band of one, so
 they cost one pass over the partition's predicates, clauses and areas;
-:meth:`~PackedPartition.condensed_block` calls it with every clause
-and reduces a temporary best-match table to the whole block.
+:meth:`~PackedPartition.condensed_block` is a loop over bands sized to
+a fixed budget of temporaries (:data:`BAND_FLOATS`).
 
 The pure-Python :class:`~.predicate_distance.PredicateDistance` remains
 the semantic oracle.  **Every fast-path value is bitwise-equal to the
@@ -53,8 +54,9 @@ packs built at once, packs grown area by area and probes.
 Anything the pack cannot replay exactly — non-finite or non-float-exact
 numeric constants, boolean constants (whose ``True == 1`` predicate
 equality makes even the oracle's memo order-dependent), subclassed
-metrics — raises :class:`KernelUnsupported` and the caller falls back
-to the per-pair pure-Python path for that partition.
+metrics — raises :class:`KernelUnsupported`, and the caller evaluates
+per pair what the pack cannot hold: a partition of the block-sparse
+fill, or the pairs that touch a refused area (:func:`accept`).
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ from .predicate_distance import PredicateDistance, _categorical_footprint
 from .query_distance import QueryDistance
 
 logger = get_logger(__name__)
+
+#: Float64 elements the temporaries of one band of rows may hold at once
+#: (32 MiB): :meth:`PackedPartition.condensed_block` computes its rows in
+#: bands of areas that stay within it.  Every partition of a section-6
+#: study fits in one band.
+BAND_FLOATS = 2 ** 22
 
 #: Interval slots per packed numeric footprint.  With a positive
 #: resolution every widened footprint is a single interval (the two
@@ -335,10 +343,8 @@ class _Rows:
     packed yet past the packed ones, in ``staged``); each unit clause
     ``unit[r]`` spells row predicate ``unit_k[r]``, each multi-predicate
     clause in ``multi`` the row predicates listed with it, and the
-    clauses in ``empty`` none.  ``full`` marks the row set of every
-    packed clause over every packed predicate, in id order; ``plain``
-    one whose every clause ``r`` is a unit clause spelling row
-    predicate ``r``."""
+    clauses in ``empty`` none.  ``plain`` marks a row set whose every
+    clause ``r`` is a unit clause spelling row predicate ``r``."""
 
     ids: np.ndarray
     unit: np.ndarray
@@ -351,7 +357,6 @@ class _Rows:
     pids: np.ndarray
     staged: Sequence = ()
     slots: int = 0
-    full: bool = False
     plain: bool = False
 
     def pred(self, k: int, pack: "PackedPartition"):
@@ -472,9 +477,9 @@ class PackedPartition:
         """
         stage = _Stage(self, [area])
         (ids,) = stage.area_ids
-        return self._row_values(self._rows(np.asarray(ids, dtype=np.intp),
-                                           stage),
-                                np.arange(self.n_areas, dtype=np.intp))
+        return self._band(np.asarray(ids, dtype=np.intp),
+                          np.array([len(ids)]),
+                          np.arange(self.n_areas, dtype=np.intp), stage)[0]
 
     # -- growable arrays ----------------------------------------------------
     #
@@ -483,10 +488,6 @@ class PackedPartition:
     # insert appends instead of reallocating.  Past the live region
     # ``_unit_pid`` and ``_id_pad_buf`` hold the -1 pad, which the row
     # computation relies on.
-
-    @property
-    def _counts(self) -> "np.ndarray":
-        return self._counts_buf[:self.n_areas]
 
     def _reserve(self, p: int, c: int, m: int, width: int,
                  words: int) -> None:
@@ -531,15 +532,16 @@ class PackedPartition:
             footprint = _categorical_footprint(pred, vocabulary)
             return (_NO_REALS, (group, -1, 0, 0),
                     stage.bits(group, footprint))
-        cov = self._oracle._coverage_fraction(pred)
         group, (interval, width) = stage.column(_NUMERIC, ref)
         if not math.isfinite(width):
             key = stage.key((pred.op, normalize_constant(pred.value)))
-            return (cov, 0.0) + _NO_LO + _NO_HI, (group, key, 0, 0), 0
+            return _NO_REALS, (group, key, 0, 0), 0
         if width <= 0:
             key = stage.key(normalize_constant(pred.value))
-            return (cov, 0.0) + _NO_LO + _NO_HI, (group, key, 0, 0), 0
-        footprint = self._oracle._widened(pred, interval)
+            return _NO_REALS, (group, key, 0, 0), 0
+        # The coverage fraction and the widened footprint, from one clamp.
+        cov, clamped = self._oracle._clamp(pred, interval)
+        footprint = self._oracle._widen(pred, clamped, interval)
         if len(footprint) > _MAX_SLOTS:
             raise KernelUnsupported(
                 f"footprint with {len(footprint)} intervals exceeds the "
@@ -641,8 +643,7 @@ class PackedPartition:
         +inf, which ``_unit_pid``'s ``_NOT_UNIT`` and ``_PAD`` entries
         address.  The other orientation is the same array unless a
         two-slot Jaccard group is involved (resolution 0), whose
-        footprints add their slot pairs in another order; for the full
-        row set it is the transpose."""
+        footprints add their slot pairs in another order."""
         p = self.n_predicates
         reals, tags = rows.reals, rows.tags
         out = np.empty((len(reals), p + 2))
@@ -651,16 +652,12 @@ class PackedPartition:
         out[:, p] = 1.0
         out[:, p + 1] = np.inf
         slots = max(self._slots, rows.slots)
-        if rows.full:
-            by_group = [(gid, self._group_members(gid))
-                        for gid in range(len(self._formulas))]
-        else:
-            by_group = {}
-            for k, gid in enumerate(tags[:, _GROUP].tolist()):
-                by_group.setdefault(gid, []).append(k)
-            by_group = [(gid, np.asarray(ks, dtype=np.intp))
-                        for gid, ks in by_group.items()
-                        if gid < len(self._formulas)]
+        by_group = {}
+        for k, gid in enumerate(tags[:, _GROUP].tolist()):
+            by_group.setdefault(gid, []).append(k)
+        by_group = [(gid, np.asarray(ks, dtype=np.intp))
+                    for gid, ks in by_group.items()
+                    if gid < len(self._formulas)]
         two_slot = []
         for gid, ks in by_group:
             members = self._group_members(gid)
@@ -674,8 +671,6 @@ class PackedPartition:
         out[held, rows.pids[held]] = 0.0
         if not two_slot:
             return out, out
-        if rows.full:
-            return out, out[:, :p].T
         back = out.copy()
         for gid, ks, members in two_slot:
             back[ks[:, None], members] = self._group_block(
@@ -767,24 +762,11 @@ class PackedPartition:
                      list(stage.new_preds) if stage is not None else (),
                      slots)
 
-    def _all_rows(self) -> _Rows:
-        """The row set of every packed clause."""
-        c, p = self.n_clauses, self.n_predicates
-        lengths = self._clause_len[:c]
-        unit = np.flatnonzero(lengths == 1)
-        multi = [(int(clause_id), self._multi_pids[start:start + n])
-                 for clause_id, start, n in zip(
-                     self._multi, self._multi_start, self._multi_len)]
-        return _Rows(np.arange(c), unit, self._unit_pid[unit], multi,
-                     np.flatnonzero(lengths == 0).tolist(),
-                     self._reals[:p], self._tags[:p], self._bits[:p],
-                     np.arange(p), full=True)
-
-    def _disj_rows(self, rows: _Rows, both: bool = False) -> tuple:
+    def _disj_rows(self, rows: _Rows) -> tuple:
         """``d_disj`` of each clause of ``rows`` against every packed
         clause, ``(n, C + 1)`` with a trailing +inf column that padded
-        (-1) area slots address; with ``both``, also the table of
-        ``d_disj(packed clause, row clause)``.
+        (-1) area slots address, and the table of ``d_disj(packed
+        clause, row clause)``.
 
         Each entry is the one a from-scratch fill computes: a unit pair
         takes ``d_pred`` with the row's predicate first; a multi-
@@ -836,7 +818,7 @@ class PackedPartition:
                 table[r] = 1.0
                 table[r, empty] = 0.0
                 table[r, c] = np.inf
-        if not both or back is out or not len(unit):
+        if back is out or not len(unit):
             return table, table
         other = table.copy()
         other[unit] = back[np.ix_(unit_k, cols)]
@@ -860,96 +842,109 @@ class PackedPartition:
     def _clause_ids_of(self, i: int) -> "np.ndarray":
         return self._id_pad_buf[i, :self._counts_buf[i]]
 
-    # -- blocks and rows ----------------------------------------------------
-
-    def condensed_block(self) -> "np.ndarray":
-        """The partition's full condensed ``d_conj`` upper triangle,
-        bitwise-equal to the pure-Python per-pair evaluation.
-
-        The ``d_disj`` table of every clause pair and the best-match
-        table ``best[k, j] = min`` over area j's clauses of
-        ``d_disj(k, ·)`` — the shared inner term of both direction
-        sums — are computed once, for this block, and dropped."""
-        m = self.n_areas
-        counts = self._counts
-        out = np.zeros(m * (m - 1) // 2, dtype=float)
-        denom = np.ones_like(out)
-        if m < 2:
-            return out
-        table, _ = self._disj_rows(self._all_rows())
-        pad = self._id_pad_buf[:m]
-        best = np.full((self.n_clauses, m), np.inf)
-        for level in range(self._l_max):
-            np.minimum(best, table[:, pad[:, level]], out=best)
-        for i in range(m):
-            # The axis-0 reduction of the C-contiguous row gather adds
-            # the clause rows strictly left-to-right — the oracle's
-            # ``forward +=`` order — so the sums are bitwise-identical.
-            row = best[self._clause_ids_of(i)].sum(axis=0) \
-                if counts[i] else None
-            start = i * (2 * m - i - 1) // 2
-            if i + 1 < m:
-                stop = start + m - 1 - i
-                if row is not None:
-                    out[start:stop] += row[i + 1:]
-                denom[start:stop] = counts[i] + counts[i + 1:]
-            if i > 0 and row is not None:
-                js = np.arange(i)
-                back = js * (2 * m - js - 1) // 2 + (i - js - 1)
-                out[back] += row[:i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = out / denom
-        self._fix_empty_pairs(values)
-        return values
-
-    def _fix_empty_pairs(self, values: "np.ndarray") -> None:
-        """Replay the oracle's empty-CNF rules (both empty → 0, one
-        empty → 1) over the condensed layout."""
-        zero = self._counts == 0
-        if not zero.any():
-            return
-        m = self.n_areas
-        for i in range(m - 1):
-            start = i * (2 * m - i - 1) // 2
-            segment = values[start:start + m - 1 - i]
-            later_zero = zero[i + 1:]
-            if zero[i]:
-                segment[later_zero] = 0.0
-                segment[~later_zero] = 1.0
-            elif later_zero.any():
-                segment[later_zero] = 1.0
+    # -- rows and blocks ----------------------------------------------------
 
     def pair_rows(self, i: int, js: Sequence[int]) -> "np.ndarray":
-        """``d_conj`` from area ``i`` to each area in ``js``, bitwise-
-        equal to the condensed block entries (the one-vs-many form an
-        insert needs), computed from area ``i``'s ``d_disj`` rows."""
-        return self._row_values(self._rows(self._clause_ids_of(i)),
-                                np.asarray(js, dtype=np.intp))
+        """``d_conj`` from area ``i`` to each area in ``js`` (the one-vs-
+        many form an insert needs): a band of one."""
+        return self._band(self._clause_ids_of(i), self._counts_buf[i:i + 1],
+                          np.asarray(js, dtype=np.intp))[0]
 
-    def _row_values(self, rows: _Rows, js: "np.ndarray") -> "np.ndarray":
-        """``d_conj`` from the area whose clauses ``rows`` lists to each
-        packed area in ``js``."""
-        counts = self._counts_buf[js]
-        n_i = len(rows.ids)
-        if n_i == 0:
-            return np.where(counts == 0, 0.0, 1.0)
-        table, other = self._disj_rows(rows, both=True)
+    def condensed_block(self) -> "np.ndarray":
+        """The pack's condensed ``d_conj`` upper triangle, bitwise-equal
+        to the pure-Python per-pair evaluation.
+
+        Computed in bands of consecutive areas, each against every later
+        area (:meth:`_band`); a band holds as many areas as keep its
+        temporaries within :data:`BAND_FLOATS`, so the block costs its
+        output plus one band."""
+        m = self.n_areas
+        out = np.empty(m * (m - 1) // 2)
+        pad = self._id_pad_buf[:m, :self._l_max]
+        start = 0
+        for stop in self._band_stops():
+            ids = pad[start:stop]
+            band = self._band(ids[ids >= 0], self._counts_buf[start:stop],
+                              np.arange(start + 1, m, dtype=np.intp))
+            for i in range(start, stop):
+                at = i * (2 * m - i - 1) // 2
+                out[at:at + m - 1 - i] = band[i - start, i - start:]
+            start = stop
+        return out
+
+    def _band_stops(self) -> list[int]:
+        """Where each band of :meth:`condensed_block` ends: every area
+        but the last, in runs whose estimated temporaries stay within
+        :data:`BAND_FLOATS` (at least one area a band).
+
+        Against ``J`` later areas, a band area of ``n`` clauses
+        spelling ``k`` predicates costs about ``(n + 1)·(6·J + 4·(C +
+        M))`` floats for its ``d_disj`` rows, best matches and sums
+        (:func:`_band_sums`), and ``k·(2·P + 5·G)`` for its ``d_pred``
+        rows and the pair formulas over groups of up to ``G``
+        predicates, in a pack of ``P`` predicates and ``C`` clauses
+        whose multi-predicate clauses spell ``M``."""
+        m, width = self.n_areas, self._l_max
+        counts = self._counts_buf[:m - 1] + 1
+        spelled = self._clause_len[self._id_pad_buf[:m - 1, :width]] \
+            .sum(axis=1)
+        fixed = (4 * counts * (self.n_clauses + 1 + len(self._multi_pids))
+                 + spelled * (2 * self.n_predicates + 4
+                              + 5 * max(self._sizes)))
+        stops = [0]
+        while stops[-1] < m - 1:
+            start = stops[-1]
+            cost = np.cumsum(counts[start:] * 6 * (m - 1 - start)
+                             + fixed[start:])
+            stops.append(start + max(1, int(np.searchsorted(
+                cost, BAND_FLOATS, side="right"))))
+        return stops[1:]
+
+    def _band(self, ids: "np.ndarray", counts: "np.ndarray",
+              js: "np.ndarray", stage: Optional[_Stage] = None
+              ) -> "np.ndarray":
+        """``d_conj`` from each area of a band to each packed area in
+        ``js``, one row per band area.
+
+        Band area ``a`` spells the next ``counts[a]`` of the clause ids
+        ``ids``: packed clauses, or new ones of ``stage``.  Every
+        distance the kernel computes is a row of this routine: the
+        ``d_disj`` rows of the band's distinct clauses
+        (:meth:`_disj_rows`) give each clause's best match in each area
+        j, which the forward sum adds down the band area's clauses, and
+        each of area j's clauses its best match in the band area, which
+        the backward sum adds down area j's clause slots."""
+        targets = self._counts_buf[js]
+        if not counts.all():
+            # The empty-CNF rules: 0 against an empty area, else 1.
+            values = np.tile(np.where(targets == 0, 0.0, 1.0),
+                             (len(counts), 1))
+            if counts.any():
+                values[counts > 0] = self._band(ids, counts[counts > 0],
+                                                js, stage)
+            return values
+        if len(counts) == 1:
+            rows, where = self._rows(ids, stage), None
+        else:
+            unique, where = np.unique(ids, return_inverse=True)
+            rows = self._rows(unique, stage)
+        table, other = self._disj_rows(rows)
         slots = self._id_pad_buf[js, :self._l_max].T
-        # ``best[k, j] = min`` over area j's clauses of d_disj(k, ·); the
-        # pad slots read the +inf column.
-        forward = _sum_rows(table.take(slots, axis=1).min(
-            axis=1, initial=np.inf))
-        # ``v[c]`` = min over the area's clauses of d_disj(c, ·); each
-        # backward sum runs down one area's clause slots in order, and
-        # the pad slots read a trailing, order-neutral 0.0.
-        v = other.min(axis=0)
-        v[-1] = 0.0
-        backward = _sum_rows(v[slots])
-        # n_i >= 1 and no entry is NaN: the division cannot warn.
-        values = (forward + backward) / (n_i + counts)
-        other_zero = counts == 0
-        if other_zero.any():
-            values[other_zero] = 1.0
+        if where is None:
+            # A band of one gathers all its slots at once (see
+            # :func:`_band_sums` for the sums).
+            best = table.take(slots, axis=1).min(axis=1, initial=np.inf)
+            nearest = other.min(axis=0)
+            nearest[-1] = 0.0
+            forward, backward = _sum_rows(best), _sum_rows(nearest[slots])
+        else:
+            forward, backward = _band_sums(table, other, where, counts,
+                                           slots)
+        # No entry is NaN: the division cannot warn.
+        values = (forward + backward) / (counts[:, None] + targets)
+        zero = targets == 0
+        if zero.any():
+            values[:, zero] = 1.0
         return values
 
 
@@ -991,14 +986,43 @@ def _resized(buf: "np.ndarray", shape: tuple, fill) -> "np.ndarray":
 
 
 def _sum_rows(rows: "np.ndarray") -> "np.ndarray":
-    """Column sums of ``rows``, added strictly top to bottom from 0.0:
-    the oracle's ``+=`` order.  numpy keeps that order in an axis-0
-    reduction only while there are two or more columns; a single column
-    is summed pairwise, which rounds differently past eight terms."""
-    total = np.zeros(rows.shape[1])
+    """Sums of ``rows`` over its first axis, added strictly top to
+    bottom from 0.0: the oracle's ``+=`` order.  numpy keeps that order
+    in an axis-0 reduction only while there are two or more columns; a
+    single column is summed pairwise, which rounds differently past
+    eight terms."""
+    total = np.zeros(rows.shape[1:])
     for row in rows:
         total += row
     return total
+
+
+def _band_sums(table: "np.ndarray", other: "np.ndarray",
+               where: "np.ndarray", counts: "np.ndarray",
+               slots: "np.ndarray") -> tuple:
+    """The forward and backward sums of each band area (its clauses
+    the next ``counts[a]`` rows ``where`` lists) against the targets
+    whose clause slots are the rows of ``slots``, one slot at a time:
+    ``best[k, j] = min`` over target j's clauses of d_disj(k, ·), added
+    in clause order from 0.0 (:func:`_sum_rows`), and ``nearest[a, c]
+    = min`` over area a's clauses of d_disj(c, ·), added down each
+    target's slots, whose pads read a trailing, order-neutral 0.0."""
+    best = np.full((len(table), slots.shape[1]), np.inf)
+    for level in slots:
+        np.minimum(best, table[:, level], out=best)
+    starts = np.cumsum(counts) - counts
+    forward = np.zeros((len(counts), slots.shape[1]))
+    nearest = np.full((len(counts), other.shape[1]), np.inf)
+    for offset in range(int(counts.max())):
+        longer = counts > offset
+        at = where[starts[longer] + offset]
+        forward[longer] += best[at]
+        nearest[longer] = np.minimum(nearest[longer], other[at])
+    nearest[:, -1] = 0.0
+    backward = np.zeros_like(forward)
+    for level in slots:
+        backward += nearest[:, level]
+    return forward, backward
 
 
 def _segment_sums(values: "np.ndarray", starts: "np.ndarray",
@@ -1124,3 +1148,85 @@ def compute_kernel_blocks(items: Sequence, metric,
                 blocks.append(values)
     logger.debug("kernel blocks: %s", stats.summary())
     return blocks, stats
+
+
+def accept(pack: PackedPartition, areas: Sequence) -> list[Optional[int]]:
+    """Extend ``pack`` by ``areas``, in order: all in one extend, or —
+    when the kernel refuses some — each one it accepts.
+
+    Returns each area's column in the pack, or ``None`` for an area the
+    kernel refused; callers evaluate the pairs that touch such an area
+    per pair by the metric, and only those."""
+    start = pack.n_areas
+    try:
+        pack.extend(areas)
+    except KernelUnsupported:
+        columns: list[Optional[int]] = []
+        for area in areas:
+            try:
+                pack.extend([area])
+            except KernelUnsupported:
+                columns.append(None)
+            else:
+                columns.append(pack.n_areas - 1)
+        return columns
+    return list(range(start, pack.n_areas))
+
+
+def dense_fill(items: Sequence, metric) -> tuple["np.ndarray", KernelStats]:
+    """``metric`` over every pair of ``items``, as a row-major condensed
+    upper triangle, bitwise the per-pair values.
+
+    A pack reads no table sets, so one pack over every item gives each
+    pair's ``d_conj`` (:meth:`PackedPartition.condensed_block`), and a
+    table of ``d_tables`` by table-set code, evaluated once per pair of
+    table sets, adds the other term as the metric does.  Pairs that
+    touch an item the kernel refuses (:func:`accept`) — every pair, for
+    a metric it cannot replay — are evaluated per pair by ``metric``."""
+    n = len(items)
+    stats = KernelStats()
+    first: dict = {}
+    for item in items:
+        first.setdefault(item.table_set, item)
+    codes = {table_set: k for k, table_set in enumerate(first)}
+    code = np.array([codes[item.table_set] for item in items], dtype=np.intp)
+    tables = np.array([[0.0 if a is b else metric.d_tables(a, b)
+                        for b in first.values()]
+                       for a in first.values()])
+    started = time.perf_counter()
+    try:
+        pack = PackedPartition([], metric)
+    except KernelUnsupported as exc:
+        logger.debug("kernel fallback for a %d-area fill: %s", n, exc)
+        pack, columns = None, [None] * n
+        stats.partitions_fallback = 1
+    else:
+        columns = accept(pack, items)
+        stats.partitions_packed = 1
+        stats.n_predicates = pack.n_predicates
+        stats.n_clauses = pack.n_clauses
+    stats.pack_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    block = pack.condensed_block() if pack is not None else np.zeros(0)
+    stats.block_seconds = time.perf_counter() - started
+    stats.pairs_vectorized = len(block)
+    stats.pairs_fallback = n * (n - 1) // 2 - len(block)
+    held = np.array([k for k, column in enumerate(columns)
+                     if column is not None], dtype=np.intp)
+    values = np.zeros(n * (n - 1) // 2) if len(held) < n else block
+    for i in range(n - 1):
+        at = i * (2 * n - i - 1) // 2
+        row = values[at:at + n - 1 - i]
+        column = columns[i]
+        if values is not block and column is not None:
+            # The rest of i's row in the pack's block: its pairs with the
+            # later packed items.
+            later = held[column + 1:]
+            start = column * (2 * len(held) - column - 1) // 2
+            row[later - i - 1] = block[start:start + len(later)]
+        # d_tables + d_conj, as the metric adds them.
+        np.add(tables[code[i], code[i + 1:]], row, out=row)
+        for j in range(i + 1, n) if values is not block else ():
+            if column is None or columns[j] is None:
+                row[j - i - 1] = metric(items[i], items[j])
+    return values, stats

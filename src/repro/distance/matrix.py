@@ -9,37 +9,29 @@ into the scipy-style *condensed* layout (``n·(n−1)/2`` floats, pair
 the algorithms O(1) lookups and vectorized row/neighbour queries.
 
 When the metric decomposes like the paper's query distance
-(``d_tables``/``d_conj`` attributes), the population splits into
-table-set partitions and three layers of work avoidance apply:
+(``d_tables``/``d_conj`` attributes), the vectorized kernel fills every
+entry (:func:`~.kernel.dense_fill`): one pack over all items gives each
+pair's ``d_conj`` in bands of rows, and a table of ``d_tables`` by
+table-set code — a SkyServer-scale log has millions of statements but
+only a handful of distinct FROM sets — adds the Jaccard term.  Pairs
+that touch an item the kernel refuses are evaluated per pair.
 
-* every pair *within* a partition (``d_tables == 0``) comes from the
-  vectorized kernel (:func:`~.kernel.compute_kernel_blocks`, the fill
-  the block-sparse layout uses), per pair where the kernel refuses;
-* ``d_tables`` is memoized per *partition pair* — a SkyServer-scale log
-  has millions of statements but only a handful of distinct FROM sets,
-  so the Jaccard term collapses to a tiny table;
-* with a ``cutoff`` (the clustering radius), the partition bound
-  ``d ≥ d_tables`` lets every cross-partition pair whose ``d_tables``
-  exceeds it skip the constraint comparison: the entry stores the
-  exact lower bound ``d_tables`` instead, which any threshold query at
-  ``eps ≤ cutoff`` treats identically to the true distance.  Only the
-  cross-partition pairs at or below the cutoff are evaluated per pair.
-
-Every stored value is bitwise the per-pair metric's (or, for a skipped
-pair, its ``d_tables``).  :class:`MatrixStats` reports what happened:
-pairs computed, pairs bound-skipped, cache hit rates, wall time.
+Every stored value is bitwise the per-pair metric's.
+:class:`MatrixStats` reports what happened: pairs computed, cache hit
+rates, wall time.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..obs import get_logger, metrics, trace
-from .kernel import compute_kernel_blocks
+from .kernel import dense_fill
 
 logger = get_logger(__name__)
 
@@ -77,7 +69,8 @@ class MatrixStats:
     pairs_total: int = 0
     #: pairs whose full metric was evaluated
     pairs_computed: int = 0
-    #: pairs resolved by the ``d ≥ d_tables > cutoff`` bound alone
+    #: block-sparse only: cross-partition pairs answered by their
+    #: ``d_tables`` lower bound
     pairs_skipped: int = 0
     #: distinct relation-set pairs whose Jaccard term was evaluated
     table_pairs: int = 0
@@ -86,7 +79,6 @@ class MatrixStats:
     predicate_cache_hits: int = 0
     predicate_cache_misses: int = 0
     elapsed_seconds: float = 0.0
-    cutoff: Optional[float] = None
     #: partition blocks stored (0 for the dense matrix)
     n_blocks: int = 0
     #: items in the largest stored partition block
@@ -208,15 +200,10 @@ class DistanceMatrix:
 
     @classmethod
     def compute(cls, items: Sequence, metric: Metric, *,
-                cutoff: Optional[float] = None,
                 registry: Optional[metrics.MetricsRegistry] = None,
                 ) -> "DistanceMatrix":
         """Evaluate ``metric`` over every unordered pair of ``items``.
 
-        ``cutoff`` — optional threshold enabling the partition-bound
-        skip: entries whose ``d_tables`` lower bound already exceeds it
-        store that bound instead of the full distance (only valid when
-        every later query uses a radius ``≤ cutoff``);
         ``registry`` — metrics sink (defaults to the process-wide
         registry).
         """
@@ -224,32 +211,37 @@ class DistanceMatrix:
         if registry is None:
             registry = metrics.get_registry()
         total = n * (n - 1) // 2
-        stats = MatrixStats(n_items=n, pairs_total=total, cutoff=cutoff,
-                            stored_floats=total)
-        values = np.zeros(total, dtype=float)
+        stats = MatrixStats(n_items=n, pairs_total=total,
+                            pairs_computed=total, stored_floats=total)
         started = time.perf_counter()
         pred_info = getattr(metric, "pred_cache_info", None)
         before = pred_info() if pred_info is not None else None
 
         with trace.span("distance_matrix", n_items=n) as span:
-            if is_decomposed(metric, items):
-                cls._fill_decomposed(items, metric, cutoff, values, stats,
-                                     registry)
-            else:
-                with trace.span("fill", pairs=total):
-                    k = 0
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            values[k] = metric(items[i], items[j])
-                            k += 1
-                stats.pairs_computed = total
+            with trace.span("fill", pairs=total) as fill:
+                if is_decomposed(metric, items):
+                    with trace.span("kernel_blocks", partitions=1):
+                        values, kernel_stats = dense_fill(items, metric)
+                    kernel_stats.record(registry)
+                    fill.set(pairs_vectorized=kernel_stats.pairs_vectorized,
+                             pairs_per_pair=kernel_stats.pairs_fallback)
+                    sizes = Counter(item.table_set for item in items)
+                    stats.table_pairs = len(sizes) * (len(sizes) - 1) // 2
+                    # Every cross-partition pair beyond the first per
+                    # partition pair reads the d_tables table.
+                    stats.table_cache_hits = total - stats.table_pairs - sum(
+                        m * (m - 1) // 2 for m in sizes.values())
+                else:
+                    values = np.array([metric(items[i], items[j])
+                                       for i in range(n)
+                                       for j in range(i + 1, n)],
+                                      dtype=float)
             if before is not None:
                 after = pred_info()
                 stats.predicate_cache_hits = after.hits - before.hits
                 stats.predicate_cache_misses = after.misses - before.misses
             stats.elapsed_seconds = time.perf_counter() - started
-            span.set(pairs_computed=stats.pairs_computed,
-                     pairs_skipped=stats.pairs_skipped)
+            span.set(pairs_computed=stats.pairs_computed)
 
         stats.record(registry)
         logger.debug("distance matrix: %s", stats.summary())
@@ -263,80 +255,6 @@ class DistanceMatrix:
             raise ValueError(f"not a square matrix: shape {matrix.shape}")
         n = matrix.shape[0]
         return cls(n, matrix[np.triu_indices(n, k=1)])
-
-    @staticmethod
-    def _fill_decomposed(items: Sequence, metric: Metric,
-                         cutoff: Optional[float], values: np.ndarray,
-                         stats: MatrixStats, registry) -> None:
-        """Kernel blocks within partitions; memoized ``d_tables`` and
-        the cutoff bound-skip across them."""
-        n = len(items)
-        with trace.span("plan"):
-            groups: dict[frozenset, list[int]] = {}
-            for index, item in enumerate(items):
-                groups.setdefault(item.table_set, []).append(index)
-            members = list(groups.values())
-            p = len(members)
-            pids = np.empty(n, dtype=np.intp)
-            local = np.empty(n, dtype=np.intp)
-            for pid, member_list in enumerate(members):
-                pids[member_list] = pid
-                local[member_list] = np.arange(len(member_list))
-            # One d_tables evaluation per partition pair answers every
-            # cross-partition pair of those two table sets.
-            bounds = np.zeros((p, p), dtype=float)
-            for a in range(p):
-                for b in range(a + 1, p):
-                    bounds[a, b] = bounds[b, a] = metric.d_tables(
-                        items[members[a][0]], items[members[b][0]])
-
-        sizes = [len(member_list) for member_list in members]
-        evaluated = skipped = 0
-        with trace.span("fill", partitions=p) as fill:
-            raw, kernel_stats = compute_kernel_blocks(items, metric,
-                                                      members)
-            kernel_stats.record(registry)
-            blocks = [np.asarray(block, dtype=float) for block in raw]
-            start = 0
-            for i in range(n - 1):
-                stop = start + n - 1 - i
-                pid = pids[i]
-                rest = pids[i + 1:]
-                row = bounds[pid][rest]
-                # Partition members after i, in order: the rest of i's
-                # row in its partition's condensed block.
-                same = rest == pid
-                m, a = sizes[pid], int(local[i])
-                offset = a * (2 * m - a - 1) // 2
-                row[same] = blocks[pid][offset:offset + m - 1 - a]
-                pending = ~same
-                if cutoff is not None:
-                    # d = d_tables + d_conj ≥ d_tables > cutoff: the
-                    # exact lower bound answers every query at radius
-                    # ≤ cutoff.
-                    over = pending & (row > cutoff)
-                    skipped += int(np.count_nonzero(over))
-                    pending &= ~over
-                cnf = items[i].cnf
-                cross = np.flatnonzero(pending)
-                for offset_j in cross:
-                    row[offset_j] += metric.d_conj(
-                        cnf, items[i + 1 + offset_j].cnf)
-                evaluated += len(cross)
-                values[start:stop] = row
-                start = stop
-            fill.set(pairs_vectorized=kernel_stats.pairs_vectorized,
-                     pairs_per_pair=kernel_stats.pairs_fallback
-                     + evaluated)
-
-        in_partition = sum(m * (m - 1) // 2 for m in sizes)
-        stats.pairs_computed = in_partition + evaluated
-        stats.pairs_skipped = skipped
-        stats.table_pairs = p * (p - 1) // 2
-        # Every cross-partition pair beyond the first per partition pair
-        # is served by the memo.
-        stats.table_cache_hits = (stats.pairs_total - in_partition
-                                  - stats.table_pairs)
 
     # -- lookups ------------------------------------------------------------
 

@@ -207,7 +207,16 @@ class PredicateDistance:
         access = self.stats.access_interval(pred.ref)
         if not math.isfinite(access.width) or access.width <= 0:
             return 0.0
-        return _clamped(pred, access).total_width / access.width
+        return self._clamp(pred, access)[0]
+
+    def _clamp(self, pred: ColumnConstantPredicate,
+               access: Interval) -> tuple[float, IntervalSet]:
+        """The fraction of ``access`` (a finite positive width) that
+        ``pred``'s footprint within it covers, and that footprint: one
+        clamp for the coverage and the widened footprint
+        (:meth:`_widen`)."""
+        footprint = _clamped(pred, access)
+        return footprint.total_width / access.width, footprint
 
     def _widened(self, pred: ColumnConstantPredicate,
                  access: Interval) -> IntervalSet:
@@ -224,7 +233,11 @@ class PredicateDistance:
 
     def _widened_uncached(self, pred: ColumnConstantPredicate,
                           access: Interval) -> IntervalSet:
-        footprint = _clamped(pred, access)
+        return self._widen(pred, self._clamp(pred, access)[1], access)
+
+    def _widen(self, pred: ColumnConstantPredicate, footprint: IntervalSet,
+               access: Interval) -> IntervalSet:
+        """``pred``'s clamped ``footprint`` widened by the resolution."""
         margin = self.resolution * access.width / 2.0
         if margin <= 0:
             return footprint

@@ -21,11 +21,12 @@ before aggregating, so the two fits are bitwise identical and
 
 Distances come from the vectorized kernel
 (:class:`~repro.distance.kernel.PackedPartition`), bitwise equal to the
-per-pair :class:`QueryDistance`: a medoid reads one kernel block over
-its candidates, and a ranking scores a query against all fitted medoids
-with one probe of a single medoid pack.  Where the kernel refuses
-(:class:`KernelUnsupported`), that cluster or that query is measured
-per pair by the metric.
+per-pair :class:`QueryDistance`: a medoid reads the dense fill over its
+candidates (:func:`~repro.distance.kernel.dense_fill`), and a ranking
+scores a query against all fitted medoids with one probe of a single
+medoid pack.  Where the kernel refuses an area
+(:class:`KernelUnsupported`), the pairs that touch it, or that query,
+are measured per pair by the metric.
 
 A refit recomputes only what changed.  It takes over the previous fit's
 aggregate of every cluster whose unique members and counts are
@@ -47,7 +48,9 @@ from ..clustering.aggregation import AggregatedArea, aggregate_cluster
 from ..clustering.dbscan import DBSCANResult
 from ..core.area import AccessArea
 from ..core.extractor import AccessAreaExtractor
-from ..distance.kernel import KernelUnsupported, PackedPartition
+from ..distance.kernel import (KernelUnsupported, PackedPartition, accept,
+                               dense_fill)
+from ..distance.matrix import DistanceMatrix
 from ..distance.query_distance import QueryDistance, jaccard_distance
 from ..schema.statistics import StatisticsCatalog
 
@@ -100,9 +103,9 @@ class _FittedCluster:
     medoid: AccessArea
     members: list[AccessArea]
     weights: list[int]
-    #: the kernel block over the medoid candidates, which the next refit
-    #: takes over while the candidates stay the same; ``None`` when the
-    #: metric priced them per pair (or there was a single candidate).
+    #: the distances over the medoid candidates, which the next refit
+    #: takes over while the candidates stay the same; ``None`` for a
+    #: single candidate.
     block: Optional[Block]
 
 
@@ -350,58 +353,28 @@ def medoid(candidates: Sequence[AccessArea], counts: Sequence[int],
            metric: Distance, block: Optional[Block] = None
            ) -> tuple[AccessArea, Optional[Block]]:
     """The candidate minimizing ``Σ count · metric(candidate, other)``
-    over the candidates, and the kernel block that priced it.
+    over the candidates, and the distances that priced it.
 
     The cost is a left-to-right Python sum and the first minimum wins,
     so the answer is bitwise the per-pair loop's.  Distances come from
     ``block`` when given (an earlier call's over the same candidates:
-    they do not depend on ``counts``), else from one
-    :func:`kernel_block`.  Where the kernel refuses, ``metric`` prices
-    every ordered pair in row order and the returned block is ``None``.
-    A single candidate is its own medoid.
+    they do not depend on ``counts``), else from the dense fill
+    (:func:`~repro.distance.kernel.dense_fill`), which prices per pair
+    only the pairs that touch a candidate the kernel refuses.  A single
+    candidate is its own medoid.
     """
     if len(candidates) == 1:
         return candidates[0], None
     if block is None:
-        block = kernel_block(candidates, metric)
-    table = block.tolist() if block is not None else \
-        [[metric(candidate, other) for other in candidates]
-         for candidate in candidates]
+        block = DistanceMatrix(len(candidates), dense_fill(
+            candidates, metric)[0]).to_square()
     best, best_cost = candidates[0], math.inf
-    for candidate, row in zip(candidates, table):
+    for candidate, row in zip(candidates, block.tolist()):
         cost = sum(count * distance
                    for distance, count in zip(row, counts))
         if cost < best_cost:
             best, best_cost = candidate, cost
     return best, block
-
-
-def kernel_block(candidates: Sequence[AccessArea],
-                 metric: Distance) -> Optional[Block]:
-    """``metric(a, b)`` over every ordered pair of ``candidates``, from
-    one kernel pack; ``None`` when the kernel refuses.
-
-    A pack reads no table sets, so it spans candidates of mixed table
-    sets; each entry adds the Jaccard ``d_tables`` to the pack's
-    ``d_conj`` as the metric does, and is bitwise the metric's in
-    either argument order.  The kernel refuses non-finite constants, so
-    the diagonal is exactly 0.0.
-    """
-    try:
-        pack = PackedPartition(candidates, metric)
-    except KernelUnsupported:
-        return None
-    codes: dict[frozenset, int] = {}
-    code = np.array([codes.setdefault(area.table_set, len(codes))
-                     for area in candidates])
-    tables = np.array([[jaccard_distance(first, second)
-                        for second in codes] for first in codes])
-    n = len(candidates)
-    i, j = np.triu_indices(n, 1)  # the condensed block's row-major order
-    block = np.zeros((n, n))
-    block[i, j] = block[j, i] = \
-        tables[code[i], code[j]] + pack.condensed_block()
-    return block
 
 
 class _MedoidPack:
@@ -435,27 +408,11 @@ class _MedoidPack:
         return len(self.held) - sum(key in self.columns for key in live)
 
     def add(self, medoids) -> None:
-        """Pack the distinct ``medoids`` not held yet, in order: all
-        in one extend, or — when the kernel refuses some — each one it
-        accepts."""
+        """Pack the distinct ``medoids`` not held yet, in order (see
+        :func:`~repro.distance.kernel.accept`)."""
         new = [area for area in medoids if id(area) not in self.columns]
-        if not new:
-            return
         self.held.extend(new)
-        start = self.pack.n_areas
-        try:
-            self.pack.extend(new)
-        except KernelUnsupported:
-            for area in new:
-                try:
-                    self.pack.extend([area])
-                except KernelUnsupported:
-                    self.columns[id(area)] = None
-                else:
-                    self.columns[id(area)] = self.pack.n_areas - 1
-        else:
-            for column, area in enumerate(new, start):
-                self.columns[id(area)] = column
+        self.columns.update(zip(map(id, new), accept(self.pack, new)))
 
 
 def _identities(candidates: Sequence[AccessArea]) -> tuple[int, ...]:

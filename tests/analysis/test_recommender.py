@@ -593,11 +593,11 @@ class TestRefitReusesBlocks:
         first = fit_recommender(areas, [1] * len(areas), labels, stats,
                                 min_cluster_size=2)
         packed = []
-        block = recommender_module.kernel_block
+        fill = recommender_module.dense_fill
         monkeypatch.setattr(
-            recommender_module, "kernel_block",
+            recommender_module, "dense_fill",
             lambda candidates, metric: packed.append(len(candidates))
-            or block(candidates, metric))
+            or fill(candidates, metric))
         # One more member joins the second cluster.
         grown = areas + [AccessArea(("S",), CNF.of([Clause.of([
             ColumnConstantPredicate(S_Y, Op.EQ, 56.0)])]))]
@@ -651,8 +651,8 @@ class TestRefitRecomputesOnlyWhatChanged:
 
     @staticmethod
     def _counting(monkeypatch):
-        """Record every aggregation and every extend of a pack that is
-        not a ranking probe's copy."""
+        """Record every aggregation and every extend that adds areas to
+        a pack (a pack starts empty, which extends it by none)."""
         calls = {"aggregate": [], "extend": []}
         aggregate = recommender_module.aggregate_cluster
         extend = PackedPartition.extend
@@ -662,7 +662,8 @@ class TestRefitRecomputesOnlyWhatChanged:
             return aggregate(*args, **kwargs)
 
         def counting_extend(self, areas):
-            calls["extend"].append(list(areas))
+            if areas:
+                calls["extend"].append(list(areas))
             return extend(self, areas)
 
         monkeypatch.setattr(recommender_module, "aggregate_cluster",

@@ -69,7 +69,7 @@ def test_end_to_end_matrix_clustering_fuzz(seed, n_queries):
         STATS.observe_cnf(item.area.cnf)
     areas = report.areas()
     matrix = DistanceMatrix.compute(
-        areas, QueryDistance(STATS, resolution=0.05), cutoff=0.12)
+        areas, QueryDistance(STATS, resolution=0.05))
     assert matrix.stats.pairs_computed + matrix.stats.pairs_skipped \
         == len(areas) * (len(areas) - 1) // 2
     result = DBSCAN(0.12, min_pts=3).fit(areas, matrix=matrix)

@@ -480,8 +480,7 @@ class TestIncrementalClustering:
         # statement got a label.
         assert monitor.state.extracted == len(indices) == 489
         areas = clusterer.areas()
-        matrix = DistanceMatrix.compute(areas, QueryDistance(frozen),
-                                        cutoff=0.6)
+        matrix = DistanceMatrix.compute(areas, QueryDistance(frozen))
         want = DBSCAN(eps=0.6, min_pts=5).fit(
             areas, matrix=matrix, weights=clusterer.weights())
         assert expand_labels(clusterer.labels(), indices) == expand_labels(

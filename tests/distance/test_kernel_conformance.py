@@ -26,15 +26,23 @@ before changing anything, and call the oracle's per-predicate helpers
 only for predicates it has not packed yet.  Its arrays stay linear in
 its predicates, clauses and area slots.
 
+Every distance is a row of one routine, over a band of areas: a block
+computed in bands of any size equals the oracle, and a band of one is
+``pair_rows`` and ``probe``.  A block's temporaries stay within the
+band budget.
+
 A pack reads no table sets: over areas of several table sets, the
-Jaccard ``d_tables`` plus the pack's ``d_conj`` is the full metric.  A
-probe of a shared pack scores the query as a pack holding it would,
-leaves every array of the shared pack byte-identical, and the pack
-grows afterwards exactly as one never probed.
+Jaccard ``d_tables`` plus the pack's ``d_conj`` is the full metric, and
+the dense fill over one pack equals the per-pair matrix, areas the
+kernel refuses included.  A probe of a shared pack scores the query as
+a pack holding it would, leaves every array of the shared pack
+byte-identical, and the pack grows afterwards exactly as one never
+probed.
 """
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,9 +57,10 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
 from repro.clustering import pairwise_matrix
 from repro.core.area import AccessArea
 import repro.distance.kernel as kernel_module
-from repro.distance import QueryDistance, condensed_index
-from repro.distance.kernel import (KernelUnsupported, PackedPartition,
-                                   compute_kernel_blocks)
+from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.distance.kernel import (BAND_FLOATS, KernelUnsupported,
+                                   PackedPartition, compute_kernel_blocks)
+from repro.obs.metrics import MetricsRegistry
 from repro.distance.predicate_distance import PredicateDistance
 from repro.distance.query_distance import jaccard_distance
 from repro.schema import (Column, ColumnType, Relation, Schema,
@@ -184,6 +193,43 @@ class TestHypothesisConformance:
             for j, value in zip(others, row):
                 assert value == block[condensed_index(i, j, m)]
             assert pack.pair_rows(i, [i])[0] == 0.0
+
+
+def _banded(pack, size):
+    """``pack.condensed_block()`` computed in bands of ``size`` areas."""
+    m = pack.n_areas
+    pack._band_stops = lambda: \
+        list(range(size, m - 1, size)) + [m - 1] if m > 1 else []
+    try:
+        return pack.condensed_block()
+    finally:
+        del pack._band_stops
+
+
+class TestBands:
+    """Every band size computes the same block, and a band of one is
+    the insert row and the probe."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(population=populations, resolution=resolutions)
+    def test_every_band_size_equals_oracle(self, population, resolution):
+        stats = _dist_stats()
+        metric = QueryDistance(stats, resolution=resolution)
+        pack = PackedPartition(population, metric)
+        want = _oracle_block(stats, population, resolution)
+        m = len(population)
+        for size in range(1, m + 1):
+            assert list(_banded(pack, size)) == want, size
+        ones = _banded(pack, 1)
+        for i in range(m):
+            others = [j for j in range(m) if j != i]
+            assert list(pack.pair_rows(i, others)) \
+                == [ones[condensed_index(i, j, m)] for j in others]
+            if i:
+                probe = PackedPartition(population[:i],
+                                        metric).probe(population[i])
+                assert list(probe) \
+                    == [ones[condensed_index(j, i, m)] for j in range(i)]
 
 
 def _area(*clause_preds):
@@ -587,9 +633,10 @@ class TestRefusedExtendLeavesPackUnchanged:
 
 class TestInsertIsIncremental:
     """An extend runs the oracle's per-predicate helpers for new
-    predicates only — counted, not timed."""
+    predicates only, and clamps each new numeric predicate once for
+    both its coverage and its widened footprint — counted, not timed."""
 
-    HELPERS = ("_coverage_fraction", "_widened", "_categorical_footprint")
+    HELPERS = ("_clamp", "_widen", "_categorical_footprint")
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -601,7 +648,7 @@ class TestInsertIsIncremental:
                 return helper(*args)
             return wrapper
 
-        for name in ("_coverage_fraction", "_widened"):
+        for name in ("_clamp", "_widen"):
             monkeypatch.setattr(PredicateDistance, name, counting(
                 name, getattr(PredicateDistance, name), 1))
         monkeypatch.setattr(kernel_module, "_categorical_footprint",
@@ -639,9 +686,9 @@ class TestInsertIsIncremental:
         pack.extend([_area([fresh[0], fresh[2]], [fresh[1]], [fresh[3]],
                            [ColumnConstantPredicate(T_A, Op.GE, 0.0)])])
         assert pack.n_predicates == len(packed) + len(fresh)
-        assert sorted(map(str, calls["_coverage_fraction"])) \
+        assert sorted(map(str, calls["_clamp"])) \
             == sorted(map(str, fresh[:2]))
-        assert sorted(map(str, calls["_widened"])) \
+        assert sorted(map(str, calls["_widen"])) \
             == sorted(map(str, fresh[:2]))
         assert calls["_categorical_footprint"] == [fresh[2]]
 
@@ -681,6 +728,74 @@ class TestMixedTableSets:
                                          population[j].table_set) \
                     + block[condensed_index(i, j, m)]
                 assert value == oracle(population[i], population[j])
+
+
+S_U = ColumnRef("S", "u")
+
+# Areas the kernel refuses: booleans, on a column no other predicate
+# uses (``True == 1`` would otherwise make the per-pair matrix's memo
+# answer by evaluation order; see the recommender's
+# TestBoolAndIntOnOneColumn).
+refused_areas = st.builds(
+    lambda tables, predicate, clauses_: AccessArea(
+        tables, CNF.of([Clause.of([predicate]), *clauses_])),
+    st.sampled_from([("S",), ("S", "T")]),
+    st.sampled_from([ColumnConstantPredicate(S_U, Op.EQ, True),
+                     ColumnConstantPredicate(S_U, Op.NE, False)]),
+    st.lists(clauses, max_size=2))
+
+
+class TestDenseFill:
+    """One pack over every area plus the ``d_tables`` table is the
+    per-pair matrix, bitwise; pairs that touch an area the kernel
+    refuses are evaluated per pair."""
+
+    @staticmethod
+    def _assert_dense_equals_pairwise(population, stats, resolution):
+        registry = MetricsRegistry()
+        matrix = DistanceMatrix.compute(
+            population, QueryDistance(stats, resolution=resolution),
+            registry=registry)
+        want = pairwise_matrix(population,
+                               QueryDistance(stats, resolution=resolution))
+        assert matrix.to_square().tobytes() == want.tobytes()
+        return registry
+
+    @settings(max_examples=40, deadline=None)
+    @given(population=st.lists(st.one_of(mixed_areas, mixed_areas,
+                                         refused_areas),
+                               min_size=1, max_size=10),
+           resolution=resolutions)
+    def test_mixed_table_sets_equal_pairwise_matrix(self, population,
+                                                    resolution):
+        registry = self._assert_dense_equals_pairwise(
+            population, _dist_stats(), resolution)
+        m = len(population)
+        refused = sum(
+            any(isinstance(getattr(p, "value", None), bool)
+                for p in area.cnf.predicates())
+            for area in population)
+        packed = m - refused
+        assert registry.counter(
+            "repro_kernel_pairs_vectorized_total").value \
+            == packed * (packed - 1) // 2
+        assert registry.counter(
+            "repro_kernel_pairs_fallback_total").value \
+            == m * (m - 1) // 2 - packed * (packed - 1) // 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integers_past_float_range_at_resolution_zero(self, seed):
+        wide = TestWideIntegersAtResolutionZero()
+        population = wide._population(seed)
+        # Odd integers past 2**53 have no float64: the kernel refuses
+        # these areas at resolution 0.
+        for k, op in enumerate((Op.LE, Op.GE, Op.EQ)):
+            population.insert(3 * k + 1, _area(
+                [ColumnConstantPredicate(T_A, op, 2 ** 60 + 2 * k + 1)]))
+        registry = self._assert_dense_equals_pairwise(
+            population, wide._catalog(), 0.0)
+        assert registry.counter(
+            "repro_kernel_pairs_fallback_total").value > 0
 
 
 class TestProbe:
@@ -809,9 +924,9 @@ class TestTwoSlotFootprints:
                 assert value == second(population[j], population[i])
 
 
-def _generator_partition(n_queries=1200, seed=3):
-    """The largest table-set partition of a generator log's unique
-    areas, in arrival order, with the catalog that observed them."""
+def _generator_areas(n_queries, seed=3):
+    """A generator log's unique areas, in arrival order, with the
+    catalog that observed them."""
     from repro.core.extractor import AccessAreaExtractor
     from repro.schema import CONTENT_BOUNDS, skyserver_schema
     from repro.workload import WorkloadConfig, generate_workload
@@ -831,6 +946,13 @@ def _generator_partition(n_queries=1200, seed=3):
         if area not in seen:
             seen.add(area)
             unique.append(area)
+    return unique, stats
+
+
+def _generator_partition(n_queries=1200, seed=3):
+    """The largest table-set partition of a generator log's unique
+    areas, in arrival order, with the catalog that observed them."""
+    unique, stats = _generator_areas(n_queries, seed)
     groups: dict = {}
     for area in unique:
         groups.setdefault(area.table_set, []).append(area)
@@ -870,3 +992,23 @@ class TestMemoryBound:
         assert pack.n_predicates > 100
         # A P×P float table alone would be 8·P² bytes.
         assert largest < 8 * pack.n_predicates ** 2
+
+    def test_block_peak_is_output_plus_one_band(self):
+        """A block over thousands of areas allocates its output and,
+        band by band, at most :data:`BAND_FLOATS` floats more: no table
+        quadratic in predicates, clauses or areas besides the output."""
+        unique, stats = _generator_areas(3000)
+        population = unique[:2000]
+        assert len(population) == 2000
+        pack = PackedPartition(population, QueryDistance(stats))
+        assert pack.n_clauses > 2000
+        output = 8 * 2000 * 1999 // 2
+        tracemalloc.start()
+        try:
+            pack.condensed_block()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= output + 8 * BAND_FLOATS, (
+            f"peak {peak / 2**20:.1f} MiB for a "
+            f"{output / 2**20:.1f} MiB block")

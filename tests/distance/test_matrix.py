@@ -18,6 +18,7 @@ from repro.clustering import (DBSCAN, OPTICS, SingleLinkage,
                               partitioned_dbscan)
 from repro.core import AccessAreaExtractor, process_log
 from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.distance.block_sparse import BlockSparseDistanceMatrix
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.schema import StatisticsCatalog, skyserver_schema
 from repro.schema.skyserver import CONTENT_BOUNDS
@@ -75,55 +76,58 @@ def test_kernel_refusal_falls_back_per_pair(population):
 def test_stats_counters_account_for_every_pair(population):
     areas, stats = population
     n = len(areas)
-    full = DistanceMatrix.compute(areas, _metric(stats))
     registry = MetricsRegistry()
-    cut = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS,
-                                 registry=registry)
-    for m in (full, cut):
-        assert m.stats.pairs_total == n * (n - 1) // 2
-        assert m.stats.pairs_computed + m.stats.pairs_skipped \
-            == m.stats.pairs_total
+    full = DistanceMatrix.compute(areas, _metric(stats), registry=registry)
+    assert full.stats.pairs_total == n * (n - 1) // 2
+    assert full.stats.pairs_computed == full.stats.pairs_total
     assert full.stats.pairs_skipped == 0
-    assert cut.stats.pairs_skipped > 0
-    # The kernel fills every pair within a table-set partition; every
-    # cross-partition d_tables lookup beyond one per partition pair is
-    # a memo hit.
+    # One kernel pack fills every pair; every cross-partition d_tables
+    # lookup beyond one per partition pair reads the table.
     sizes = Counter(area.table_set for area in areas).values()
     in_partition = sum(m * (m - 1) // 2 for m in sizes)
-    assert cut.stats.table_pairs == len(sizes) * (len(sizes) - 1) // 2
-    assert cut.stats.table_cache_hits \
-        == cut.stats.pairs_total - in_partition - cut.stats.table_pairs
+    assert full.stats.table_pairs == len(sizes) * (len(sizes) - 1) // 2
+    assert full.stats.table_cache_hits \
+        == full.stats.pairs_total - in_partition - full.stats.table_pairs
+    assert registry.counter(
+        "repro_kernel_partitions_packed_total").value == 1
     vectorized = registry.counter(
         "repro_kernel_pairs_vectorized_total").value
     fallback = registry.counter("repro_kernel_pairs_fallback_total").value
     assert vectorized > 0
-    assert vectorized + fallback == in_partition
-    assert 0.0 < cut.stats.skip_fraction < 1.0
-    assert "bound-skipped" in cut.stats.summary()
+    assert vectorized + fallback == full.stats.pairs_total
+    # The block-sparse layout still answers cross pairs by their bound.
+    sparse = BlockSparseDistanceMatrix.compute(areas, _metric(stats),
+                                               cutoff=EPS)
+    assert sparse.stats.pairs_computed + sparse.stats.pairs_skipped \
+        == sparse.stats.pairs_total
+    assert 0.0 < sparse.stats.skip_fraction < 1.0
+    assert "bound-skipped" in sparse.stats.summary()
 
 
-def test_cutoff_entries_are_exact_or_lower_bounds(population):
+def test_entries_past_the_partition_bound_are_exact(population):
+    """The dense matrix holds every distance exactly, the cross-
+    partition pairs whose ``d_tables`` alone exceeds the radius too."""
     areas, stats = population
     naive = pairwise_matrix(areas, _metric(stats))
-    cut = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
+    matrix = DistanceMatrix.compute(areas, _metric(stats))
+    metric = _metric(stats)
     n = len(areas)
+    past = 0
     for i in range(n):
         for j in range(i + 1, n):
-            value = cut.value(i, j)
-            if value > EPS:
-                assert value <= naive[i, j]  # a valid lower bound
-            else:
-                assert value == naive[i, j]  # exact below the cutoff
+            assert matrix.value(i, j) == naive[i, j]
+            past += metric.d_tables(areas[i], areas[j]) > EPS
+    assert past > 0
 
 
 def test_neighbors_match_naive_matrix(population):
     areas, stats = population
     naive = pairwise_matrix(areas, _metric(stats))
-    cut = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
+    matrix = DistanceMatrix.compute(areas, _metric(stats))
     for i in (0, 7, len(areas) - 1):
         expected = list(np.flatnonzero(naive[i] <= EPS))
-        assert cut.neighbors(i, EPS) == expected
-        assert i in cut.neighbors(i, EPS)
+        assert matrix.neighbors(i, EPS) == expected
+        assert i in matrix.neighbors(i, EPS)
 
 
 # -- accessors --------------------------------------------------------------
@@ -232,11 +236,7 @@ def test_dbscan_labels_identical_with_matrix(population):
     via_callable = DBSCAN(EPS, min_pts=3).fit(areas, _metric(stats))
     matrix = DistanceMatrix.compute(areas, _metric(stats))
     via_matrix = DBSCAN(EPS, min_pts=3).fit(areas, matrix=matrix)
-    via_cutoff = DBSCAN(EPS, min_pts=3).fit(
-        areas, matrix=DistanceMatrix.compute(
-            areas, _metric(stats), cutoff=EPS))
     assert via_matrix.labels == via_callable.labels
-    assert via_cutoff.labels == via_callable.labels
 
 
 def test_optics_identical_with_matrix(population):
@@ -253,7 +253,7 @@ def test_optics_identical_with_matrix(population):
 def test_single_linkage_identical_with_matrix(population):
     areas, stats = population
     via_callable = SingleLinkage(threshold=EPS).fit(areas, _metric(stats))
-    matrix = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
+    matrix = DistanceMatrix.compute(areas, _metric(stats))
     via_matrix = SingleLinkage(threshold=EPS).fit(areas, matrix=matrix)
     assert via_matrix.labels == via_callable.labels
 
@@ -261,7 +261,7 @@ def test_single_linkage_identical_with_matrix(population):
 def test_partitioned_dbscan_identical_across_engines(population):
     areas, stats = population
     legacy = partitioned_dbscan(areas, _metric(stats), EPS, min_pts=3)
-    matrix = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
+    matrix = DistanceMatrix.compute(areas, _metric(stats))
     precomputed = partitioned_dbscan(areas, None, EPS, min_pts=3,
                                      matrix=matrix)
     assert precomputed.labels == legacy.labels
@@ -291,8 +291,7 @@ def test_pipeline_report_hands_off_matrix(population):
     workload = generate_workload(WorkloadConfig(n_queries=40, seed=3))
     report = process_log(workload.log.statements(),
                          AccessAreaExtractor(schema), keep_failures=False)
-    matrix = DistanceMatrix.compute(report.areas(), _metric(stats),
-                                    cutoff=EPS)
+    matrix = DistanceMatrix.compute(report.areas(), _metric(stats))
     assert len(matrix) == report.extraction_count
     assert matrix.stats.pairs_computed + matrix.stats.pairs_skipped \
         == matrix.stats.pairs_total

@@ -63,6 +63,52 @@ def test_record_with_cached_hashes_decodes_to_an_equal_area(extractor):
     assert {clone: 0}.get(area) == 0
 
 
+#: ``encode_area`` of :data:`HASHED_SQL`'s area with its fingerprint
+#: and canonical keys cached, as written before records left those keys
+#: out (and after they left out the hashes).
+KEYED_RECORD = bytes.fromhex(
+    "800495e0010000000000008c0f726570726f2e636f72652e61726561948c0a41"
+    "6363657373417265619493942981947d94288c0972656c6174696f6e73948c01"
+    "549485948c03636e66948c11726570726f2e616c67656272612e636e66948c03"
+    "434e469493942981947d94288c07636c61757365739468098c06436c61757365"
+    "9493942981947d94288c0a70726564696361746573948c18726570726f2e616c"
+    "67656272612e70726564696361746573948c17436f6c756d6e436f6e7374616e"
+    "745072656469636174659493942981947d94288c037265669468148c09436f6c"
+    "756d6e5265669493942981947d94288c0872656c6174696f6e9468068c06636f"
+    "6c756d6e948c01619475628c026f709468148c024f709493948c013e94859452"
+    "948c0576616c7565944b01756285948c0e5f63616e6f6e6963616c5f6b657994"
+    "288c026363948c03542e619468248c016e944b01869474948594756268102981"
+    "947d9428681368162981947d94286819681b2981947d9428681e6806681f8c01"
+    "73947562682168238c013d948594529468278c01789475628594682928682a8c"
+    "03542e739468378c017394683a869474948594756286946829682f6840869475"
+    "628c056e6f74657394298c05657861637494888c0c5f66696e6765727072696e"
+    "749468076842869475622e")
+
+
+def test_area_record_leaves_cached_keys_out(extractor):
+    area = extractor.extract(HASHED_SQL).area
+    fingerprint_digest(area)
+    assert "_fingerprint" in area.__dict__
+    payload = encode_area(area)
+    for cached in (b"_fingerprint", b"_canonical_key"):
+        assert cached not in payload
+    assert len(payload) < len(KEYED_RECORD)
+    clone = decode_area(payload)
+    assert clone == area and hash(clone) == hash(area)
+    assert fingerprint_digest(clone) == fingerprint_digest(area)
+
+
+def test_record_with_cached_keys_decodes_to_an_equal_area(extractor):
+    area = extractor.extract(HASHED_SQL).area
+    for cached in (b"_fingerprint", b"_canonical_key"):
+        assert cached in KEYED_RECORD
+    clone = decode_area(KEYED_RECORD)
+    assert clone == area and hash(clone) == hash(area)
+    assert clone.fingerprint == area.fingerprint
+    assert fingerprint_digest(clone) == fingerprint_digest(area)
+    assert {clone: 0}.get(area) == 0
+
+
 def test_digest_is_canonical(extractor):
     """Clause order and literal spelling don't change the key."""
     a = extractor.extract(
