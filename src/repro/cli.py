@@ -545,8 +545,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_dir=args.store_dir)
     app = create_app(config)
     print(f"interest service on http://{args.host}:{args.port} "
-          f"(backend={app.state.clusterer.backend_name}, "
-          f"eps={config.eps}, min_pts={config.min_pts}) — Ctrl-C to stop")
+          f"(eps={config.eps}, min_pts={config.min_pts}) — Ctrl-C to stop")
     if config.store_dir:
         print(f"area store {config.store_dir}: replayed "
               f"{app.state.replayed:,} journalled arrivals "

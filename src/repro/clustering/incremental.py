@@ -17,9 +17,13 @@ pipeline does:
 * **New areas touch one partition.**  A genuinely new area inserts one
   row into the affected partition of the block-sparse distance layout
   (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.insert_row`)
-  — no cross-partition distance is ever computed — and label repair is
-  confined to the new point's eps-neighbourhood.  Radii too large for
-  partitioning (``eps >= 1/2``) use a dense growable matrix instead.
+  and label repair is confined to the new point's eps-neighbourhood.
+  Its neighbourhood
+  (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.neighbors`)
+  reaches only the partitions whose ``d_tables`` bound lies within
+  ``eps`` — below the population's partition exactness bound, its own
+  partition alone — so every radius runs on the one layout and no
+  arrival is ever turned away.
 
 **Exact parity, not approximation.**  Weighted DBSCAN's labelling is a
 pure function of (core set, eps-adjacency), both of which this class
@@ -54,20 +58,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ..distance.block_sparse import BlockSparseDistanceMatrix
 from ..obs import get_logger, metrics, trace
 from .dbscan import NOISE
 
 logger = get_logger(__name__)
-
-#: ``eps`` below this radius clusters on the block-sparse layout, at or
-#: above it on the dense one.  ``1/2`` is the partition exactness bound
-#: of one- and two-table FROM sets (see
-#: :func:`~repro.distance.query_distance.partition_exactness_bound`);
-#: below it, an arrival whose table set would lower the live bound to
-#: ``eps`` is refused before any mutation.
-SPARSE_BELOW = 0.5
 
 
 @dataclass
@@ -94,72 +89,15 @@ class IncrementalUpdate:
         return bool(self.promotions or self.merges or self.new_clusters)
 
 
-class _DenseBackend:
-    """Growable symmetric distance block via per-pair metric calls.
-
-    O(n) metric evaluations per insert, valid at any ``eps`` (no
-    partition exactness precondition).  Like a block-sparse matrix's
-    cross-partition entries, a pair whose ``d_tables`` lower bound
-    already exceeds ``eps`` stores that bound instead of the full
-    distance, so :meth:`neighbors` is exact at radii up to ``eps``."""
-
-    def __init__(self, metric, eps: float):
-        from ..distance.block_sparse import _GrowableBlock
-        from ..distance.matrix import DistanceMatrix
-        self._metric = metric
-        self._eps = eps
-        self._items: list = []
-        self._block = _GrowableBlock(DistanceMatrix(0, np.empty(0)))
-
-    def insert(self, area) -> int:
-        self._block.append(np.array(
-            [self._distance(old, area) for old in self._items],
-            dtype=float))
-        self._items.append(area)
-        return self._block.n - 1
-
-    def _distance(self, old, area) -> float:
-        bound = self._metric.d_tables(old, area)
-        return bound if bound > self._eps else self._metric(old, area)
-
-    def neighbors(self, i: int, eps: float) -> list[int]:
-        return self._block.neighbors(i, eps)
-
-
-class _SparseBackend:
-    """Partition-pruned backend over ``BlockSparseDistanceMatrix``.
-
-    Per-insert cost is intra-partition only; ``neighbors`` scans just
-    the point's partition.  Requires ``eps`` strictly below the
-    partition exactness bound — ``insert`` refuses (pre-mutation, with
-    :class:`~repro.distance.block_sparse.ExactnessRefusal`) any area
-    whose new partition would drop the bound to ``eps``."""
-
-    def __init__(self, metric, eps: float):
-        from ..distance.block_sparse import BlockSparseDistanceMatrix
-        self._matrix = BlockSparseDistanceMatrix.compute([], metric)
-        self._metric = metric
-        self._eps = eps
-
-    def insert(self, area) -> int:
-        return self._matrix.insert_row(area, self._metric,
-                                       max_radius=self._eps)
-
-    def neighbors(self, i: int, eps: float) -> list[int]:
-        return self._matrix.neighbors(i, eps)
-
-
 class IncrementalDBSCAN:
     """Live weighted DBSCAN labels under streaming arrivals.
 
     Parameters mirror :class:`~repro.clustering.dbscan.DBSCAN`
     (``eps``, ``min_pts``); ``metric`` is the decomposed query metric.
     Arrivals are pooled by canonical fingerprint, so repeats of an
-    already-seen area never touch the distance backend.  ``eps`` picks
-    the neighbourhood layout, named by :attr:`backend_name`:
-    ``"sparse"`` (the block-sparse partition matrix) below
-    :data:`SPARSE_BELOW`, ``"dense"`` (per-pair metric calls, valid at
-    any radius) at or above it.
+    already-seen area never touch the distance layout, a
+    :class:`~repro.distance.block_sparse.BlockSparseDistanceMatrix`
+    grown one row per unique area.
 
     After any sequence of :meth:`add` calls, :meth:`labels` equals the
     output of a from-scratch ``DBSCAN(eps, min_pts).fit(unique_areas,
@@ -176,8 +114,6 @@ class IncrementalDBSCAN:
         self.min_pts = float(min_pts)
         #: the decomposed query metric every distance is measured with.
         self.metric = metric
-        sparse = self.eps < SPARSE_BELOW
-        self.backend_name = "sparse" if sparse else "dense"
         # Instruments are bound once: a registry lookup takes its lock
         # and builds a label key, which every arrival would pay.
         registry = registry or metrics.get_registry()
@@ -193,8 +129,7 @@ class IncrementalDBSCAN:
             "repro_incremental_update_seconds")
         self._population = registry.gauge("repro_incremental_population")
         self._clusters = registry.gauge("repro_incremental_clusters")
-        self._backend = (_SparseBackend if sparse
-                         else _DenseBackend)(metric, self.eps)
+        self._matrix = BlockSparseDistanceMatrix.compute([], metric)
         # Population state (indexed by unique-area index); _index_of is
         # the fingerprint index that pools arrivals.
         self._index_of: dict = {}
@@ -268,12 +203,12 @@ class IncrementalDBSCAN:
 
         Interned repeats bump the representative's weight (O(1) plus
         any core promotions in its neighbourhood); new areas insert one
-        backend row and wire adjacency for their eps-neighbourhood.
+        matrix row and wire adjacency for their eps-neighbourhood.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         started = time.perf_counter()
-        with trace.span("incremental_add", backend=self.backend_name):
+        with trace.span("incremental_add"):
             self.arrivals += count
             idx = self._index_of.get(area)
             if idx is not None:
@@ -295,12 +230,12 @@ class IncrementalDBSCAN:
         return update
 
     def _insert(self, area, weight: float) -> IncrementalUpdate:
-        idx = self._backend.insert(area)
+        idx = self._matrix.insert_row(area)
         assert idx == len(self._areas)
         self._areas.append(area)
         self._index_of[area] = idx
         self._weights.append(weight)
-        neighbors = self._backend.neighbors(idx, self.eps)
+        neighbors = self._matrix.neighbors(idx, self.eps)
         self._adj.append([int(j) for j in neighbors])
         self._mass.append(sum(self._weights[j] for j in self._adj[idx]))
         self._core.append(False)
@@ -394,4 +329,4 @@ class IncrementalDBSCAN:
                    if self.arrivals else 0.0)
         return (f"{self.arrivals} arrivals -> {self.n_unique} unique "
                 f"({hit_pct:.1f}% interned), {self.n_clusters} "
-                f"clusters [{self.backend_name}]")
+                f"clusters")

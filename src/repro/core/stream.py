@@ -129,8 +129,7 @@ class StreamMonitor:
         self.state = StreamState()
         self._event_counts: Counter[EventKind] = Counter()
         #: the latest arrival's live cluster label; ``None`` when it
-        #: failed extraction, the clusterer's exactness precondition
-        #: refused it, or the monitor does not cluster.
+        #: failed extraction or the monitor does not cluster.
         self.last_label: Optional[int] = None
         #: what the latest failed statement raised.
         self.last_error: Optional[Exception] = None
@@ -148,7 +147,7 @@ class StreamMonitor:
                     "cluster_incrementally=True requires a statistics "
                     "catalog (the distance metric needs access ranges)")
             from ..clustering.incremental import IncrementalDBSCAN
-            from ..distance import ExactnessRefusal, QueryDistance
+            from ..distance import QueryDistance
             # The clusterer gets a *frozen* copy of the catalog: the
             # monitor keeps widening access(a) as statements arrive
             # (out-of-range detection needs that), but the metric's
@@ -158,11 +157,6 @@ class StreamMonitor:
             self.clusterer = IncrementalDBSCAN(
                 QueryDistance(frozen), eps=self.cluster_eps,
                 min_pts=self.cluster_min_pts, registry=registry)
-            self._refused_total = registry.counter(
-                "repro_incremental_refused_total")
-            #: the clusterer's pre-mutation refusal; any other exception
-            #: out of ``add`` propagates
-            self._refusal = ExactnessRefusal
         self._recent_failures: deque[bool] = deque(maxlen=self.failure_window)
         self._burst_active = False
         self._statements_total = registry.counter(
@@ -187,8 +181,8 @@ class StreamMonitor:
         taught the monitor its relations, columns, relation set and query
         features and widened ``access(a)`` over its constants, and that
         state only grows, so no novelty can fire for it again.  Counters,
-        the failure-burst window, :attr:`last_error` and clustering
-        (whose refusal depends on live state) run for every arrival.
+        the failure-burst window, :attr:`last_error` and clustering run
+        for every arrival.
         """
         index = self.state.processed
         self.state.processed += 1
@@ -228,11 +222,9 @@ class StreamMonitor:
             self._notify_novelties(index, sql, area, features)
         self._learn(area, features)
         if self.clusterer is not None:
-            unique = self._cluster(index, sql, area)
-            if unique is not None:
-                # Hold the pooled area, so a respelled text's own
-                # object dies with this arrival.
-                area = self.clusterer.area(unique)
+            # Hold the pooled area, so a respelled text's own object
+            # dies with this arrival.
+            area = self.clusterer.area(self._cluster(index, sql, area))
         self._remember(sql, area)
         return area
 
@@ -275,21 +267,9 @@ class StreamMonitor:
         memo[sql] = held
         self._memo_chars += size
 
-    def _cluster(self, index: int, sql: str,
-                 area: AccessArea) -> Optional[int]:
-        """Add ``area`` to the clusterer; its unique index, or ``None``
-        when the clusterer refused it."""
-        try:
-            update = self.clusterer.add(area)
-        except self._refusal as exc:
-            # Pre-mutation exactness refusal: the area's table set would
-            # drop the partition bound to cluster_eps or below.  The
-            # clusterer state is untouched; keep monitoring, leave this
-            # statement unlabelled.
-            logger.warning("incremental clustering refused statement "
-                           "#%d: %s", index, exc)
-            self._refused_total.inc()
-            return None
+    def _cluster(self, index: int, sql: str, area: AccessArea) -> int:
+        """Add ``area`` to the clusterer; returns its unique index."""
+        update = self.clusterer.add(area)
         self.last_label = update.label
         if update.structure_changed:
             self._emit(
@@ -319,8 +299,8 @@ class StreamMonitor:
         parse trees), so a NEW_QUERY_FEATURE may re-notify once after
         a restart.
 
-        Returns the statement's live label (``None`` for failed or
-        refused arrivals).
+        Returns the statement's live label (``None`` for a failed
+        arrival or a monitor that does not cluster).
         """
         self.state.processed += 1
         self._statements_total.inc()
@@ -336,11 +316,7 @@ class StreamMonitor:
         self._learn(area, ())
         if self.clusterer is None:
             return None
-        try:
-            update = self.clusterer.add(area)
-        except self._refusal:
-            self._refused_total.inc()
-            return None
+        update = self.clusterer.add(area)
         self.last_label = update.label
         return update.label
 

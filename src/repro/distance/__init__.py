@@ -9,8 +9,8 @@ validated against the pure-Python oracle.
 """
 
 from .alternatives import FootprintDistance, WeightedQueryDistance
-from .block_sparse import (BlockSparseDistanceMatrix, ExactnessRefusal,
-                           MATRIX_MODES, compute_matrix)
+from .block_sparse import (BlockSparseDistanceMatrix, MATRIX_MODES,
+                           compute_matrix)
 from .kernel import (KernelStats, KernelUnsupported, PackedPartition,
                      compute_kernel_blocks)
 from .matrix import DistanceMatrix, MatrixStats, condensed_index
@@ -25,8 +25,7 @@ __all__ = [
     "QueryDistance", "jaccard_distance", "partition_exactness_bound",
     "FootprintDistance", "WeightedQueryDistance",
     "DistanceMatrix", "MatrixStats", "condensed_index",
-    "BlockSparseDistanceMatrix", "ExactnessRefusal", "MATRIX_MODES",
-    "compute_matrix",
+    "BlockSparseDistanceMatrix", "MATRIX_MODES", "compute_matrix",
     "KernelStats", "KernelUnsupported", "PackedPartition",
     "compute_kernel_blocks",
 ]

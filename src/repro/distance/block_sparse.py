@@ -21,13 +21,16 @@ partitioned clustering does, one level lower:
   treats identically to the true distance.
 
 Storage drops from ``n·(n−1)/2`` floats to ``Σ m_p·(m_p−1)/2 + P²`` —
-quadratic only in the largest partition.  Validity: every entry is exact
-except cross-partition ones, which are exact lower bounds no smaller
-than :attr:`BlockSparseDistanceMatrix.exactness_bound` (the population's
-minimum cross-partition ``d_tables``).  Any threshold query at
-``radius < exactness_bound`` — DBSCAN/OPTICS neighbourhoods, linkage
-thresholds — therefore gets exactly the answers the dense matrix gives;
-:meth:`neighbors` enforces the precondition.
+quadratic only in the largest partition.  Validity: every stored entry
+is exact except cross-partition ones, which are exact lower bounds no
+smaller than :attr:`BlockSparseDistanceMatrix.exactness_bound` (the
+population's minimum cross-partition ``d_tables``).  Any threshold
+query at ``radius < exactness_bound`` therefore gets exactly the
+answers the dense matrix gives from the stored entries alone.
+:meth:`~BlockSparseDistanceMatrix.neighbors` is exact at every radius:
+at or above the bound it also computes the rows to each partition whose
+``d_tables`` bound lies within the radius, and skips every other one,
+which cannot hold a neighbour.
 
 The lookup API (``value``/``take``/``row``/``neighbors``/``submatrix``/
 ``stats``/``__len__``) matches the dense matrix, so dbscan, optics,
@@ -58,22 +61,14 @@ logger = get_logger(__name__)
 _UNSET = object()
 
 
-class ExactnessRefusal(ValueError):
-    """:meth:`BlockSparseDistanceMatrix.insert_row` refused an item
-    before any mutation: its unseen table set would lower the partition
-    exactness bound to the reserved ``max_radius`` or below."""
-
-
 class _GrowableBlock:
     """Square in-partition distance block that accepts appended rows.
 
     Condensed storage cannot grow in place — every index depends on the
     item count — so the first :meth:`BlockSparseDistanceMatrix.insert_row`
     into a partition converts its block to this square capacity-doubled
-    form; :class:`~repro.clustering.incremental.IncrementalDBSCAN`'s
-    dense layout grows one from empty.  Mirrors the
-    :class:`DistanceMatrix` lookup API the clustering layer consumes
-    (``value``/``take``/``row``/``neighbors``/``submatrix``).
+    form.  Mirrors the :class:`DistanceMatrix` lookups the matrix
+    consumes (``value``/``take``/``row``/``submatrix``).
     """
 
     def __init__(self, dense: DistanceMatrix) -> None:
@@ -113,9 +108,6 @@ class _GrowableBlock:
 
     def row(self, i: int) -> np.ndarray:
         return self._buf[i, :self.n].copy()
-
-    def neighbors(self, i: int, eps: float) -> list[int]:
-        return list(np.flatnonzero(self._buf[i, :self.n] <= eps))
 
     def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self._buf[rows, cols]
@@ -177,12 +169,14 @@ class BlockSparseDistanceMatrix:
         self.stats = stats or self._default_stats()
         self._key_to_pid = {key: pid
                             for pid, key in enumerate(self._keys)}
-        #: retained by :meth:`compute` so :meth:`insert_row` can evaluate
-        #: new intra-partition distances; ``None`` for constructor-adopted
+        #: the items and the metric :meth:`compute` was given, retained
+        #: so :meth:`insert_row` and the cross rows of :meth:`neighbors`
+        #: can evaluate new distances; ``None`` for constructor-adopted
         #: matrices, which therefore cannot grow.
         self._items: Optional[list] = None
-        #: per-partition :class:`~.kernel.PackedPartition` cache for the
-        #: insert fast path (``None`` = retired to the per-pair oracle).
+        self._metric: Optional[Metric] = None
+        #: per-partition :class:`~.kernel.PackedPartition` cache (see
+        #: :meth:`_pack`; ``None`` = retired to the per-pair oracle).
         self._packs: dict[int, Optional[PackedPartition]] = {}
 
     @property
@@ -217,9 +211,10 @@ class BlockSparseDistanceMatrix:
 
         Requires a decomposed metric (``d_tables``/``d_conj``) and items
         with ``table_set``/``cnf`` — the structure the sparsity comes
-        from.  ``cutoff`` — the radius later queries will use; it must
+        from.  ``cutoff`` — the radius later lookups will use; it must
         lie strictly below the population's partition exactness bound or
-        the sparse layout cannot answer threshold queries exactly
+        the stored cross-partition bounds cannot answer ``value``/
+        ``row``/``take``/``submatrix`` threshold lookups exactly
         (:meth:`compute` raises — use the dense matrix instead).
         ``registry`` — metrics sink (defaults to the process-wide
         registry).  Blocks come from the vectorized kernel
@@ -351,12 +346,12 @@ class BlockSparseDistanceMatrix:
         logger.debug("block-sparse matrix: %s", stats.summary())
         matrix = cls(n, keys, members, blocks, bounds, stats)
         matrix._items = list(items)
+        matrix._metric = metric
         return matrix
 
     # -- incremental growth -------------------------------------------------
 
-    def insert_row(self, item, metric: Metric, *,
-                   max_radius: Optional[float] = None) -> int:
+    def insert_row(self, item) -> int:
         """Append one item, computing only intra-partition distances.
 
         The affected partition's block gains a row of exact ``d_conj``
@@ -366,26 +361,19 @@ class BlockSparseDistanceMatrix:
         for a partition the kernel cannot replay); a previously unseen
         table set opens a fresh singleton partition, extending the
         ``d_tables`` bound table by one representative evaluation per
-        existing partition.  No cross-partition distance is ever
-        computed, so the cost depends on the affected partition alone:
-        the pack appends the new area's features and ids, running the
-        oracle's per-predicate helpers for new predicates only, and
-        computes the row in one vectorized pass over the partition's
-        ``P`` predicates, ``C`` clauses and ``m_p`` members —
+        existing partition.  No cross-partition distance is computed,
+        so the cost depends on the affected partition alone: the pack
+        appends the new area's features and ids, running the oracle's
+        per-predicate helpers for new predicates only, and computes the
+        row in one vectorized pass over the partition's ``P``
+        predicates, ``C`` clauses and ``m_p`` members —
         ``O(n·(P + C) + L·m_p)`` array work for an area of ``n``
         clauses among areas of up to ``L``.
 
-        Note a new partition can *lower* :attr:`exactness_bound`;
-        :meth:`neighbors` keeps refusing radii at or beyond the current
-        bound, so threshold queries stay exact.  Pass ``max_radius`` to
-        reject such an insert *before* any mutation: if opening the new
-        partition would drop the bound to ``max_radius`` or below,
-        :class:`ExactnessRefusal` is raised and the matrix is left
-        untouched — callers that hold a fixed query radius (e.g.
-        incremental DBSCAN with a fixed ``eps``) stay consistent instead
-        of discovering a poisoned state on their next neighbourhood
-        query.  Returns the item's new global index.  Only matrices
-        built by :meth:`compute` retain the items this needs.
+        A new partition can lower :attr:`exactness_bound`; that changes
+        which partitions :meth:`neighbors` visits, never its answer.
+        Returns the item's new global index.  Only matrices built by
+        :meth:`compute` retain the items and the metric this needs.
         """
         if self._items is None:
             raise ValueError(
@@ -396,11 +384,9 @@ class BlockSparseDistanceMatrix:
         pid = self._key_to_pid.get(key)
         row = None
         if pid is None:
-            if max_radius is not None:
-                self._check_radius(key, item, metric, max_radius)
-            pid = self._open_partition(key, item, metric)
+            pid = self._open_partition(key, item)
         else:
-            row = self._partition_row(pid, item, metric)
+            row = self._partition_row(pid, item)
             block = self._blocks[pid]
             if not isinstance(block, _GrowableBlock):
                 block = _GrowableBlock(block)
@@ -429,30 +415,15 @@ class BlockSparseDistanceMatrix:
                                len(self._members[pid]))
         return index
 
-    def _check_radius(self, key: frozenset, item, metric: Metric,
-                      max_radius: float) -> None:
-        """Raise before mutation if opening a partition for ``item``'s
-        unseen table set would invalidate queries at ``max_radius``."""
-        bound = self.exactness_bound
-        for members in self._members:
-            bound = min(bound, metric.d_tables(
-                self._items[int(members[0])], item))
-        if max_radius >= bound:
-            raise ExactnessRefusal(
-                f"inserting an item with unseen table set {sorted(key)} "
-                f"would lower the partition exactness bound to "
-                f"{bound:.4g}, at or below the reserved query radius "
-                f"{max_radius:.4g}; neighbors() at that radius would no "
-                f"longer be exact")
-
-    def _open_partition(self, key: frozenset, item, metric: Metric) -> int:
+    def _open_partition(self, key: frozenset, item) -> int:
         """Register a new singleton partition, extending the bound table
         with one ``d_tables`` evaluation per existing partition."""
         p = len(self._keys)
         bounds = np.zeros((p + 1, p + 1), dtype=float)
         bounds[:p, :p] = self._bounds
         for pid, members in enumerate(self._members):
-            value = metric.d_tables(self._items[int(members[0])], item)
+            value = self._metric.d_tables(self._items[int(members[0])],
+                                          item)
             bounds[pid, p] = bounds[p, pid] = value
         self._bounds = bounds
         self._keys.append(key)
@@ -467,23 +438,28 @@ class BlockSparseDistanceMatrix:
         self.stats.stored_floats += 2 * p + 1
         return p
 
-    def _partition_row(self, pid: int, item, metric: Metric) -> np.ndarray:
+    def _pack(self, pid: int) -> Optional[PackedPartition]:
+        """Partition ``pid``'s kernel pack: packed on first use, then
+        kept holding every member by :meth:`_partition_row`; ``None``
+        once the kernel refused it."""
+        pack = self._packs.get(pid, _UNSET)
+        if pack is _UNSET:
+            try:
+                pack = PackedPartition(
+                    [self._items[int(g)] for g in self._members[pid]],
+                    self._metric)
+            except KernelUnsupported as exc:
+                logger.debug("pack fallback for partition %d: %s",
+                             pid, exc)
+                pack = None
+            self._packs[pid] = pack
+        return pack
+
+    def _partition_row(self, pid: int, item) -> np.ndarray:
         """Distances from ``item`` to every current member of partition
         ``pid`` (equal table sets, so the metric collapses to
         ``d_conj``)."""
-        members = self._members[pid]
-        pack = self._packs.get(pid, _UNSET)
-        if pack is _UNSET:
-            # First insert into this partition: pack it once, amortized
-            # over every later insert.
-            try:
-                pack = PackedPartition(
-                    [self._items[int(g)] for g in members], metric)
-            except KernelUnsupported as exc:
-                logger.debug("insert_row pack fallback for "
-                             "partition %d: %s", pid, exc)
-                pack = None
-            self._packs[pid] = pack
+        pack = self._pack(pid)
         if pack is not None:
             try:
                 pack.extend([item])
@@ -496,8 +472,38 @@ class BlockSparseDistanceMatrix:
                 logger.debug("insert_row extend fallback for "
                              "partition %d: %s", pid, exc)
                 self._packs[pid] = None
-        return np.array([metric(self._items[int(g)], item)
-                         for g in members], dtype=float)
+        return np.array([self._metric(self._items[int(g)], item)
+                         for g in self._members[pid]], dtype=float)
+
+    def _cross_row(self, i: int, pid: int) -> np.ndarray:
+        """Distances from item ``i`` to every member of partition
+        ``pid``, another partition than ``i``'s.
+
+        Members older than ``i`` take the ``d_tables`` bound plus the
+        partition pack's probe of ``i`` — the orientation of an insert
+        row, whose new item is the band.  Newer members, and every
+        member where the kernel refuses, take the metric per pair, the
+        older item first, as :meth:`_partition_row` does."""
+        members = self._members[pid]
+        item = self._items[i]
+        older = int(np.searchsorted(members, i))
+        row = np.empty(len(members))
+        conj = None
+        pack = self._pack(pid) if older else None
+        if pack is not None:
+            try:
+                conj = pack.probe(item)[:older]
+            except KernelUnsupported as exc:
+                logger.debug("cross-row probe fallback for partition "
+                             "%d: %s", pid, exc)
+        if conj is not None:
+            row[:older] = self._bounds[self._pids[i], pid] + conj
+        else:
+            row[:older] = [self._metric(self._items[int(g)], item)
+                           for g in members[:older]]
+        row[older:] = [self._metric(item, self._items[int(g)])
+                       for g in members[older:]]
+        return row
 
     # -- lookups ------------------------------------------------------------
 
@@ -538,26 +544,34 @@ class BlockSparseDistanceMatrix:
         return out
 
     def neighbors(self, i: int, eps: float) -> list[int]:
-        """Indices within radius ``eps`` of item ``i`` (including ``i``).
+        """Indices within radius ``eps`` of item ``i`` (including ``i``),
+        ascending, exact at every radius.
 
-        Only valid below the partition exactness bound — beyond it,
-        cross-partition entries are lower bounds that can no longer
-        decide the threshold, so the query raises instead of silently
-        under-reporting neighbours.
+        A pair whose ``d_tables`` already exceeds ``eps`` is never
+        evaluated: ``d ≥ d_tables``, so such a partition cannot hold a
+        neighbour.  Below :attr:`exactness_bound` that is every other
+        partition, and the scan confines itself to ``i``'s — O(m_p),
+        the term that keeps streaming label repair sublinear in the
+        population.  At or above it, each partition whose bound to
+        ``i``'s is within ``eps`` is scanned too, by a computed row
+        (:meth:`_cross_row`); that needs a matrix built by
+        :meth:`compute`.
         """
-        if eps >= self.exactness_bound:
-            raise ValueError(
-                f"radius {eps:g} is not below the partition exactness "
-                f"bound {self.exactness_bound:.4g}; cross-partition "
-                f"entries are d_tables lower bounds only — use the "
-                f"dense DistanceMatrix for radii this large")
-        # Below the bound every cross-partition entry exceeds eps, so
-        # the scan confines itself to i's partition — O(m_p), the term
-        # that keeps streaming label repair sublinear in the population.
         pid = int(self._pids[i])
         members = self._members[pid]
         block_row = self._blocks[pid].row(int(self._local[i]))
-        return list(members[np.flatnonzero(block_row <= eps)])
+        found = members[np.flatnonzero(block_row <= eps)]
+        if eps < self.exactness_bound:
+            return list(found)
+        if self._items is None:
+            raise ValueError(
+                f"radius {eps:g} reaches other partitions, whose rows "
+                f"need a matrix built by compute()")
+        near = np.flatnonzero(self._bounds[pid] <= eps)
+        rows = [found] + [
+            self._members[q][np.flatnonzero(self._cross_row(i, q) <= eps)]
+            for q in near.tolist() if q != pid]
+        return list(np.sort(np.concatenate(rows)))
 
     def to_square(self) -> np.ndarray:
         """Expand to the full ``(n, n)`` matrix (bounds off-block)."""

@@ -74,7 +74,7 @@ HELP_TEXTS = {
         "HTTP requests served, by route/method/status code.",
     "repro_service_request_seconds": "Per-route request latency.",
     "repro_service_ingested_total":
-        "POST /queries outcomes (clustered/unclustered/failed).",
+        "POST /queries outcomes (clustered/failed).",
     "repro_service_ingest_seconds":
         "End-to-end ingest latency (extract + cluster + journal).",
     "repro_service_recommender_refreshes_total":

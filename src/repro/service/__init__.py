@@ -6,7 +6,7 @@ related work) shows the natural delivery vehicle is a recommendation
 service over the live query log.  This package is that service: one
 long-lived :class:`~repro.service.state.AppState` keeps the stream
 monitor, the incremental clusterer (whose fingerprint index is the one
-resident area pool) with its distance backend, and a fitted
+resident area pool) with its distance layout, and a fitted
 recommender resident, and a small ASGI application
 (:func:`~repro.service.app.create_app`) faces the traffic.
 

@@ -83,16 +83,15 @@ def create_app(config: Optional[ServiceConfig] = None,
         }
         if outcome.error is not None:
             body["error"] = outcome.error
-        # Degradation is not an HTTP failure: a refused insert or an
-        # unparseable statement leaves the resident state healthy, so
-        # both report 200 with an explicit status field.
+        # Degradation is not an HTTP failure: an unparseable statement
+        # leaves the resident state healthy, so it reports 200 with an
+        # explicit status field.
         return JSONResponse(body, status=200)
 
     @app.get("/users/{user}/interests")
     async def user_interests(request: Request):
         user = request.path_params["user"]
-        if user not in state.users and \
-                user not in state.user_unclustered:
+        if user not in state.users:
             raise HTTPError(404, f"unknown user {user!r}")
         interests = state.user_interests(user)
         return {
@@ -101,7 +100,6 @@ def create_app(config: Optional[ServiceConfig] = None,
                           if row["cluster"] != NOISE],
             "noise": next((row for row in interests
                            if row["cluster"] == NOISE), None),
-            "unclustered": state.user_unclustered.get(user, 0),
         }
 
     @app.get("/clusters")
@@ -205,7 +203,6 @@ def create_app(config: Optional[ServiceConfig] = None,
             # healthy process report negative (or absurd) uptime.
             "uptime_seconds": round(state.uptime, 3),
             "started_at": state.started,
-            "backend": state.clusterer.backend_name,
             "eps": state.config.eps,
             "min_pts": state.config.min_pts,
             "ingested": monitor.state.processed,

@@ -24,6 +24,8 @@ logger = get_logger(__name__)
 #: ever receives single SQL statements.
 MAX_BODY = 64 * 1024 * 1024
 _MAX_HEADER_LINES = 200
+#: Seconds an error answer waits for the client's unread input to end.
+_LINGER_SECONDS = 2.0
 
 
 class HTTPServer:
@@ -78,25 +80,32 @@ class HTTPServer:
 
     async def _handle_request(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> bool:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return False
-        try:
-            method, target, version = \
-                request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            await self._bare_response(writer, 400, b"bad request line")
-            return False
         headers: list[tuple[bytes, bytes]] = []
-        for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.partition(b":")
-            headers.append((name.strip().lower(), value.strip()))
-        else:
-            await self._bare_response(writer, 431,
-                                      b"too many header fields")
+        try:
+            # ``readline`` raises ValueError for a line longer than the
+            # reader's limit (64 KiB).
+            request_line = await reader.readline()
+            if not request_line.strip():
+                return False
+            parts = request_line.decode("latin-1").split(" ", 2)
+            if len(parts) != 3:
+                await self._bare_response(reader, writer, 400,
+                                          b"bad request line")
+                return False
+            method, target, version = parts
+            for _ in range(_MAX_HEADER_LINES):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.partition(b":")
+                headers.append((name.strip().lower(), value.strip()))
+            else:
+                await self._bare_response(reader, writer, 431,
+                                          b"too many header fields")
+                return False
+        except ValueError:
+            await self._bare_response(reader, writer, 431,
+                                      b"line too long")
             return False
 
         length = 0
@@ -106,13 +115,16 @@ class HTTPServer:
                 try:
                     length = int(value)
                 except ValueError:
-                    await self._bare_response(writer, 400,
+                    length = -1
+                if length < 0:
+                    await self._bare_response(reader, writer, 400,
                                               b"bad content-length")
                     return False
             elif name == b"connection":
                 keep_alive = value.lower() != b"close"
         if length > MAX_BODY:
-            await self._bare_response(writer, 413, b"body too large")
+            await self._bare_response(reader, writer, 413,
+                                      b"body too large")
             return False
         body = await reader.readexactly(length) if length else b""
 
@@ -166,15 +178,31 @@ class HTTPServer:
         await writer.drain()
         return keep_alive
 
-    async def _bare_response(self, writer: asyncio.StreamWriter,
+    async def _bare_response(self, reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter,
                              status: int, body: bytes) -> None:
+        """Answer a request the host cannot read, then drop the rest of
+        the client's input (for at most :data:`_LINGER_SECONDS`): a
+        socket closed with unread input resets the connection, and the
+        client would lose the answer."""
         reason = _REASONS.get(status, "Error")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"
             f"content-type: text/plain\r\n"
             f"content-length: {len(body)}\r\n"
             f"connection: close\r\n\r\n".encode("latin-1") + body)
+        if writer.can_write_eof():
+            writer.write_eof()
         await writer.drain()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), _LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
 
 _REASONS = {

@@ -6,7 +6,7 @@ the endpoints read or write:
 * a :class:`~repro.core.stream.StreamMonitor` with
   ``cluster_incrementally=True`` — which itself owns the
   :class:`~repro.clustering.incremental.IncrementalDBSCAN` and its
-  distance layout (block-sparse or dense, picked by ``eps``).  The
+  block-sparse distance layout, exact at every ``eps``.  The
   clusterer's fingerprint index is the one resident area pool: each
   unique area is held once, by its first arrival, and everything else
   refers to it by unique index;
@@ -53,12 +53,8 @@ logger = get_logger(__name__)
 class ServiceConfig:
     """Knobs of one service process (CLI: ``repro serve``)."""
 
-    #: clustering radius; it also picks the clusterer's layout (see
-    #: :class:`~repro.clustering.incremental.IncrementalDBSCAN`).  On
-    #: the block-sparse layout an arrival whose table set would drop
-    #: the live exactness bound to ``eps`` is refused pre-mutation —
-    #: ingest degrades to an ``unclustered`` statement instead of
-    #: serving under-reported neighbourhoods.
+    #: clustering radius (see
+    #: :class:`~repro.clustering.incremental.IncrementalDBSCAN`).
     eps: float = 0.12
     min_pts: int = 5
     warmup: int = 100
@@ -115,11 +111,9 @@ class ClusterSnapshot:
 class IngestOutcome:
     """What one ``POST /queries`` did.
 
-    ``status`` mirrors the stream path's graceful degradation:
-    ``"clustered"`` (extracted, live label assigned),
-    ``"unclustered"`` (extracted, but the block-sparse layout's
-    max-radius reservation refused the insert pre-mutation), or ``"failed"``
-    (the statement did not extract — tallied, never an HTTP error).
+    ``status`` is ``"clustered"`` (extracted, live label assigned) or
+    ``"failed"`` (the statement did not extract — tallied, never an
+    HTTP error).
     """
 
     status: str
@@ -167,7 +161,6 @@ class AppState:
         self.frozen_stats = self.clusterer.metric.stats
         #: user → {unique index: clustered arrivals}.
         self.users: dict[str, dict[int, int]] = {}
-        self.user_unclustered: dict[str, int] = {}
         #: bumped on every mutation; read paths rebuild their snapshot
         #: lazily when it moved.
         self.version = 0
@@ -182,7 +175,7 @@ class AppState:
         self._ingest_total = {
             status: self.registry.counter(
                 "repro_service_ingested_total", status=status)
-            for status in ("clustered", "unclustered", "failed")
+            for status in ("clustered", "failed")
         }
         #: arrivals restored from the store's journal at startup.
         self.replayed = 0
@@ -209,11 +202,11 @@ class AppState:
                 if digest_hex not in fetched:
                     fetched[digest_hex] = self._stored_area(digest_hex)
                 area = fetched[digest_hex]
-            label = self.monitor.replay(area)
+            self.monitor.replay(area)
             self.version += 1
             self.replayed += 1
             if area is not None:
-                self._book(entry.get("user"), area, label)
+                self._book(entry.get("user"), area)
         if self.replayed:
             self.structure_version += 1
             logger.info("replayed %d journalled arrivals from %s "
@@ -282,22 +275,18 @@ class AppState:
                 error=f"{type(exc).__name__}: {exc}")
         else:
             label = self.monitor.last_label
-            unique_index = self._book(user, area, label)
+            unique_index = self._book(user, area)
             if self.store is not None:
-                if unique_index is not None and unique_index < held:
+                if unique_index < held:
                     # A repeat: the store already holds this area, and
                     # its pooled area keeps the digest it is held under.
                     digest = (held_digest(self.clusterer.area(unique_index))
                               or fingerprint_digest(area))
                 else:
                     digest = self.store.append_area(area)
-            if label is None:
-                outcome = IngestOutcome(status="unclustered",
-                                        index=index, events=events)
-            else:
-                outcome = IngestOutcome(
-                    status="clustered", index=index, label=label,
-                    unique_index=unique_index, events=events)
+            outcome = IngestOutcome(
+                status="clustered", index=index, label=label,
+                unique_index=unique_index, events=events)
         if self.store is not None:
             # The journal is the restart contract: one entry per
             # arrival, in order.  Failed statements are journalled too
@@ -311,19 +300,13 @@ class AppState:
         self._ingest_seconds.observe(time.perf_counter() - started)
         return outcome
 
-    def _book(self, user: Optional[str], area: AccessArea,
-              label: Optional[int]) -> Optional[int]:
-        """Book one extracted arrival under ``user``; returns its unique
-        index (``None`` when the clusterer refused it)."""
-        unique_index = None if label is None \
-            else self.clusterer.index_of(area)
+    def _book(self, user: Optional[str], area: AccessArea) -> int:
+        """Book one clustered arrival under ``user``; returns its unique
+        index."""
+        unique_index = self.clusterer.index_of(area)
         if user:
-            if unique_index is None:
-                self.user_unclustered[user] = \
-                    self.user_unclustered.get(user, 0) + 1
-            else:
-                ledger = self.users.setdefault(user, {})
-                ledger[unique_index] = ledger.get(unique_index, 0) + 1
+            ledger = self.users.setdefault(user, {})
+            ledger[unique_index] = ledger.get(unique_index, 0) + 1
         return unique_index
 
     # -- lock-free reads ----------------------------------------------

@@ -6,15 +6,16 @@ stream, :meth:`IncrementalDBSCAN.labels` equals a from-scratch
 including cluster numbering, because both derive labels from the same
 canonical form (core-graph components ranked by minimal core index;
 borders take the minimal neighbouring cluster id).  Checked by
-hypothesis on both layouts ``eps`` picks: block-sparse below 1/2,
-dense at or above it.
+hypothesis at radii below and at or above 1/2, and over nested table
+sets whose partitions lie 1/4, 1/3, 1/2 and 1 apart, at radii on both
+sides of each, so that neighbourhoods reach across partitions.
 
 Structural repair is pinned separately: core promotion by weight bump
 and cluster merge through a bridging arrival.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.cnf import CNF, Clause
@@ -23,7 +24,7 @@ from repro.algebra.predicates import (ColumnConstantPredicate, ColumnRef,
                                       Op)
 from repro.clustering import DBSCAN, NOISE, IncrementalDBSCAN
 from repro.core.area import AccessArea
-from repro.distance import QueryDistance
+from repro.distance import DistanceMatrix, QueryDistance
 from repro.obs.metrics import MetricsRegistry
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
@@ -40,9 +41,9 @@ def _stats():
     })
 
 
-def _window(relation, lo, hi):
+def _window(relation, lo, hi, relations=None):
     ref = ColumnRef(relation, "x")
-    return AccessArea((relation,), CNF.of([
+    return AccessArea(relations or (relation,), CNF.of([
         Clause.of([ColumnConstantPredicate(ref, Op.GE, lo)]),
         Clause.of([ColumnConstantPredicate(ref, Op.LE, hi)]),
     ]))
@@ -68,27 +69,54 @@ half_windows = st.builds(
 
 areas = st.one_of(windows, half_windows)
 
-#: Arrival streams with heavy repetition (SkyServer-style): a small
-#: base vocabulary sampled with replacement, order shuffled by the
-#: index sequence.
-streams = st.builds(
-    lambda base, picks: [base[p % len(base)] for p in picks],
-    st.lists(areas, min_size=1, max_size=8),
+#: Table sets {T} ⊂ {T,S} ⊂ {T,S,U} ⊂ {T,S,U,V}: consecutive ones lie
+#: 1/2, 1/3 and 1/4 apart in ``d_tables``, and {S} lies 1 from {T}.
+TABLE_SETS = (("T",), ("T", "S"), ("T", "S", "U"), ("T", "S", "U", "V"),
+              ("S",))
+
+nested_windows = st.builds(
+    lambda tables, lo, width: _window(tables[0], lo, lo + width, tables),
+    st.sampled_from(TABLE_SETS),
+    st.floats(min_value=0.0, max_value=80.0),
+    st.floats(min_value=0.5, max_value=20.0))
+
+#: Radii on both sides of every distance between table sets above.
+NESTED_RADII = [0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 0.9, 1.0, 1.1]
+
+
+def _streams(vocabulary):
+    """Arrival streams with heavy repetition (SkyServer-style): a small
+    base vocabulary sampled with replacement, order shuffled by the
+    index sequence."""
+    return st.builds(
+        lambda base, picks: [base[p % len(base)] for p in picks],
+        st.lists(vocabulary, min_size=1, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=1_000_000),
+                 min_size=1, max_size=25))
+
+
+streams = _streams(areas)
+
+#: Streams in which every area of the vocabulary arrives, so that most
+#: hold several table sets, in an order hypothesis permutes.
+nested_streams = st.builds(
+    lambda base, picks: base + [base[p % len(base)] for p in picks],
+    st.lists(nested_windows, min_size=2, max_size=8),
     st.lists(st.integers(min_value=0, max_value=1_000_000),
-             min_size=1, max_size=25))
+             max_size=17)).flatmap(st.permutations)
 
 
 def _batch_labels(metric, population, weights, eps, min_pts):
     result = DBSCAN(eps=eps, min_pts=min_pts).fit(
-        population, distance=metric, weights=weights)
+        population, matrix=DistanceMatrix.compute(population, metric),
+        weights=weights)
     return list(result.labels)
 
 
-def _assert_prefix_parity(stream, *, eps, min_pts, backend):
+def _assert_prefix_parity(stream, *, eps, min_pts):
     metric = QueryDistance(_stats())
     inc = IncrementalDBSCAN(metric, eps=eps, min_pts=min_pts,
                             registry=MetricsRegistry())
-    assert inc.backend_name == backend
     seen, indices = [], []
     for arrival in stream:
         update = inc.add(arrival)
@@ -113,16 +141,32 @@ class TestPrefixParity:
            eps=st.sampled_from([0.5, 0.6, 0.9]),
            min_pts=st.integers(min_value=1, max_value=4))
     def test_dense_backend(self, stream, eps, min_pts):
-        _assert_prefix_parity(stream, eps=eps, min_pts=min_pts,
-                              backend="dense")
+        """Radii at or above 1/2."""
+        _assert_prefix_parity(stream, eps=eps, min_pts=min_pts)
 
     @settings(max_examples=40, deadline=None)
     @given(stream=streams,
            eps=st.sampled_from([0.05, 0.15, 0.3]),
            min_pts=st.integers(min_value=1, max_value=4))
     def test_sparse_backend(self, stream, eps, min_pts):
-        _assert_prefix_parity(stream, eps=eps, min_pts=min_pts,
-                              backend="sparse")
+        """Radii below 1/2."""
+        _assert_prefix_parity(stream, eps=eps, min_pts=min_pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=nested_streams,
+           eps=st.sampled_from(NESTED_RADII),
+           min_pts=st.integers(min_value=1, max_value=4))
+    @example(stream=[_window("T", 10, 20, tables)
+                     for tables in TABLE_SETS[:4]] * 2,
+             eps=0.3, min_pts=2)
+    @example(stream=[_window("T", 10 + k, 20 + k, tables)
+                     for k, tables in enumerate(TABLE_SETS[3::-1])],
+             eps=0.4, min_pts=2)
+    def test_nested_table_sets(self, stream, eps, min_pts):
+        """Neighbourhoods across partitions: an arrival whose table set
+        lowers the partition exactness bound to ``eps`` or below is
+        clustered like any other."""
+        _assert_prefix_parity(stream, eps=eps, min_pts=min_pts)
 
 
 class TestStructuralRepair:
@@ -164,30 +208,19 @@ def _joined(*relations):
         ColumnConstantPredicate(ColumnRef("T", "x"), Op.GE, 1.0)])]))
 
 
-class TestExactnessRefusal:
-    def test_new_partition_below_eps_is_refused_pre_mutation(self):
-        # d_tables({T,S}, {T,S,U}) = 1/3, so eps=0.4 (block-sparse)
-        # cannot admit the three-table area without breaking
-        # partition-local neighbours.
-        inc = IncrementalDBSCAN(QueryDistance(_stats()), eps=0.4,
-                                min_pts=2, registry=MetricsRegistry())
-        assert inc.backend_name == "sparse"
+class TestJoinAcrossPartitions:
+    def test_new_partition_below_eps_clustered(self):
+        # d_tables({T,S}, {T,S,U}) = 1/3 lies within eps = 0.4, so the
+        # three-table area is a neighbour of the two-table one across
+        # partitions, at d = 1/3 + d_conj = 1/3.
+        metric = QueryDistance(_stats())
+        inc = IncrementalDBSCAN(metric, eps=0.4, min_pts=2,
+                                registry=MetricsRegistry())
         inc.add(_joined("T", "S"))
-        with pytest.raises(ValueError, match="bound"):
-            inc.add(_joined("T", "S", "U"))
-        # The refusal must leave the clusterer fully usable.
-        assert inc.n_unique == 1
-        update = inc.add(_joined("T", "S"))
-        assert update.promotions == 1
-        assert inc.labels() == [0]
-
-    def test_dense_backend_has_no_exactness_precondition(self):
-        inc = IncrementalDBSCAN(QueryDistance(_stats()), eps=0.6,
-                                min_pts=1, registry=MetricsRegistry())
-        assert inc.backend_name == "dense"
-        inc.add(_window("T", 0, 10))
-        update = inc.add(_joined("T", "S"))
-        assert update.new_point
+        update = inc.add(_joined("T", "S", "U"))
+        assert update.new_point and update.new_clusters == 1
+        assert inc.labels() == [0, 0] == _batch_labels(
+            metric, inc.areas(), inc.weights(), 0.4, 2)
 
 
 class TestTelemetryAndValidation:

@@ -423,10 +423,9 @@ class TestIncrementalClustering:
         assert monitor.clusterer.n_clusters >= 2
 
     def test_fault_after_insert_propagates(self, monkeypatch):
-        # Only the exactness refusal, raised before any mutation, leaves
-        # a statement unlabelled.  A ValueError out of label repair
-        # fires after the insert has changed the clusterer, so answering
-        # it as a refusal would hide a half-applied arrival.
+        # A ValueError out of label repair fires after the insert has
+        # changed the clusterer, so the monitor never answers it with a
+        # label: it propagates.
         from repro.clustering.incremental import IncrementalDBSCAN
 
         def fault(self, candidates, update):
@@ -446,9 +445,8 @@ class TestIncrementalClustering:
         assert replayed.last_label is None
 
     def test_large_eps_labels_every_statement(self, monkeypatch):
-        # eps=0.6 is at or above the single-table bound 1/2, so the
-        # clusterer runs dense and refuses no table set; the block-sparse
-        # layout would refuse 22 of these 489 statements at this radius.
+        # eps=0.6 is at or above the bound 1/2 between one- and
+        # two-table sets, so neighbourhoods reach across partitions.
         import copy
 
         from repro.clustering import DBSCAN, IncrementalDBSCAN
@@ -475,9 +473,7 @@ class TestIncrementalClustering:
         workload = generate_workload(WorkloadConfig(n_queries=400, seed=7))
         monitor.process_many(workload.log.statements())
         clusterer = monitor.clusterer
-        assert clusterer.backend_name == "dense"
-        # A refused arrival raises out of add(), so every extracted
-        # statement got a label.
+        # Every extracted statement got a label.
         assert monitor.state.extracted == len(indices) == 489
         areas = clusterer.areas()
         matrix = DistanceMatrix.compute(areas, QueryDistance(frozen))

@@ -114,9 +114,20 @@ class TestLookupParity:
         for i in range(0, len(sparse), 9):
             assert sparse.neighbors(i, EPS) == dense.neighbors(i, EPS)
 
-    def test_neighbors_rejects_radius_at_bound(self, sparse):
-        with pytest.raises(ValueError, match="exactness bound"):
-            sparse.neighbors(0, sparse.exactness_bound)
+    def test_neighbors_at_and_above_bound_match_dense(self, population):
+        """At and above the exactness bound a neighbourhood reaches the
+        partitions within the radius, for every item and resolution.
+        In a matrix built at once, the members of another partition
+        newer than the item take the per-pair branch."""
+        areas, metric = population
+        for resolution in (0.05, 0.0):
+            metric = QueryDistance(metric.stats, resolution=resolution)
+            dense = DistanceMatrix.compute(areas, metric)
+            sparse = BlockSparseDistanceMatrix.compute(areas, metric)
+            for eps in (sparse.exactness_bound, 0.6, 1.0, 1.2):
+                for i in range(len(areas)):
+                    assert sparse.neighbors(i, eps) \
+                        == dense.neighbors(i, eps)
 
     def test_submatrix_within_partition_exact(self, population, dense,
                                               sparse):
@@ -147,7 +158,7 @@ class TestLookupParity:
         grown = BlockSparseDistanceMatrix.compute(areas[:100], metric,
                                                   cutoff=EPS)
         for area in areas[100:]:
-            grown.insert_row(area, metric)
+            grown.insert_row(area)
         rng = random.Random(11)
         for matrix in (sparse, grown):
             n = len(matrix)
@@ -318,7 +329,7 @@ class TestInsertRow:
         prefix, suffix = areas[:40], areas[40:60]
         grown = BlockSparseDistanceMatrix.compute(prefix, metric)
         for area in suffix:
-            grown.insert_row(area, metric)
+            grown.insert_row(area)
         ref = BlockSparseDistanceMatrix.compute(prefix + suffix, metric)
         assert grown.n == ref.n
         assert grown.exactness_bound == ref.exactness_bound
@@ -338,7 +349,7 @@ class TestInsertRow:
         areas, metric = population
         grown = BlockSparseDistanceMatrix.compute([], metric)
         for area in areas[:30]:
-            grown.insert_row(area, metric)
+            grown.insert_row(area)
         ref = BlockSparseDistanceMatrix.compute(areas[:30], metric)
         assert np.array_equal(grown.to_square(), ref.to_square())
 
@@ -361,7 +372,7 @@ class TestInsertRow:
         population += [area((Op.LE, True)),
                        area((Op.GE, 0.25), (Op.LE, 2.75))]
         for item in population[4:]:
-            grown.insert_row(item, metric)
+            grown.insert_row(item)
         assert grown._packs == {0: None}
         for i in range(len(population)):
             for j in range(i + 1, len(population)):
@@ -372,30 +383,61 @@ class TestInsertRow:
         areas, metric = population
         grown = BlockSparseDistanceMatrix.compute(areas[:40], metric)
         for area in areas[40:60]:
-            grown.insert_row(area, metric)
+            grown.insert_row(area)
         want = sum(len(m) * (len(m) - 1) // 2
                    for _, m in grown.partitions())
         assert grown.stats.pairs_computed == want
         assert grown.stats.pairs_total == grown.n * (grown.n - 1) // 2
         assert grown.stats.n_items == grown.n
 
-    def test_max_radius_refuses_before_mutation(self, population):
+    def test_grown_neighbors_at_and_above_bound_match_dense(
+            self, population):
+        """A matrix grown by :meth:`insert_row` answers every item's
+        neighbourhood at and above the exactness bound as the dense
+        matrix does, at every resolution: after each insert, as a
+        clusterer asks for its newest arrival's, and once grown."""
         areas, metric = population
-        grown = BlockSparseDistanceMatrix.compute(areas[:20], metric)
-        covered = {frozenset(x.table_set) for x in areas[:20]}
-        unseen = next((a for a in areas[20:]
-                       if frozenset(a.table_set) not in covered), None)
-        if unseen is None:
-            pytest.skip("workload prefix already covers every table set")
-        before = grown.to_square().copy()
-        n_before = grown.n
-        with pytest.raises(ValueError, match="bound"):
-            grown.insert_row(unseen, metric, max_radius=1.0)
-        assert grown.n == n_before
-        assert np.array_equal(grown.to_square(), before)
-        # Without the reservation the same insert succeeds.
-        grown.insert_row(unseen, metric)
-        assert grown.n == n_before + 1
+        for resolution in (0.05, 0.0):
+            metric = QueryDistance(metric.stats, resolution=resolution)
+            dense = DistanceMatrix.compute(areas, metric)
+            grown = BlockSparseDistanceMatrix.compute([], metric)
+            for i, area in enumerate(areas):
+                grown.insert_row(area)
+                for eps in (0.5, 1.2):
+                    assert grown.neighbors(i, eps) == [
+                        j for j in dense.neighbors(i, eps) if j <= i]
+            for eps in (grown.exactness_bound, 0.6, 1.0):
+                for i in range(len(areas)):
+                    assert grown.neighbors(i, eps) \
+                        == dense.neighbors(i, eps)
+
+    def test_kernel_refused_cross_rows_go_per_pair(self, stats):
+        # The kernel refuses a bool constant: the {T} partition retires
+        # its pack, and probing the bool area into the {T,S} partition's
+        # pack raises, so those cross rows take the metric per pair.
+        metric = QueryDistance(stats)
+
+        def area(tables, *bounds):
+            return AccessArea(tables, CNF.of([
+                Clause.of([ColumnConstantPredicate(ColumnRef("T", "a"),
+                                                   op, value)])
+                for op, value in bounds]))
+
+        population = [
+            area(("T",), (Op.GE, 0.5), (Op.LE, 3.0)),
+            area(("T", "S"), (Op.GE, 1.0), (Op.LE, 3.5)),
+            area(("T",), (Op.LE, True)),
+            area(("T", "S"), (Op.GE, 0.0), (Op.LE, 2.5)),
+            area(("T",), (Op.GE, 1.5), (Op.LE, 4.0))]
+        grown = BlockSparseDistanceMatrix.compute([], metric)
+        for item in population:
+            grown.insert_row(item)
+        assert grown._packs[0] is None and grown._packs[1] is not None
+        dense = DistanceMatrix.from_square(pairwise_matrix(population,
+                                                           metric))
+        for eps in (0.5, 0.8, 1.2):
+            for i in range(len(population)):
+                assert grown.neighbors(i, eps) == dense.neighbors(i, eps)
 
     def test_requires_compute_built_matrix(self, population):
         areas, metric = population
@@ -405,4 +447,7 @@ class TestInsertRow:
             [b.condensed for b in ref._blocks], ref._bounds.copy(),
             ref.stats)
         with pytest.raises(ValueError, match="compute"):
-            clone.insert_row(areas[5], metric)
+            clone.insert_row(areas[5])
+        # A radius that reaches other partitions needs their rows.
+        with pytest.raises(ValueError, match="compute"):
+            clone.neighbors(0, math.inf)

@@ -119,3 +119,42 @@ def test_keep_alive_reuses_connection():
             await server.stop()
 
     asyncio.run(scenario())
+
+
+async def _raw_exchange(port, request: bytes) -> bytes:
+    """Send ``request`` down a fresh connection; everything the server
+    answers before it closes the connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    await writer.drain()
+    answer = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return answer
+
+
+@pytest.mark.parametrize("request_bytes, status, reason", [
+    (b"POST /queries HTTP/1.1\r\ncontent-length: -5\r\n\r\n",
+     b"400", b"bad content-length"),
+    (b"GET /" + b"a" * (1 << 17) + b" HTTP/1.1\r\n\r\n",
+     b"431", b"line too long"),
+    (b"GET /healthz HTTP/1.1\r\nx-long: " + b"a" * (1 << 17) + b"\r\n\r\n",
+     b"431", b"line too long"),
+], ids=["negative-length", "long-request-line", "long-header-line"])
+def test_malformed_framing_is_answered(request_bytes, status, reason):
+    """Framing the host cannot read is answered with a status, not a
+    dropped connection."""
+    app = create_app(ServiceConfig(warmup=0),
+                     registry=MetricsRegistry())
+
+    async def scenario():
+        server = HTTPServer(app, "127.0.0.1", 0)
+        port = await server.start()
+        try:
+            answer = await _raw_exchange(port, request_bytes)
+        finally:
+            await server.stop()
+        assert answer.split(b"\r\n", 1)[0].split(b" ")[1] == status
+        assert answer.endswith(reason)
+
+    asyncio.run(scenario())

@@ -7,10 +7,9 @@ The load-bearing checks:
   ``DBSCAN.fit`` over the service's unique areas (same metric, same
   numbering) — the incremental path serves the same answer the batch
   pipeline would.
-* **Graceful degradation** — an arrival the block-sparse backend
-  refuses (its table set would drop the partition exactness bound to
-  ``eps``) returns **200** with ``status: "unclustered"`` and leaves
-  the resident state untouched; it never becomes an HTTP error.
+* **Joins across partitions** — an arrival whose table set lowers the
+  partition exactness bound to ``eps`` or below is clustered like any
+  other, with the label batch DBSCAN gives it.
 * **Concurrent reads** — snapshot-backed GETs interleaved with the
   single writer never see a half-applied update.
 """
@@ -238,7 +237,6 @@ class TestReads:
         assert body["status"] == "ok"
         assert body["ingested"] == state.monitor.state.processed
         assert body["n_clusters"] == state.clusterer.n_clusters
-        assert body["backend"] == "sparse"
 
     def test_metrics_exposition(self, ingested):
         _, _, client, _ = ingested
@@ -306,15 +304,12 @@ class TestOnePool:
         before = live_areas()
         _, state = _service(ServiceConfig(eps=0.12, min_pts=3,
                                           warmup=10))
-        refused = 0
         for sql, user in stream:
-            refused += state.ingest(sql, user=user).status \
-                == "unclustered"
-        assert state.clusterer.arrivals + refused \
-            == state.monitor.state.extracted
+            state.ingest(sql, user=user)
+        assert state.clusterer.arrivals == state.monitor.state.extracted
         assert state.clusterer.interned_hits \
             == state.clusterer.arrivals - state.clusterer.n_unique
-        assert live_areas() - before <= state.clusterer.n_unique + refused
+        assert live_areas() - before <= state.clusterer.n_unique
 
 
 class TestResidentGrowth:
@@ -375,8 +370,7 @@ class TestTextMemo:
         counters = [c for c in registry.snapshot()["counters"]
                     if c["name"].startswith("repro_stream_")]
         return (outcomes, state.monitor.state, state.clusterer.labels(),
-                state.clusterer.weights(), state.users,
-                state.user_unclustered, counters)
+                state.clusterer.weights(), state.users, counters)
 
     def test_memo_answers_as_extraction_does(self, monkeypatch):
         import random
@@ -408,11 +402,16 @@ class TestTextMemo:
         assert self._run(arrivals) == reference
 
 
-class TestRefusalDegradation:
-    """eps=0.3 over a 3-relation join world: adding a 4th relation to
-    the join drops the table-partition bound to 1 - 3/4 = 0.25 <= eps,
-    so the block-sparse layout refuses pre-mutation and ingest
-    degrades."""
+class TestJoinAcrossPartitions:
+    """eps=0.4 over a 3-relation join world: adding a 4th relation to
+    the join lowers the table-partition bound to 1 - 3/4 = 0.25 <= eps,
+    so the four-table area's neighbourhood reaches the three-table
+    partition and the area takes that partition's cluster."""
+
+    JOIN3 = ("SELECT * FROM A JOIN B ON A.k = B.k JOIN C ON B.k = C.k "
+             "WHERE A.x BETWEEN {} AND {}")
+    JOIN4 = ("SELECT * FROM A JOIN B ON A.k = B.k JOIN C ON B.k = C.k "
+             "JOIN D ON C.k = D.k WHERE A.x BETWEEN 10 AND 20")
 
     @pytest.fixture()
     def join_world(self):
@@ -422,49 +421,34 @@ class TestRefusalDegradation:
                 Column("x", ColumnType.FLOAT, Interval(0.0, 100.0)),
                 Column("k", ColumnType.INT, Interval(0.0, 1000.0)),)))
         app, state = _service(
-            ServiceConfig(eps=0.3, min_pts=2, warmup=0,
+            ServiceConfig(eps=0.4, min_pts=2, warmup=0,
                           min_cluster_size=1),
             schema=schema)
         return app, state, TestClient(app)
 
-    def test_refused_arrival_degrades_to_200(self, join_world):
+    def test_four_table_join_is_clustered(self, join_world):
         _, state, client = join_world
         for i in range(3):
             response = client.post("/queries", json={
-                "sql": f"SELECT * FROM A JOIN B ON A.k = B.k "
-                       f"JOIN C ON B.k = C.k "
-                       f"WHERE A.x BETWEEN {10 + i} AND {20 + i}"})
+                "sql": self.JOIN3.format(10 + i, 20 + i)})
             assert response.json()["status"] == "clustered"
-        before = state.clusterer.n_unique
-        response = client.post("/queries", json={
-            "sql": "SELECT * FROM A JOIN B ON A.k = B.k "
-                   "JOIN C ON B.k = C.k JOIN D ON C.k = D.k "
-                   "WHERE A.x BETWEEN 10 AND 20"})
+        response = client.post("/queries", json={"sql": self.JOIN4})
         assert response.status == 200
         body = response.json()
-        assert body["status"] == "unclustered"
-        assert body["label"] is None
-        # Pre-mutation refusal: the population is untouched and the
-        # next compatible arrival still clusters.
-        assert state.clusterer.n_unique == before
-        response = client.post("/queries", json={
-            "sql": "SELECT * FROM A JOIN B ON A.k = B.k "
-                   "JOIN C ON B.k = C.k "
-                   "WHERE A.x BETWEEN 12 AND 22"})
-        assert response.json()["status"] == "clustered"
+        assert body["status"] == "clustered"
+        clusterer = state.clusterer
+        batch = DBSCAN(eps=0.4, min_pts=2).fit(
+            clusterer.areas(), distance=QueryDistance(state.frozen_stats),
+            weights=clusterer.weights())
+        assert clusterer.labels() == list(batch.labels)
+        assert body["label"] == batch.labels[body["unique_index"]] == 0
 
-    def test_refusals_counted(self, join_world):
-        _, state, client = join_world
-        client.post("/queries", json={
-            "sql": "SELECT * FROM A JOIN B ON A.k = B.k "
-                   "JOIN C ON B.k = C.k WHERE A.x < 50"})
-        client.post("/queries", json={
-            "sql": "SELECT * FROM A JOIN B ON A.k = B.k "
-                   "JOIN C ON B.k = C.k JOIN D ON C.k = D.k "
-                   "WHERE A.x < 50"})
+    def test_four_table_join_counted_as_clustered(self, join_world):
+        _, _, client = join_world
+        client.post("/queries", json={"sql": self.JOIN3.format(0, 50)})
+        client.post("/queries", json={"sql": self.JOIN4})
         text = client.get("/metrics").text
-        assert "repro_incremental_refused_total 1" in text
-        assert 'repro_service_ingested_total{status="unclustered"} 1' \
+        assert 'repro_service_ingested_total{status="clustered"} 2' \
             in text
 
 

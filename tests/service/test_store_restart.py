@@ -31,8 +31,7 @@ def _ingest_workload(state, n=120, seed=11):
 
 
 def _labels(outcomes):
-    """Each arrival's label as answered (``None`` when it failed or
-    went unclustered)."""
+    """Each arrival's label as answered (``None`` when it failed)."""
     return [outcome.label for outcome in outcomes]
 
 
@@ -43,7 +42,7 @@ def _resident(state):
     not hold."""
     seen = state.monitor.state
     return (state.clusterer.labels(), state.clusterer.weights(),
-            state.users, state.user_unclustered,
+            state.users,
             (seen.processed, seen.extracted, seen.failures, seen.relations,
              seen.columns, seen.relation_sets))
 
@@ -146,9 +145,9 @@ def test_ingest_continues_after_restart(store_config):
     outcome = second.ingest(
         "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20",
         user="carol")
-    assert outcome.status in ("clustered", "unclustered")
+    assert outcome.status == "clustered"
     assert second.monitor.state.processed == before + 1
-    assert "carol" in second.users or "carol" in second.user_unclustered
+    assert "carol" in second.users
     second.close()
 
 
