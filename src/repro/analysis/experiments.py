@@ -67,10 +67,10 @@ class CaseStudyConfig:
     #: ``compute_matrix(mode=)``.
     n_jobs: int = 1
     #: directory for the persistent :class:`~repro.store.AreaStore`
-    #: (``--store-dir``): a cold run persists extracted areas, the log
-    #: manifest, and condensed distance blocks; a warm re-run on the
-    #: same directory replays them — zero SQL re-extraction, reloaded
-    #: blocks, bitwise-identical labels.  ``None`` = in-memory only.
+    #: (``--store-dir``): a cold run persists extracted areas and the
+    #: log manifest; a warm re-run on the same directory replays them —
+    #: zero SQL re-extraction, bitwise-identical labels.  Distances are
+    #: recomputed on every run.  ``None`` = in-memory only.
     store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -164,19 +164,9 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
             schema, predicate_cap=config.predicate_cap,
             consolidate=config.consolidate)
         store = None
-        store_token = None
         if config.store_dir:
             from ..store import AreaStore
             store = AreaStore(config.store_dir)
-            # Everything beyond area identity that shapes distance
-            # values: metric resolution plus the provenance of the
-            # statistics the metric widens with (content + workload
-            # configs pin both deterministically).  Any drift misses
-            # the block cache instead of serving stale distances.
-            store_token = (f"res={config.resolution}"
-                           f"|est={config.estimate_stats}"
-                           f"|workload={config.workload!r}"
-                           f"|content={config.content!r}")
         report = process_log(workload.log.statements_with_users(),
                              extractor, store=store)
 
@@ -206,9 +196,7 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
             # stage pays u(u−1)/2 instead of n(n−1)/2.
             unique, area_weights, inverse = dedupe_areas(
                 [s.area for s in sample])
-            matrix = compute_matrix(
-                unique, distance, eps=config.eps, store=store,
-                store_token=store_token)
+            matrix = compute_matrix(unique, distance, eps=config.eps)
             matrix.stats.n_source_items = len(sample)
             # compute_matrix hands back a dense matrix when eps is too
             # large for exact partitioning; fall back to plain DBSCAN on

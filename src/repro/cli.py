@@ -208,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="table rows to print")
     p_case.add_argument("--store-dir", default=None, metavar="DIR",
                         help="persistent area store: warm re-runs "
-                             "replay the log manifest and reload "
-                             "condensed distance blocks")
+                             "replay the log manifest instead of "
+                             "re-extracting the SQL")
     p_case.add_argument("--profile", dest="profile_hotspots",
                         action="store_true",
                         help="cProfile the pipeline stages into the "

@@ -14,11 +14,11 @@ pipeline does:
   0.94).  A hit only bumps the representative's weight; the sole
   possible structural consequence is a *core promotion* inside its
   eps-neighbourhood, repaired locally.
-* **New areas touch one partition.**  A genuinely new area inserts one
-  row into the affected partition of the block-sparse distance layout
-  (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.insert_row`)
-  and label repair is confined to the new point's eps-neighbourhood.
-  Its neighbourhood
+* **New areas touch one partition.**  A genuinely new area is appended
+  to the affected partition of the block-sparse distance layout
+  (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.insert_row`,
+  which stores no distance) and label repair is confined to the new
+  point's eps-neighbourhood.  Its neighbourhood
   (:meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.neighbors`)
   reaches only the partitions whose ``d_tables`` bound lies within
   ``eps`` — below the population's partition exactness bound, its own
@@ -97,7 +97,7 @@ class IncrementalDBSCAN:
     Arrivals are pooled by canonical fingerprint, so repeats of an
     already-seen area never touch the distance layout, a
     :class:`~repro.distance.block_sparse.BlockSparseDistanceMatrix`
-    grown one row per unique area.
+    grown by one area per unique area.
 
     After any sequence of :meth:`add` calls, :meth:`labels` equals the
     output of a from-scratch ``DBSCAN(eps, min_pts).fit(unique_areas,
@@ -202,8 +202,9 @@ class IncrementalDBSCAN:
         """Observe ``count`` arrivals of ``area``; repair labels.
 
         Interned repeats bump the representative's weight (O(1) plus
-        any core promotions in its neighbourhood); new areas insert one
-        matrix row and wire adjacency for their eps-neighbourhood.
+        any core promotions in its neighbourhood); new areas join their
+        partition of the matrix, whose pack computes their one row, and
+        wire adjacency for their eps-neighbourhood.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")

@@ -13,20 +13,28 @@ partitioned clustering does, one level lower:
 * areas are grouped by **canonical table set** (relation names are
   canonicalized once at extraction, so these are exactly the frozensets
   ``d_tables`` compares);
-* exact condensed blocks are stored only *within* partitions, where
-  ``d_tables == 0`` and the full metric collapses to ``d_conj``;
+* each partition keeps a kernel pack of its members
+  (:class:`~.kernel.PackedPartition`), which computes a member's row
+  *within* the partition — where ``d_tables == 0`` and the full metric
+  collapses to ``d_conj`` — when it is asked for;
+* :meth:`~BlockSparseDistanceMatrix.compute` also stores each
+  partition's exact condensed block, which batch lookups read;
 * every **cross-partition** lookup is answered from a memoized P×P table
   of ``d_tables`` values — the exact lower bound ``d ≥ d_tables``, which
   any threshold query at a radius below the partition exactness bound
   treats identically to the true distance.
 
-Storage drops from ``n·(n−1)/2`` floats to ``Σ m_p·(m_p−1)/2 + P²`` —
-quadratic only in the largest partition.  Validity: every stored entry
-is exact except cross-partition ones, which are exact lower bounds no
-smaller than :attr:`BlockSparseDistanceMatrix.exactness_bound` (the
-population's minimum cross-partition ``d_tables``).  Any threshold
+A computed matrix stores ``Σ m_p·(m_p−1)/2 + P²`` floats instead of
+``n·(n−1)/2`` — quadratic only in the largest partition.  A matrix
+grown by :meth:`~BlockSparseDistanceMatrix.insert_row` stores no
+distance: an insert appends the item to its partition's pack and drops
+the block that partition stored, so the live matrix holds the packs,
+linear in the areas they hold, and the bound table.  Validity: every
+in-partition entry is exact, and cross-partition ones are exact lower
+bounds no smaller than :attr:`BlockSparseDistanceMatrix.exactness_bound`
+(the population's minimum cross-partition ``d_tables``).  Any threshold
 query at ``radius < exactness_bound`` therefore gets exactly the
-answers the dense matrix gives from the stored entries alone.
+answers the dense matrix gives.
 :meth:`~BlockSparseDistanceMatrix.neighbors` is exact at every radius:
 at or above the bound it also computes the rows to each partition whose
 ``d_tables`` bound lies within the radius, and skips every other one,
@@ -35,7 +43,7 @@ which cannot hold a neighbour.
 The lookup API (``value``/``take``/``row``/``neighbors``/``submatrix``/
 ``stats``/``__len__``) matches the dense matrix, so dbscan, optics,
 single-linkage and partitioned DBSCAN accept either implementation
-unchanged.  Every block is filled by the vectorized kernel
+unchanged.  Every row and block comes from the vectorized kernel
 (:mod:`repro.distance.kernel`), bitwise equal to per-pair evaluation; a
 partition the kernel cannot replay falls back to per-pair metric calls.
 """
@@ -49,72 +57,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..obs import get_logger, metrics, trace
-from .kernel import KernelUnsupported, PackedPartition, compute_kernel_blocks
+from .kernel import KernelStats, KernelUnsupported, PackedPartition
 from .matrix import (DistanceMatrix, MatrixStats, Metric, _pairs_of,
                      is_decomposed)
 from .query_distance import partition_exactness_bound
 
 logger = get_logger(__name__)
-
-#: ``_packs`` sentinel distinguishing "never attempted" from "retired to
-#: the per-pair fallback".
-_UNSET = object()
-
-
-class _GrowableBlock:
-    """Square in-partition distance block that accepts appended rows.
-
-    Condensed storage cannot grow in place — every index depends on the
-    item count — so the first :meth:`BlockSparseDistanceMatrix.insert_row`
-    into a partition converts its block to this square capacity-doubled
-    form.  Mirrors the :class:`DistanceMatrix` lookups the matrix
-    consumes (``value``/``take``/``row``/``submatrix``).
-    """
-
-    def __init__(self, dense: DistanceMatrix) -> None:
-        m = len(dense)
-        cap = max(2 * m, 4)
-        self._buf = np.zeros((cap, cap), dtype=float)
-        self._buf[:m, :m] = dense.to_square()
-        self.n = m
-
-    def __len__(self) -> int:
-        return self.n
-
-    @property
-    def condensed(self) -> np.ndarray:
-        """The condensed upper triangle (copied from the square form)."""
-        m = self.n
-        return self._buf[:m, :m][np.triu_indices(m, k=1)]
-
-    def append(self, row: np.ndarray) -> None:
-        """Adopt the distances from a new item to every existing one."""
-        m = self.n
-        if len(row) != m:
-            raise ValueError(f"row of {len(row)} distances does not "
-                             f"match {m} items")
-        if m >= self._buf.shape[0]:
-            cap = 2 * self._buf.shape[0]
-            buf = np.zeros((cap, cap), dtype=float)
-            buf[:m, :m] = self._buf[:m, :m]
-            self._buf = buf
-        self._buf[m, :m] = row
-        self._buf[:m, m] = row
-        self._buf[m, m] = 0.0
-        self.n = m + 1
-
-    def value(self, i: int, j: int) -> float:
-        return float(self._buf[i, j])
-
-    def row(self, i: int) -> np.ndarray:
-        return self._buf[i, :self.n].copy()
-
-    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._buf[rows, cols]
-
-    def submatrix(self, indices: Sequence[int]) -> DistanceMatrix:
-        idx = np.asarray(indices, dtype=np.intp)
-        return DistanceMatrix.from_square(self._buf[np.ix_(idx, idx)])
 
 #: Modes accepted by :func:`compute_matrix`: ``kernel`` is the
 #: block-sparse layout, ``dense`` the full :class:`DistanceMatrix`, and
@@ -122,62 +70,68 @@ class _GrowableBlock:
 MATRIX_MODES = ("auto", "dense", "kernel")
 
 
-class BlockSparseDistanceMatrix:
-    """Partitioned condensed distance matrix with bound-valued cross blocks.
+def _packed(areas: Sequence, metric: Metric) -> Optional[PackedPartition]:
+    """A kernel pack of one partition's ``areas``, or ``None`` when the
+    kernel refuses them: that partition then goes per pair."""
+    try:
+        return PackedPartition(areas, metric)
+    except KernelUnsupported as exc:
+        logger.debug("per-pair fallback for a %d-area partition: %s",
+                     len(areas), exc)
+        return None
 
-    Obtain one via :meth:`compute`.  The constructor adopts existing
-    storage: ``members`` lists the global item indices of each partition
-    (covering ``0..n-1`` exactly once), ``blocks`` the matching condensed
-    value arrays, and ``bounds`` the symmetric P×P ``d_tables`` table
-    (zero diagonal).
+
+def _exactness_bound(bounds: np.ndarray) -> float:
+    """The smallest cross-partition ``d_tables`` of a bound table
+    (``inf`` below two partitions)."""
+    p = len(bounds)
+    if p < 2:
+        return math.inf
+    return float(bounds[~np.eye(p, dtype=bool)].min())
+
+
+class BlockSparseDistanceMatrix:
+    """Partitioned distance matrix with bound-valued cross blocks.
+
+    Built by :meth:`compute` (over no items, for a matrix that
+    :meth:`insert_row` grows).  Each partition holds the global indices
+    of its members, their kernel pack and, until an insert reaches the
+    partition, the condensed block :meth:`compute` stored; ``bounds``
+    is the symmetric P×P ``d_tables`` table (zero diagonal).
     """
 
-    def __init__(self, n: int, keys: Sequence[frozenset],
+    def __init__(self, items: Sequence, metric: Metric,
+                 keys: Sequence[frozenset],
                  members: Sequence[Sequence[int]],
-                 blocks: Sequence[np.ndarray],
-                 bounds: np.ndarray,
-                 stats: Optional[MatrixStats] = None) -> None:
-        if not (len(keys) == len(members) == len(blocks)):
-            raise ValueError(
-                f"{len(keys)} keys, {len(members)} member lists and "
-                f"{len(blocks)} blocks do not align")
-        self.n = n
-        self._keys = [frozenset(key) for key in keys]
+                 packs: Sequence[Optional[PackedPartition]],
+                 blocks: Sequence[np.ndarray], bounds: np.ndarray,
+                 stats: MatrixStats) -> None:
+        self.n = len(items)
+        #: every item, so rows the packs cannot give (and the bound
+        #: table of a new partition) can be evaluated by ``metric``.
+        self._items = list(items)
+        self._metric = metric
+        self._keys = list(keys)
+        self._key_to_pid = {key: pid
+                            for pid, key in enumerate(self._keys)}
         self._members = [np.asarray(m, dtype=np.intp) for m in members]
-        self._blocks = [DistanceMatrix(len(m), block)
-                        for m, block in zip(self._members, blocks)]
-        bounds = np.asarray(bounds, dtype=float)
-        p = len(self._keys)
-        if bounds.shape != (p, p):
-            raise ValueError(f"bounds shape {bounds.shape} does not "
-                             f"match {p} partitions")
+        #: per-partition kernel pack holding every member in order
+        #: (``None`` = retired to the per-pair metric).
+        self._packs: dict[int, Optional[PackedPartition]] = \
+            dict(enumerate(packs))
+        #: per-partition condensed block :meth:`compute` stored
+        #: (``None`` once an insert reached the partition).
+        self._blocks: list[Optional[DistanceMatrix]] = [
+            DistanceMatrix(len(m), block)
+            for m, block in zip(self._members, blocks)]
         self._bounds = bounds
-
-        self._pids_buf = np.full(n, -1, dtype=np.intp)
-        self._local_buf = np.zeros(n, dtype=np.intp)
+        self.exactness_bound = _exactness_bound(bounds)
+        self.stats = stats
+        self._pids_buf = np.zeros(self.n, dtype=np.intp)
+        self._local_buf = np.zeros(self.n, dtype=np.intp)
         for pid, m in enumerate(self._members):
             self._pids_buf[m] = pid
             self._local_buf[m] = np.arange(len(m), dtype=np.intp)
-        if n and int(self._pids_buf.min()) < 0:
-            raise ValueError("partitions do not cover every item")
-
-        if p >= 2:
-            off_diagonal = bounds[~np.eye(p, dtype=bool)]
-            self.exactness_bound = float(off_diagonal.min())
-        else:
-            self.exactness_bound = math.inf
-        self.stats = stats or self._default_stats()
-        self._key_to_pid = {key: pid
-                            for pid, key in enumerate(self._keys)}
-        #: the items and the metric :meth:`compute` was given, retained
-        #: so :meth:`insert_row` and the cross rows of :meth:`neighbors`
-        #: can evaluate new distances; ``None`` for constructor-adopted
-        #: matrices, which therefore cannot grow.
-        self._items: Optional[list] = None
-        self._metric: Optional[Metric] = None
-        #: per-partition :class:`~.kernel.PackedPartition` cache (see
-        #: :meth:`_pack`; ``None`` = retired to the per-pair oracle).
-        self._packs: dict[int, Optional[PackedPartition]] = {}
 
     @property
     def _pids(self) -> np.ndarray:
@@ -187,25 +141,12 @@ class BlockSparseDistanceMatrix:
     def _local(self) -> np.ndarray:
         return self._local_buf[:self.n]
 
-    def _default_stats(self) -> MatrixStats:
-        n = self.n
-        computed = sum(len(b.condensed) for b in self._blocks)
-        return MatrixStats(
-            n_items=n, pairs_total=n * (n - 1) // 2,
-            pairs_computed=computed,
-            pairs_skipped=n * (n - 1) // 2 - computed,
-            n_blocks=len(self._blocks),
-            largest_block=max((len(m) for m in self._members),
-                              default=0),
-            stored_floats=computed + len(self._blocks) ** 2)
-
     # -- construction -------------------------------------------------------
 
     @classmethod
     def compute(cls, items: Sequence, metric: Metric, *,
                 cutoff: Optional[float] = None,
                 registry: Optional[metrics.MetricsRegistry] = None,
-                store=None, store_token: Optional[str] = None,
                 ) -> "BlockSparseDistanceMatrix":
         """Evaluate ``metric`` block-sparsely over ``items``.
 
@@ -217,21 +158,12 @@ class BlockSparseDistanceMatrix:
         ``row``/``take``/``submatrix`` threshold lookups exactly
         (:meth:`compute` raises — use the dense matrix instead).
         ``registry`` — metrics sink (defaults to the process-wide
-        registry).  Blocks come from the vectorized kernel
-        (:func:`~.kernel.compute_kernel_blocks`); partitions it cannot
-        replay fall back to per-pair metric calls, so every value is
-        bitwise the per-pair one.
-
-        ``store`` (an :class:`~repro.store.AreaStore`) spills every
-        computed in-partition condensed block to an mmap-able file
-        keyed by partition *content* (table set + ordered member
-        fingerprint digests + ``store_token``) and reloads matching
-        blocks on later runs instead of recomputing them.
-        ``store_token`` must capture everything else that shapes the
-        distance values (metric resolution, statistics provenance) so
-        a parameter change misses the cache rather than serving stale
-        distances.  The P×P ``d_tables`` bound table is always
-        recomputed — it is O(P²) for a handful of partitions.
+        registry).  Each partition is packed once, and its block is the
+        pack's :meth:`~.kernel.PackedPartition.condensed_block`; a
+        partition the kernel refuses is evaluated per pair, so every
+        value is bitwise the per-pair one.  The packs stay with the
+        matrix, for the rows of :meth:`insert_row`'s growth and of
+        :meth:`neighbors`' other partitions.
         """
         if not is_decomposed(metric, items):
             raise ValueError(
@@ -262,11 +194,7 @@ class BlockSparseDistanceMatrix:
                     for b in range(a + 1, p):
                         value = metric.d_tables(reps[a], reps[b])
                         bounds[a, b] = bounds[b, a] = value
-                if p >= 2:
-                    exactness = float(
-                        bounds[~np.eye(p, dtype=bool)].min())
-                else:
-                    exactness = math.inf
+                exactness = _exactness_bound(bounds)
                 if cutoff is not None and cutoff >= exactness:
                     raise ValueError(
                         f"cutoff {cutoff:g} is not below the partition "
@@ -275,52 +203,39 @@ class BlockSparseDistanceMatrix:
                         f"threshold queries exactly; use the dense "
                         f"DistanceMatrix")
 
+            kernel_stats = KernelStats()
+            packs: list[Optional[PackedPartition]] = []
+            blocks: list[np.ndarray] = []
+            with trace.span("fill", partitions=p), \
+                    trace.span("kernel_blocks", partitions=p):
+                for member_list in members:
+                    subset = [items[k] for k in member_list]
+                    packing = time.perf_counter()
+                    pack = _packed(subset, metric)
+                    if pack is None:
+                        m = len(subset)
+                        block = np.array(
+                            [metric(subset[a], subset[b])
+                             for a in range(m) for b in range(a + 1, m)],
+                            dtype=float)
+                        kernel_stats.partitions_fallback += 1
+                        kernel_stats.pairs_fallback += len(block)
+                    else:
+                        filling = time.perf_counter()
+                        kernel_stats.pack_seconds += filling - packing
+                        block = pack.condensed_block()
+                        kernel_stats.block_seconds += \
+                            time.perf_counter() - filling
+                        kernel_stats.partitions_packed += 1
+                        kernel_stats.n_predicates += pack.n_predicates
+                        kernel_stats.n_clauses += pack.n_clauses
+                        kernel_stats.pairs_vectorized += len(block)
+                    packs.append(pack)
+                    blocks.append(block)
+            kernel_stats.record(registry)
+            logger.debug("kernel blocks: %s", kernel_stats.summary())
+
             stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2)
-
-            # Store-backed reuse: a partition whose content key matches
-            # a persisted block skips computation entirely.
-            cached: dict[int, np.ndarray] = {}
-            partition_keys: Optional[list[str]] = None
-            if store is not None:
-                from ..store.codec import block_key as content_key
-                from ..store.codec import fingerprint_digest
-                digest_memo: dict[int, bytes] = {}
-
-                def digest_of(area) -> bytes:
-                    got = digest_memo.get(id(area))
-                    if got is None:
-                        got = fingerprint_digest(area)
-                        digest_memo[id(area)] = got
-                    return got
-
-                partition_keys = [
-                    content_key(key, [digest_of(items[i]) for i in m],
-                                store_token)
-                    for key, m in zip(keys, members)]
-                for bi, block_id in enumerate(partition_keys):
-                    loaded = store.blocks.load(block_id)
-                    m = len(members[bi])
-                    if loaded is not None \
-                            and len(loaded) == m * (m - 1) // 2:
-                        cached[bi] = np.asarray(loaded, dtype=float)
-
-            pending = [bi for bi in range(p) if bi not in cached]
-            pending_members = [members[bi] for bi in pending]
-            with trace.span("fill", partitions=p, reloaded=len(cached)):
-                raw_blocks = []
-                if pending:
-                    raw_blocks, kernel_stats = compute_kernel_blocks(
-                        items, metric, pending_members)
-                    kernel_stats.record(registry)
-                computed = {bi: np.asarray(raw, dtype=float)
-                            for bi, raw in zip(pending, raw_blocks)}
-                blocks = [cached[bi] if bi in cached else computed[bi]
-                          for bi in range(p)]
-            if store is not None:
-                for bi in pending:
-                    store.blocks.save(partition_keys[bi], blocks[bi])
-                store.record(registry)
-
             stats.pairs_computed = sum(len(b) for b in blocks)
             stats.pairs_skipped = stats.pairs_total - stats.pairs_computed
             stats.table_pairs = p * (p - 1) // 2
@@ -344,55 +259,51 @@ class BlockSparseDistanceMatrix:
 
         stats.record(registry)
         logger.debug("block-sparse matrix: %s", stats.summary())
-        matrix = cls(n, keys, members, blocks, bounds, stats)
-        matrix._items = list(items)
-        matrix._metric = metric
-        return matrix
+        return cls(items, metric, keys, members, packs, blocks, bounds,
+                   stats)
 
     # -- incremental growth -------------------------------------------------
 
     def insert_row(self, item) -> int:
-        """Append one item, computing only intra-partition distances.
+        """Append one item to its table set's partition, computing no
+        distance.
 
-        The affected partition's block gains a row of exact ``d_conj``
-        values (via the vectorized kernel —
-        :meth:`~.kernel.PackedPartition.extend` plus one ``pair_rows``,
-        bitwise-equal to the per-pair oracle — or the per-pair metric
-        for a partition the kernel cannot replay); a previously unseen
-        table set opens a fresh singleton partition, extending the
+        The partition's pack appends the item's features and ids
+        (:meth:`~.kernel.PackedPartition.extend`, which runs the
+        oracle's per-predicate helpers for new predicates only); a pack
+        the kernel refuses retires, and the partition goes per pair from
+        then on.  A block :meth:`compute` stored for the partition is
+        dropped: its rows come from the pack when they are asked for
+        (:meth:`neighbors`).  A previously unseen table set opens a
+        singleton partition, packed with the item, and extends the
         ``d_tables`` bound table by one representative evaluation per
-        existing partition.  No cross-partition distance is computed,
-        so the cost depends on the affected partition alone: the pack
-        appends the new area's features and ids, running the oracle's
-        per-predicate helpers for new predicates only, and computes the
-        row in one vectorized pass over the partition's ``P``
-        predicates, ``C`` clauses and ``m_p`` members —
-        ``O(n·(P + C) + L·m_p)`` array work for an area of ``n``
-        clauses among areas of up to ``L``.
+        existing partition.
 
         A new partition can lower :attr:`exactness_bound`; that changes
         which partitions :meth:`neighbors` visits, never its answer.
-        Returns the item's new global index.  Only matrices built by
-        :meth:`compute` retain the items and the metric this needs.
+        Returns the item's new global index.
         """
-        if self._items is None:
-            raise ValueError(
-                "insert_row requires a matrix built by compute(); "
-                "constructor-adopted matrices do not retain their items")
         index = self.n
         key = frozenset(item.table_set)
         pid = self._key_to_pid.get(key)
-        row = None
         if pid is None:
             pid = self._open_partition(key, item)
         else:
-            row = self._partition_row(pid, item)
-            block = self._blocks[pid]
-            if not isinstance(block, _GrowableBlock):
-                block = _GrowableBlock(block)
-                self._blocks[pid] = block
-            block.append(row)
+            pack = self._packs[pid]
+            if pack is not None:
+                try:
+                    pack.extend([item])
+                except KernelUnsupported as exc:
+                    # The pack no longer covers the partition; retire it
+                    # so its rows go straight to the oracle.
+                    logger.debug("insert_row extend fallback for "
+                                 "partition %d: %s", pid, exc)
+                    self._packs[pid] = None
             self._members[pid] = np.append(self._members[pid], index)
+            block = self._blocks[pid]
+            if block is not None:
+                self._blocks[pid] = None
+                self.stats.stored_floats -= len(block.condensed)
         self._items.append(item)
         if index >= len(self._pids_buf):
             cap = max(2 * len(self._pids_buf), 4)
@@ -407,17 +318,15 @@ class BlockSparseDistanceMatrix:
         st = self.stats
         st.n_items = self.n
         st.pairs_total = self.n * (self.n - 1) // 2
-        if row is not None:
-            st.pairs_computed += len(row)
-            st.stored_floats += len(row)
         st.pairs_skipped = st.pairs_total - st.pairs_computed
         st.largest_block = max(st.largest_block,
                                len(self._members[pid]))
         return index
 
     def _open_partition(self, key: frozenset, item) -> int:
-        """Register a new singleton partition, extending the bound table
-        with one ``d_tables`` evaluation per existing partition."""
+        """Register a new singleton partition, packed with ``item``,
+        extending the bound table with one ``d_tables`` evaluation per
+        existing partition."""
         p = len(self._keys)
         bounds = np.zeros((p + 1, p + 1), dtype=float)
         bounds[:p, :p] = self._bounds
@@ -429,67 +338,52 @@ class BlockSparseDistanceMatrix:
         self._keys.append(key)
         self._key_to_pid[key] = p
         self._members.append(np.array([self.n], dtype=np.intp))
-        self._blocks.append(
-            DistanceMatrix(1, np.zeros(0, dtype=float)))
-        if p >= 1:
-            off_diagonal = bounds[~np.eye(p + 1, dtype=bool)]
-            self.exactness_bound = float(off_diagonal.min())
+        self._packs[p] = _packed([item], self._metric)
+        self._blocks.append(None)
+        self.exactness_bound = _exactness_bound(bounds)
         self.stats.n_blocks = p + 1
         self.stats.stored_floats += 2 * p + 1
         return p
 
-    def _pack(self, pid: int) -> Optional[PackedPartition]:
-        """Partition ``pid``'s kernel pack: packed on first use, then
-        kept holding every member by :meth:`_partition_row`; ``None``
-        once the kernel refused it."""
-        pack = self._packs.get(pid, _UNSET)
-        if pack is _UNSET:
-            try:
-                pack = PackedPartition(
-                    [self._items[int(g)] for g in self._members[pid]],
-                    self._metric)
-            except KernelUnsupported as exc:
-                logger.debug("pack fallback for partition %d: %s",
-                             pid, exc)
-                pack = None
-            self._packs[pid] = pack
-        return pack
-
-    def _partition_row(self, pid: int, item) -> np.ndarray:
-        """Distances from ``item`` to every current member of partition
-        ``pid`` (equal table sets, so the metric collapses to
-        ``d_conj``)."""
-        pack = self._pack(pid)
+    def _own_row(self, i: int) -> np.ndarray:
+        """Distances from item ``i`` to every member of its partition,
+        in member order (equal table sets, so the metric collapses to
+        ``d_conj``): the row of the block :meth:`compute` stored while
+        no insert has reached the partition, else the pack's row of
+        ``i`` (a band of one), else the metric per pair, the older item
+        first."""
+        pid, local = int(self._pids[i]), int(self._local[i])
+        block = self._blocks[pid]
+        if block is not None:
+            return block.row(local)
+        members = self._members[pid]
+        pack = self._packs[pid]
         if pack is not None:
-            try:
-                pack.extend([item])
-                return pack.pair_rows(
-                    pack.n_areas - 1,
-                    np.arange(pack.n_areas - 1, dtype=np.intp))
-            except KernelUnsupported as exc:
-                # The pack no longer covers the partition; retire it
-                # so later inserts go straight to the oracle.
-                logger.debug("insert_row extend fallback for "
-                             "partition %d: %s", pid, exc)
-                self._packs[pid] = None
-        return np.array([self._metric(self._items[int(g)], item)
-                         for g in self._members[pid]], dtype=float)
+            row = pack.pair_rows(local, np.arange(len(members),
+                                                  dtype=np.intp))
+            row[local] = 0.0
+            return row
+        items, item = self._items, self._items[i]
+        return np.array([self._metric(items[g], item) if g < i
+                         else self._metric(item, items[g]) if g > i
+                         else 0.0 for g in members.tolist()],
+                        dtype=float)
 
     def _cross_row(self, i: int, pid: int) -> np.ndarray:
         """Distances from item ``i`` to every member of partition
         ``pid``, another partition than ``i``'s.
 
         Members older than ``i`` take the ``d_tables`` bound plus the
-        partition pack's probe of ``i`` — the orientation of an insert
-        row, whose new item is the band.  Newer members, and every
-        member where the kernel refuses, take the metric per pair, the
-        older item first, as :meth:`_partition_row` does."""
+        partition pack's probe of ``i``, a band of one as in
+        :meth:`_own_row`.  Newer members, and every member where the
+        kernel refuses, take the metric per pair, the older item first,
+        as :meth:`_own_row` does."""
         members = self._members[pid]
         item = self._items[i]
         older = int(np.searchsorted(members, i))
         row = np.empty(len(members))
         conj = None
-        pack = self._pack(pid) if older else None
+        pack = self._packs[pid] if older else None
         if pack is not None:
             try:
                 conj = pack.probe(item)[:older]
@@ -515,7 +409,7 @@ class BlockSparseDistanceMatrix:
         return len(self._keys)
 
     def partitions(self) -> list[tuple[frozenset, np.ndarray]]:
-        """``(table_set, global indices)`` per stored block."""
+        """``(table_set, global indices)`` per partition."""
         return [(key, members.copy())
                 for key, members in zip(self._keys, self._members)]
 
@@ -526,10 +420,12 @@ class BlockSparseDistanceMatrix:
         if i == j:
             return 0.0
         pi, pj = self._pids[i], self._pids[j]
-        if pi == pj:
-            return self._blocks[pi].value(int(self._local[i]),
-                                          int(self._local[j]))
-        return float(self._bounds[pi, pj])
+        if pi != pj:
+            return float(self._bounds[pi, pj])
+        block = self._blocks[pi]
+        if block is not None:
+            return block.value(int(self._local[i]), int(self._local[j]))
+        return float(self._own_row(i)[self._local[j]])
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         return self.value(*pair)
@@ -539,34 +435,27 @@ class BlockSparseDistanceMatrix:
         exact inside ``i``'s partition, lower bounds elsewhere."""
         pid = int(self._pids[i])
         out = self._bounds[pid][self._pids]
-        members = self._members[pid]
-        out[members] = self._blocks[pid].row(int(self._local[i]))
+        out[self._members[pid]] = self._own_row(i)
         return out
 
     def neighbors(self, i: int, eps: float) -> list[int]:
         """Indices within radius ``eps`` of item ``i`` (including ``i``),
         ascending, exact at every radius.
 
+        ``i``'s own partition is scanned by its row (:meth:`_own_row`:
+        for a grown partition, one band of its pack — O(m_p), the term
+        that keeps streaming label repair sublinear in the population).
         A pair whose ``d_tables`` already exceeds ``eps`` is never
         evaluated: ``d ≥ d_tables``, so such a partition cannot hold a
         neighbour.  Below :attr:`exactness_bound` that is every other
-        partition, and the scan confines itself to ``i``'s — O(m_p),
-        the term that keeps streaming label repair sublinear in the
-        population.  At or above it, each partition whose bound to
+        partition.  At or above it, each partition whose bound to
         ``i``'s is within ``eps`` is scanned too, by a computed row
-        (:meth:`_cross_row`); that needs a matrix built by
-        :meth:`compute`.
+        (:meth:`_cross_row`).
         """
         pid = int(self._pids[i])
-        members = self._members[pid]
-        block_row = self._blocks[pid].row(int(self._local[i]))
-        found = members[np.flatnonzero(block_row <= eps)]
+        found = self._members[pid][np.flatnonzero(self._own_row(i) <= eps)]
         if eps < self.exactness_bound:
             return list(found)
-        if self._items is None:
-            raise ValueError(
-                f"radius {eps:g} reaches other partitions, whose rows "
-                f"need a matrix built by compute()")
         near = np.flatnonzero(self._bounds[pid] <= eps)
         rows = [found] + [
             self._members[q][np.flatnonzero(self._cross_row(i, q) <= eps)]
@@ -590,27 +479,36 @@ class BlockSparseDistanceMatrix:
         idx = np.asarray(indices, dtype=np.intp)
         pids = self._pids[idx]
         if len(idx) and (pids == pids[0]).all():
-            # Fast path: slice the one block directly.
-            return self._blocks[int(pids[0])].submatrix(self._local[idx])
+            block = self._blocks[int(pids[0])]
+            if block is not None:
+                # Fast path: slice the one stored block directly.
+                return block.submatrix(self._local[idx])
         return DistanceMatrix(len(idx), _pairs_of(self, idx))
 
     def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``value(rows[k], cols[k])`` for every ``k``: one gather per
-        partition the pairs fall in, the bound table elsewhere."""
+        partition the pairs fall in (one row per distinct ``rows`` item
+        of a partition without a stored block), the bound table
+        elsewhere."""
         first, second = self._pids[rows], self._pids[cols]
         values = self._bounds[first, second]
         inside = first == second
         for pid in np.unique(first[inside]).tolist():
             sel = np.flatnonzero(inside & (first == pid))
-            values[sel] = self._blocks[pid].take(self._local[rows[sel]],
-                                                 self._local[cols[sel]])
+            block = self._blocks[pid]
+            if block is not None:
+                values[sel] = block.take(self._local[rows[sel]],
+                                         self._local[cols[sel]])
+                continue
+            for i in np.unique(rows[sel]).tolist():
+                at = sel[rows[sel] == i]
+                values[at] = self._own_row(i)[self._local[cols[at]]]
         return values
 
 
 def compute_matrix(items: Sequence, metric: Metric, *,
                    mode: str = "auto", eps: Optional[float] = None,
-                   registry: Optional[metrics.MetricsRegistry] = None,
-                   store=None, store_token: Optional[str] = None):
+                   registry: Optional[metrics.MetricsRegistry] = None):
     """Build a distance matrix in the requested ``mode``.
 
     ``mode`` — ``"dense"``, ``"kernel"``, or ``"auto"`` (default).  In
@@ -621,9 +519,7 @@ def compute_matrix(items: Sequence, metric: Metric, *,
     :func:`~repro.distance.query_distance.partition_exactness_bound`),
     dense otherwise.  ``"kernel"`` forces the block-sparse layout and
     raises when ``eps`` is not below the bound.  The dense matrix holds
-    every distance exactly, whatever ``eps``.  ``store``/``store_token``
-    persist and reload block-sparse blocks (see
-    :meth:`BlockSparseDistanceMatrix.compute`).
+    every distance exactly, whatever ``eps``.
     """
     if mode not in MATRIX_MODES:
         raise ValueError(f"mode must be one of {MATRIX_MODES}, "
@@ -637,6 +533,5 @@ def compute_matrix(items: Sequence, metric: Metric, *,
             mode = "kernel"
     if mode == "kernel":
         return BlockSparseDistanceMatrix.compute(
-            items, metric, cutoff=eps, registry=registry, store=store,
-            store_token=store_token)
+            items, metric, cutoff=eps, registry=registry)
     return DistanceMatrix.compute(items, metric, registry=registry)

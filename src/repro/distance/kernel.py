@@ -56,7 +56,8 @@ numeric constants, boolean constants (whose ``True == 1`` predicate
 equality makes even the oracle's memo order-dependent), subclassed
 metrics — raises :class:`KernelUnsupported`, and the caller evaluates
 per pair what the pack cannot hold: a partition of the block-sparse
-fill, or the pairs that touch a refused area (:func:`accept`).
+matrix, its block and its rows alike, or the pairs of a one-pack fill
+that touch a refused area (:func:`accept`).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from ..algebra.cnf import Clause
 from ..algebra.predicates import (ColumnColumnPredicate,
                                   ColumnConstantPredicate,
                                   normalize_constant)
-from ..obs import get_logger, trace
+from ..obs import get_logger
 from .predicate_distance import PredicateDistance, _categorical_footprint
 from .query_distance import QueryDistance
 
@@ -97,7 +98,9 @@ class KernelUnsupported(Exception):
 
 @dataclass
 class KernelStats:
-    """Instrumentation of one :func:`compute_kernel_blocks` run."""
+    """Instrumentation of one fill: the partitions of a block-sparse
+    matrix (:meth:`~.block_sparse.BlockSparseDistanceMatrix.compute`)
+    or the one pack of :func:`dense_fill`."""
 
     partitions_packed: int = 0
     partitions_fallback: int = 0
@@ -1105,49 +1108,6 @@ def _categorical_block(first: "np.ndarray",
     with np.errstate(divide="ignore", invalid="ignore"):
         block = 1.0 - inter / union
     return np.where(union == 0, 0.0, block)
-
-
-# -- partition fan-out -------------------------------------------------------
-
-
-def compute_kernel_blocks(items: Sequence, metric,
-                          members: Sequence[Sequence[int]],
-                          ) -> tuple[list, KernelStats]:
-    """Condensed blocks for each partition, vectorized where possible.
-
-    One row-major condensed upper triangle per member list.  Partitions
-    the pack cannot replay bitwise fall back to per-pair evaluation of
-    ``metric``, so every block equals the per-pair oracle's exactly.
-    """
-    stats = KernelStats()
-    blocks: list = []
-    with trace.span("kernel_blocks", partitions=len(members)):
-        for member_list in members:
-            subset = [items[k] for k in member_list]
-            started = time.perf_counter()
-            try:
-                pack = PackedPartition(subset, metric)
-                stats.pack_seconds += time.perf_counter() - started
-                block_started = time.perf_counter()
-                block = pack.condensed_block()
-                stats.block_seconds += \
-                    time.perf_counter() - block_started
-                stats.partitions_packed += 1
-                stats.n_predicates += pack.n_predicates
-                stats.n_clauses += pack.n_clauses
-                stats.pairs_vectorized += len(block)
-                blocks.append(block)
-            except KernelUnsupported as exc:
-                logger.debug("kernel fallback for %d-area partition: %s",
-                             len(member_list), exc)
-                m = len(subset)
-                values = [metric(subset[a], subset[b])
-                          for a in range(m) for b in range(a + 1, m)]
-                stats.partitions_fallback += 1
-                stats.pairs_fallback += len(values)
-                blocks.append(values)
-    logger.debug("kernel blocks: %s", stats.summary())
-    return blocks, stats
 
 
 def accept(pack: PackedPartition, areas: Sequence) -> list[Optional[int]]:

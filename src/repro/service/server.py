@@ -128,7 +128,12 @@ class HTTPServer:
             return False
         body = await reader.readexactly(length) if length else b""
 
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            await self._bare_response(reader, writer, 400,
+                                      b"bad request target")
+            return False
         scope = {
             "type": "http",
             "asgi": {"version": "3.0", "spec_version": "2.3"},

@@ -1,15 +1,14 @@
-"""Persistent area store: crash-safe segments, paged index, blocks.
+"""Persistent area store: crash-safe segments, paged index, journal.
 
 See :mod:`repro.store.store` for the facade and the on-disk layout,
-and ``docs/architecture.md`` for the recovery protocol and the
-shard-key story (canonical table-set partitions as shard keys).
+and ``docs/architecture.md`` for the file formats and the recovery
+protocol.
 """
 
-from .blocks import BlockStore
 from .codec import (CodecError, KIND_AREA, KIND_JOURNAL, KIND_META,
-                    block_key, decode_area, encode_area,
-                    encode_fingerprint, fingerprint_digest,
-                    iter_records, pack_record, scan_records)
+                    decode_area, encode_area, encode_fingerprint,
+                    fingerprint_digest, iter_records, pack_record,
+                    scan_records)
 from .index import FingerprintIndex
 from .pager import BufferPool, PoolStats
 from .segments import RecordLocation, SegmentLog
@@ -17,10 +16,10 @@ from .store import AreaStore, open_store
 
 __all__ = [
     "AreaStore", "open_store",
-    "BlockStore", "BufferPool", "PoolStats",
+    "BufferPool", "PoolStats",
     "FingerprintIndex", "SegmentLog", "RecordLocation",
     "CodecError", "KIND_AREA", "KIND_JOURNAL", "KIND_META",
-    "block_key", "decode_area", "encode_area", "encode_fingerprint",
+    "decode_area", "encode_area", "encode_fingerprint",
     "fingerprint_digest", "iter_records", "pack_record",
     "scan_records",
 ]

@@ -12,8 +12,7 @@ Three concerns live here, shared by every store file format:
   one 32-byte key, which doubles as the segment-log and index key.
 
 * **Payload encoding.**  Areas are pickled (the full algebra object
-  graph round-trips); condensed distance blocks are raw little-endian
-  float64 — the layout :mod:`numpy` can ``memmap`` straight from disk.
+  graph round-trips).
 
 * **Record framing.**  Every append-only file is a sequence of
   self-delimiting records::
@@ -185,55 +184,3 @@ def iter_records(buf: bytes) -> Iterator[tuple[int, bytes, bytes, int]]:
     """The valid record prefix of ``buf`` (see :func:`scan_records`)."""
     records, _ = scan_records(buf)
     return iter(records)
-
-
-# -- condensed block payloads ----------------------------------------------
-
-BLOCK_MAGIC = b"RPBK"
-BLOCK_VERSION = 1
-_BLOCK_HEADER = struct.Struct("<4sHHQI")  # magic, version, pad, count, crc
-
-
-def pack_block_header(count: int, data_crc: int) -> bytes:
-    return _BLOCK_HEADER.pack(BLOCK_MAGIC, BLOCK_VERSION, 0, count,
-                              data_crc & 0xFFFFFFFF)
-
-
-def unpack_block_header(raw: bytes) -> tuple[int, int]:
-    """``(count, data_crc)`` of a block file header, validating magic
-    and version."""
-    if len(raw) < _BLOCK_HEADER.size:
-        raise CodecError("block header truncated")
-    magic, version, _, count, crc = _BLOCK_HEADER.unpack_from(raw)
-    if magic != BLOCK_MAGIC:
-        raise CodecError(f"bad block magic {magic!r}")
-    if version != BLOCK_VERSION:
-        raise CodecError(f"unsupported block version {version}")
-    return count, crc
-
-
-BLOCK_HEADER_SIZE = _BLOCK_HEADER.size
-
-
-def block_key(partition_key, member_digests: list[bytes],
-              token: Optional[str] = None) -> str:
-    """Content key of one partition's condensed block.
-
-    Hashes the canonical partition key (sorted table names), the
-    *ordered* member fingerprint digests (condensed layout depends on
-    order), and the caller's metric ``token`` (anything that changes
-    distance values — resolution, statistics provenance).  Any drift in
-    population or metric therefore misses the cache instead of serving
-    stale distances.
-    """
-    h = sha256()
-    for name in sorted(partition_key):
-        h.update(b"k")
-        h.update(str(name).encode("utf-8"))
-    for digest in member_digests:
-        h.update(b"m")
-        h.update(digest)
-    if token:
-        h.update(b"t")
-        h.update(token.encode("utf-8"))
-    return h.hexdigest()

@@ -6,20 +6,19 @@ Layout::
         segments/seg-NNNNNN.log     append-only records (areas, journal)
         index/index.snap            sorted digest → location run
         index/index.meta.json       snapshot watermark + generation
-        blocks/<key>.blk            mmap-able condensed distance blocks
         meta/<name>.json            atomic JSON documents (manifests)
 
 One :class:`~repro.store.pager.BufferPool` fronts every random read
 (segment record fetches, index binary-search probes) and its hit-rate
 stats flow to the registry under ``repro_store_pool_*``; the facade
-adds the ``repro_store_*`` families for segments, index, blocks and
+adds the ``repro_store_*`` families for areas, segments, index and
 the journal.  All recording is delta-based — safe to call every scrape
 from a resident process.
 
 Crash story: segment appends are framed + CRC'd (torn tail truncated
 on open); the index snapshot carries a log watermark and open() folds
 any segment records past it back into the index (invariant:
-index ⊆ segments); blocks and meta documents are tmp + ``os.replace``
+index ⊆ segments); meta documents are tmp + ``os.replace``
 published.  Opening after ``kill -9`` at any instant therefore yields
 exactly the prefix of successfully appended records.
 """
@@ -31,7 +30,6 @@ import os
 from typing import Iterator, Optional
 
 from ..obs import get_logger
-from .blocks import BlockStore
 from .codec import (KIND_AREA, KIND_JOURNAL, decode_area, encode_area,
                     fingerprint_digest, keep_digest)
 from .index import FingerprintIndex
@@ -47,7 +45,7 @@ CHECKPOINT_EVERY = 1024
 
 class AreaStore:
     """Persistent home of interned areas, the ingest journal, and
-    condensed distance blocks."""
+    named meta documents."""
 
     def __init__(self, store_dir: str, *,
                  pool_pages: int = DEFAULT_CAPACITY,
@@ -62,7 +60,6 @@ class AreaStore:
             roll_bytes=roll_bytes, durable=durable)
         self.index = FingerprintIndex(
             os.path.join(store_dir, "index"), self.pool)
-        self.blocks = BlockStore(os.path.join(store_dir, "blocks"))
         self._meta_dir = os.path.join(store_dir, "meta")
         os.makedirs(self._meta_dir, exist_ok=True)
         self._recorded: dict[str, float] = {}
@@ -220,10 +217,6 @@ class AreaStore:
              self._journal_appends),
             ("repro_store_segment_appended_bytes_total",
              self.segments.appended_bytes),
-            ("repro_store_block_saves_total", self.blocks.saves),
-            ("repro_store_block_loads_total", self.blocks.loads),
-            ("repro_store_block_load_misses_total",
-             self.blocks.load_misses),
             ("repro_store_recovered_tail_bytes_total",
              self.segments.truncated_tail_bytes)))
         registry.gauge("repro_store_segments").set(
@@ -232,9 +225,6 @@ class AreaStore:
             self.segments.total_bytes())
         registry.gauge("repro_store_index_entries").set(len(self.index))
         registry.gauge("repro_store_index_dirty").set(self.index.dirty)
-        registry.gauge("repro_store_blocks").set(self.blocks.count())
-        registry.gauge("repro_store_block_bytes").set(
-            self.blocks.total_bytes())
         self.pool.record(registry)
 
 

@@ -1,8 +1,12 @@
 """The case-study driver: headline Section 6 observations at small scale."""
 
+import os
+
 import pytest
 
-from repro.analysis import CaseStudyConfig
+from repro.analysis import CaseStudyConfig, run_case_study
+from repro.core.extractor import AccessAreaExtractor
+from repro.workload import ContentConfig, WorkloadConfig
 
 
 class TestExtractionHeadlines:
@@ -75,3 +79,40 @@ class TestResultAccessors:
         assert CaseStudyConfig(n_jobs=1).n_jobs == 1
         with pytest.raises(ValueError, match="n_jobs must be 1"):
             CaseStudyConfig(n_jobs=2)
+
+
+def _table(result):
+    return [(row.cluster_id, row.cardinality, row.n_users,
+             row.area_coverage, row.object_coverage, row.description)
+            for row in result.rows]
+
+
+class TestWarmStore:
+    def test_warm_case_study_equals_cold(self, tmp_path, monkeypatch):
+        """A second run on one store replays the log manifest, so no
+        statement is extracted again, and gives the cold run's labels
+        and Table 1; the store holds no distances."""
+        store_dir = tmp_path / "store"
+        config = CaseStudyConfig(
+            workload=WorkloadConfig(n_queries=400, seed=13),
+            content=ContentConfig(photo_rows=600, spec_rows=500,
+                                  satellite_rows=300, seed=7),
+            sample_size=200, min_pts=4, store_dir=str(store_dir))
+        cold = run_case_study(config)
+
+        extracted = []
+        extract = AccessAreaExtractor.extract
+
+        def counting(self, *args, **kwargs):
+            extracted.append(args)
+            return extract(self, *args, **kwargs)
+
+        monkeypatch.setattr(AccessAreaExtractor, "extract", counting)
+        warm = run_case_study(config)
+        assert not cold.report.warm
+        assert warm.report.warm
+        assert extracted == []
+        assert cold.n_clusters > 0
+        assert warm.clustering.labels == cold.clustering.labels
+        assert _table(warm) == _table(cold)
+        assert not os.path.exists(store_dir / "blocks")

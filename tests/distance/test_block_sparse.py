@@ -1,8 +1,10 @@
 """BlockSparseDistanceMatrix: per-pair oracle parity, bound semantics,
 stats."""
 
+import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,15 +382,25 @@ class TestInsertRow:
                                                    population[j])
 
     def test_stats_pair_accounting(self, population):
+        """An insert computes no pair: ``pairs_computed`` keeps what
+        :meth:`compute` filled, and ``stored_floats`` drops the block of
+        every partition an insert reached."""
         areas, metric = population
         grown = BlockSparseDistanceMatrix.compute(areas[:40], metric)
+        computed = grown.stats.pairs_computed
         for area in areas[40:60]:
             grown.insert_row(area)
-        want = sum(len(m) * (len(m) - 1) // 2
-                   for _, m in grown.partitions())
-        assert grown.stats.pairs_computed == want
-        assert grown.stats.pairs_total == grown.n * (grown.n - 1) // 2
-        assert grown.stats.n_items == grown.n
+        stats = grown.stats
+        assert stats.pairs_computed == computed
+        assert stats.pairs_total == grown.n * (grown.n - 1) // 2
+        assert stats.pairs_skipped == stats.pairs_total - computed
+        assert stats.n_items == grown.n
+        kept = sum(len(block.condensed) for block in grown._blocks
+                   if block is not None)
+        assert kept < computed
+        assert stats.stored_floats == kept + grown.n_partitions ** 2
+        assert stats.largest_block == max(
+            len(m) for _, m in grown.partitions())
 
     def test_grown_neighbors_at_and_above_bound_match_dense(
             self, population):
@@ -439,15 +451,53 @@ class TestInsertRow:
             for i in range(len(population)):
                 assert grown.neighbors(i, eps) == dense.neighbors(i, eps)
 
-    def test_requires_compute_built_matrix(self, population):
-        areas, metric = population
-        ref = BlockSparseDistanceMatrix.compute(areas[:5], metric)
-        clone = BlockSparseDistanceMatrix(
-            ref.n, list(ref._keys), [m.copy() for m in ref._members],
-            [b.condensed for b in ref._blocks], ref._bounds.copy(),
-            ref.stats)
-        with pytest.raises(ValueError, match="compute"):
-            clone.insert_row(areas[5])
-        # A radius that reaches other partitions needs their rows.
-        with pytest.raises(ValueError, match="compute"):
-            clone.neighbors(0, math.inf)
+
+class TestLiveMemory:
+    """A grown matrix holds its partitions' packs and the bound table,
+    and no square per partition: the bytes it holds per inserted area
+    stay flat as the population doubles."""
+
+    #: bytes held per inserted area, metric caches included; a grown
+    #: matrix over the generator's distinct areas holds about 1.3 KiB.
+    PER_AREA = 2048
+
+    def test_bytes_per_area_stay_flat(self):
+        schema = skyserver_schema()
+        extractor = AccessAreaExtractor(schema)
+        workload = generate_workload(WorkloadConfig(n_queries=1000, seed=1))
+        seen, areas = set(), []
+        for sql in workload.log.statements():
+            try:
+                area = extractor.extract(sql).area
+            except Exception:
+                continue
+            if area is not None and area not in seen:
+                seen.add(area)
+                areas.append(area)
+        stats = StatisticsCatalog.from_exact_content(schema, CONTENT_BOUNDS)
+        for area in areas:
+            stats.observe_cnf(area.cnf)
+        metric = QueryDistance(stats)
+        assert len(areas) > 900
+        checkpoints = (len(areas) // 2, len(areas))
+
+        held = {}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grown = BlockSparseDistanceMatrix.compute([], metric)
+            for count, area in enumerate(areas, 1):
+                # As the clusterer does: insert, then ask the arrival's
+                # neighbourhood.
+                grown.neighbors(grown.insert_row(area), EPS)
+                if count in checkpoints:
+                    gc.collect()
+                    held[count] = \
+                        (tracemalloc.get_traced_memory()[0] - base) / count
+        finally:
+            tracemalloc.stop()
+        half, full = checkpoints
+        assert held[half] < self.PER_AREA, held
+        assert held[full] < self.PER_AREA, held
+        assert held[full] < 1.1 * held[half], held

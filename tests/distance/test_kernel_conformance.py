@@ -57,9 +57,10 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
 from repro.clustering import pairwise_matrix
 from repro.core.area import AccessArea
 import repro.distance.kernel as kernel_module
-from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.distance import (BlockSparseDistanceMatrix, DistanceMatrix,
+                            QueryDistance, condensed_index)
 from repro.distance.kernel import (BAND_FLOATS, KernelUnsupported,
-                                   PackedPartition, compute_kernel_blocks)
+                                   PackedPartition)
 from repro.obs.metrics import MetricsRegistry
 from repro.distance.predicate_distance import PredicateDistance
 from repro.distance.query_distance import jaccard_distance
@@ -108,15 +109,23 @@ def _oracle_block(stats, areas, resolution):
 
 def _assert_block_matches(stats, areas, resolution, *,
                           expect_packed=None):
+    """The block a one-partition block-sparse matrix stores equals the
+    per-pair oracle's; returns the ``repro_kernel_*`` counts its fill
+    recorded."""
     metric = QueryDistance(stats, resolution=resolution)
-    blocks, kstats = compute_kernel_blocks(
-        areas, metric, [list(range(len(areas)))])
+    registry = MetricsRegistry()
+    matrix = BlockSparseDistanceMatrix.compute(areas, metric,
+                                               registry=registry)
+    assert matrix.n_partitions == 1
+    kstats = {name: registry.counter(f"repro_kernel_{name}_total").value
+              for name in ("partitions_packed", "partitions_fallback",
+                           "pairs_fallback")}
     if expect_packed is True:
-        assert kstats.partitions_packed == 1, kstats.summary()
+        assert kstats["partitions_packed"] == 1, kstats
     if expect_packed is False:
-        assert kstats.partitions_fallback == 1, kstats.summary()
+        assert kstats["partitions_fallback"] == 1, kstats
     want = _oracle_block(stats, areas, resolution)
-    got = list(blocks[0])
+    got = list(matrix._blocks[0].condensed)
     assert len(got) == len(want)
     for pair, (value, reference) in enumerate(zip(got, want)):
         assert value == reference, (
@@ -262,7 +271,7 @@ class TestUnsupportedFallsBackExactly:
         good = _area([ColumnConstantPredicate(T_A, Op.LE, 3.0)])
         kstats = _assert_block_matches(stats, [bad, good], 0.01,
                                        expect_packed=False)
-        assert kstats.pairs_fallback == 1
+        assert kstats["pairs_fallback"] == 1
 
     def test_inf_constant(self, stats):
         bad = _area([ColumnConstantPredicate(T_A, Op.LT, math.inf)])

@@ -140,7 +140,10 @@ async def _raw_exchange(port, request: bytes) -> bytes:
      b"431", b"line too long"),
     (b"GET /healthz HTTP/1.1\r\nx-long: " + b"a" * (1 << 17) + b"\r\n\r\n",
      b"431", b"line too long"),
-], ids=["negative-length", "long-request-line", "long-header-line"])
+    (b"GET http://[::1/ HTTP/1.1\r\n\r\n",
+     b"400", b"bad request target"),
+], ids=["negative-length", "long-request-line", "long-header-line",
+        "unparseable-target"])
 def test_malformed_framing_is_answered(request_bytes, status, reason):
     """Framing the host cannot read is answered with a status, not a
     dropped connection."""

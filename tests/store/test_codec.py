@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.store import (CodecError, KIND_AREA, KIND_JOURNAL, block_key,
+from repro.store import (CodecError, KIND_AREA, KIND_JOURNAL,
                          decode_area, encode_area, fingerprint_digest,
                          pack_record, scan_records)
-from repro.store.codec import (BLOCK_HEADER_SIZE, pack_block_header,
-                               unpack_block_header)
 
 
 def test_area_payload_round_trip(areas):
@@ -175,25 +173,3 @@ def test_scan_records_stops_at_corruption():
     parsed, valid = scan_records(bytes(corrupted))
     assert len(parsed) == 1
     assert valid == len(first)
-
-
-def test_block_header_round_trip():
-    raw = pack_block_header(91, 0xDEADBEEF)
-    assert len(raw) == BLOCK_HEADER_SIZE
-    assert unpack_block_header(raw) == (91, 0xDEADBEEF)
-    with pytest.raises(CodecError):
-        unpack_block_header(b"NOPE" + raw[4:])
-    with pytest.raises(CodecError):
-        unpack_block_header(raw[:4])
-
-
-def test_block_key_content_addressing():
-    d1, d2 = b"\x01" * 32, b"\x02" * 32
-    base = block_key(("T", "S"), [d1, d2], token="res=0.05")
-    # partition key is a set: name order is canonicalized away
-    assert block_key(("S", "T"), [d1, d2], token="res=0.05") == base
-    # member order defines the condensed layout: it must matter
-    assert block_key(("T", "S"), [d2, d1], token="res=0.05") != base
-    # metric drift must miss
-    assert block_key(("T", "S"), [d1, d2], token="res=0.1") != base
-    assert block_key(("T", "S"), [d1, d2]) != base

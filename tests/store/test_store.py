@@ -2,7 +2,6 @@
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -109,23 +108,6 @@ def test_meta_documents_round_trip(tmp_path):
         assert store.load_meta("manifest") == {"total": 6}
 
 
-def test_block_store_round_trip(tmp_path):
-    with AreaStore(str(tmp_path / "s")) as store:
-        condensed = np.arange(10, dtype=np.float64) / 3.0
-        store.blocks.save("ab" * 32, condensed)
-        loaded = store.blocks.load("ab" * 32)
-        assert loaded is not None
-        np.testing.assert_array_equal(np.asarray(loaded), condensed)
-        assert store.blocks.load("ef" * 32) is None
-        # a flipped payload byte fails the CRC instead of serving junk
-        path = os.path.join(str(tmp_path / "s"), "blocks",
-                            "ab" * 32 + ".blk")
-        blob = bytearray(open(path, "rb").read())
-        blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        assert store.blocks.load("ab" * 32) is None
-
-
 def test_record_is_idempotent(tmp_path, areas):
     registry = MetricsRegistry()
     with AreaStore(str(tmp_path / "s")) as store:
@@ -143,6 +125,24 @@ def test_record_is_idempotent(tmp_path, areas):
             "repro_store_journal_appends_total").value == 1
         assert registry.gauge(
             "repro_store_index_entries").value == len(areas)
+
+
+def test_older_block_directory_is_left_alone(tmp_path, areas):
+    """A store written when distances were cached on disk holds a
+    ``blocks/`` directory: the store opens and serves its areas, and
+    leaves that directory as it found it."""
+    path = str(tmp_path / "s")
+    with AreaStore(path) as store:
+        digests = [store.append_area(area) for area in areas]
+    assert not os.path.exists(os.path.join(path, "blocks"))
+    os.makedirs(os.path.join(path, "blocks"))
+    with open(os.path.join(path, "blocks", "ab" * 32 + ".blk"), "wb") as fh:
+        fh.write(b"RPBK" + bytes(20))
+    with AreaStore(path) as store:
+        assert len(store) == len(set(digests))
+        for digest, area in zip(digests, areas):
+            assert store.get_area(digest).fingerprint == area.fingerprint
+    assert os.listdir(os.path.join(path, "blocks")) == ["ab" * 32 + ".blk"]
 
 
 def test_digest_key_matches_module_function(tmp_path, areas):
