@@ -50,6 +50,14 @@ and merges: a core never demotes and a component never splits.  The
 clusterer holds per-unique-area state only; an arrival's label is in
 the :class:`IncrementalUpdate` that :meth:`~IncrementalDBSCAN.add`
 returns.
+
+**Labels kept between structure changes.**  Without a promotion the
+core set and the components are unchanged, and a non-core arrival is
+nobody's core neighbour, so no other label moves: a quiet insert
+appends its own label to the kept list and a quiet weight bump leaves
+it as it is.  Only a structure change marks the list stale, and
+:meth:`~IncrementalDBSCAN.labels` redoes the canonical walk over every
+adjacency list only then.
 """
 
 from __future__ import annotations
@@ -143,6 +151,9 @@ class IncrementalDBSCAN:
         self._parent: dict[int, int] = {}
         self._size: dict[int, int] = {}
         self._comp_min: dict[int, int] = {}  # keyed by root only
+        # The canonical labels, kept between structure changes (see the
+        # module doc); None after a change, until labels() rebuilds them.
+        self._labels: Optional[list[int]] = []
         self.arrivals = 0
         self.interned_hits = 0
 
@@ -217,6 +228,10 @@ class IncrementalDBSCAN:
                 update = self._bump(idx, float(count))
             else:
                 update = self._insert(area, float(count))
+            if update.structure_changed:
+                self._labels = None
+            elif update.new_point and self._labels is not None:
+                self._labels.append(update.label)
         self._record(update, time.perf_counter() - started)
         return update
 
@@ -276,7 +291,16 @@ class IncrementalDBSCAN:
     # -- canonical labels ---------------------------------------------
 
     def labels(self) -> list[int]:
-        """Per-unique-area labels, batch-identical (see class doc)."""
+        """Per-unique-area labels, batch-identical (see class doc).
+
+        A fresh list; the walk over every adjacency list runs only after
+        a structure change (see the module doc).
+        """
+        if self._labels is None:
+            self._labels = self._canonical_labels()
+        return list(self._labels)
+
+    def _canonical_labels(self) -> list[int]:
         rank = self._ranks()
         out = []
         for i in range(len(self._areas)):

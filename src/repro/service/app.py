@@ -104,23 +104,7 @@ def create_app(config: Optional[ServiceConfig] = None,
 
     @app.get("/clusters")
     async def clusters(request: Request):
-        snapshot = state.snapshot()
-        sizes = snapshot.sizes()
-        unique_counts: dict[int, int] = {}
-        for label in snapshot.labels:
-            unique_counts[label] = unique_counts.get(label, 0) + 1
-        rows = [
-            {"id": label, "weighted_size": sizes[label],
-             "unique_areas": unique_counts[label]}
-            for label in sorted(sizes) if label >= 0
-        ]
-        return {
-            "version": snapshot.version,
-            "n_clusters": snapshot.n_clusters,
-            "clusters": rows,
-            "noise": {"weighted_size": sizes.get(NOISE, 0.0),
-                      "unique_areas": unique_counts.get(NOISE, 0)},
-        }
+        return state.snapshot().listing
 
     @app.get("/clusters/{id}")
     async def cluster_detail(request: Request):
@@ -130,32 +114,10 @@ def create_app(config: Optional[ServiceConfig] = None,
         except ValueError:
             raise HTTPError(400, f"cluster id must be an integer, "
                                  f"got {raw!r}") from None
-        aggregated = state.aggregate(cluster_id)
-        if aggregated is None:
+        body = state.cluster_detail(cluster_id)
+        if body is None:
             raise HTTPError(404, f"no cluster {cluster_id}")
-        return {
-            "id": cluster_id,
-            "weighted_size": aggregated.cardinality,
-            "relations": list(aggregated.relations),
-            "bounds": [
-                {"column": str(bound.ref),
-                 "lo": bound.interval.lo, "hi": bound.interval.hi,
-                 "lower_bounded": bound.lower_bounded,
-                 "upper_bounded": bound.upper_bounded,
-                 "support": bound.support}
-                for bound in aggregated.bounds
-            ],
-            "categorical": [
-                {"column": str(cat.ref),
-                 "values": sorted(cat.values),
-                 "support": cat.support}
-                for cat in aggregated.categorical
-            ],
-            "joins": [str(join) for join in aggregated.joins],
-            "description": aggregated.describe(),
-            "suggested_sql": aggregated.to_sql(),
-            "area_coverage": state.cluster_coverage(aggregated),
-        }
+        return body
 
     @app.get("/recommend")
     async def recommend(request: Request):

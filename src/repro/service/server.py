@@ -20,9 +20,11 @@ from ..obs import get_logger
 
 logger = get_logger(__name__)
 
-#: Refuse request bodies above this size (64 MiB) — the service only
-#: ever receives single SQL statements.
-MAX_BODY = 64 * 1024 * 1024
+#: Refuse request bodies above this size (1 MiB), read whole before the
+#: application sees them.  The service only ever receives single SQL
+#: statements: generator logs stay under 1 KiB a statement, and the cap
+#: leaves room for SkyServer statements with long ``IN`` lists.
+MAX_BODY = 1024 * 1024
 _MAX_HEADER_LINES = 200
 #: Seconds an error answer waits for the client's unread input to end.
 _LINGER_SECONDS = 2.0

@@ -25,16 +25,28 @@ time.  Reads never take that lock: they work off
 rebuilt at most once per mutation (version-stamped) and swapped in
 atomically, so a burst of ``GET /clusters`` during heavy ingest serves
 consistent answers without stalling the writer.
+
+**Reads render once per version.**  A snapshot groups its labels on
+the first read that needs them and renders the ``GET /clusters`` body
+once.  ``GET /clusters/{id}`` keeps one answer per cluster id with the
+version and the key it was rendered at — the cluster's member unique
+indices and their counts.  The members are the clusterer's append-only
+areas, the counts its weights and the catalog is frozen, so an answer
+is a function of its key: a read at a newer version whose key is
+unchanged serves the kept answer, and only a cluster a write touched is
+aggregated again.  Ingest computes none of this.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..clustering.aggregation import AggregatedArea, aggregate_cluster
 from ..clustering.coverage import area_coverage
+from ..clustering.dbscan import NOISE
 from ..core.area import AccessArea
 from ..core.extractor import AccessAreaExtractor, refuse_unplaceable
 from ..core.stream import EventKind, StreamEvent, StreamMonitor
@@ -76,7 +88,12 @@ class ClusterSnapshot:
     """An immutable view of the label state at one version.
 
     Read endpoints hold a reference while they render; the writer never
-    mutates a published snapshot, it publishes a new one.
+    mutates a published snapshot, it publishes a new one.  The first
+    read that needs it groups the labels in one pass — each label's
+    member unique indices in index order and its weighted size — and
+    :attr:`listing`, the ``GET /clusters`` body, is rendered from that
+    once.  Both live as long as the snapshot, so the next version
+    replaces them.
     """
 
     version: int
@@ -84,27 +101,53 @@ class ClusterSnapshot:
     weights: tuple[float, ...]
     labels: tuple[int, ...]
 
-    @property
-    def n_clusters(self) -> int:
-        return len({label for label in self.labels if label >= 0})
+    @cached_property
+    def _grouped(self) -> tuple[dict[int, list[int]], dict[int, float]]:
+        """Per label (noise = -1): member unique indices, weighted size."""
+        members: dict[int, list[int]] = {}
+        sizes: dict[int, float] = {}
+        weights = self.weights
+        for i, label in enumerate(self.labels):
+            held = members.get(label)
+            if held is None:
+                members[label] = [i]
+                sizes[label] = weights[i]
+            else:
+                held.append(i)
+                sizes[label] += weights[i]
+        return members, sizes
 
     def sizes(self) -> dict[int, float]:
         """Weighted cardinality per cluster label (noise = -1)."""
-        out: dict[int, float] = {}
-        for label, weight in zip(self.labels, self.weights):
-            out[label] = out.get(label, 0.0) + weight
-        return out
+        return dict(self._grouped[1])
+
+    def member_indices(self, label: int) -> tuple[int, ...]:
+        """The unique indices labelled ``label``, in index order."""
+        return tuple(self._grouped[0].get(label, ()))
 
     def members(self, cluster_id: int
                 ) -> tuple[list[AccessArea], list[int]]:
-        members: list[AccessArea] = []
-        weights: list[int] = []
-        for area, weight, label in zip(self.areas, self.weights,
-                                       self.labels):
-            if label == cluster_id:
-                members.append(area)
-                weights.append(int(weight))
-        return members, weights
+        indices = self._grouped[0].get(cluster_id, ())
+        return ([self.areas[i] for i in indices],
+                [int(self.weights[i]) for i in indices])
+
+    @cached_property
+    def listing(self) -> dict:
+        """The ``GET /clusters`` body at this version, one dict shared by
+        every read of it: callers must not mutate it."""
+        members, sizes = self._grouped
+        rows = [
+            {"id": label, "weighted_size": sizes[label],
+             "unique_areas": len(members[label])}
+            for label in sorted(sizes) if label >= 0
+        ]
+        return {
+            "version": self.version,
+            "n_clusters": len(rows),
+            "clusters": rows,
+            "noise": {"weighted_size": sizes.get(NOISE, 0.0),
+                      "unique_areas": len(members.get(NOISE, ()))},
+        }
 
 
 @dataclass(frozen=True)
@@ -168,6 +211,9 @@ class AppState:
         #: trigger (weight-only arrivals keep the fitted model).
         self.structure_version = 0
         self._snapshot = ClusterSnapshot(0, (), (), ())
+        #: cluster id → (version, key, body) of its last ``GET
+        #: /clusters/{id}`` answer; see :meth:`cluster_detail`.
+        self._details: dict[int, tuple[int, tuple, dict]] = {}
         self._recommender: Optional[InterestRecommender] = None
         self._recommender_version = -1
         self._ingest_seconds = self.registry.histogram(
@@ -340,15 +386,44 @@ class AppState:
         return self._recommender
 
     def aggregate(self, cluster_id: int) -> Optional[AggregatedArea]:
-        """The aggregated access area of one live cluster."""
+        """The aggregated access area of one live cluster; ``None`` for
+        noise and for an id that is not a live cluster."""
+        if cluster_id < 0:
+            return None
         members, weights = self.snapshot().members(cluster_id)
         if not members:
             return None
         return aggregate_cluster(cluster_id, members,
                                  self.frozen_stats, weights=weights)
 
-    def cluster_coverage(self, aggregated: AggregatedArea) -> float:
-        return area_coverage(aggregated, self.frozen_stats)
+    def cluster_detail(self, cluster_id: int) -> Optional[dict]:
+        """The ``GET /clusters/{id}`` body of one live cluster, or
+        ``None`` (see :meth:`aggregate`).
+
+        The answer is kept with the version and the key — member unique
+        indices and their counts — it was rendered at: the same version
+        serves it, the same key at a newer version serves and restamps
+        it, and anything else renders it afresh.  Every read of a kept
+        answer gets the same dict: callers must not mutate it.
+        """
+        snapshot = self.snapshot()
+        kept = self._details.get(cluster_id)
+        if kept is not None and kept[0] == snapshot.version:
+            return kept[2]
+        indices = snapshot.member_indices(cluster_id)
+        key = (indices, tuple(int(snapshot.weights[i]) for i in indices))
+        if kept is not None and kept[1] == key:
+            body = kept[2]
+        else:
+            aggregated = self.aggregate(cluster_id)
+            if aggregated is None:
+                self._details.pop(cluster_id, None)
+                return None
+            body = _detail_body(aggregated,
+                                area_coverage(aggregated,
+                                              self.frozen_stats))
+        self._details[cluster_id] = (snapshot.version, key, body)
+        return body
 
     def user_interests(self, user: str) -> list[dict]:
         """Per-user aggregated areas, grouped by current live label."""
@@ -375,3 +450,29 @@ class AppState:
         out.sort(key=lambda row: row["queries"], reverse=True)
         return out
 
+
+def _detail_body(aggregated: AggregatedArea, coverage: float) -> dict:
+    """One cluster's bounds, describing expression and coverage."""
+    return {
+        "id": aggregated.cluster_id,
+        "weighted_size": aggregated.cardinality,
+        "relations": list(aggregated.relations),
+        "bounds": [
+            {"column": str(bound.ref),
+             "lo": bound.interval.lo, "hi": bound.interval.hi,
+             "lower_bounded": bound.lower_bounded,
+             "upper_bounded": bound.upper_bounded,
+             "support": bound.support}
+            for bound in aggregated.bounds
+        ],
+        "categorical": [
+            {"column": str(cat.ref),
+             "values": sorted(cat.values),
+             "support": cat.support}
+            for cat in aggregated.categorical
+        ],
+        "joins": [str(join) for join in aggregated.joins],
+        "description": aggregated.describe(),
+        "suggested_sql": aggregated.to_sql(),
+        "area_coverage": coverage,
+    }

@@ -10,6 +10,10 @@ hypothesis at radii below and at or above 1/2, and over nested table
 sets whose partitions lie 1/4, 1/3, 1/2 and 1 apart, at radii on both
 sides of each, so that neighbourhoods reach across partitions.
 
+The clusterer keeps its labels between structure changes, so parity
+is also checked when labels are read only after every k-th arrival,
+with several appends and structure changes between two reads.
+
 Structural repair is pinned separately: core promotion by weight bump
 and cluster merge through a bridging arrival.
 """
@@ -167,6 +171,50 @@ class TestPrefixParity:
         lowers the partition exactness bound to ``eps`` or below is
         clustered like any other."""
         _assert_prefix_parity(stream, eps=eps, min_pts=min_pts)
+
+
+def _assert_sparse_parity(stream, *, eps, min_pts, every):
+    """Labels read only after every ``every``-th arrival and at the end
+    equal batch DBSCAN over that prefix."""
+    metric = QueryDistance(_stats())
+    inc = IncrementalDBSCAN(metric, eps=eps, min_pts=min_pts,
+                            registry=MetricsRegistry())
+    for n, arrival in enumerate(stream, 1):
+        inc.add(arrival)
+        if n % every == 0 or n == len(stream):
+            assert inc.labels() == _batch_labels(
+                metric, inc.areas(), inc.weights(), eps, min_pts)
+
+
+#: d(LEFT, BRIDGE) ≈ 0.163 and d(BRIDGE, RIGHT) ≈ 0.142, but
+#: d(LEFT, RIGHT) ≈ 0.277: at eps = 0.2 the ends connect only through
+#: the bridge.  FAR lies 1 away in ``d_tables``.
+LEFT, RIGHT = _window("T", 10, 20), _window("T", 24, 34)
+BRIDGE, FAR = _window("T", 17, 27), _window("S", 70, 80)
+
+
+class TestSparseReads:
+    @settings(max_examples=60, deadline=None)
+    @given(stream=streams,
+           eps=st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.6, 0.9]),
+           min_pts=st.integers(min_value=1, max_value=4),
+           every=st.integers(min_value=1, max_value=7))
+    # Read after three quiet inserts; then LEFT and RIGHT promote by
+    # weight alone and BRIDGE merges them before the next read.
+    @example(stream=[LEFT, RIGHT, FAR, LEFT, RIGHT, BRIDGE, FAR],
+             eps=0.2, min_pts=2, every=3)
+    def test_streams(self, stream, eps, min_pts, every):
+        _assert_sparse_parity(stream, eps=eps, min_pts=min_pts,
+                              every=every)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=nested_streams,
+           eps=st.sampled_from(NESTED_RADII),
+           min_pts=st.integers(min_value=1, max_value=4),
+           every=st.integers(min_value=1, max_value=7))
+    def test_nested_table_sets(self, stream, eps, min_pts, every):
+        _assert_sparse_parity(stream, eps=eps, min_pts=min_pts,
+                              every=every)
 
 
 class TestStructuralRepair:

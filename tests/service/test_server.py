@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service import HTTPServer, ServiceConfig, create_app
+from repro.service.server import MAX_BODY
 
 
 async def _in_executor(func, *args):
@@ -123,14 +124,16 @@ def test_keep_alive_reuses_connection():
 
 async def _raw_exchange(port, request: bytes) -> bytes:
     """Send ``request`` down a fresh connection; everything the server
-    answers before it closes the connection."""
+    answers before it closes the connection.  A server that waits for
+    more input fails the exchange after 10 s instead of hanging it."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(request)
-    await writer.drain()
-    answer = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    return answer
+    try:
+        writer.write(request)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), 10.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
 
 
 @pytest.mark.parametrize("request_bytes, status, reason", [
@@ -142,8 +145,10 @@ async def _raw_exchange(port, request: bytes) -> bytes:
      b"431", b"line too long"),
     (b"GET http://[::1/ HTTP/1.1\r\n\r\n",
      b"400", b"bad request target"),
+    (b"POST /queries HTTP/1.1\r\ncontent-length: 1048577\r\n\r\n",
+     b"413", b"body too large"),
 ], ids=["negative-length", "long-request-line", "long-header-line",
-        "unparseable-target"])
+        "unparseable-target", "oversized-body"])
 def test_malformed_framing_is_answered(request_bytes, status, reason):
     """Framing the host cannot read is answered with a status, not a
     dropped connection."""
@@ -160,4 +165,30 @@ def test_malformed_framing_is_answered(request_bytes, status, reason):
         assert answer.split(b"\r\n", 1)[0].split(b" ")[1] == status
         assert answer.endswith(reason)
 
+    asyncio.run(scenario())
+
+
+def test_body_at_the_cap_is_read():
+    """A body of exactly :data:`MAX_BODY` bytes reaches the app."""
+    app = create_app(ServiceConfig(warmup=0),
+                     registry=MetricsRegistry())
+    payload = json.dumps({"sql": "SELECT * FROM PhotoObjAll "
+                                 "WHERE ra BETWEEN 1 AND 2"}).encode()
+    body = payload + b" " * (MAX_BODY - len(payload))
+    request = (b"POST /queries HTTP/1.1\r\n"
+               b"content-length: " + str(len(body)).encode() + b"\r\n"
+               b"connection: close\r\n\r\n" + body)
+
+    async def scenario():
+        server = HTTPServer(app, "127.0.0.1", 0)
+        port = await server.start()
+        try:
+            answer = await _raw_exchange(port, request)
+        finally:
+            await server.stop()
+        head, _, content = answer.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"200"
+        assert json.loads(content)["status"] == "clustered"
+
+    assert len(body) == MAX_BODY == 1 << 20
     asyncio.run(scenario())

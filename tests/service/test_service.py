@@ -12,14 +12,19 @@ The load-bearing checks:
   other, with the label batch DBSCAN gives it.
 * **Concurrent reads** — snapshot-backed GETs interleaved with the
   single writer never see a half-applied update.
+* **Kept answers** — ``GET /clusters`` and ``GET /clusters/{id}``
+  answer from state kept across reads; after every write they equal an
+  answer rendered from scratch from the clusterer's own lists.
 """
 
 import asyncio
+import json
 
 import pytest
 
+import repro.service.state as state_module
 from repro.algebra.intervals import Interval
-from repro.clustering import DBSCAN
+from repro.clustering import DBSCAN, NOISE, aggregate_cluster, area_coverage
 from repro.distance import QueryDistance
 from repro.obs.metrics import MetricsRegistry
 from repro.recommend import fit_recommender
@@ -163,6 +168,11 @@ class TestReads:
         _, _, client, _ = ingested
         assert client.get("/clusters/not-an-int").status == 400
         assert client.get("/clusters/99999").status == 404
+        # Noise is listed apart from the clusters, not as cluster -1.
+        assert client.get("/clusters").json()["noise"]["unique_areas"]
+        response = client.get("/clusters/-1")
+        assert response.status == 404
+        assert response.json() == {"error": "no cluster -1"}
 
     def test_user_interests(self, ingested):
         _, state, client, _ = ingested
@@ -558,3 +568,114 @@ class TestRecommenderRefit:
                     [(r.distance, r.popularity, r.suggested_sql)
                      for r in fresh.recommend(probe, k=100)]
         assert refits > 5 and taken_over > 0
+
+
+def _fresh_listing(state) -> dict:
+    """``GET /clusters`` walked from the clusterer's lists."""
+    clusterer = state.clusterer
+    sizes: dict[int, float] = {}
+    unique: dict[int, int] = {}
+    for label, weight in zip(clusterer.labels(), clusterer.weights()):
+        sizes[label] = sizes.get(label, 0.0) + weight
+        unique[label] = unique.get(label, 0) + 1
+    rows = [{"id": label, "weighted_size": sizes[label],
+             "unique_areas": unique[label]}
+            for label in sorted(sizes) if label >= 0]
+    return {"version": state.version, "n_clusters": len(rows),
+            "clusters": rows,
+            "noise": {"weighted_size": sizes.get(NOISE, 0.0),
+                      "unique_areas": unique.get(NOISE, 0)}}
+
+
+def _fresh_detail(state, cluster_id: int) -> dict:
+    """``GET /clusters/{id}`` aggregated and rendered from the
+    clusterer's lists."""
+    clusterer = state.clusterer
+    members, weights = [], []
+    for area, weight, label in zip(clusterer.areas(), clusterer.weights(),
+                                   clusterer.labels()):
+        if label == cluster_id:
+            members.append(area)
+            weights.append(int(weight))
+    aggregated = aggregate_cluster(cluster_id, members, state.frozen_stats,
+                                   weights=weights)
+    return {
+        "id": cluster_id,
+        "weighted_size": aggregated.cardinality,
+        "relations": list(aggregated.relations),
+        "bounds": [{"column": str(bound.ref), "lo": bound.interval.lo,
+                    "hi": bound.interval.hi,
+                    "lower_bounded": bound.lower_bounded,
+                    "upper_bounded": bound.upper_bounded,
+                    "support": bound.support}
+                   for bound in aggregated.bounds],
+        "categorical": [{"column": str(cat.ref),
+                         "values": sorted(cat.values),
+                         "support": cat.support}
+                        for cat in aggregated.categorical],
+        "joins": [str(join) for join in aggregated.joins],
+        "description": aggregated.describe(),
+        "suggested_sql": aggregated.to_sql(),
+        "area_coverage": area_coverage(aggregated, state.frozen_stats),
+    }
+
+
+def _encoded(body: dict) -> bytes:
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+class TestKeptAnswers:
+    def test_kept_answers_equal_fresh_ones(self, monkeypatch):
+        """After every POST of a log and its first half again
+        (weight-only arrivals, promotions, merges, failed statements),
+        every cluster route answers byte for byte what a render from
+        scratch gives, and a read the writes did not touch aggregates
+        nothing."""
+        aggregated = []
+        aggregate = state_module.aggregate_cluster
+        monkeypatch.setattr(
+            state_module, "aggregate_cluster",
+            lambda *args, **kwargs: (aggregated.append(args[0])
+                                     or aggregate(*args, **kwargs)))
+        app, state = _service(ServiceConfig(eps=0.12, min_pts=3,
+                                            warmup=10,
+                                            min_cluster_size=2))
+        client = TestClient(app)
+        statements = generate_workload(WorkloadConfig(
+            n_queries=40, seed=3)).log.statements_with_users()
+        statements.insert(40, ("CLEARLY NOT SQL", "u0"))
+
+        async def detail_reads(ids) -> tuple[list[bytes], int]:
+            calls = len(aggregated)
+            bodies = []
+            for cluster_id in ids:
+                response = await client.aget(f"/clusters/{cluster_id}")
+                assert response.status == 200
+                bodies.append(response.body)
+            return bodies, len(aggregated) - calls
+
+        async def drive() -> int:
+            failed = 0
+            for sql, user in statements + statements[:len(statements) // 2]:
+                outcome = (await client.apost(
+                    "/queries", json={"sql": sql, "user": user})).json()
+                listing = await client.aget("/clusters")
+                assert listing.body == _encoded(_fresh_listing(state))
+                ids = [row["id"] for row in listing.json()["clusters"]]
+                bodies, calls = await detail_reads(ids)
+                assert bodies == [_encoded(_fresh_detail(state, cluster_id))
+                                  for cluster_id in ids]
+                if outcome["status"] == "failed" and ids:
+                    # Nothing moved: the kept answers are restamped.
+                    failed += 1
+                    assert calls == 0
+                # A second read at an unchanged version renders nothing.
+                assert (await client.aget("/clusters")).body == listing.body
+                assert await detail_reads(ids) == (bodies, 0)
+            return failed
+
+        assert asyncio.run(drive()) >= 2
+        counter = state.registry.counter
+        assert counter("repro_incremental_hits_total").value > 0
+        assert counter("repro_incremental_promotions_total").value > 0
+        assert counter("repro_incremental_merges_total").value > 0
