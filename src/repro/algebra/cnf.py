@@ -49,15 +49,24 @@ class Clause:
 
     @staticmethod
     def of(predicates: Iterable[Predicate],
-           rendered: dict[Predicate, str] | None = None) -> "Clause":
+           rendered: dict[Predicate, Predicate | str] | None = None
+           ) -> "Clause":
         """The clause of ``predicates``, deduplicated by rendering.
 
-        ``rendered`` memoizes renderings; equal predicates share the
-        first one.  :func:`to_cnf` passes one for the length of a call:
+        A clause of one predicate is built as it is; nothing is
+        rendered.  ``rendered`` memoizes renderings, and equal
+        predicates share the rendering of the first one it saw: it
+        holds that first predicate until a clause of several needs its
+        text.  :func:`to_cnf` passes one for the length of a call:
         predicates are shared across many clauses during distribution,
         where canonicalization would otherwise re-render them millions
         of times.
         """
+        predicates = tuple(predicates)
+        if len(predicates) == 1:
+            if rendered is not None:
+                rendered.setdefault(predicates[0], predicates[0])
+            return Clause(predicates)
         if rendered is None:
             rendered = {}
         unique = {}
@@ -65,6 +74,8 @@ class Clause:
             text = rendered.get(p)
             if text is None:
                 text = rendered[p] = str(p)
+            elif not isinstance(text, str):
+                text = rendered[p] = str(text)
             unique[text] = p
         return Clause(tuple(unique[key] for key in sorted(unique)))
 
@@ -220,7 +231,8 @@ def to_cnf(expr: BoolExpr,
 
 
 def _distribute(expr: BoolExpr, max_clauses: int,
-                rendered: dict[Predicate, str]) -> list[Clause] | None:
+                rendered: dict[Predicate, Predicate | str]
+                ) -> list[Clause] | None:
     """Return the clause list of ``expr`` (already in NNF).
 
     ``None`` encodes FALSE (an unsatisfiable constraint); an empty list
@@ -231,7 +243,7 @@ def _distribute(expr: BoolExpr, max_clauses: int,
     if expr is FALSE:
         return None
     if isinstance(expr, Atom):
-        return [Clause.of([expr.predicate], rendered)]
+        return [Clause.of((expr.predicate,), rendered)]
     if isinstance(expr, And):
         out: list[Clause] = []
         for child in expr.children:
@@ -279,9 +291,15 @@ def _drop_subsumed(clauses: list[Clause]) -> list[Clause]:
     unique = list(set(clauses))
     if len(unique) > _SUBSUMPTION_LIMIT:
         return sorted(unique, key=str)
+    if all(len(clause.predicates) == 1 for clause in unique):
+        return unique  # distinct unit clauses never subsume each other
     kept: list[Clause] = []
-    # Sort by length so potential subsumers come first.
+    held: list[frozenset] = []
+    # Sort by length so potential subsumers come first; each clause's
+    # predicate set is built once.
     for clause in sorted(unique, key=len):
-        if not any(prev.subsumes(clause) for prev in kept):
+        members = frozenset(clause.predicates)
+        if not any(subset <= members for subset in held):
             kept.append(clause)
+            held.append(members)
     return kept

@@ -16,6 +16,12 @@ This module implements those three steps on a :class:`~repro.algebra.cnf.CNF`:
 3. **Contradiction check** — an empty intersection (e.g. ``a > 5 AND
    a < 3``, or ``a = 'x' AND a = 'y'``) collapses the whole CNF to the
    unsatisfiable CNF containing the empty clause.
+
+Unit clauses skip the first step's sweep: with no other disjunct to be
+covered by, a unit clause can only stay as it is or be TRUE, and it is
+TRUE exactly when its footprint is the whole axis (``ra < 1e400``).
+Each numeric unit clause's footprint is built once, for that test and
+for its column's intersection in the second step.
 """
 
 from __future__ import annotations
@@ -46,13 +52,28 @@ class ConsolidationResult:
 
 _UNSAT = CNF((Clause(()),))
 
+#: The footprint of a disjunction that holds on the whole axis.
+_EVERYTHING = IntervalSet([Interval.everything()])
+
 
 def consolidate(cnf: CNF) -> ConsolidationResult:
     """Apply redundancy removal, merging, and contradiction checking."""
     stats = ConsolidationStats()
 
-    clauses: list[Clause] = []
+    # Each kept clause with its footprint: built here for a numeric
+    # unit clause, ``None`` for any other clause.
+    clauses: list[tuple[Clause, IntervalSet | None]] = []
     for clause in cnf:
+        if len(clause.predicates) == 1:
+            pred = clause.predicates[0]
+            footprint = None
+            if isinstance(pred, ColumnConstantPredicate) and pred.is_numeric:
+                footprint = pred.to_interval_set()
+                if footprint == _EVERYTHING:  # the clause is TRUE
+                    stats.removed_true_clauses += 1
+                    continue
+            clauses.append((clause, footprint))
+            continue
         simplified = _simplify_clause(clause, stats)
         if simplified is None:  # clause became TRUE
             stats.removed_true_clauses += 1
@@ -60,7 +81,7 @@ def consolidate(cnf: CNF) -> ConsolidationResult:
         if len(simplified) == 0:  # clause is unsatisfiable
             stats.contradiction = True
             return ConsolidationResult(_UNSAT, stats)
-        clauses.append(simplified)
+        clauses.append((simplified, None))
 
     merged = _merge_unit_clauses(clauses, stats)
     if merged is None:
@@ -87,7 +108,7 @@ def _simplify_clause(clause: Clause,
         union = IntervalSet()
         for _, fp in footprints:
             union = union.union(fp)
-        if union == IntervalSet([Interval.everything()]):
+        if union == _EVERYTHING:
             return None  # disjunction covers the whole axis: clause is TRUE
         # Drop covered disjuncts one at a time against the *remaining*
         # set — dropping all members of a mutually-covering family would
@@ -112,27 +133,30 @@ def _simplify_clause(clause: Clause,
     return clause
 
 
-def _merge_unit_clauses(clauses: list[Clause],
+def _merge_unit_clauses(clauses: list[tuple[Clause, IntervalSet | None]],
                         stats: ConsolidationStats) -> list[Clause] | None:
-    """Intersect unit column-constant clauses per column.
+    """Intersect unit column-constant clauses per column, in clause
+    order, reusing the footprints ``clauses`` carries.
 
     Returns ``None`` on contradiction.
     """
-    numeric: dict[ColumnRef, IntervalSet] = {}
-    numeric_clauses: dict[ColumnRef, list[Clause]] = {}
+    # per column, the intersected footprint and the clauses in it
+    numeric: dict[ColumnRef, list] = {}
     categorical_eq: dict[ColumnRef, set] = {}
     categorical_ne: dict[ColumnRef, set] = {}
     passthrough: list[Clause] = []
 
-    for clause in clauses:
+    for clause, footprint in clauses:
         pred = clause.predicates[0] if clause.is_unit else None
         if (isinstance(pred, ColumnConstantPredicate) and pred.is_numeric):
-            fp = pred.to_interval_set()
-            if pred.ref in numeric:
-                numeric[pred.ref] = numeric[pred.ref].intersect(fp)
+            if footprint is None:  # a clause the sweep left one predicate
+                footprint = pred.to_interval_set()
+            held = numeric.get(pred.ref)
+            if held is None:
+                numeric[pred.ref] = [footprint, [clause]]
             else:
-                numeric[pred.ref] = fp
-            numeric_clauses.setdefault(pred.ref, []).append(clause)
+                held[0] = held[0].intersect(footprint)
+                held[1].append(clause)
         elif (isinstance(pred, ColumnConstantPredicate)
               and isinstance(pred.value, str)):
             if pred.op is Op.EQ:
@@ -146,19 +170,18 @@ def _merge_unit_clauses(clauses: list[Clause],
 
     out: list[Clause] = list(passthrough)
 
-    for ref, footprint in numeric.items():
+    for ref, (footprint, originals) in numeric.items():
         if footprint.is_empty:
             return None
         rebuilt = _intervals_to_clauses(ref, footprint)
         if rebuilt is None:
             # Not representable as bound atoms alone; keep the original
             # clauses untouched (merging must never change semantics).
-            rebuilt = numeric_clauses[ref]
+            rebuilt = originals
             stats.notes.append(
                 f"kept original clauses for disconnected footprint of {ref}")
-        count = len(numeric_clauses[ref])
-        if count > len(rebuilt):
-            stats.merged_bounds += count - len(rebuilt)
+        if len(originals) > len(rebuilt):
+            stats.merged_bounds += len(originals) - len(rebuilt)
         out.extend(rebuilt)
 
     for ref, values in categorical_eq.items():
@@ -167,17 +190,19 @@ def _merge_unit_clauses(clauses: list[Clause],
         value = next(iter(values))
         if value in categorical_ne.get(ref, set()):
             return None  # a = 'x' AND a <> 'x'
-        out.append(Clause.of(
-            [ColumnConstantPredicate(ref, Op.EQ, value)]))
+        out.append(_unit(ref, Op.EQ, value))
 
     for ref, values in categorical_ne.items():
         if ref in categorical_eq:
             continue  # the EQ already implies all satisfiable NEs
         for value in sorted(values):
-            out.append(Clause.of(
-                [ColumnConstantPredicate(ref, Op.NE, value)]))
+            out.append(_unit(ref, Op.NE, value))
 
     return out
+
+
+def _unit(ref: ColumnRef, op: Op, value) -> Clause:
+    return Clause((ColumnConstantPredicate(ref, op, value),))
 
 
 def _intervals_to_clauses(ref: ColumnRef,
@@ -195,12 +220,12 @@ def _intervals_to_clauses(ref: ColumnRef,
 
 def _interval_to_clauses(ref: ColumnRef, iv: Interval) -> list[Clause]:
     if iv.is_point:
-        return [Clause.of([ColumnConstantPredicate(ref, Op.EQ, iv.lo)])]
+        return [_unit(ref, Op.EQ, iv.lo)]
     clauses: list[Clause] = []
     if iv.lo != NEG_INF:
         op = Op.GT if iv.lo_open else Op.GE
-        clauses.append(Clause.of([ColumnConstantPredicate(ref, op, iv.lo)]))
+        clauses.append(_unit(ref, op, iv.lo))
     if iv.hi != POS_INF:
         op = Op.LT if iv.hi_open else Op.LE
-        clauses.append(Clause.of([ColumnConstantPredicate(ref, op, iv.hi)]))
+        clauses.append(_unit(ref, op, iv.hi))
     return clauses

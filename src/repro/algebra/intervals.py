@@ -162,6 +162,9 @@ class IntervalSet:
 
     @staticmethod
     def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+        intervals = tuple(intervals)
+        if len(intervals) < 2:
+            return intervals  # nothing to sort or merge
         items = sorted(intervals, key=lambda iv: (iv.lo, iv.lo_open))
         merged: list[Interval] = []
         for iv in items:

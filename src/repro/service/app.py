@@ -33,6 +33,7 @@ observer hook.
 from __future__ import annotations
 
 import asyncio
+import re
 from typing import Optional
 
 from ..clustering.dbscan import NOISE
@@ -109,11 +110,10 @@ def create_app(config: Optional[ServiceConfig] = None,
     @app.get("/clusters/{id}")
     async def cluster_detail(request: Request):
         raw = request.path_params["id"]
-        try:
-            cluster_id = int(raw)
-        except ValueError:
+        cluster_id = _decimal(raw)
+        if cluster_id is None:
             raise HTTPError(400, f"cluster id must be an integer, "
-                                 f"got {raw!r}") from None
+                                 f"got {raw!r}")
         body = state.cluster_detail(cluster_id)
         if body is None:
             raise HTTPError(404, f"no cluster {cluster_id}")
@@ -192,14 +192,29 @@ def create_app(config: Optional[ServiceConfig] = None,
     return app
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _decimal(raw: str) -> Optional[int]:
+    """``raw`` as an integer if it is one spelled the way ``str`` spells
+    it (``-?[0-9]+``, no sign on zero, no leading zeros), else ``None``.
+    ``int()`` alone also reads ``1_0``, ``+3``, `` 7`` and non-ASCII
+    digits, so one id would answer under many paths."""
+    if _DECIMAL.fullmatch(raw) is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:  # more digits than int() converts
+        return None
+    return value if str(value) == raw else None
+
+
 def _parse_k(raw: Optional[str], max_k: int) -> int:
     if raw is None:
         return 5
-    try:
-        k = int(raw)
-    except ValueError:
-        raise HTTPError(400, f"k must be an integer, got {raw!r}") \
-            from None
+    k = _decimal(raw)
+    if k is None:
+        raise HTTPError(400, f"k must be an integer, got {raw!r}")
     if not 1 <= k <= max_k:
         raise HTTPError(400, f"k must be in [1, {max_k}]")
     return k

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import LexError
 
@@ -50,8 +49,12 @@ KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its type, its text (keywords upper-cased, string
+    escapes undone) and its offset in the statement.  A named tuple:
+    the lexer builds one per token of every full parse, and a tuple is
+    built without a frozen dataclass's per-field ``__setattr__``."""
+
     type: TokenType
     value: str
     position: int

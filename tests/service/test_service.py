@@ -168,6 +168,16 @@ class TestReads:
         _, _, client, _ = ingested
         assert client.get("/clusters/not-an-int").status == 400
         assert client.get("/clusters/99999").status == 404
+        # Only the spelling /clusters lists names a cluster: int() would
+        # read each of these as an id.
+        for raw, decoded in (("1_0", "1_0"), ("0010", "0010"),
+                             ("%2B3", "+3"), ("%207", " 7"),
+                             ("%D9%A1", "\u0661"), ("-0", "-0"),
+                             ("01", "01"), ("1%20", "1 ")):
+            response = client.get(f"/clusters/{raw}")
+            assert response.status == 400, raw
+            assert response.json() == {
+                "error": f"cluster id must be an integer, got {decoded!r}"}
         # Noise is listed apart from the clusters, not as cluster -1.
         assert client.get("/clusters").json()["noise"]["unique_areas"]
         response = client.get("/clusters/-1")
@@ -219,6 +229,12 @@ class TestReads:
                           params={"k": "999"}).status == 400
         assert client.get("/recommend",
                           params={"k": "x"}).status == 400
+        for raw in ("1_0", "\u0663", "+3", " 3", "03", "3 ", "-0"):
+            response = client.get("/recommend", params={"k": raw})
+            assert response.status == 400, raw
+            assert response.json() == {
+                "error": f"k must be an integer, got {raw!r}"}
+        assert client.get("/recommend", params={"k": "3"}).status == 200
 
     def test_recommend_bad_sql_is_422(self, ingested):
         _, _, client, _ = ingested

@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.qa.querygen import PROFILES, qa_families
 from repro.qa.schemagen import random_schema
+from repro.schema.database import Schema
 from repro.sqlparser import LexError, TokenType, parse, tokenize
 from repro.sqlparser import parser
 from repro.workload import WorkloadConfig, generate_workload
@@ -80,10 +81,11 @@ def perturbed(sql: str, rng: random.Random) -> Optional[str]:
     return "".join(word + rng.choice(spaces) for word in words)
 
 
-def statements(seed: int, n_queries: int) -> list[str]:
-    """``n_queries`` statements, evenly over the profiles."""
+def drawn(seed: int, n_queries: int) -> list[tuple[Schema, str]]:
+    """``n_queries`` statements, evenly over the profiles, each with the
+    random schema it was drawn over."""
     rng = random.Random(seed)
-    drawn: list[str] = []
+    out: list[tuple[Schema, str]] = []
     per_profile = max(1, n_queries // len(PROFILES))
     for profile in PROFILES:
         left = per_profile
@@ -95,10 +97,16 @@ def statements(seed: int, n_queries: int) -> list[str]:
                 noise_fraction=0.0, error_fraction=0.0,
                 malformed_fraction=0.0, min_family_size=1,
                 repeat_user_fraction=0.0)
-            families = qa_families(random_schema(rng), (profile,))
-            drawn += generate_workload(config,
-                                       families).log.statements()[:n]
-    return drawn
+            schema = random_schema(rng)
+            families = qa_families(schema, (profile,))
+            out += [(schema, sql) for sql in generate_workload(
+                config, families).log.statements()[:n]]
+    return out
+
+
+def statements(seed: int, n_queries: int) -> list[str]:
+    """``n_queries`` statements, evenly over the profiles."""
+    return [sql for _, sql in drawn(seed, n_queries)]
 
 
 def first_mismatch(seed: int, n_queries: int) -> tuple[Optional[tuple],
