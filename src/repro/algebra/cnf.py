@@ -19,7 +19,7 @@ that workaround through ``max_predicates``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .boolexpr import (FALSE, TRUE, And, Atom, BoolExpr, Or, make_and,
                        make_or)
@@ -207,7 +207,8 @@ def truncate_predicates(expr: BoolExpr, cap: int) -> BoolExpr:
 
 def to_cnf(expr: BoolExpr,
            max_predicates: int | None = DEFAULT_PREDICATE_CAP,
-           max_clauses: int = 200_000) -> CNF:
+           max_clauses: int = 200_000,
+           on_truncate: Callable[[], None] | None = None) -> CNF:
     """Convert a Boolean expression into CNF.
 
     Parameters
@@ -220,10 +221,30 @@ def to_cnf(expr: BoolExpr,
     max_clauses:
         Hard safety limit on the intermediate clause count; exceeding it
         raises :class:`CNFConversionError` instead of exhausting memory.
+    on_truncate:
+        Called before distribution when the cap truncates ``expr``.
     """
+    expr, truncated = nnf_within_cap(expr, max_predicates)
+    if truncated and on_truncate is not None:
+        on_truncate()
+    return nnf_to_cnf(expr, max_clauses)
+
+
+def nnf_within_cap(expr: BoolExpr, max_predicates: int | None
+                   ) -> tuple[BoolExpr, bool]:
+    """``expr`` in NNF with only its first ``max_predicates`` predicate
+    leaves (see :func:`truncate_predicates`), and whether the cap
+    dropped any: the half of :func:`to_cnf` before distribution."""
     expr = to_nnf(expr)
     if max_predicates is not None and expr.count_atoms() > max_predicates:
-        expr = to_nnf(truncate_predicates(expr, max_predicates))
+        return to_nnf(truncate_predicates(expr, max_predicates)), True
+    return expr, False
+
+
+def nnf_to_cnf(expr: BoolExpr, max_clauses: int = 200_000) -> CNF:
+    """The CNF of ``expr``, already in NNF: distribution, then the
+    canonical clause order of :meth:`CNF.of` after dropping subsumed
+    clauses.  The half of :func:`to_cnf` after the cap."""
     clauses = _distribute(expr, max_clauses, {})
     if clauses is None:
         return CNF((Clause(()),))  # unsatisfiable: the empty clause

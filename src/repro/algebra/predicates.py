@@ -226,8 +226,11 @@ class ColumnConstantPredicate(Predicate):
         return _compare(value, self.op, self.value)
 
     def __str__(self) -> str:
-        value = repr(self.value) if isinstance(self.value, str) else self.value
-        return f"{self.ref} {self.op} {value}"
+        value = self.value
+        ref = self.ref
+        if isinstance(value, str):
+            value = repr(value)
+        return f"{ref.relation}.{ref.column} {self.op.value} {value}"
 
 
 @dataclass(frozen=True, eq=True)

@@ -8,7 +8,7 @@ subqueries, Section 4.4), and diagnostic notes about approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..algebra.predicates import ColumnRef
 from ..schema.database import Schema
@@ -27,6 +27,10 @@ class ExtractionContext:
     parent: Optional["ExtractionContext"] = None
     #: number of widening approximations recorded (root-stored)
     widenings: int = 0
+    #: records where the statement's literals went, for the extractor's
+    #: memo of statement shapes; shared by every scope; None when
+    #: nothing records
+    shape: Optional[Any] = None
 
     # -- relation bookkeeping ---------------------------------------------------
 
@@ -77,6 +81,7 @@ class ExtractionContext:
             aliases={},
             notes=self._root().notes,
             parent=self,
+            shape=self.shape,
         )
 
     def note(self, message: str) -> None:

@@ -32,7 +32,7 @@ from ..algebra.cnf import CNFConversionError
 from ..algebra.predicates import ColumnConstantPredicate
 from ..obs import get_logger, metrics
 from ..schema.statistics import StatisticsCatalog
-from ..sqlparser import SqlError, ast
+from ..sqlparser import SqlError
 from .area import AccessArea
 from .extractor import AccessAreaExtractor
 
@@ -217,7 +217,7 @@ class StreamMonitor:
             return None
         warmed_up = self._count_extracted()
         area = result.area
-        features = _query_features(result.statement)
+        features = result.features
         if warmed_up:
             self._notify_novelties(index, sql, area, features)
         self._learn(area, features)
@@ -476,58 +476,3 @@ class StreamMonitor:
             if kind in counts:
                 lines.append(f"  {kind.value:<22}: {counts[kind]}")
         return "\n".join(lines)
-
-
-def _query_features(statement: ast.SelectStatement) -> set[str]:
-    """The structural feature tags of one statement."""
-    features: set[str] = set()
-    if statement.group_by:
-        features.add("group-by")
-    if statement.having is not None:
-        features.add("having")
-    if statement.top is not None:
-        features.add("top")
-    if statement.distinct:
-        features.add("distinct")
-    if statement.order_by:
-        features.add("order-by")
-    for item in statement.from_items:
-        if _has_outer_join(item):
-            features.add("outer-join")
-    if statement.where is not None:
-        features.update(_condition_features(statement.where))
-    return features
-
-
-def _has_outer_join(item: ast.FromItem) -> bool:
-    if isinstance(item, ast.Join):
-        if item.join_type in (ast.JoinType.LEFT, ast.JoinType.RIGHT,
-                              ast.JoinType.FULL):
-            return True
-        return _has_outer_join(item.left) or _has_outer_join(item.right)
-    return False
-
-
-def _condition_features(cond: ast.Condition) -> set[str]:
-    features: set[str] = set()
-    stack = [cond]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.AndCondition, ast.OrCondition)):
-            stack.extend(node.children)
-        elif isinstance(node, ast.NotCondition):
-            stack.append(node.child)
-        elif isinstance(node, (ast.Exists, ast.InSubquery,
-                               ast.QuantifiedComparison)):
-            features.add("nested-subquery")
-        elif isinstance(node, ast.InList):
-            features.add("in-list")
-        elif isinstance(node, ast.Between):
-            features.add("between")
-        elif isinstance(node, ast.Like):
-            features.add("like")
-        elif isinstance(node, ast.Comparison):
-            if isinstance(node.right, ast.ScalarSubquery) or \
-                    isinstance(node.left, ast.ScalarSubquery):
-                features.add("nested-subquery")
-    return features

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..algebra.boolexpr import (FALSE, TRUE, BoolExpr, atom, make_and,
-                                make_not, make_or)
+from ..algebra.boolexpr import (FALSE, TRUE, Atom, BoolExpr, atom,
+                                make_and, make_not, make_or)
 from ..algebra.coercion import parse_number
 from ..algebra.predicates import (ColumnColumnPredicate,
                                   ColumnConstantPredicate, ColumnRef,
@@ -141,7 +141,7 @@ def condition_to_expr(cond: ast.Condition,
     if isinstance(cond, ast.QuantifiedComparison):
         return _quantified_to_expr(cond, ctx)
     if isinstance(cond, ast.Like):
-        return _like_to_expr(cond, ctx)
+        return _like_to_expr(cond, cond.negated, ctx)
     if isinstance(cond, ast.IsNull):
         # NULL membership does not restrict the value space we model.
         ctx.approx("IS NULL predicate widened to TRUE")
@@ -243,8 +243,7 @@ def _not_to_expr(cond: ast.NotCondition,
     if isinstance(child, ast.Like):
         # Flip the LIKE's own negation flag; wildcard patterns still
         # widen to TRUE inside, which stays sound under this rewrite.
-        return _like_to_expr(
-            ast.Like(child.expr, child.pattern, not child.negated), ctx)
+        return _like_to_expr(child, not child.negated, ctx)
     if isinstance(child, ast.IsNull):
         # IS [NOT] NULL widens either way; negating TRUE would be FALSE —
         # a *shrunken* area — so route through the widening case instead.
@@ -258,7 +257,16 @@ def _not_to_expr(cond: ast.NotCondition,
     if ctx.widening_count > before:
         ctx.approx("NOT over widened condition re-widened to TRUE")
         return TRUE
-    return make_not(inner)
+    return _negation(inner, ctx)
+
+
+def _negation(expr: BoolExpr, ctx: ExtractionContext) -> BoolExpr:
+    """``make_not(expr)``; a negated atom keeps its constant's source
+    for the shape being recorded."""
+    negated = make_not(expr)
+    if ctx.shape is not None and isinstance(expr, Atom):
+        ctx.shape.negated(expr, negated)
+    return negated
 
 
 def _comparison_to_expr(cond: ast.Comparison,
@@ -279,17 +287,35 @@ def _comparison_to_expr(cond: ast.Comparison,
     if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
         return atom(ColumnColumnPredicate(left, op, right))
     if isinstance(left, ColumnRef) and _is_constant(right):
-        return atom(ColumnConstantPredicate(
-            left, op, _schema_coerce(left, right, ctx)))
+        return _constant_atom(left, op, right, cond.right, ctx)
     if _is_constant(left) and isinstance(right, ColumnRef):
-        return atom(ColumnConstantPredicate(
-            right, op.flip(), _schema_coerce(right, left, ctx)))
+        return _constant_atom(right, op.flip(), left, cond.left, ctx)
     if _is_constant(left) and _is_constant(right):
         # Constant folding: e.g. WHERE 1 = 1.
-        return TRUE if ColumnConstantPredicate(
-            ColumnRef("", ""), op, right).evaluate(left) else FALSE
+        holds = constants_compare(left, op, right)
+        if ctx.shape is not None:
+            ctx.shape.compared(cond.left, op, cond.right, holds)
+        return TRUE if holds else FALSE
     ctx.approx("non-atomic comparison widened to TRUE")
     return TRUE
+
+
+def constants_compare(left: Constant, op: Op, right: Constant) -> bool:
+    """Whether the comparison of two constants holds."""
+    return ColumnConstantPredicate(ColumnRef("", ""), op,
+                                   right).evaluate(left)
+
+
+def _constant_atom(ref: ColumnRef, op: Op, value: Constant,
+                   source: ast.Expr, ctx: ExtractionContext) -> Atom:
+    """The atom ``ref op value``, where ``value`` is what the constant
+    expression ``source`` reduced to."""
+    leaf = atom(ColumnConstantPredicate(
+        ref, op, _schema_coerce(ref, value, ctx)))
+    if ctx.shape is not None:
+        ctx.shape.constant(leaf, source, isinstance(value, str)
+                           and _numeric_column(ref, ctx))
+    return leaf
 
 
 def _between_to_expr(cond: ast.Between,
@@ -302,12 +328,8 @@ def _between_to_expr(cond: ast.Between,
             or not _is_constant(high):
         ctx.approx("non-atomic BETWEEN widened to TRUE")
         return TRUE
-    expr = make_and([
-        atom(ColumnConstantPredicate(
-            ref, Op.GE, _schema_coerce(ref, low, ctx))),
-        atom(ColumnConstantPredicate(
-            ref, Op.LE, _schema_coerce(ref, high, ctx))),
-    ])
+    expr = make_and([_constant_atom(ref, Op.GE, low, cond.low, ctx),
+                     _constant_atom(ref, Op.LE, high, cond.high, ctx)])
     return make_not(expr) if cond.negated else expr
 
 
@@ -321,13 +343,12 @@ def _in_list_to_expr(cond: ast.InList,
     for value_expr in cond.values:
         value = _operand(value_expr, ctx)
         if _is_constant(value):
-            parts.append(atom(ColumnConstantPredicate(
-                ref, Op.EQ, _schema_coerce(ref, value, ctx))))
+            parts.append(_constant_atom(ref, Op.EQ, value, value_expr, ctx))
         else:
             ctx.approx("non-constant IN member widened")
             return TRUE
     expr = make_or(parts)
-    return make_not(expr) if cond.negated else expr
+    return _negation(expr, ctx) if cond.negated else expr
 
 
 def _in_subquery_to_expr(cond: ast.InSubquery,
@@ -364,17 +385,29 @@ def _scalar_subquery_to_expr(outer_expr: ast.Expr, op: Op,
     return flatten_subquery(query, ctx, link=(outer_expr, op))
 
 
-def _like_to_expr(cond: ast.Like, ctx: ExtractionContext) -> BoolExpr:
+def _like_to_expr(cond: ast.Like, negated: bool,
+                  ctx: ExtractionContext) -> BoolExpr:
+    """``cond``, or its negation when ``negated`` differs from
+    ``cond.negated``."""
     ref = _operand(cond.expr, ctx)
     if not isinstance(ref, ColumnRef):
         ctx.approx("non-column LIKE widened to TRUE")
         return TRUE
-    if "%" not in cond.pattern and "_" not in cond.pattern:
+    if not has_wildcard(cond.pattern):
         # Wildcard-free LIKE is an equality on a categorical column.
-        op = Op.NE if cond.negated else Op.EQ
-        return atom(ColumnConstantPredicate(ref, op, cond.pattern))
+        op = Op.NE if negated else Op.EQ
+        leaf = atom(ColumnConstantPredicate(ref, op, cond.pattern))
+        if ctx.shape is not None:
+            ctx.shape.pattern(leaf, cond)
+        return leaf
+    if ctx.shape is not None:
+        ctx.shape.unheld()  # the note quotes the pattern
     ctx.approx(f"LIKE pattern {cond.pattern!r} widened to TRUE")
     return TRUE
+
+
+def has_wildcard(pattern: str) -> bool:
+    return "%" in pattern or "_" in pattern
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +446,10 @@ def flatten_subquery(stmt: ast.SelectStatement, ctx: ExtractionContext,
     link_expr: BoolExpr = TRUE
     if link is not None:
         outer_expr, op = link
-        outer_operand = _operand(outer_expr, ctx)
-        inner_operand = _subquery_output_operand(stmt, sub)
-        link_expr = _link_predicate(outer_operand, op, inner_operand, ctx)
+        inner_expr = _subquery_output(stmt)
+        link_expr = _link_predicate(
+            outer_expr, _operand(outer_expr, ctx), op, inner_expr,
+            None if inner_expr is None else _operand(inner_expr, sub), ctx)
 
     having_expr = TRUE
     if stmt.having is not None:
@@ -429,6 +463,8 @@ def flatten_subquery(stmt: ast.SelectStatement, ctx: ExtractionContext,
     expr = make_and([join_expr, where_expr, link_expr, having_expr])
     if vacuous_truth is None:
         vacuous_truth = negated
+    if vacuous_truth and ctx.shape is not None:
+        ctx.shape.unheld()  # the refutation below reads the constants
     if vacuous_truth and _provably_unsat(expr):
         ctx.note("vacuously-true nested construct over an unsatisfiable "
                  "subquery: constraint dropped")
@@ -446,26 +482,25 @@ def _provably_unsat(expr: BoolExpr) -> bool:
     return consolidate(to_cnf(expr)).stats.contradiction
 
 
-def _subquery_output_operand(stmt: ast.SelectStatement,
-                             sub: ExtractionContext) -> Operand:
+def _subquery_output(stmt: ast.SelectStatement) -> Optional[ast.Expr]:
+    """The subquery's first output expression, unless it is ``*``."""
     if not stmt.select_items:
         return None
     first = stmt.select_items[0].expr
     if isinstance(first, ast.Star):
         return None
-    return _operand(first, sub)
+    return first
 
 
-def _link_predicate(outer: Operand, op: Op, inner: Operand,
+def _link_predicate(outer_expr: ast.Expr, outer: Operand, op: Op,
+                    inner_expr: Optional[ast.Expr], inner: Operand,
                     ctx: ExtractionContext) -> BoolExpr:
     if isinstance(outer, ColumnRef) and isinstance(inner, ColumnRef):
         return atom(ColumnColumnPredicate(outer, op, inner))
     if isinstance(outer, ColumnRef) and _is_constant(inner):
-        return atom(ColumnConstantPredicate(
-            outer, op, _schema_coerce(outer, inner, ctx)))
+        return _constant_atom(outer, op, inner, inner_expr, ctx)
     if _is_constant(outer) and isinstance(inner, ColumnRef):
-        return atom(ColumnConstantPredicate(
-            inner, op.flip(), _schema_coerce(inner, outer, ctx)))
+        return _constant_atom(inner, op.flip(), outer, outer_expr, ctx)
     ctx.approx("subquery link predicate widened to TRUE")
     return TRUE
 
@@ -485,15 +520,25 @@ def _schema_coerce(ref: ColumnRef, value: Constant,
     compare-time rule in :mod:`repro.algebra.coercion` performs the
     same conversion — this only canonicalizes the stored constant.
     """
-    if not isinstance(value, str) or ctx.schema is None:
+    if not isinstance(value, str) or not _numeric_column(ref, ctx):
         return value
-    if not ctx.schema.has_relation(ref.relation):
-        return value
+    return numeric_text(value)
+
+
+def _numeric_column(ref: ColumnRef, ctx: ExtractionContext) -> bool:
+    """Whether the schema declares ``ref`` numeric."""
+    if ctx.schema is None or not ctx.schema.has_relation(ref.relation):
+        return False
     column = ctx.schema.relation(ref.relation).find_column(ref.column)
-    if column is None or not column.is_numeric:
-        return value
+    return column is not None and column.is_numeric
+
+
+def numeric_text(value: str) -> Constant:
+    """A string constant against a numeric column: its number, if it
+    spells one, else the string."""
     parsed = parse_number(value)
     return value if parsed is None else parsed
+
 
 def _operand(expr: ast.Expr, ctx: ExtractionContext) -> Operand:
     """Reduce a scalar expression to a column reference or a constant.
@@ -518,7 +563,10 @@ def _operand(expr: ast.Expr, ctx: ExtractionContext) -> Operand:
         left = _operand(expr.left, ctx)
         right = _operand(expr.right, ctx)
         if _is_number(left) and _is_number(right):
-            return _fold(expr.op, left, right)
+            value = _fold(expr.op, left, right)
+            if value is None and ctx.shape is not None:
+                ctx.shape.unheld()  # x / 0: another divisor folds
+            return value
         return None
     return None
 

@@ -138,7 +138,9 @@ class Histogram:
 
     Exact up to ``reservoir_size`` observations, uniform-sampled beyond
     that.  The sampler is seeded from the metric name (CRC32) so a
-    deterministic pipeline reports deterministic quantiles.
+    deterministic pipeline reports deterministic quantiles; it is built
+    at the first observation past the reservoir, since most histograms
+    never see one.
     """
 
     __slots__ = ("name", "labels", "stats", "reservoir", "exemplars",
@@ -155,7 +157,7 @@ class Histogram:
         #: tree that produced it.
         self.exemplars: list[tuple[float, str]] = []
         self._size = reservoir_size
-        self._rng = Random(zlib.crc32(name.encode("utf-8")))
+        self._rng: Optional[Random] = None
         self._lock = threading.Lock()
 
     def observe(self, value: float,
@@ -166,6 +168,8 @@ class Histogram:
             if len(self.reservoir) < self._size:
                 self.reservoir.append(value)
             else:
+                if self._rng is None:
+                    self._rng = Random(zlib.crc32(self.name.encode("utf-8")))
                 slot = self._rng.randrange(self.stats.count)
                 if slot < self._size:
                     self.reservoir[slot] = value

@@ -55,7 +55,8 @@ _STATEMENT_KEYWORDS = {
 SHAPE_CHARS = 1 << 16
 
 
-def parse(sql: str) -> ast.SelectStatement:
+def parse(sql: str, *, scanned: Optional[tuple[Optional[str], list[str]]]
+          = None, slots: Optional[dict] = None) -> ast.SelectStatement:
     """Parse one SQL statement into a :class:`~.ast.SelectStatement`.
 
     A statement whose shape is held skips the recursive descent: its
@@ -63,22 +64,33 @@ def parse(sql: str) -> ast.SelectStatement:
     rejects there (a malformed number, a TOP past the float range)
     falls back to the full parse, which reports it; a statement that
     fails to parse is never held.
+
+    ``scanned`` is :func:`~.lexer.scan`'s answer for ``sql`` when the
+    caller has it already.  When the returned statement's shape is
+    held, ``slots`` (if given) receives where each of its literals
+    went: ``id(node) -> (node, ((field, place among the literals,
+    rule), ...))`` for every node a literal fills, the field by its
+    place in the node's constructor (see :func:`slot_value` for the
+    rule).
     """
-    key, literals = scan(sql)
+    key, literals = scan(sql) if scanned is None else scanned
     shape = _SHAPES.get(key)
     if shape is not None:
         try:
-            return shape.bind(literals)
+            return shape.bind(literals, slots)
         except ParseError:
-            pass
+            if slots is not None:
+                slots.clear()
     tokens = tokenize(sql)
     parser = _Parser(tokens)
     statement = parser.parse_statement()
     parser.expect_end()
     if key is not None and len(sql) <= SHAPE_CHARS:
-        shape = _Shape.of(statement, parser.slots, tokens, len(sql))
+        shape = _Shape.of(statement, parser.slots, tokens, len(sql), slots)
         if shape is not None:
             _SHAPES.hold(key, shape)
+        elif slots is not None:
+            slots.clear()
     return statement
 
 
@@ -154,7 +166,7 @@ class _Parser:
 
     def _slot(self, node: object, field: str, index: int, rule: int) -> None:
         """Note that ``field`` of ``node`` holds the literal token at
-        ``index``, converted by ``rule`` (see :func:`_slot_value`)."""
+        ``index``, converted by ``rule`` (see :func:`slot_value`)."""
         self.slots.setdefault(id(node), (node, []))[1].append(
             (field, index, rule))
 
@@ -664,11 +676,11 @@ def _count(text: str, clause: str, position: int) -> int:
                          position) from None
 
 
-#: Rules of :func:`_slot_value` besides a number negated n >= 0 times.
+#: Rules of :func:`slot_value` besides a number negated n >= 0 times.
 _AS_STRING, _AS_COUNT = -1, -2
 
 
-def _slot_value(text: str, rule: int) -> object:
+def slot_value(text: str, rule: int) -> object:
     """What a literal's text becomes in the field it fills: a string
     as it is, a TOP or LIMIT count, or a number negated ``rule`` times
     (the unary-minus fold)."""
@@ -716,9 +728,12 @@ class _Shape:
     @classmethod
     def of(cls, statement: ast.SelectStatement,
            slots: dict[int, tuple[object, list[tuple[str, int, int]]]],
-           tokens: list[Token], size: int) -> Optional["_Shape"]:
+           tokens: list[Token], size: int,
+           origins: Optional[dict] = None) -> Optional["_Shape"]:
         """The shape of a statement just parsed from ``tokens``, with
-        the parser's ``slots``; ``None`` if a node occurs twice in it."""
+        the parser's ``slots``; ``None`` if a node occurs twice in it.
+        ``origins``, if given, receives where the statement's literals
+        went, as :func:`parse` describes its ``slots``."""
         # Breadth first, so every node comes after its parent.  A field
         # is a position in a tuple, a name in a node.
         nodes: list = [statement]
@@ -759,29 +774,39 @@ class _Shape:
                            for field, step in holes[index]]),
                     tuple([(names.index(field), literal_of[token], rule)
                            for field, token, rule in filled])))
+                if origins is not None and filled:
+                    origins[id(node)] = (node, steps[-1][3])
             above = parent[index]
             if above is not None:
                 holes[above[0]].append((above[1], len(steps) - 1))
         return cls(statement, tuple(steps), size)
 
-    def bind(self, literals: list[str]) -> ast.SelectStatement:
+    def bind(self, literals: list[str],
+             origins: Optional[dict] = None) -> ast.SelectStatement:
         """The statement of this shape with ``literals`` in its slots;
-        raises :class:`ParseError` where :func:`parse` would reject one."""
+        raises :class:`ParseError` where :func:`parse` would reject one.
+        ``origins``, if given, receives where the literals went, as
+        :func:`parse` describes its ``slots``."""
         built: list = []
         for make, fields, nodes, slots in self.steps:
             args = list(fields)
             for field, step in nodes:
                 args[field] = built[step]
             for field, literal, rule in slots:
-                args[field] = _slot_value(literals[literal], rule)
-            built.append(make(*args))
+                args[field] = slot_value(literals[literal], rule)
+            node = make(*args)
+            if origins is not None and slots:
+                origins[id(node)] = (node, slots)
+            built.append(node)
         return built[-1] if built else self.statement
 
 
-class _ShapeMemo:
-    """Shape key -> :class:`_Shape`, least recently used first, within
-    :data:`SHAPE_CHARS` characters of the statements that introduced
-    them.  Process-wide, so every lookup and change holds a lock."""
+class ShapeMemo:
+    """Shape key -> what the first statement of that shape gave (here a
+    :class:`_Shape`; anything with a ``size``, the length of that
+    statement), least recently used first, within :data:`SHAPE_CHARS`
+    characters.  Every lookup and change holds a lock: the parser's is
+    process-wide."""
 
     def __init__(self) -> None:
         self._shapes: OrderedDict[str, _Shape] = OrderedDict()
@@ -797,6 +822,11 @@ class _ShapeMemo:
             if shape is not None:
                 self._shapes.move_to_end(key)
         return shape
+
+    @staticmethod
+    def fits(size: int) -> bool:
+        """Whether a statement of ``size`` characters may be held."""
+        return size <= SHAPE_CHARS
 
     def hold(self, key: str, shape: _Shape) -> None:
         """Hold ``shape``, no larger than :data:`SHAPE_CHARS`."""
@@ -817,4 +847,4 @@ class _ShapeMemo:
             self._chars = 0
 
 
-_SHAPES = _ShapeMemo()
+_SHAPES = ShapeMemo()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.algebra.boolexpr import FALSE, TRUE, And, Atom, BoolExpr, Or
 from repro.algebra.cnf import (CNF, DEFAULT_PREDICATE_CAP, Clause,
@@ -283,15 +283,29 @@ def extracting_with_reference(consolidated: list[CNF] | None = None
     module attributes and the algebra modules' own, which
     ``transform._provably_unsat`` imports at call time.  Every CNF
     handed to :func:`consolidate` is appended to ``consolidated`` when
-    one is given.
+    one is given.  No held statement shape answers inside the block, so
+    every extraction converts its constraint with :func:`to_cnf`; the
+    cap's note is decided apart from the conversion, on a count of the
+    constraint's predicates in NNF, as the extractor first did.
     """
     def consolidating(cnf: CNF) -> ConsolidationResult:
         if consolidated is not None:
             consolidated.append(cnf)
         return consolidate(cnf)
 
-    patched = [(extractor_module, "to_cnf", to_cnf),
+    def converting(expr: BoolExpr,
+                   max_predicates: int | None = DEFAULT_PREDICATE_CAP,
+                   max_clauses: int = 200_000,
+                   on_truncate: Callable[[], None] | None = None) -> CNF:
+        if on_truncate is not None and max_predicates is not None \
+                and to_nnf(expr).count_atoms() > max_predicates:
+            on_truncate()
+        return to_cnf(expr, max_predicates, max_clauses)
+
+    patched = [(extractor_module, "to_cnf", converting),
                (extractor_module, "consolidate_cnf", consolidating),
+               (extractor_module._HeldShapes, "get", lambda _shapes, _key:
+                None),
                (cnf_module, "to_cnf", to_cnf),
                (consolidate_module, "consolidate", consolidating)]
     saved = [(module, name, getattr(module, name))

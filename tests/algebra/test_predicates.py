@@ -87,6 +87,20 @@ class TestColumnConstantPredicate:
         assert str(ColumnConstantPredicate(T_U, Op.GT, 5)) == "T.u > 5"
         assert str(ColumnConstantPredicate(T_U, Op.EQ, "x")) == "T.u = 'x'"
 
+    @pytest.mark.parametrize("value", [
+        "x", "it's", 'say "hi"', "", "a\\b", True, False, 0, -3,
+        2 ** 53 + 1, -(2 ** 64), 2.5, -0.0, 0.0, float("inf"),
+        float("-inf"), float("nan"), 1e300, 5.0])
+    @pytest.mark.parametrize("op", list(Op))
+    def test_str_spells_ref_operator_and_constant(self, op, value):
+        # The rendering CNF canonicalization sorts by: the qualified
+        # column, the operator's symbol and the constant (quoted when a
+        # string), as ColumnRef, Op and the constant format themselves.
+        ref = ColumnRef("Photo Obj", "r'a")
+        constant = repr(value) if isinstance(value, str) else value
+        assert str(ColumnConstantPredicate(ref, op, value)) == \
+            f"{ref} {op} {constant}"
+
 
 class TestColumnColumnPredicate:
     def test_canonical_operand_order(self):

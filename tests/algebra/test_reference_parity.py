@@ -34,6 +34,7 @@ from tests.algebra import reference
 from tests.algebra.algebra_sweep import consolidation, mismatch
 
 cnf_module = importlib.import_module("repro.algebra.cnf")
+extractor_module = importlib.import_module("repro.core.extractor")
 
 # -- strategies ---------------------------------------------------------------
 
@@ -267,3 +268,26 @@ class TestCorpus:
             case = load_case(path)
             schema, _ = build_state(case)
             _assert_alike(AccessAreaExtractor(schema), [case.sql])
+
+
+class TestRoutedExtraction:
+    def test_no_held_shape_answers_inside_the_oracle_context(self):
+        """Inside :func:`reference.extracting_with_reference` every
+        extraction converts its constraint through the oracle's
+        ``to_cnf``, even one whose shape the extractor holds."""
+        extractor = AccessAreaExtractor(skyserver_schema())
+        extractor.extract("SELECT * FROM PhotoObjAll WHERE ra > 5")
+        converted = []
+        with reference.extracting_with_reference():
+            oracle = extractor_module.to_cnf
+
+            def counting(*args, **kwargs):
+                converted.append(args[0])
+                return oracle(*args, **kwargs)
+
+            with mock.patch.object(extractor_module, "to_cnf", counting):
+                for value in (6, 7):
+                    extractor.extract(
+                        f"SELECT * FROM PhotoObjAll WHERE ra > {value}")
+        assert len(converted) == 2
+

@@ -184,18 +184,22 @@ class TestTextMemo:
     learning; every tally and clustering still run."""
 
     @pytest.fixture()
-    def parses(self, monkeypatch):
+    def extractions(self, monkeypatch):
+        """The texts the monitor's extractor was handed.  Counted at
+        ``extract``, not at the parser: a new text of a statement shape
+        the extractor holds is extracted without a parse."""
         calls = []
-        parse = extractor_module.parse
+        extract = extractor_module.AccessAreaExtractor.extract
 
-        def counting(sql):
+        def counting(extractor, sql):
             calls.append(sql)
-            return parse(sql)
+            return extract(extractor, sql)
 
-        monkeypatch.setattr(extractor_module, "parse", counting)
+        monkeypatch.setattr(extractor_module.AccessAreaExtractor, "extract",
+                            counting)
         return calls
 
-    def test_repeat_skips_extraction_and_learning(self, parses,
+    def test_repeat_skips_extraction_and_learning(self, extractions,
                                                   monkeypatch):
         calls = {"_learn": 0, "_notify_novelties": 0}
         for name in calls:
@@ -214,48 +218,48 @@ class TestTextMemo:
             warmup=0, cluster_incrementally=True, cluster_eps=0.12)
         sql = "SELECT ra, dec FROM PhotoObj WHERE ra BETWEEN 10 AND 20"
         first = monitor.process(sql)
-        assert (len(parses), calls["_learn"],
+        assert (len(extractions), calls["_learn"],
                 calls["_notify_novelties"]) == (1, 1, 1)
         assert monitor.process(sql) is first
-        assert (len(parses), calls["_learn"],
+        assert (len(extractions), calls["_learn"],
                 calls["_notify_novelties"]) == (1, 1, 1)
         assert monitor.state.extracted == monitor.clusterer.arrivals == 2
         assert monitor.last_label == NOISE   # the hit was labelled
-        # Another spelling of the statement parses once and comes back
+        # Another spelling of the statement is extracted once and comes back
         # as the clusterer's pooled area.
         assert monitor.process(sql.replace("SELECT", "select") + " ") \
             is first is monitor.clusterer.area(0)
-        assert len(parses) == 2
+        assert len(extractions) == 2
         assert monitor.clusterer.n_unique == 1
 
-    def test_held_refusal_pins_no_frames(self, parses, monitor):
+    def test_held_refusal_pins_no_frames(self, extractions, monitor):
         for _ in range(3):
             assert monitor.process("SELCT broken") is None
-        assert parses == ["SELCT broken"]
+        assert extractions == ["SELCT broken"]
         assert (monitor.state.processed, monitor.state.failures) == (3, 3)
         assert monitor.last_error.__traceback__ is None
 
     def test_least_recently_used_text_is_evicted_first(
-            self, parses, monitor, monkeypatch):
+            self, extractions, monitor, monkeypatch):
         a, b, c = (f"SELECT * FROM Photoz WHERE z < 0.{v}"
                    for v in (1, 2, 3))
         monkeypatch.setattr(stream, "MEMO_CHARS", len(a) + len(b))
         for sql in (a, b, a, c):   # a is hit before c evicts
             monitor.process(sql)
-        assert parses == [a, b, c]
+        assert extractions == [a, b, c]
         monitor.process(a)
-        assert parses == [a, b, c]
+        assert extractions == [a, b, c]
         monitor.process(b)
-        assert parses == [a, b, c, b]
+        assert extractions == [a, b, c, b]
 
     def test_text_longer_than_the_budget_is_never_held(
-            self, parses, monitor, monkeypatch):
+            self, extractions, monitor, monkeypatch):
         short = "SELECT * FROM Photoz"
         long = "SELECT * FROM Photoz WHERE z < 0.1"
         monkeypatch.setattr(stream, "MEMO_CHARS", len(long) - 1)
         for sql in (short, long, long, short):
             monitor.process(sql)
-        assert parses == [short, long, long]
+        assert extractions == [short, long, long]
 
 
 class TestSummary:

@@ -2,15 +2,17 @@
 
 import json
 import math
+import random
 import time
+import zlib
 
 import pytest
 
 from repro.obs.export import (load_json, render_table, to_json,
                               to_prometheus, write_json)
-from repro.obs.metrics import (Counter, Histogram, MetricsRegistry,
-                               NullRegistry, RunningStats, get_registry,
-                               set_registry, use_registry)
+from repro.obs.metrics import (DEFAULT_RESERVOIR_SIZE, Counter, Histogram,
+                               MetricsRegistry, NullRegistry, RunningStats,
+                               get_registry, set_registry, use_registry)
 from repro.obs.trace import NULL_TRACER
 
 
@@ -80,6 +82,25 @@ class TestHistogram:
         assert h1.count == 10_000
         # The sampled p50 of a uniform ramp stays near the middle.
         assert 2_000 < h1.p50 < 8_000
+
+    def test_sampler_seeded_on_first_overflow_draws_as_if_at_construction(
+            self):
+        # The sampler is built at the first observation past the
+        # reservoir; its draws are those of one seeded with the name
+        # when the histogram was built.
+        name = "stage_seconds"
+        histogram = Histogram(name)
+        size = DEFAULT_RESERVOIR_SIZE
+        values = [float((7 * i) % 1000) for i in range(3 * size)]
+        for value in values:
+            histogram.observe(value)
+        rng = random.Random(zlib.crc32(name.encode("utf-8")))
+        reservoir = values[:size]
+        for count, value in enumerate(values[size:], start=size + 1):
+            slot = rng.randrange(count)
+            if slot < size:
+                reservoir[slot] = value
+        assert histogram.reservoir == reservoir
 
 
 class TestRegistry:
